@@ -30,6 +30,7 @@ from .pipeline import (
     load_prevalence,
     read_annotated,
     run_annotate,
+    run_annotate_one_pass,
     save_prevalence,
 )
 from .scheduler import (
@@ -149,21 +150,22 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.prevalence:
         annotator.set_prevalence(load_prevalence(args.prevalence))
+        run = run_annotate
     else:
-        log.info("no prevalence table given; running two-phase streaming fit")
-        try:
-            fit_prevalence_streaming(_input_records(args), annotator)
-        except EmptyCorpus:
-            out_path.write_text("")
-            log.info("empty input; wrote empty output")
-            return 0
+        log.info("no prevalence table given; fitting it in the annotate pass")
+        run = run_annotate_one_pass
     t0 = time.perf_counter()
-    with open(out_path, "w", encoding="utf-8") as out:
-        stats = run_annotate(
-            _input_records(args), annotator, out,
-            workers=args.workers, chunk_size=args.chunk_size,
-            include_trace=args.trace, library_path=args.library,
-        )
+    try:
+        with open(out_path, "w", encoding="utf-8") as out:
+            stats = run(
+                _input_records(args), annotator, out,
+                workers=args.workers, chunk_size=args.chunk_size,
+                include_trace=args.trace, library_path=args.library,
+            )
+    except EmptyCorpus as exc:
+        # raised before any record is written, so the output is empty
+        log.info("%s; wrote empty output", exc)
+        return 0
     dt = time.perf_counter() - t0
     log.info("annotated %d molecules (skipped %d malformed) in %.2fs",
              stats.written, stats.skipped, dt)

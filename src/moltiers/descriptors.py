@@ -2,7 +2,9 @@
 
 All descriptors are pure functions of the (aromaticity-perceived) graph and
 invariant under atom re-indexing; records are safe to compute in parallel
-across molecules.
+across molecules.  Only ``rarity`` depends on the corpus, so a record is
+built in two steps: ``descriptor_core`` holds everything else, and
+``finish_record`` adds rarity from a prevalence table.
 """
 
 from __future__ import annotations
@@ -22,6 +24,19 @@ from .graph import (
     structural_counts,
 )
 from .smiles import AROMATIC, MolecularGraph
+
+
+@dataclass(slots=True)
+class DescriptorCore:
+    """Every record field except the corpus-dependent rarity."""
+
+    d_scaf: float
+    conjugation: int
+    arom_sub: int
+    bertz_ct: float
+    counts: StructuralCounts
+    n_fg: int
+    fg_names: frozenset[str]
 
 
 @dataclass(slots=True)
@@ -57,6 +72,11 @@ def fg_rarity(
     """Mean inverse corpus prevalence of the molecule's groups; 0 if none."""
     if groups is None:
         groups = present_groups(graph, library)
+    return group_rarity(groups, table)
+
+
+def group_rarity(groups: frozenset[str], table: PrevalenceTable) -> float:
+    """fg_rarity from already matched group names."""
     if not groups:
         return 0.0
     # sorted so the float sum is byte-identical across interpreter runs
@@ -173,12 +193,10 @@ def bertz_ct(graph: MolecularGraph) -> float:
     return 0.5 * total
 
 
-def descriptor_record(
-    graph: MolecularGraph,
-    table: PrevalenceTable,
-    library: FGLibrary | None = None,
-) -> DescriptorRecord:
-    """All five descriptors plus counts and group names in one pass.
+def descriptor_core(
+    graph: MolecularGraph, library: FGLibrary | None = None
+) -> DescriptorCore:
+    """The corpus-independent descriptors, counts and group names.
 
     Aromaticity perception is applied internally (idempotent), and ring
     analysis is shared across the descriptors that need it.
@@ -190,9 +208,8 @@ def descriptor_record(
     if counts.n_ha == 0:
         raise EmptyMolecule("descriptor record needs a heavy atom")
     groups = present_groups(perceived, library)
-    return DescriptorRecord(
+    return DescriptorCore(
         d_scaf=scaffold_decoration(perceived, rings),
-        rarity=fg_rarity(perceived, table, library, groups),
         conjugation=conjugation_extent(perceived),
         arom_sub=aromatic_substitution_complexity(perceived, rings),
         bertz_ct=bertz_ct(perceived),
@@ -200,3 +217,26 @@ def descriptor_record(
         n_fg=len(groups),
         fg_names=groups,
     )
+
+
+def finish_record(core: DescriptorCore, table: PrevalenceTable) -> DescriptorRecord:
+    """The full record: the core plus rarity under a prevalence table."""
+    return DescriptorRecord(
+        d_scaf=core.d_scaf,
+        rarity=group_rarity(core.fg_names, table),
+        conjugation=core.conjugation,
+        arom_sub=core.arom_sub,
+        bertz_ct=core.bertz_ct,
+        counts=core.counts,
+        n_fg=core.n_fg,
+        fg_names=core.fg_names,
+    )
+
+
+def descriptor_record(
+    graph: MolecularGraph,
+    table: PrevalenceTable,
+    library: FGLibrary | None = None,
+) -> DescriptorRecord:
+    """All five descriptors plus counts and group names."""
+    return finish_record(descriptor_core(graph, library), table)

@@ -12,8 +12,13 @@ from __future__ import annotations
 import inspect
 from typing import Iterable
 
-from .descriptors import DescriptorRecord, descriptor_record
-from .errors import NotFitted, SmilesError
+from .descriptors import (
+    DescriptorCore,
+    DescriptorRecord,
+    descriptor_core,
+    finish_record,
+)
+from .errors import EmptyMolecule, NotFitted, SmilesError
 from .fgroups import (
     FGLibrary,
     PrevalenceTable,
@@ -21,9 +26,13 @@ from .fgroups import (
     default_library,
     top_k_groups,
 )
-from .graph import perceive_aromaticity
+from .graph import has_heavy_atom, perceive_aromaticity
 from .smiles import parse_smiles
 from .tiering import TierConfig, TierLabel, assign_tier
+
+# Input that yields no record: unparseable SMILES, or no heavy atom.  Such
+# lines are skipped and counted, never fatal.
+UNANNOTATABLE = (SmilesError, EmptyMolecule)
 
 RECORD_FIELDS = (
     "id", "smiles", "d_scaf", "rarity", "conjugation", "arom_sub", "bertz_ct",
@@ -122,7 +131,8 @@ class ComplexityAnnotator:
     def fit(self, X: Iterable[str], y=None) -> "ComplexityAnnotator":
         """Learn group prevalence from a SMILES corpus.
 
-        Unparseable entries are skipped and counted in ``n_skipped_``.
+        Unparseable and heavy-atom-free entries are skipped and counted in
+        ``n_skipped_``; they are not part of the corpus size.
         """
         library = self._lib()
 
@@ -130,8 +140,13 @@ class ComplexityAnnotator:
             skipped = 0
             for text in X:
                 try:
-                    yield perceive_aromaticity(parse_smiles(text.strip()))
+                    graph = perceive_aromaticity(parse_smiles(text.strip()))
                 except SmilesError:
+                    skipped += 1
+                    continue
+                if has_heavy_atom(graph):
+                    yield graph
+                else:
                     skipped += 1
             self.n_skipped_ = skipped
 
@@ -153,13 +168,20 @@ class ComplexityAnnotator:
         self.n_skipped_ = 0
         return self
 
-    def annotate_one(self, smiles: str) -> tuple[DescriptorRecord, TierLabel]:
-        self._check_fitted()
-        # descriptor_record perceives aromaticity itself; don't do it twice
-        graph = parse_smiles(smiles.strip())
-        record = descriptor_record(graph, self.prevalence_, self._lib())
+    def describe(self, smiles: str) -> DescriptorCore:
+        """The corpus-independent part of a record; needs no fit."""
+        # descriptor_core perceives aromaticity itself; don't do it twice
+        return descriptor_core(parse_smiles(smiles.strip()), self._lib())
+
+    def finish(self, core: DescriptorCore) -> tuple[DescriptorRecord, TierLabel]:
+        """Rarity and tier for a described molecule under the fitted table."""
+        record = finish_record(core, self.prevalence_)
         label = assign_tier(record, self.top_groups_, self.tier_config())
         return record, label
+
+    def annotate_one(self, smiles: str) -> tuple[DescriptorRecord, TierLabel]:
+        self._check_fitted()
+        return self.finish(self.describe(smiles))
 
     def transform(self, X: Iterable[str]) -> list[dict]:
         """One record dict per parseable input, in input order."""
@@ -168,7 +190,7 @@ class ComplexityAnnotator:
         for i, text in enumerate(X):
             try:
                 record, label = self.annotate_one(text)
-            except SmilesError:
+            except UNANNOTATABLE:
                 continue
             out.append(record_to_dict(i, text.strip(), record, label))
         return out

@@ -367,10 +367,21 @@ def corpus_prevalence(
         size += 1
         for name in present_groups(graph, library):
             counts[name] += 1
+    return prevalence_from_counts(counts, size, library)
+
+
+def prevalence_from_counts(
+    counts: dict[str, int], size: int, library: FGLibrary | None = None
+) -> PrevalenceTable:
+    """The prevalence table for per-group molecule counts over `size` molecules.
+
+    Groups absent from `counts` get prevalence 0.
+    """
+    library = library or default_library()
     if size == 0:
         raise EmptyCorpus("prevalence requires at least one molecule")
     return PrevalenceTable(
-        {name: counts[name] / size for name in counts}, size
+        {name: counts.get(name, 0) / size for name in library.names()}, size
     )
 
 

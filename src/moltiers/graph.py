@@ -49,6 +49,10 @@ class StructuralCounts:
     mw: float
 
 
+def has_heavy_atom(graph: MolecularGraph) -> bool:
+    return any(a.element != "H" for a in graph.atoms)
+
+
 def heavy_degrees(graph: MolecularGraph) -> list[int]:
     deg = [0] * len(graph.atoms)
     atoms = graph.atoms

@@ -8,8 +8,10 @@ from moltiers.descriptors import (
     aromatic_substitution_complexity,
     bertz_ct,
     conjugation_extent,
+    descriptor_core,
     descriptor_record,
     fg_rarity,
+    finish_record,
     scaffold_decoration,
 )
 from moltiers.errors import EmptyMolecule
@@ -240,3 +242,26 @@ class TestDescriptorRecord:
             assert base.arom_sub == rewritten.arom_sub
             assert base.bertz_ct == pytest.approx(rewritten.bertz_ct, abs=1e-12)
             assert base.counts.n_sc == rewritten.counts.n_sc
+
+
+class TestDescriptorCore:
+    def test_core_plus_finish_is_the_record(self, mol, suite_prevalence):
+        for smiles in list(generate_corpus(40, seed=47)) + ["CC(=O)O", "CCCCCC"]:
+            g = mol(smiles)
+            core = descriptor_core(g)
+            assert finish_record(core, suite_prevalence) == descriptor_record(
+                g, suite_prevalence
+            )
+
+    def test_core_is_table_free(self, mol, suite_prevalence):
+        core = descriptor_core(mol("CC(=O)Oc1ccccc1C(=O)O"))
+        a = finish_record(core, suite_prevalence)
+        b = finish_record(core, ANCHOR_TABLE)
+        assert a.rarity != b.rarity
+        assert (a.d_scaf, a.conjugation, a.arom_sub, a.bertz_ct, a.fg_names) == (
+            b.d_scaf, b.conjugation, b.arom_sub, b.bertz_ct, b.fg_names
+        )
+
+    def test_heavy_atom_free_rejected(self):
+        with pytest.raises(EmptyMolecule):
+            descriptor_core(parse_smiles("[H][H]"))

@@ -34,9 +34,11 @@ class TestEstimatorSurface:
             ComplexityAnnotator().set_params(bogus=1)
 
     def test_fit_skips_malformed(self):
-        annotator = ComplexityAnnotator().fit(CORPUS + ["not_smiles(", ""])
+        # a molecule without a heavy atom is skipped like a malformed line
+        annotator = ComplexityAnnotator().fit(CORPUS + ["not_smiles(", "", "[H][H]"])
         assert annotator.n_fitted_ == len(CORPUS)
-        assert annotator.n_skipped_ == 2
+        assert annotator.n_skipped_ == 3
+        assert annotator.prevalence_ == ComplexityAnnotator().fit(CORPUS).prevalence_
 
     def test_fit_transform_matches_fit_then_transform(self):
         a = ComplexityAnnotator().fit_transform(CORPUS)
@@ -53,7 +55,7 @@ class TestTransform:
 
     def test_ids_are_input_positions(self):
         records = ComplexityAnnotator().fit(CORPUS).transform(
-            ["CCO", "xxx(", "CC(=O)O"]
+            ["CCO", "xxx(", "CC(=O)O", "[H][H]"]
         )
         assert [r["id"] for r in records] == [0, 2]
 

@@ -1,0 +1,189 @@
+"""The one-pass annotate run (no prevalence table given).
+
+It must write exactly what ``prevalence`` followed by ``annotate
+--prevalence`` writes, derive the same table as ``fit``, and describe each
+input molecule once.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from importlib import resources
+
+import pytest
+
+from moltiers.cli import main
+from moltiers.errors import EmptyCorpus
+from moltiers.featurizer import ComplexityAnnotator
+from moltiers.fgroups import FGLibrary
+from moltiers.pipeline import iter_input, run_annotate, run_annotate_one_pass
+from moltiers.synth import generate_corpus
+
+MALFORMED = ["((bad", "C1CC", "Xx", "[H][H]", "C[C@@H"]
+
+
+def corpus_lines(n: int, seed: int) -> list[str]:
+    """Synthetic molecules with the malformed entries spread through them."""
+    lines = list(generate_corpus(n, seed=seed))
+    step = max(1, len(lines) // len(MALFORMED))
+    for k, bad in enumerate(MALFORMED):
+        lines.insert(k * step + 1, bad)
+    return lines
+
+
+@pytest.fixture()
+def corpus(tmp_path):
+    path = tmp_path / "corpus.smi"
+    path.write_text("\n".join(corpus_lines(700, seed=31)) + "\n")
+    return path
+
+
+@pytest.fixture()
+def small_library(tmp_path):
+    """The first twelve default patterns as a custom library file."""
+    payload = json.loads(
+        resources.files("moltiers").joinpath("data/functional_groups.json")
+        .read_text(encoding="utf-8")
+    )
+    payload["patterns"] = payload["patterns"][:12]
+    path = tmp_path / "library.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def annotate_both_ways(corpus, tmp_path, *flags, library=None) -> tuple[bytes, bytes]:
+    """(one-pass output, prevalence + annotate --prevalence output)."""
+    library_flags = ["--library", str(library)] if library else []
+    one_pass = tmp_path / "one_pass.jsonl"
+    assert main(["annotate", "--input", str(corpus), "--output", str(one_pass),
+                 *flags, *library_flags]) == 0
+    prev_dir = tmp_path / "prev"
+    assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                 str(prev_dir), *library_flags]) == 0
+    fixed = tmp_path / "fixed.jsonl"
+    assert main(["annotate", "--input", str(corpus), "--output", str(fixed),
+                 "--prevalence", str(prev_dir / "prevalence.tsv"),
+                 *flags, *library_flags]) == 0
+    return one_pass.read_bytes(), fixed.read_bytes()
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_matches_prevalence_then_annotate(self, corpus, tmp_path, workers):
+        one_pass, fixed = annotate_both_ways(corpus, tmp_path, "--workers", workers,
+                                             "--chunk-size", "64")
+        assert one_pass == fixed
+        assert one_pass.count(b"\n") == 700
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_trace(self, corpus, tmp_path, workers):
+        one_pass, fixed = annotate_both_ways(corpus, tmp_path, "--workers", workers,
+                                             "--trace")
+        assert one_pass == fixed
+        assert all("rule_trace" in json.loads(line)
+                   for line in one_pass.decode().splitlines())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_custom_library(self, corpus, small_library, tmp_path, workers):
+        one_pass, fixed = annotate_both_ways(corpus, tmp_path, "--workers", workers,
+                                             library=small_library)
+        assert one_pass == fixed
+        names = set(FGLibrary.from_json(small_library).names())
+        for line in one_pass.decode().splitlines():
+            assert set(json.loads(line)["fg_names"]) <= names
+
+    def test_worker_counts_and_chunk_sizes_agree(self, corpus):
+        pairs = list(iter_input(corpus))
+        outputs = set()
+        for workers, chunk in ((1, 256), (1, 7), (2, 64), (3, 5)):
+            sink = io.StringIO()
+            stats = run_annotate_one_pass(iter(pairs), ComplexityAnnotator(), sink,
+                                          workers=workers, chunk_size=chunk)
+            assert (stats.written, stats.skipped) == (700, len(MALFORMED))
+            outputs.add(sink.getvalue())
+        assert len(outputs) == 1
+
+    def test_custom_library_needs_path_for_workers(self, corpus, small_library):
+        annotator = ComplexityAnnotator(library=FGLibrary.from_json(small_library))
+        with pytest.raises(ValueError):
+            run_annotate_one_pass(iter_input(corpus), annotator, io.StringIO(),
+                                  workers=2)
+
+
+class TestDerivedTable:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_equals_fit(self, corpus, workers):
+        pairs = list(iter_input(corpus))
+        one_pass = ComplexityAnnotator()
+        sink = io.StringIO()
+        run_annotate_one_pass(iter(pairs), one_pass, sink, workers=workers,
+                              chunk_size=50)
+        fitted = ComplexityAnnotator().fit(s for _, s in pairs)
+        assert one_pass.prevalence_ == fitted.prevalence_
+        assert one_pass.top_groups_ == fitted.top_groups_
+        assert (one_pass.n_fitted_, one_pass.n_skipped_) == (
+            fitted.n_fitted_, fitted.n_skipped_)
+        expected = io.StringIO()
+        run_annotate(iter(pairs), fitted, expected)
+        assert sink.getvalue() == expected.getvalue()
+
+    def test_nothing_annotatable_raises_before_writing(self):
+        sink = io.StringIO()
+        with pytest.raises(EmptyCorpus):
+            run_annotate_one_pass(iter(enumerate(MALFORMED)), ComplexityAnnotator(),
+                                  sink)
+        assert sink.getvalue() == ""
+
+
+class TestCli:
+    def test_only_malformed_writes_empty_file(self, tmp_path):
+        bad = tmp_path / "bad.smi"
+        bad.write_text("\n".join(MALFORMED) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["annotate", "--input", str(bad), "--output", str(out),
+                     "--workers", "2"]) == 0
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fixed_table", [False, True])
+    def test_heavy_atom_free_line_is_skipped(self, tmp_path, caplog, workers,
+                                             fixed_table):
+        corpus = tmp_path / "h2.smi"
+        corpus.write_text("CCO\n[H][H]\nc1ccccc1O\n")
+        flags = ["--workers", workers]
+        if fixed_table:
+            assert main(["prevalence", "--input", str(corpus),
+                         "--output-dir", str(tmp_path / "p")]) == 0
+            table = (tmp_path / "p" / "prevalence.tsv").read_text()
+            assert table.startswith("# corpus_size=2\n")
+            flags += ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level("INFO", logger="moltiers"):
+            assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                         *flags]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in rows] == [0, 2]
+        assert "annotated 2 molecules (skipped 1 malformed)" in caplog.text
+
+
+def test_one_pass_parses_each_line_once(corpus, tmp_path, monkeypatch):
+    """Annotating without a table must not re-parse the corpus."""
+    import moltiers.smiles
+
+    real = moltiers.smiles.parse_smiles
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("moltiers") and \
+                getattr(module, "parse_smiles", None) is real:
+            monkeypatch.setattr(module, "parse_smiles", counting)
+    out = tmp_path / "out.jsonl"
+    assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                 "--workers", "1"]) == 0
+    assert len(calls) == len(list(iter_input(corpus)))
