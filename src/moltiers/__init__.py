@@ -35,17 +35,6 @@ from .graph import (
     ring_info,
     structural_counts,
 )
-from .losses import (
-    LinearMap,
-    LossParams,
-    hybrid_loss,
-    l2_normalize_rows,
-    load_embeddings,
-    nt_xent,
-    pairwise_distance_correlation,
-    save_embeddings,
-    siglip_loss,
-)
 from .scheduler import (
     EpochManifest,
     ScheduleSpec,
@@ -61,6 +50,29 @@ from .synth import generate_corpus, random_smiles
 from .tiering import TierConfig, TierLabel, assign_tier, tier_histogram
 
 __version__ = "0.1.0"
+
+# The loss kernels need numpy; they load on first access, so importing the
+# package (and the CLI) does not import numpy.
+_LOSS_NAMES = frozenset({
+    "LinearMap",
+    "LossParams",
+    "hybrid_loss",
+    "l2_normalize_rows",
+    "load_embeddings",
+    "nt_xent",
+    "pairwise_distance_correlation",
+    "save_embeddings",
+    "siglip_loss",
+})
+
+
+def __getattr__(name: str):
+    if name in _LOSS_NAMES:
+        from . import losses
+
+        return getattr(losses, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Atom",

@@ -14,14 +14,13 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .check import run_gradient_suite, run_property_suite
 from .errors import EmptyCorpus, MissingTierField, MoltiersError
 from .featurizer import ComplexityAnnotator
 from .fgroups import FGLibrary, top_k_groups
-from .losses import load_embeddings, pairwise_distance_correlation
 from .pipeline import (
     annotate_chunk,
     chunked,
@@ -144,6 +143,23 @@ def cmd_prevalence(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _replace_on_success(path: Path):
+    """A text file that replaces ``path`` only if the block completes.
+
+    It is written next to ``path``, so the final rename is atomic; on any
+    failure it is removed and ``path`` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_annotate(args: argparse.Namespace) -> int:
     annotator = _annotator_from_args(args)
     out_path = Path(args.output)
@@ -155,17 +171,17 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         log.info("no prevalence table given; fitting it in the annotate pass")
         run = run_annotate_one_pass
     t0 = time.perf_counter()
-    try:
-        with open(out_path, "w", encoding="utf-8") as out:
+    with _replace_on_success(out_path) as out:
+        try:
             stats = run(
                 _input_records(args), annotator, out,
                 workers=args.workers, chunk_size=args.chunk_size,
                 include_trace=args.trace, library_path=args.library,
             )
-    except EmptyCorpus as exc:
-        # raised before any record is written, so the output is empty
-        log.info("%s; wrote empty output", exc)
-        return 0
+        except EmptyCorpus as exc:
+            # raised before any record is written, so the output is empty
+            log.info("%s; wrote empty output", exc)
+            return 0
     dt = time.perf_counter() - t0
     log.info("annotated %d molecules (skipped %d malformed) in %.2fs",
              stats.written, stats.skipped, dt)
@@ -374,6 +390,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_check(args: argparse.Namespace) -> int:
+    # numpy is imported only by the commands that use it
+    from .check import run_gradient_suite, run_property_suite
+    from .losses import load_embeddings, pairwise_distance_correlation
+
     results = run_gradient_suite(args.seeds) + run_property_suite()
     failed = 0
     for result in results:

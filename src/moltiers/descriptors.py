@@ -18,6 +18,7 @@ from .graph import (
     RingInfo,
     StructuralCounts,
     conjugated_components,
+    cycle_bonds,
     murcko_scaffold,
     perceive_aromaticity,
     ring_info,
@@ -55,7 +56,7 @@ def scaffold_decoration(
     graph: MolecularGraph, rings: RingInfo | None = None
 ) -> float:
     """1 - n_scaffold / heavy atoms, clamped to [0, 1]; 1 when acyclic."""
-    n_ha = sum(1 for a in graph.atoms if a.element != "H")
+    n_ha = graph.view().n_heavy
     if n_ha == 0:
         raise EmptyMolecule("scaffold decoration needs a heavy atom")
     scaffold = murcko_scaffold(graph, rings)
@@ -125,32 +126,22 @@ def aromatic_substitution_complexity(
         rings = ring_info(graph)
     if not rings.rings:
         return 0
-    bonds = graph.bonds
-    atoms = graph.atoms
-    adj = graph.neighbors()
-    aromatic_bond = [b.order == AROMATIC for b in bonds]
+    view = graph.view()
+    adj = view.adj
+    orders = view.orders
+    elements = view.elements
     patterns: set[tuple[int, ...]] = set()
     total_subs = 0
     for cycle in rings.rings:
-        cset = set(cycle)
         # aromatic ring: every bond along the cycle is aromatic
-        ok = True
-        for i, a in enumerate(cycle):
-            b = cycle[(i + 1) % len(cycle)]
-            for nb, bi in adj[a]:
-                if nb == b:
-                    if not aromatic_bond[bi]:
-                        ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(orders[bi] != AROMATIC for bi in cycle_bonds(adj, cycle)):
             continue
+        cset = set(cycle)
         positions = []
         for pos, a in enumerate(cycle):
             ext = 0
             for nb, _ in adj[a]:
-                if nb not in cset and atoms[nb].element != "H":
+                if nb not in cset and elements[nb] != "H":
                     ext += 1
             if ext:
                 positions.append(pos)
@@ -169,19 +160,13 @@ def bertz_ct(graph: MolecularGraph) -> float:
     """
     if not graph.bonds:
         return 0.0
-    atoms = graph.atoms
-    deg = [0] * len(atoms)
-    for bond in graph.bonds:
-        if atoms[bond.b].element != "H":
-            deg[bond.a] += 1
-        if atoms[bond.a].element != "H":
-            deg[bond.b] += 1
+    view = graph.view()
+    atom_env = list(zip(view.elements, view.aromatic, view.degree))
     hist: dict[tuple, int] = {}
-    for bond in graph.bonds:
-        a, b = bond.a, bond.b
-        da = (atoms[a].element, atoms[a].aromatic, deg[a])
-        db = (atoms[b].element, atoms[b].aromatic, deg[b])
-        env = (da, db, bond.order) if da <= db else (db, da, bond.order)
+    for bond, order in zip(graph.bonds, view.orders):
+        da = atom_env[bond.a]
+        db = atom_env[bond.b]
+        env = (da, db, order) if da <= db else (db, da, order)
         hist[env] = hist.get(env, 0) + 1
     total = 0.0
     for count in hist.values():

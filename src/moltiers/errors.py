@@ -59,6 +59,10 @@ class EmptyCorpus(MoltiersError):
     """Operation requires a non-empty molecule corpus."""
 
 
+class PrevalenceMismatch(MoltiersError):
+    """A prevalence table lacks groups of the pattern library."""
+
+
 class NotFitted(MoltiersError):
     """Estimator method called before fit()."""
 

@@ -18,7 +18,7 @@ from .descriptors import (
     descriptor_core,
     finish_record,
 )
-from .errors import EmptyMolecule, NotFitted, SmilesError
+from .errors import EmptyMolecule, NotFitted, PrevalenceMismatch, SmilesError
 from .fgroups import (
     FGLibrary,
     PrevalenceTable,
@@ -161,7 +161,16 @@ class ComplexityAnnotator:
             raise NotFitted("call fit() before transform()/predict()")
 
     def set_prevalence(self, table: PrevalenceTable) -> "ComplexityAnnotator":
-        """Adopt a precomputed prevalence table instead of fitting."""
+        """Adopt a precomputed prevalence table instead of fitting.
+
+        Raises PrevalenceMismatch when the table lacks a library group.
+        """
+        missing = [n for n in self._lib().names() if n not in table.prevalence]
+        if missing:
+            raise PrevalenceMismatch(
+                f"prevalence table lacks {len(missing)} library group(s): "
+                + ", ".join(missing)
+            )
         self.prevalence_ = table
         self.top_groups_ = frozenset(top_k_groups(table, self.top_k))
         self.n_fitted_ = table.corpus_size

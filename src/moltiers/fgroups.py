@@ -14,7 +14,15 @@ from importlib import resources
 from typing import Iterable, Iterator
 
 from .errors import EmptyCorpus
-from .smiles import AROMATIC, DOUBLE, MolecularGraph, SINGLE, TRIPLE
+from .smiles import (
+    AROMATIC,
+    DOUBLE,
+    SINGLE,
+    TRIPLE,
+    MolecularGraph,
+    MolView,
+    feature_mask,
+)
 
 _ORDER_BY_NAME = {
     "single": SINGLE,
@@ -62,17 +70,16 @@ class FunctionalGroupPattern:
     _plan: list[tuple[int, int, frozenset[int] | None, list]] = field(
         default_factory=list, repr=False
     )
-    _required_elements: tuple[tuple[str, int], ...] = field(
-        default=(), repr=False
-    )
-    _required_orders: tuple[int, ...] = field(default=(), repr=False)
+    # feature_mask of the required elements and orders: a molecule whose
+    # view.features lacks any of these bits cannot match
+    _features: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.atoms) <= 6:
             raise ValueError(f"pattern {self.name!r} must have 1-6 atoms")
         self._plan = _build_plan(self)
-        self._required_elements = tuple(self.required_elements().items())
-        self._required_orders = tuple(self.required_orders())
+        self._features = feature_mask(self.required_elements(),
+                                      self.required_orders())
 
     def required_elements(self) -> dict[str, int]:
         """Lower bound on element counts a molecule needs to match."""
@@ -206,117 +213,80 @@ def default_library() -> FGLibrary:
     return _DEFAULT
 
 
-class _MolView:
-    """Per-molecule indices shared by all pattern matches."""
-
-    __slots__ = ("elements", "aromatic", "degree", "adj", "element_count",
-                 "order_set", "element_sites")
-
-    def __init__(self, graph: MolecularGraph):
-        atoms = graph.atoms
-        n = len(atoms)
-        self.elements = [a.element for a in atoms]
-        self.aromatic = [a.aromatic for a in atoms]
-        deg = [0] * n
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        order_set: set[int] = set()
-        for bond in graph.bonds:
-            adj[bond.a].append((bond.b, bond.order))
-            adj[bond.b].append((bond.a, bond.order))
-            order_set.add(bond.order)
-            if atoms[bond.b].element != "H":
-                deg[bond.a] += 1
-            if atoms[bond.a].element != "H":
-                deg[bond.b] += 1
-        self.degree = deg
-        self.adj = adj
-        self.order_set = order_set
-        counts: dict[str, int] = {}
-        sites: dict[str, list[int]] = {}
-        for i, el in enumerate(self.elements):
-            counts[el] = counts.get(el, 0) + 1
-            sites.setdefault(el, []).append(i)
-        self.element_count = counts
-        self.element_sites = sites
-
-    def candidates(self, constraint: AtomConstraint) -> Iterator[int]:
-        if len(constraint.elements) == 1:
-            (el,) = constraint.elements
-            pool = self.element_sites.get(el, ())
-        else:
-            pool = range(len(self.elements))
-        for i in pool:
-            if constraint.admits(self.elements[i], self.aromatic[i], self.degree[i]):
-                yield i
-
-
-def _can_skip(view: _MolView, pattern: FunctionalGroupPattern) -> bool:
-    counts = view.element_count
-    for el, k in pattern._required_elements:
-        if counts.get(el, 0) < k:
-            return True
-    orders = view.order_set
-    for order in pattern._required_orders:
-        if order not in orders:
-            return True
-    return False
-
-
-def _match_pattern(
-    view: _MolView, pattern: FunctionalGroupPattern, first_only: bool
-) -> list[tuple[int, ...]]:
-    plan = pattern._plan
-    n = len(plan)
-    atoms_c = pattern.atoms
-    results: list[tuple[int, ...]] = []
-    assign = [-1] * n           # plan position -> molecule atom
-    used: set[int] = set()
-
-    def extend(depth: int) -> bool:
-        if depth == n:
-            out = [0] * n
-            for k, (atom_pos, _, _, _) in enumerate(plan):
-                out[atom_pos] = assign[k]
-            results.append(tuple(out))
-            return first_only
-        atom_pos, anchor, anchor_orders, extras = plan[depth]
-        constraint = atoms_c[atom_pos]
-        if anchor == -1:
-            candidates: Iterator[int] = view.candidates(constraint)
-        else:
-            candidates = _extend_candidates(
-                view, constraint, assign[anchor], anchor_orders, extras, assign
-            )
-        for cand in candidates:
-            if cand in used:
-                continue
-            assign[depth] = cand
-            used.add(cand)
-            if extend(depth + 1):
-                return True
-            used.discard(cand)
-            assign[depth] = -1
-        return False
-
-    extend(0)
-    return results
-
-
-def _extend_candidates(view, constraint, anchor_mol, anchor_orders, extras, assign):
+def _candidates(view: MolView, constraint: AtomConstraint) -> Iterator[int]:
+    if len(constraint.elements) == 1:
+        (el,) = constraint.elements
+        pool = view.element_sites.get(el, ())
+    else:
+        pool = range(len(view.elements))
     elements = view.elements
     aromatic = view.aromatic
     degree = view.degree
-    for nb, order in view.adj[anchor_mol]:
-        if order not in anchor_orders:
+    for i in pool:
+        if constraint.admits(elements[i], aromatic[i], degree[i]):
+            yield i
+
+
+def _match_pattern(
+    view: MolView, pattern: FunctionalGroupPattern, first_only: bool
+) -> list[tuple[int, ...]]:
+    results: list[tuple[int, ...]] = []
+    assign = [-1] * len(pattern._plan)  # plan position -> molecule atom
+    _extend(view, pattern, assign, set(), 0, results, first_only)
+    return results
+
+
+def _extend(view, pattern, assign, used, depth, results, first_only) -> bool:
+    """Place plan position ``depth`` and recurse; True stops the search.
+
+    A module function rather than a recursive closure: the closure would be
+    a reference cycle holding the molecule's view, which only the cyclic
+    garbage collector could then free.
+    """
+    plan = pattern._plan
+    if depth == len(plan):
+        out = [0] * depth
+        for k, (atom_pos, _, _, _) in enumerate(plan):
+            out[atom_pos] = assign[k]
+        results.append(tuple(out))
+        return first_only
+    atom_pos, anchor, anchor_orders, extras = plan[depth]
+    constraint = pattern.atoms[atom_pos]
+    if anchor == -1:
+        candidates: Iterator[int] = _candidates(view, constraint)
+    else:
+        candidates = _extend_candidates(
+            view, constraint, assign[anchor], anchor_orders, extras, assign
+        )
+    for cand in candidates:
+        if cand in used:
+            continue
+        assign[depth] = cand
+        used.add(cand)
+        if _extend(view, pattern, assign, used, depth + 1, results, first_only):
+            return True
+        used.discard(cand)
+        assign[depth] = -1
+    return False
+
+
+def _extend_candidates(view, constraint, anchor_mol, anchor_orders, extras, assign):
+    adj = view.adj
+    orders = view.orders
+    elements = view.elements
+    aromatic = view.aromatic
+    degree = view.degree
+    for nb, bi in adj[anchor_mol]:
+        if orders[bi] not in anchor_orders:
             continue
         if not constraint.admits(elements[nb], aromatic[nb], degree[nb]):
             continue
         ok = True
-        for pos, orders in extras:
+        for pos, allowed in extras:
             other = assign[pos]
             found = False
-            for nb2, order2 in view.adj[nb]:
-                if nb2 == other and order2 in orders:
+            for nb2, bi2 in adj[nb]:
+                if nb2 == other and orders[bi2] in allowed:
                     found = True
                     break
             if not found:
@@ -326,16 +296,25 @@ def _extend_candidates(view, constraint, anchor_mol, anchor_orders, extras, assi
             yield nb
 
 
+def _matchable(
+    view: MolView, library: FGLibrary
+) -> Iterator[FunctionalGroupPattern]:
+    """The library's patterns whose required elements and orders the
+    molecule has: one integer AND per pattern."""
+    features = view.features
+    for pattern in library.patterns:
+        required = pattern._features
+        if features & required == required:
+            yield pattern
+
+
 def match_groups(
     graph: MolecularGraph, library: FGLibrary | None = None
 ) -> set[tuple[str, tuple[int, ...]]]:
     """All embeddings of every library pattern into the molecule."""
-    library = library or default_library()
-    view = _MolView(graph)
+    view = graph.view()
     out: set[tuple[str, tuple[int, ...]]] = set()
-    for pattern in library.patterns:
-        if _can_skip(view, pattern):
-            continue
+    for pattern in _matchable(view, library or default_library()):
         for embedding in _match_pattern(view, pattern, first_only=False):
             out.add((pattern.name, embedding))
     return out
@@ -345,15 +324,11 @@ def present_groups(
     graph: MolecularGraph, library: FGLibrary | None = None
 ) -> frozenset[str]:
     """Names of patterns with at least one embedding (early-exit matcher)."""
-    library = library or default_library()
-    view = _MolView(graph)
-    names = []
-    for pattern in library.patterns:
-        if _can_skip(view, pattern):
-            continue
-        if _match_pattern(view, pattern, first_only=True):
-            names.append(pattern.name)
-    return frozenset(names)
+    view = graph.view()
+    return frozenset(
+        pattern.name for pattern in _matchable(view, library or default_library())
+        if _match_pattern(view, pattern, first_only=True)
+    )
 
 
 def corpus_prevalence(

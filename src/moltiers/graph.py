@@ -1,9 +1,20 @@
 """Graph algorithms over MolecularGraph.
 
-Ring perception uses bridge detection for membership plus a per-ring-bond
-shortest-cycle search capped at 8 atoms, which covers drug-like ring systems
-without full SSSR machinery.  The ring *count* is always the cyclomatic
-number, bonds - atoms + components.
+Every analysis reads the graph's memoised ``MolView`` (adjacency, bond
+orders, heavy degrees, element sites), so a molecule's adjacency is built
+once however many descriptors it feeds.
+
+Ring perception is block-based.  One iterative lowlink DFS splits the bonds
+into biconnected blocks; single-bond blocks are bridges, every other bond is
+a ring bond.  A block with as many bonds as atoms is a simple cycle, walked
+directly from its lowest-index bond (or dropped when it has more than
+MAX_RING_SIZE atoms).  Only fused or bridged blocks run the capped
+shortest-cycle BFS, once per bond and over the block's own bonds: every
+simple path between two atoms of a block stays inside it, so the search
+finds the same cycle it would over the whole graph.  Rings are reported in
+the order of the bond that produced them, deduplicated by atom set, which
+covers drug-like ring systems without full SSSR machinery.  The ring
+*count* is always the cyclomatic number, bonds - atoms + components.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ class RingInfo:
     ring_atoms: frozenset[int]
     ring_bonds: frozenset[int]
     rings: list[tuple[int, ...]]  # ordered small cycles, deduplicated
+    n_ring: int  # cyclomatic number
 
 
 @dataclass(slots=True)
@@ -50,86 +62,87 @@ class StructuralCounts:
 
 
 def has_heavy_atom(graph: MolecularGraph) -> bool:
-    return any(a.element != "H" for a in graph.atoms)
+    return graph.view().n_heavy > 0
 
 
-def heavy_degrees(graph: MolecularGraph) -> list[int]:
-    deg = [0] * len(graph.atoms)
-    atoms = graph.atoms
-    for bond in graph.bonds:
-        if atoms[bond.b].element != "H":
-            deg[bond.a] += 1
-        if atoms[bond.a].element != "H":
-            deg[bond.b] += 1
-    return deg
-
-
-def connected_components(graph: MolecularGraph) -> list[list[int]]:
-    n = len(graph.atoms)
-    adj = graph.neighbors()
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for nb, _ in adj[a]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    comp.append(nb)
-                    queue.append(nb)
-        comps.append(comp)
-    return comps
-
-
-def _bridges(graph: MolecularGraph, adj: list[list[tuple[int, int]]]) -> set[int]:
-    """Bond indices that are bridges (iterative lowlink DFS)."""
-    n = len(graph.atoms)
+def _blocks(adj: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
+    """Biconnected blocks of more than one bond, as bond-index lists, and
+    the number of connected components (iterative lowlink DFS that keeps
+    the bonds it has seen on a stack and cuts a block off at each
+    articulation)."""
+    n = len(adj)
     disc = [-1] * n
     low = [0] * n
-    bridges: set[int] = set()
+    edges: list[int] = []
+    blocks: list[list[int]] = []
     timer = 0
+    components = 0
     for root in range(n):
         if disc[root] != -1:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # atom, in-bond, edge ptr
+        components += 1
+        disc[root] = low[root] = timer
+        timer += 1
+        # atom, bond it was entered by, edge-stack height below that bond,
+        # remaining neighbours
+        stack = [(root, -1, 0, iter(adj[root]))]
         while stack:
-            a, in_bond, ptr = stack.pop()
-            if ptr == 0:
-                disc[a] = low[a] = timer
-                timer += 1
-            if ptr < len(adj[a]):
-                stack.append((a, in_bond, ptr + 1))
-                nb, bi = adj[a][ptr]
+            a, in_bond, mark, rest = stack[-1]
+            for nb, bi in rest:
                 if bi == in_bond:
                     continue
-                if disc[nb] == -1:
-                    stack.append((nb, bi, 0))
-                else:
-                    if disc[nb] < low[a]:
-                        low[a] = disc[nb]
+                d = disc[nb]
+                if d == -1:
+                    disc[nb] = low[nb] = timer
+                    timer += 1
+                    stack.append((nb, bi, len(edges), iter(adj[nb])))
+                    edges.append(bi)
+                    break
+                if d < disc[a]:  # back edge to an ancestor
+                    edges.append(bi)
+                    if d < low[a]:
+                        low[a] = d
             else:
-                if in_bond != -1:
-                    bond = graph.bonds[in_bond]
-                    parent = bond.other(a)
-                    if low[a] < low[parent]:
-                        low[parent] = low[a]
-                    if low[a] > disc[parent]:
-                        bridges.add(in_bond)
-    return bridges
+                stack.pop()
+                if not stack:
+                    continue
+                parent = stack[-1][0]
+                if low[a] < low[parent]:
+                    low[parent] = low[a]
+                if low[a] >= disc[parent]:
+                    if len(edges) - mark > 1:
+                        blocks.append(edges[mark:])
+                    del edges[mark:]
+    return blocks, components
+
+
+def _walk_cycle(graph: MolecularGraph, adj, block_of: list[int],
+                bond_index: int) -> tuple[int, ...]:
+    """The cycle of a simple-cycle block, from the bond's first atom around
+    to its second: what the shortest-cycle search through it returns."""
+    block = block_of[bond_index]
+    bond = graph.bonds[bond_index]
+    a, end, came = bond.a, bond.b, bond_index
+    cycle = [a]
+    while a != end:
+        for nb, bi in adj[a]:
+            if bi != came and block_of[bi] == block:
+                cycle.append(nb)
+                a, came = nb, bi
+                break
+    return tuple(cycle)
 
 
 def _shortest_cycle_through(
     graph: MolecularGraph,
     adj: list[list[tuple[int, int]]],
+    block_of: list[int],
     bond_index: int,
     max_size: int,
 ) -> tuple[int, ...] | None:
-    """Smallest cycle containing the bond, or None if longer than max_size."""
+    """Smallest cycle containing the bond, searched within the bond's block,
+    or None if longer than max_size."""
+    block = block_of[bond_index]
     bond = graph.bonds[bond_index]
     u, v = bond.a, bond.b
     prev: dict[int, int] = {u: -1}
@@ -140,7 +153,7 @@ def _shortest_cycle_through(
         if depth >= limit:
             continue
         for nb, bi in adj[a]:
-            if bi == bond_index or nb in prev:
+            if bi == bond_index or block_of[bi] != block or nb in prev:
                 continue
             prev[nb] = a
             if nb == v:
@@ -153,39 +166,64 @@ def _shortest_cycle_through(
 
 
 def ring_info(graph: MolecularGraph) -> RingInfo:
-    adj = graph.neighbors()
-    bridges = _bridges(graph, adj)
-    ring_bonds = frozenset(
-        bi for bi in range(len(graph.bonds)) if bi not in bridges
-    )
+    """Ring bonds, ring atoms and small rings; memoised on the graph's view."""
+    view = graph.view()
+    if view.rings is None:
+        view.rings = _perceive_rings(graph, view.adj)
+    return view.rings
+
+
+def _perceive_rings(graph: MolecularGraph, adj) -> RingInfo:
+    blocks, components = _blocks(adj)
+    bonds = graph.bonds
+    block_of = [-1] * len(bonds)
+    ring_bonds: list[int] = []
     ring_atoms: set[int] = set()
-    for bi in ring_bonds:
-        bond = graph.bonds[bi]
-        ring_atoms.add(bond.a)
-        ring_atoms.add(bond.b)
-    rings: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
-    for bi in sorted(ring_bonds):
-        cycle = _shortest_cycle_through(graph, adj, bi, MAX_RING_SIZE)
-        if cycle is None:
+    found: list[tuple[int, tuple[int, ...]]] = []  # (producing bond, ring)
+    for k, block in enumerate(blocks):
+        atoms: set[int] = set()
+        for bi in block:
+            block_of[bi] = k
+            bond = bonds[bi]
+            atoms.add(bond.a)
+            atoms.add(bond.b)
+        ring_bonds.extend(block)
+        ring_atoms |= atoms
+        block.sort()
+        if len(block) == len(atoms):
+            if len(atoms) <= MAX_RING_SIZE:
+                found.append((block[0], _walk_cycle(graph, adj, block_of, block[0])))
             continue
-        key = frozenset(cycle)
-        if key not in seen:
-            seen.add(key)
-            rings.append(cycle)
-    return RingInfo(frozenset(ring_atoms), ring_bonds, rings)
+        seen: set[frozenset[int]] = set()
+        for bi in block:
+            cycle = _shortest_cycle_through(graph, adj, block_of, bi, MAX_RING_SIZE)
+            if cycle is None:
+                continue
+            key = frozenset(cycle)
+            if key not in seen:
+                seen.add(key)
+                found.append((bi, cycle))
+    found.sort(key=lambda item: item[0])
+    n_ring = len(bonds) - len(graph.atoms) + components
+    return RingInfo(frozenset(ring_atoms), frozenset(ring_bonds),
+                    [cycle for _, cycle in found], n_ring)
 
 
 def cyclomatic_number(graph: MolecularGraph) -> int:
-    return len(graph.bonds) - len(graph.atoms) + len(connected_components(graph))
+    return ring_info(graph).n_ring
 
 
-def _bond_lookup(graph: MolecularGraph) -> dict[tuple[int, int], int]:
-    table: dict[tuple[int, int], int] = {}
-    for bi, bond in enumerate(graph.bonds):
-        key = (bond.a, bond.b) if bond.a < bond.b else (bond.b, bond.a)
-        table[key] = bi
-    return table
+def cycle_bonds(adj: list[list[tuple[int, int]]],
+                cycle: tuple[int, ...]) -> list[int]:
+    """Bond indices around a ring; bond k joins cycle[k] and cycle[k + 1]."""
+    out = []
+    for k, a in enumerate(cycle):
+        b = cycle[k + 1 - len(cycle)]
+        for nb, bi in adj[a]:
+            if nb == b:
+                out.append(bi)
+                break
+    return out
 
 
 def perceive_aromaticity(
@@ -195,40 +233,32 @@ def perceive_aromaticity(
 
     Atoms and bonds already aromatic are left untouched; the operation is
     idempotent and never removes a flag.  Returns the input object when no
-    ring qualifies.
+    ring qualifies.  A new graph shares the input's view topology and ring
+    perception, since only bond orders and aromatic flags change.
     """
     if rings is None:
         rings = ring_info(graph)
-    lookup = _bond_lookup(graph)
-    atoms = graph.atoms
+    view = graph.view()
+    elements = view.elements
+    orders = view.orders
     flip_atoms: set[int] = set()
     flip_bonds: set[int] = set()
     for cycle in rings.rings:
         if len(cycle) != 6:
             continue
-        if any(atoms[a].element not in ("C", "N") for a in cycle):
+        if any(elements[a] not in ("C", "N") for a in cycle):
             continue
-        bond_ids = []
-        orders = []
-        ok = True
-        for k in range(6):
-            a, b = cycle[k], cycle[(k + 1) % 6]
-            bi = lookup[(a, b) if a < b else (b, a)]
-            order = graph.bonds[bi].order
-            if order not in (SINGLE, DOUBLE):
-                ok = False
-                break
-            bond_ids.append(bi)
-            orders.append(order)
-        if not ok:
+        bond_ids = cycle_bonds(view.adj, cycle)
+        ring_orders = [orders[bi] for bi in bond_ids]
+        if any(order not in (SINGLE, DOUBLE) for order in ring_orders):
             continue
-        if all(orders[k] != orders[(k + 1) % 6] for k in range(6)):
+        if all(ring_orders[k] != ring_orders[k - 1] for k in range(6)):
             flip_atoms.update(cycle)
             flip_bonds.update(bond_ids)
     if not flip_atoms:
         return graph
     new_atoms = []
-    for atom in atoms:
+    for atom in graph.atoms:
         if atom.index in flip_atoms and not atom.aromatic:
             new_atoms.append(
                 type(atom)(
@@ -244,7 +274,9 @@ def perceive_aromaticity(
             new_bonds.append(type(bond)(bond.a, bond.b, AROMATIC, bond.stereo))
         else:
             new_bonds.append(bond)
-    return MolecularGraph(new_atoms, new_bonds, graph.source)
+    perceived = MolecularGraph(new_atoms, new_bonds, graph.source)
+    perceived._view = view.with_flags(perceived)
+    return perceived
 
 
 def murcko_scaffold(
@@ -258,16 +290,18 @@ def murcko_scaffold(
     """
     if rings is None:
         rings = ring_info(graph)
-    if not rings.ring_atoms:
+    ring_atoms = rings.ring_atoms
+    if not ring_atoms:
         return ScaffoldResult(frozenset(), 0, True)
-    atoms = graph.atoms
-    adj = graph.neighbors()
-    heavy = [a.element != "H" for a in atoms]
-    deg = heavy_degrees(graph)
-    removed = [not heavy[i] for i in range(len(atoms))]
+    view = graph.view()
+    adj = view.adj
+    elements = view.elements
+    deg = list(view.degree)
+    # hydrogens count as removed from the start
+    removed = [el == "H" for el in elements]
     queue = deque(
-        i for i in range(len(atoms))
-        if heavy[i] and deg[i] <= 1 and i not in rings.ring_atoms
+        i for i in range(len(elements))
+        if not removed[i] and deg[i] <= 1 and i not in ring_atoms
     )
     while queue:
         a = queue.popleft()
@@ -275,18 +309,18 @@ def murcko_scaffold(
             continue
         removed[a] = True
         for nb, _ in adj[a]:
-            if removed[nb] or not heavy[nb]:
+            if removed[nb]:
                 continue
             deg[nb] -= 1
-            if deg[nb] <= 1 and nb not in rings.ring_atoms:
+            if deg[nb] <= 1 and nb not in ring_atoms:
                 queue.append(nb)
-    core = {i for i in range(len(atoms)) if heavy[i] and not removed[i]}
+    core = {i for i in range(len(elements)) if not removed[i]}
     kept = set(core)
-    for bond in graph.bonds:
-        if bond.order == DOUBLE:
-            if bond.a in core and heavy[bond.b]:
+    for bond, order in zip(graph.bonds, view.orders):
+        if order == DOUBLE:
+            if bond.a in core and elements[bond.b] != "H":
                 kept.add(bond.b)
-            elif bond.b in core and heavy[bond.a]:
+            elif bond.b in core and elements[bond.a] != "H":
                 kept.add(bond.a)
     return ScaffoldResult(frozenset(kept), len(kept), not kept)
 
@@ -331,14 +365,11 @@ def conjugated_components(graph: MolecularGraph) -> list[frozenset[int]]:
 def structural_counts(graph: MolecularGraph) -> StructuralCounts:
     if not graph.atoms:
         raise EmptyMolecule("no atoms")
-    n_ha = 0
-    n_het = 0
+    view = graph.view()
+    n_ha = view.n_heavy
+    n_het = n_ha - len(view.element_sites.get("C", ()))
     n_sc = 0
     for atom in graph.atoms:
-        if atom.element != "H":
-            n_ha += 1
-            if atom.element != "C":
-                n_het += 1
         if atom.chirality != CHI_NONE:
             n_sc += 1
     # cis/trans marks: a double bond flanked by direction marks on both ends
@@ -355,20 +386,5 @@ def structural_counts(graph: MolecularGraph) -> StructuralCounts:
         for bond in graph.bonds:
             if bond.order == DOUBLE and marked[bond.a] and marked[bond.b]:
                 n_sc += 1
-    # component count by union-find; avoids building adjacency
-    parent = list(range(len(graph.atoms)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    n_comp = len(graph.atoms)
-    for bond in graph.bonds:
-        ra, rb = find(bond.a), find(bond.b)
-        if ra != rb:
-            parent[ra] = rb
-            n_comp -= 1
-    n_ring = len(graph.bonds) - len(graph.atoms) + n_comp
+    n_ring = ring_info(graph).n_ring
     return StructuralCounts(n_ha, n_het, n_ring, n_sc, molecular_weight(graph))

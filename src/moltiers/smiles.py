@@ -13,6 +13,7 @@ raises a ``SmilesError`` subclass carrying the byte offset of the problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .elements import (
     AROMATIC_BRACKET,
@@ -83,6 +84,97 @@ class Bond:
         return self.b if idx == self.a else self.a
 
 
+# Bits of a feature mask: one per bond order, then per element one bit for
+# each count threshold 1..FEATURE_MAX_COUNT.
+FEATURE_MAX_COUNT = 3
+_ELEMENT_SHIFT = {
+    el: AROMATIC + 1 + FEATURE_MAX_COUNT * k for k, el in enumerate(ATOMIC_MASS)
+}
+
+
+def feature_mask(element_counts: dict[str, int], orders: Iterable[int]) -> int:
+    """The bond orders present and the element counts, as one integer.
+
+    Counts above FEATURE_MAX_COUNT set the same bits as FEATURE_MAX_COUNT.
+    A molecule with every order and at least the element counts of some
+    requirement therefore has all of the requirement's bits, so a pattern
+    whose mask a molecule's mask lacks cannot match it.
+    """
+    mask = 0
+    for order in orders:
+        mask |= 1 << order
+    for el, count in element_counts.items():
+        shift = _ELEMENT_SHIFT.get(el)
+        if shift is not None and count > 0:
+            mask |= ((1 << min(count, FEATURE_MAX_COUNT)) - 1) << shift
+    return mask
+
+
+class MolView:
+    """Per-molecule indices, built once per graph and shared by every analysis.
+
+    ``adj[i]`` lists ``(neighbor_index, bond_index)`` pairs in bond order;
+    ``orders`` holds each bond's order; ``degree`` counts heavy neighbours;
+    ``element_sites`` maps each element to its atom indices, in index order;
+    ``features`` is the molecule's ``feature_mask``.  ``rings`` is filled in
+    by the graph module's ring perception the first time it runs.
+    """
+
+    __slots__ = ("adj", "orders", "elements", "aromatic", "degree",
+                 "element_sites", "n_heavy", "features", "rings")
+
+    def __init__(self, graph: MolecularGraph):
+        atoms = graph.atoms
+        elements = [a.element for a in atoms]
+        adj: list[list[tuple[int, int]]] = [[] for _ in atoms]
+        degree = [0] * len(atoms)
+        orders = []
+        for bi, bond in enumerate(graph.bonds):
+            a, b = bond.a, bond.b
+            adj[a].append((b, bi))
+            adj[b].append((a, bi))
+            orders.append(bond.order)
+            if elements[b] != "H":
+                degree[a] += 1
+            if elements[a] != "H":
+                degree[b] += 1
+        sites: dict[str, list[int]] = {}
+        for i, el in enumerate(elements):
+            if el in sites:
+                sites[el].append(i)
+            else:
+                sites[el] = [i]
+        self.adj = adj
+        self.orders = orders
+        self.elements = elements
+        self.aromatic = [a.aromatic for a in atoms]
+        self.degree = degree
+        self.element_sites = sites
+        self.n_heavy = len(atoms) - len(sites.get("H", ()))
+        self.features = self._features()
+        self.rings = None
+
+    def _features(self) -> int:
+        counts = {el: len(sites) for el, sites in self.element_sites.items()}
+        return feature_mask(counts, set(self.orders))
+
+    def with_flags(self, graph: MolecularGraph) -> MolView:
+        """The view of ``graph``, a copy of this view's molecule that differs
+        only in bond orders and aromatic flags: topology, heavy degrees,
+        element sites and rings are shared."""
+        view = MolView.__new__(MolView)
+        view.adj = self.adj
+        view.orders = [bond.order for bond in graph.bonds]
+        view.elements = self.elements
+        view.aromatic = [atom.aromatic for atom in graph.atoms]
+        view.degree = self.degree
+        view.element_sites = self.element_sites
+        view.n_heavy = self.n_heavy
+        view.features = view._features()
+        view.rings = self.rings
+        return view
+
+
 @dataclass(slots=True)
 class MolecularGraph:
     """Immutable-by-convention molecular graph.
@@ -94,21 +186,18 @@ class MolecularGraph:
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     source: str = ""
-    _adj: list | None = field(default=None, repr=False, compare=False)
+    _view: MolView | None = field(default=None, repr=False, compare=False)
+
+    def view(self) -> MolView:
+        """The per-molecule indices, built lazily and memoised; safe because
+        graphs never change after construction."""
+        if self._view is None:
+            self._view = MolView(self)
+        return self._view
 
     def neighbors(self) -> list[list[tuple[int, int]]]:
-        """Adjacency as ``adj[i] = [(neighbor_index, bond_index), ...]``.
-
-        Built lazily and memoised; safe because graphs never change after
-        construction.
-        """
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
-            for bi, bond in enumerate(self.bonds):
-                adj[bond.a].append((bond.b, bi))
-                adj[bond.b].append((bond.a, bi))
-            self._adj = adj
-        return self._adj
+        """Adjacency as ``adj[i] = [(neighbor_index, bond_index), ...]``."""
+        return self.view().adj
 
     def heavy_indices(self) -> list[int]:
         return [a.index for a in self.atoms if a.element != "H"]

@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here deliberately avoids the library's own algorithms: cycles are
-enumerated exhaustively instead of via per-bond BFS, matches come from raw
-candidate products instead of backtracking, entropy and correlations are
-recomputed from first principles.
+enumerated exhaustively instead of via block-based perception, matches come
+from raw candidate products instead of backtracking, entropy and correlations
+are recomputed from first principles.  ``reference_ring_info`` keeps the
+earlier whole-graph ring perception as a differential reference.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 
 from moltiers.smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolecularGraph
 
@@ -120,6 +121,101 @@ def all_simple_cycles(graph: MolecularGraph, max_size: int = 8) -> list[tuple[in
     for start in range(n):
         dfs(start, start, [start])
     return list(cycles.values())
+
+
+def reference_ring_info(
+    graph: MolecularGraph, max_size: int = 8
+) -> tuple[frozenset[int], frozenset[int], list[tuple[int, ...]]]:
+    """(ring_atoms, ring_bonds, rings) the way ring perception worked before
+    it became block-based: bridges by lowlink DFS, then one capped BFS per
+    ring bond over the whole graph, in bond order, deduplicated by atom set.
+    """
+    n = len(graph.atoms)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for bi, bond in enumerate(graph.bonds):
+        adj[bond.a].append((bond.b, bi))
+        adj[bond.b].append((bond.a, bi))
+
+    disc = [-1] * n
+    low = [0] * n
+    bridges: set[int] = set()
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        while stack:
+            a, in_bond, ptr = stack.pop()
+            if ptr == 0:
+                disc[a] = low[a] = timer
+                timer += 1
+            if ptr < len(adj[a]):
+                stack.append((a, in_bond, ptr + 1))
+                nb, bi = adj[a][ptr]
+                if bi == in_bond:
+                    continue
+                if disc[nb] == -1:
+                    stack.append((nb, bi, 0))
+                elif disc[nb] < low[a]:
+                    low[a] = disc[nb]
+            elif in_bond != -1:
+                parent = graph.bonds[in_bond].other(a)
+                if low[a] < low[parent]:
+                    low[parent] = low[a]
+                if low[a] > disc[parent]:
+                    bridges.add(in_bond)
+
+    def shortest_cycle_through(bond_index: int):
+        bond = graph.bonds[bond_index]
+        u, v = bond.a, bond.b
+        prev = {u: -1}
+        queue = deque([(u, 0)])
+        while queue:
+            a, depth = queue.popleft()
+            if depth >= max_size - 1:
+                continue
+            for nb, bi in adj[a]:
+                if bi == bond_index or nb in prev:
+                    continue
+                prev[nb] = a
+                if nb == v:
+                    path = [v]
+                    while path[-1] != u:
+                        path.append(prev[path[-1]])
+                    return tuple(reversed(path))
+                queue.append((nb, depth + 1))
+        return None
+
+    ring_bonds = frozenset(b for b in range(len(graph.bonds)) if b not in bridges)
+    ring_atoms = set()
+    for bi in ring_bonds:
+        ring_atoms.add(graph.bonds[bi].a)
+        ring_atoms.add(graph.bonds[bi].b)
+    rings = []
+    seen = set()
+    for bi in sorted(ring_bonds):
+        cycle = shortest_cycle_through(bi)
+        if cycle is not None and frozenset(cycle) not in seen:
+            seen.add(frozenset(cycle))
+            rings.append(cycle)
+    return frozenset(ring_atoms), ring_bonds, rings
+
+
+def connected_components(graph: MolecularGraph) -> list[set[int]]:
+    adj = plain_adjacency(graph)
+    unseen = set(adj)
+    comps = []
+    while unseen:
+        frontier = [unseen.pop()]
+        comp = set(frontier)
+        while frontier:
+            for nb in adj[frontier.pop()]:
+                if nb not in comp:
+                    comp.add(nb)
+                    frontier.append(nb)
+        unseen -= comp
+        comps.append(comp)
+    return comps
 
 
 def brute_aromatic_substitution(graph: MolecularGraph) -> int:

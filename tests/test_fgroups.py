@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from moltiers.errors import EmptyCorpus
+from moltiers.featurizer import ComplexityAnnotator
 from moltiers.fgroups import (
     FGLibrary,
     PrevalenceTable,
@@ -85,6 +87,23 @@ class TestPresence:
             g = mol(smiles)
             full = {name for name, _ in match_groups(g)}
             assert present_groups(g) == full
+
+
+def test_describe_leaves_no_cyclic_garbage(mol):
+    """Matching and describing free everything by reference counting: a
+    reference cycle would keep each molecule's view alive until the cyclic
+    collector ran."""
+    corpus = list(generate_corpus(200, seed=3))
+    annotator = ComplexityAnnotator()
+    gc.collect()
+    gc.disable()
+    try:
+        for smiles in corpus:
+            annotator.describe(smiles)
+            match_groups(mol(smiles))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestMatcherCompleteness:

@@ -4,21 +4,31 @@ import random
 
 import pytest
 
-from moltiers.errors import EmptyMolecule
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import moltiers.graph as graph_module
+from moltiers.errors import EmptyMolecule, SmilesError
 from moltiers.graph import (
     AROMATIC,
     conjugated_components,
-    connected_components,
     cyclomatic_number,
     murcko_scaffold,
     perceive_aromaticity,
     ring_info,
     structural_counts,
 )
-from moltiers.smiles import parse_smiles
+from moltiers.smiles import Atom, Bond, MolecularGraph, parse_smiles
 from moltiers.synth import generate_corpus
 
-from oracles import brute_conjugation_extent, brute_scaffold, ring_atoms_exhaustive
+from oracles import (
+    brute_conjugation_extent,
+    brute_scaffold,
+    connected_components,
+    reference_ring_info,
+    ring_atoms_exhaustive,
+)
+from test_smiles import fuzz_strings
 
 
 class TestStructuralCounts:
@@ -153,6 +163,140 @@ class TestRingInfo:
         for smiles in generate_corpus(120, seed=13):
             g = mol(smiles)
             assert ring_info(g).ring_atoms == frozenset(ring_atoms_exhaustive(g))
+
+
+HAND_RINGS = {
+    "bicyclo[2.2.2]octane": "C1CC2CCC1CC2",
+    "cubane": "C12C3C4C1C5C2C3C45",
+    "spiro[4.5]decane": "C1CCC2(CC1)CCCC2",
+    "three rings sharing a bond": "C123C(CCC1)(CCC2)CCC3",
+    "12-membered macrocycle": "C1CCCCCCCCCCC1",
+    "macrocycle fused to benzene": "c1ccc2c(c1)CCCCCCCCC2",
+    "dot-separated mixture": "c1ccccc1.C1CC1.CCO.C1CCC2CCCCC2C1",
+    "acyclic": "CCCC(C)CC(=O)O",
+    "adamantane": "C1C2CC3CC1CC(C2)C3",
+    "norbornane": "C1CC2CCC1C2",
+    "steroid core": "C1CCC2C(C1)CCC1C2CCC2CCCC12",
+}
+
+# Isolated rings only: every ring bond lies in a simple-cycle block.
+ISOLATED_RINGS = [
+    "c1ccccc1CCC1CCCCC1",
+    "C1CCC2(CC1)CCCC2",
+    "C1CC1.c1ccncc1",
+    "C1CCCCCCCCCCC1",
+    "c1ccccc1-c1ccccc1C1CC1",
+]
+
+
+def random_ring_graphs(seed: int, count: int) -> list[MolecularGraph]:
+    """Random forests plus extra bonds: fused, bridged and cage blocks,
+    several components, rings both under and over the size cap."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(3, 24)
+        pairs = set()
+        for i in range(1, n):
+            if rng.random() < 0.95:  # otherwise start a new component
+                pairs.add((rng.randrange(i), i))
+        for _ in range(rng.randint(0, 8)):
+            a, b = sorted(rng.sample(range(n), 2))
+            pairs.add((a, b))
+        bonds = [Bond(a, b) if rng.random() < 0.5 else Bond(b, a)
+                 for a, b in pairs]
+        rng.shuffle(bonds)
+        graphs.append(MolecularGraph([Atom("C", index=i) for i in range(n)], bonds))
+    return graphs
+
+
+def assert_same_rings(graph):
+    ring_atoms, ring_bonds, rings = reference_ring_info(graph)
+    info = ring_info(graph)
+    assert info.rings == rings
+    assert info.ring_atoms == ring_atoms
+    assert info.ring_bonds == ring_bonds
+
+
+def assert_same_rings_if_parsed(text):
+    try:
+        graph = parse_smiles(text)
+    except SmilesError:
+        return False
+    assert_same_rings(graph)
+    return True
+
+
+class TestRingPerceptionMatchesReference:
+    """Block-based perception against the whole-graph reference: the same
+    rings in the same order and orientation, ring atoms and ring bonds."""
+
+    @pytest.mark.parametrize("name", sorted(HAND_RINGS))
+    def test_hand_cases(self, name):
+        assert_same_rings(parse_smiles(HAND_RINGS[name]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 11])
+    def test_synthetic_corpus(self, seed):
+        for smiles in generate_corpus(1500, seed=seed):
+            assert_same_rings(parse_smiles(smiles))
+
+    def test_fuzz_strings(self):
+        for text in fuzz_strings():
+            assert_same_rings_if_parsed(text)
+
+    def test_random_graphs(self):
+        for graph in random_ring_graphs(5, 5000):
+            assert_same_rings(graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="CcNOS1234()=#.[]H@", max_size=40))
+    def test_generated_strings(self, text):
+        assert_same_rings_if_parsed(text)
+
+    def test_hand_case_ring_counts(self):
+        counts = {name: len(ring_info(parse_smiles(s)).rings)
+                  for name, s in HAND_RINGS.items()}
+        assert counts["bicyclo[2.2.2]octane"] == 3
+        assert counts["cubane"] == 6
+        assert counts["spiro[4.5]decane"] == 2
+        assert counts["three rings sharing a bond"] == 3
+        assert counts["12-membered macrocycle"] == 0
+        assert counts["acyclic"] == 0
+        assert counts["dot-separated mixture"] == 4
+
+
+class TestRingSearchCount:
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        calls = []
+        search = graph_module._shortest_cycle_through
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(graph_module, "_shortest_cycle_through", counted)
+        return calls
+
+    @pytest.mark.parametrize("smiles", ISOLATED_RINGS)
+    def test_isolated_rings_run_no_search(self, searches, smiles):
+        graph = parse_smiles(smiles)
+        assert ring_info(graph).rings == reference_ring_info(graph)[2]
+        assert searches == []
+
+    def test_fused_block_searches_only_its_bonds(self, searches):
+        # naphthalene (11 ring bonds) plus an isolated cyclopropyl
+        ring_info(parse_smiles("c1ccc2ccccc2c1C1CC1"))
+        assert len(searches) == 11
+
+    def test_memoised_and_kept_by_aromaticity(self, searches):
+        graph = parse_smiles("C1=CC=C2C=CC=CC2=C1")
+        rings = ring_info(graph)
+        assert ring_info(graph) is rings
+        perceived = perceive_aromaticity(graph)
+        assert perceived is not graph
+        assert ring_info(perceived) is rings
+        assert len(searches) == 11
 
 
 class TestMurckoScaffold:

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from moltiers.cli import main
-from moltiers.errors import EmptyCorpus
+from moltiers.errors import EmptyCorpus, MoltiersError, PrevalenceMismatch
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.fgroups import FGLibrary
 from moltiers.pipeline import iter_input, run_annotate, run_annotate_one_pass
@@ -146,6 +149,14 @@ class TestCli:
                      "--workers", "2"]) == 0
         assert out.read_text() == ""
 
+    def test_only_malformed_replaces_existing_file(self, tmp_path):
+        bad = tmp_path / "bad.smi"
+        bad.write_text("\n".join(MALFORMED) + "\n")
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier output\n")
+        assert main(["annotate", "--input", str(bad), "--output", str(out)]) == 0
+        assert out.read_text() == ""
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("fixed_table", [False, True])
     def test_heavy_atom_free_line_is_skipped(self, tmp_path, caplog, workers,
@@ -166,6 +177,96 @@ class TestCli:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["id"] for r in rows] == [0, 2]
         assert "annotated 2 molecules (skipped 1 malformed)" in caplog.text
+
+
+class TestMismatchedTable:
+    """A table without a library group is a data error, found before any
+    output is written."""
+
+    @pytest.fixture()
+    def table_without_amide(self, corpus, tmp_path):
+        assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                     str(tmp_path / "p")]) == 0
+        path = tmp_path / "p" / "prevalence.tsv"
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(r for r in rows if not r.startswith("amide\t")))
+        return path
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cli_exits_2_without_output(self, corpus, tmp_path, caplog,
+                                        table_without_amide, workers):
+        out = tmp_path / "out.jsonl"
+        assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                     "--prevalence", str(table_without_amide),
+                     "--workers", workers]) == 2
+        assert not out.exists()
+        assert list(tmp_path.glob(".out.jsonl*")) == []
+        assert "amide" in caplog.text
+
+    def test_set_prevalence_names_missing_groups(self):
+        table = ComplexityAnnotator().fit(["CC(=O)NC", "CCO"]).prevalence_
+        del table.prevalence["amide"]
+        del table.prevalence["urea"]
+        with pytest.raises(PrevalenceMismatch, match="amide, urea"):
+            ComplexityAnnotator().set_prevalence(table)
+
+
+class TestNoPartialOutput:
+    """A failed annotate run leaves the destination as it found it."""
+
+    @pytest.fixture()
+    def fail_after_100(self, monkeypatch):
+        finish = ComplexityAnnotator.finish
+        calls = []
+
+        def failing(self, core):
+            calls.append(core)
+            if len(calls) > 100:
+                raise MoltiersError("injected failure")
+            return finish(self, core)
+
+        monkeypatch.setattr(ComplexityAnnotator, "finish", failing)
+        return calls
+
+    def test_no_new_destination(self, corpus, tmp_path, fail_after_100):
+        out = tmp_path / "out.jsonl"
+        assert main(["annotate", "--input", str(corpus), "--output",
+                     str(out)]) == 2
+        assert len(fail_after_100) == 101
+        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.smi"]
+
+    def test_existing_destination_untouched(self, corpus, tmp_path,
+                                            fail_after_100):
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier output\n")
+        assert main(["annotate", "--input", str(corpus), "--output",
+                     str(out)]) == 2
+        assert out.read_text() == "earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.smi", "out.jsonl"]
+
+    def test_success_replaces_destination(self, corpus, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier output\n")
+        assert main(["annotate", "--input", str(corpus), "--output",
+                     str(out)]) == 0
+        assert out.read_text().count("\n") == 700
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.smi", "out.jsonl"]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import moltiers
+
+    src = str(Path(moltiers.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, moltiers.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'; "
+            "from moltiers import nt_xent, LinearMap; "
+            "assert 'numpy' in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_one_pass_parses_each_line_once(corpus, tmp_path, monkeypatch):

@@ -276,11 +276,18 @@ class TestFuzz:
             pass
 
     def test_random_bytes_block(self):
-        rng = random.Random(99)
-        for _ in range(20_000):
-            n = rng.randint(0, 30)
-            text = "".join(chr(rng.randint(1, 255)) for _ in range(n))
+        for text in fuzz_strings():
             try:
                 parse_smiles(text)
             except SmilesError:
                 pass
+
+
+def fuzz_strings(seed: int = 99, count: int = 20_000) -> list[str]:
+    """Seeded strings of random bytes, up to 30 long."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 30)
+        out.append("".join(chr(rng.randint(1, 255)) for _ in range(n)))
+    return out
