@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: prevalence, annotate, schedule, stats, bench, loss-check.
+Subcommands: prevalence, annotate, schedule, stats, loss-check.
 Options resolve as flag > config file > built-in default; the config file is
 plain ``key = value`` lines with ``#`` comments.  Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -15,15 +15,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import EmptyCorpus, MissingTierField, MoltiersError
 from .featurizer import ComplexityAnnotator
 from .fgroups import FGLibrary, top_k_groups
 from .pipeline import (
-    annotate_chunk,
-    chunked,
     fit_prevalence_streaming,
     iter_input,
     load_prevalence,
@@ -36,11 +34,12 @@ from .scheduler import (
     REGIMES,
     ScheduleSpec,
     TierIndex,
+    active_tiers,
     baseline_budget,
-    budget,
+    epoch_views,
     sample_epoch,
+    tier_weights_mixed,
 )
-from .synth import generate_corpus
 from .tiering import TIERS, tier_histogram
 
 log = logging.getLogger("moltiers")
@@ -95,7 +94,6 @@ _DEFAULTS = {
     "format": "auto",
     "delimiter": "",
     "regime": "staged10",
-    "n": 10_000,
     "seeds": 100,
     "n_pairs": 1000,
     "rarity_threshold": 0.9,
@@ -195,35 +193,8 @@ def _parse_tier_counts(text: str) -> tuple[int, ...]:
     return tuple(int(p.replace("_", "")) for p in parts)
 
 
-def _budget_rows(counts, spec: ScheduleSpec):
-    rows = []
-    cumulative = 0
-    for e in range(spec.epochs):
-        if spec.regime == "mixed":
-            from .scheduler import tier_weights_mixed
-
-            weights = tier_weights_mixed(e, spec.epochs, spec.hard_start)
-            alpha = Fraction(str(spec.hard_start))
-            rho = alpha + (1 - alpha) * Fraction(e, spec.epochs - 1)
-            size = Fraction(sum(counts[:2])) + sum(counts[2:]) * rho
-            rows.append((e, f"rho={weights[2]:.4f}", size))
-            cumulative += size
-        else:
-            from .scheduler import active_tiers
-
-            tiers = sorted(active_tiers(spec.regime, e, spec.epochs))
-            size = sum(counts[t] for t in tiers)
-            rows.append((e, "{" + ",".join(f"T{t}" for t in tiers) + "}", size))
-            cumulative += size
-    return rows, cumulative
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
     spec = ScheduleSpec(args.regime, args.epochs, args.hard_start, args.seed)
-    outdir = Path(args.output_dir) if args.output_dir else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
-
     if args.tier_counts:
         counts = _parse_tier_counts(args.tier_counts)
         index = None
@@ -238,51 +209,57 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         index = TierIndex.from_pairs(pairs)
         counts = index.counts()
 
-    total = budget(counts, spec)
+    views = epoch_views(counts, spec)
+    total = sum(views)
     base = baseline_budget(counts, spec.epochs)
-    ratio = float(Fraction(total) / base) if base else float("nan")
-    rows, _ = _budget_rows(counts, spec)
+    if not base:
+        raise EmptyCorpus("no molecules to schedule")
+    ratio = float(total / base)
+    mixed = spec.regime == "mixed"
+    if mixed:
+        labels = [f"rho={tier_weights_mixed(e, spec.epochs, spec.hard_start)[2]:.4f}"
+                  for e in range(spec.epochs)]
+    else:
+        labels = ["{" + ",".join(f"T{t}" for t in sorted(
+            active_tiers(spec.regime, e, spec.epochs))) + "}"
+            for e in range(spec.epochs)]
 
     print(f"regime={spec.regime} epochs={spec.epochs} seed={spec.seed}")
     print(f"tier counts: {dict(zip(TIERS, counts))}")
     print(f"{'epoch':>5}  {'active':<24} {'views':>14}")
-    for e, desc, size in rows:
-        shown = f"{int(size):d}" if spec.regime != "mixed" else f"{float(size):.1f}"
-        print(f"{e:>5}  {desc:<24} {shown:>14}")
-    exact = f"{total}" if spec.regime == "mixed" else f"{total:d}"
-    print(f"total molecule-views: {exact}")
+    for e, (label, size) in enumerate(zip(labels, views)):
+        shown = f"{float(size):.1f}" if mixed else f"{size:d}"
+        print(f"{e:>5}  {label:<24} {shown:>14}")
+    print(f"total molecule-views: {total}")
     print(f"baseline (all tiers x {spec.epochs} epochs): {base}")
-    print(f"budget ratio: {float(Fraction(total) / base):.4f}")
+    print(f"budget ratio: {ratio:.4f}")
 
-    deterministic = spec.regime != "mixed"
-    cumulative = 0
-    per_epoch = []
-    for e, desc, size in rows:
-        cumulative += size
-        per_epoch.append({
-            "epoch": e,
-            "active": desc,
-            "views": int(size) if deterministic else float(size),
-            "cumulative_views": int(cumulative) if deterministic
-            else float(cumulative),
-        })
+    number = float if mixed else int
     summary = {
         "regime": spec.regime,
         "epochs": spec.epochs,
         "seed": spec.seed,
         "hard_start": spec.hard_start,
         "tier_counts": list(counts),
-        "per_epoch": per_epoch,
-        "total_views": int(total) if deterministic else float(total),
+        "per_epoch": [
+            {"epoch": e, "active": label, "views": number(size),
+             "cumulative_views": number(cumulative)}
+            for e, (label, size, cumulative)
+            in enumerate(zip(labels, views, accumulate(views)))
+        ],
+        "total_views": number(total),
         "total_views_exact": str(total),
         "baseline_views": base,
         "ratio": ratio,
     }
-    if outdir:
-        (outdir / "schedule_summary.json").write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-        )
-    if index is not None and outdir and not args.no_manifests:
+    if not args.output_dir:
+        return 0
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "schedule_summary.json").write_text(
+        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    )
+    if index is not None and not args.no_manifests:
         for e in range(spec.epochs):
             manifest = sample_epoch(index, spec, e)
             path = outdir / f"manifest_epoch_{e:03d}.jsonl"
@@ -345,50 +322,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.input:
-        corpus = [s for _, s in iter_input(args.input, args.format,
-                                           args.smiles_column,
-                                           args.delimiter or None)]
-    else:
-        corpus = list(generate_corpus(args.n, args.seed))
-    pairs = list(enumerate(corpus))
-    log.info("bench corpus: %d molecules, seed=%d, workers=%d",
-             len(pairs), args.seed, args.workers)
-
-    annotator = _annotator_from_args(args)
-    annotator.fit(corpus)
-
-    # warm-up (imports, caches) before timing descriptor computation
-    annotate_chunk(pairs[:64], annotator, False)
-
-    t0 = time.perf_counter()
-    skipped = 0
-    for chunk in chunked(pairs, args.chunk_size):
-        _, s = annotate_chunk(chunk, annotator, False)
-        skipped += s
-    t1 = time.perf_counter()
-    single = len(pairs) / (t1 - t0)
-    print(f"single-worker: {1000.0 * (t1 - t0) / len(pairs):.4f} ms/mol  "
-          f"{single:,.0f} mol/s  (skipped {skipped})")
-
-    if args.workers > 1:
-        import io
-
-        sink = io.StringIO()
-        t2 = time.perf_counter()
-        run_annotate(iter(pairs), annotator, sink, workers=args.workers,
-                     chunk_size=args.chunk_size, library_path=args.library)
-        t3 = time.perf_counter()
-        multi = len(pairs) / (t3 - t2)
-        speedup = multi / single
-        print(f"{args.workers}-worker:  {1000.0 * (t3 - t2) / len(pairs):.4f} "
-              f"ms/mol  {multi:,.0f} mol/s")
-        print(f"speedup {speedup:.2f}x, parallel efficiency "
-              f"{speedup / args.workers:.2f} (host cores: {os.cpu_count()})")
-    return 0
-
-
 def cmd_loss_check(args: argparse.Namespace) -> int:
     # numpy is imported only by the commands that use it
     from .check import run_gradient_suite, run_property_suite
@@ -420,9 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="corpus (.smi/.csv/.tsv)")
+    def add_io(p):
+        p.add_argument("--input", required=True, help="corpus (.smi/.csv/.tsv)")
         p.add_argument("--format", choices=("auto", "smi", "delimited"))
         p.add_argument("--smiles-column", dest="smiles_column")
         p.add_argument("--delimiter")
@@ -473,16 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotated", required=True)
     p.add_argument("--json", help="also write the report as JSON")
     p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("bench", help="descriptor throughput benchmark")
-    add_io(p, needs_input=False)
-    p.add_argument("--input", help="benchmark corpus; default: bundled generator")
-    add_tier_config(p)
-    p.add_argument("--n", type=int, help="synthetic corpus size")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--chunk-size", dest="chunk_size", type=int)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("loss-check", help="gradient and invariant self-checks")
     p.add_argument("--seeds", type=int)

@@ -1,19 +1,21 @@
 """Corpus ingestion and the fan-out/fan-in parallel annotation pipeline.
 
-Workers are stateless over an immutable annotator built once per process;
-chunks come back through an order-preserving imap, so output is
-byte-identical for any worker count or chunk size.
+Both annotate runs go through one mapper, ``_map_chunks``: it cuts the
+record stream into chunks and applies a chunk function to each, in-process
+for one worker or from one pool otherwise.  Pool workers each build an
+immutable annotator once, from the caller's parameters, library file and
+prevalence table (if fitted), and chunks come back through an
+order-preserving imap, so output is byte-identical for any worker count or
+chunk size.
 
-Two runs share that layout:
-
-* ``run_annotate`` streams records under a fixed prevalence table (the
-  ``annotate --prevalence`` path).
-* ``run_annotate_one_pass`` needs no table.  Each molecule is parsed and
-  described once, in the workers; the parent sums group counts into the
-  table while it spills each chunk's descriptor cores to an anonymous temp
-  file, then re-reads the chunks in input order and adds rarity, tier and
-  JSON.  Its output is byte-identical to ``fit`` followed by
-  ``run_annotate``.
+* ``run_annotate`` maps ``annotate_chunk`` under a fixed prevalence table
+  (the ``annotate --prevalence`` path).
+* ``run_annotate_one_pass`` maps ``describe_chunk`` and needs no table.
+  Each molecule is parsed and described once; the parent sums group counts
+  into the table while it spills each chunk's descriptor cores to an
+  anonymous temp file, then re-reads the chunks in input order and adds
+  rarity, tier and JSON.  Its output is byte-identical to ``fit`` followed
+  by ``run_annotate``.
 """
 
 from __future__ import annotations
@@ -24,14 +26,17 @@ import multiprocessing as mp
 import pickle
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import EmptyCorpus, MissingTierField
 from .featurizer import UNANNOTATABLE, ComplexityAnnotator, record_to_dict
 from .fgroups import FGLibrary, PrevalenceTable, prevalence_from_counts
+
+ChunkFn = Callable[[list[tuple[int, str]], ComplexityAnnotator], object]
 
 
 def detect_format(path: str | Path, fmt: str = "auto") -> str:
@@ -95,22 +100,60 @@ def dumps_record(payload: dict) -> str:
 
 
 _WORKER: ComplexityAnnotator | None = None
-_WORKER_TRACE = False
 
 
 def _init_worker(
-    prevalence: dict[str, float],
-    corpus_size: int,
-    params: dict,
-    library_path: str | None,
-    include_trace: bool,
+    params: dict, library_path: str | None, table: PrevalenceTable | None
 ) -> None:
-    global _WORKER, _WORKER_TRACE
+    global _WORKER
     library = FGLibrary.from_json(library_path) if library_path else None
-    annotator = ComplexityAnnotator(library=library, **params)
-    annotator.set_prevalence(PrevalenceTable(prevalence, corpus_size))
-    _WORKER = annotator
-    _WORKER_TRACE = include_trace
+    _WORKER = ComplexityAnnotator(library=library, **params)
+    if table is not None:
+        _WORKER.set_prevalence(table)
+
+
+def _worker_chunk(fn: ChunkFn, chunk: list[tuple[int, str]]):
+    assert _WORKER is not None
+    return fn(chunk, _WORKER)
+
+
+def _map_chunks(
+    fn: ChunkFn,
+    records: Iterable[tuple[int, str]],
+    annotator: ComplexityAnnotator,
+    workers: int,
+    chunk_size: int,
+    library_path: str | None,
+) -> Iterator:
+    """``fn(chunk, annotator)`` per chunk, in input order.
+
+    With one worker the chunks run in-process on ``annotator``; otherwise a
+    pool runs them on per-process copies built from its parameters, its
+    prevalence table if fitted, and the library at ``library_path``.  Close
+    the generator when done with it: that ends the pool.
+    """
+    chunks = chunked(records, chunk_size)
+    if workers <= 1:
+        for chunk in chunks:
+            yield fn(chunk, annotator)
+        return
+    if annotator.library is not None and library_path is None:
+        raise ValueError(
+            "a custom pattern library needs library_path so worker "
+            "processes can load it"
+        )
+    # loaded before the pool forks, so workers inherit the default library
+    # instead of each building a private copy (about 1 MB less summed RSS
+    # at 2 workers)
+    annotator._lib()
+    params = {k: v for k, v in annotator.get_params().items() if k != "library"}
+    table = getattr(annotator, "prevalence_", None)
+    with mp.get_context().Pool(
+        workers,
+        initializer=_init_worker,
+        initargs=(params, library_path, table),
+    ) as pool:
+        yield from pool.imap(partial(_worker_chunk, fn), chunks)
 
 
 def annotate_chunk(
@@ -131,78 +174,6 @@ def annotate_chunk(
             dumps_record(record_to_dict(mol_id, smiles, record, label, include_trace))
         )
     return lines, skipped
-
-
-def _worker_chunk(chunk: list[tuple[int, str]]) -> tuple[list[str], int]:
-    assert _WORKER is not None
-    return annotate_chunk(chunk, _WORKER, _WORKER_TRACE)
-
-
-@dataclass
-class AnnotateStats:
-    written: int = 0
-    skipped: int = 0
-
-
-def run_annotate(
-    records: Iterable[tuple[int, str]],
-    annotator: ComplexityAnnotator,
-    out: TextIO,
-    workers: int = 1,
-    chunk_size: int = 256,
-    include_trace: bool = False,
-    library_path: str | None = None,
-) -> AnnotateStats:
-    """Annotate a stream, preserving input order for any worker count."""
-    annotator._check_fitted()
-    stats = AnnotateStats()
-    chunks = chunked(records, chunk_size)
-    if workers <= 1:
-        for chunk in chunks:
-            lines, skipped = annotate_chunk(chunk, annotator, include_trace)
-            stats.skipped += skipped
-            for line in lines:
-                out.write(line + "\n")
-                stats.written += 1
-        return stats
-    _check_library_path(annotator, library_path)
-    params = {
-        k: v for k, v in annotator.get_params().items() if k != "library"
-    }
-    ctx = mp.get_context()
-    with ctx.Pool(
-        workers,
-        initializer=_init_worker,
-        initargs=(
-            annotator.prevalence_.prevalence,
-            annotator.prevalence_.corpus_size,
-            params,
-            library_path,
-            include_trace,
-        ),
-    ) as pool:
-        for lines, skipped in pool.imap(_worker_chunk, chunks):
-            stats.skipped += skipped
-            for line in lines:
-                out.write(line + "\n")
-                stats.written += 1
-    return stats
-
-
-def _check_library_path(
-    annotator: ComplexityAnnotator, library_path: str | None
-) -> None:
-    if annotator.library is not None and library_path is None:
-        raise ValueError(
-            "a custom pattern library needs library_path so worker "
-            "processes can load it"
-        )
-
-
-def _init_core_worker(library_path: str | None) -> None:
-    global _WORKER
-    library = FGLibrary.from_json(library_path) if library_path else None
-    _WORKER = ComplexityAnnotator(library=library)
 
 
 def describe_chunk(
@@ -229,29 +200,33 @@ def describe_chunk(
     return b"".join(pickles), groups, len(pickles), skipped
 
 
-def _core_worker_chunk(
-    chunk: list[tuple[int, str]],
-) -> tuple[bytes, Counter, int, int]:
-    assert _WORKER is not None
-    return describe_chunk(chunk, _WORKER)
+@dataclass
+class AnnotateStats:
+    written: int = 0
+    skipped: int = 0
 
 
-@contextmanager
-def _described_chunks(
-    chunks: Iterable[list[tuple[int, str]]],
+def run_annotate(
+    records: Iterable[tuple[int, str]],
     annotator: ComplexityAnnotator,
-    workers: int,
-    library_path: str | None,
-) -> Iterator[Iterator[tuple[bytes, Counter, int, int]]]:
-    """describe_chunk results in input order, in-process or from a pool."""
-    if workers <= 1:
-        yield (describe_chunk(chunk, annotator) for chunk in chunks)
-        return
-    _check_library_path(annotator, library_path)
-    with mp.get_context().Pool(
-        workers, initializer=_init_core_worker, initargs=(library_path,)
-    ) as pool:
-        yield pool.imap(_core_worker_chunk, chunks)
+    out: TextIO,
+    workers: int = 1,
+    chunk_size: int = 256,
+    include_trace: bool = False,
+    library_path: str | None = None,
+) -> AnnotateStats:
+    """Annotate a stream, preserving input order for any worker count."""
+    annotator._check_fitted()
+    stats = AnnotateStats()
+    annotate = partial(annotate_chunk, include_trace=include_trace)
+    with closing(_map_chunks(annotate, records, annotator, workers, chunk_size,
+                             library_path)) as results:
+        for lines, skipped in results:
+            stats.skipped += skipped
+            for line in lines:
+                out.write(line + "\n")
+                stats.written += 1
+    return stats
 
 
 def run_annotate_one_pass(
@@ -269,22 +244,20 @@ def run_annotate_one_pass(
     leaves ``annotator`` fitted on the stream.  Raises EmptyCorpus, before
     writing anything, when no entry can be annotated.
     """
-    # loaded before the pool forks, so workers inherit the default library
-    # instead of each building a private copy (about 1 MB less summed RSS
-    # at 2 workers)
-    library = annotator._lib()
     stats = AnnotateStats()
     groups: Counter = Counter()
     size = 0
     with tempfile.TemporaryFile() as spill:
-        with _described_chunks(chunked(records, chunk_size), annotator,
-                               workers, library_path) as results:
+        with closing(_map_chunks(describe_chunk, records, annotator, workers,
+                                 chunk_size, library_path)) as results:
             for blob, chunk_groups, described, skipped in results:
                 spill.write(blob)
                 groups.update(chunk_groups)
                 size += described
                 stats.skipped += skipped
-        annotator.set_prevalence(prevalence_from_counts(groups, size, library))
+        annotator.set_prevalence(
+            prevalence_from_counts(groups, size, annotator._lib())
+        )
         annotator.n_skipped_ = stats.skipped
         spill.seek(0)
         for _ in range(size):

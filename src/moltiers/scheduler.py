@@ -154,12 +154,15 @@ def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManif
     return EpochManifest(epoch, spec.regime, tiers, None, ids)
 
 
-def budget(tier_counts: Sequence[int], spec: ScheduleSpec) -> int | Fraction:
-    """Total molecule-views over all epochs.
+def epoch_views(
+    tier_counts: Sequence[int], spec: ScheduleSpec
+) -> list[int] | list[Fraction]:
+    """Molecule-views in each epoch.
 
-    Deterministic regimes return an exact integer.  The mixed regime returns
-    the exact expected count as a Fraction (the hard-start fraction is read
-    through its decimal representation, so 0.1 means exactly 1/10).
+    Deterministic regimes give exact integers.  The mixed regime gives the
+    exact expected count of each epoch as a Fraction (the hard-start
+    fraction is read through its decimal representation, so 0.1 means
+    exactly 1/10).
     """
     if len(tier_counts) != N_TIERS:
         raise ValueError("expected five tier counts")
@@ -171,16 +174,19 @@ def budget(tier_counts: Sequence[int], spec: ScheduleSpec) -> int | Fraction:
         alpha = Fraction(str(spec.hard_start))
         simple = sum(tier_counts[:2])
         complex_ = sum(tier_counts[2:])
-        total = Fraction(0)
-        for e in range(spec.epochs):
-            rho = alpha + (1 - alpha) * Fraction(e, spec.epochs - 1)
-            total += simple + complex_ * rho
-        return total
-    views = 0
-    for e in range(spec.epochs):
-        for tier in active_tiers(spec.regime, e, spec.epochs):
-            views += tier_counts[tier]
-    return views
+        return [
+            simple + complex_ * (alpha + (1 - alpha) * Fraction(e, spec.epochs - 1))
+            for e in range(spec.epochs)
+        ]
+    return [
+        sum(tier_counts[t] for t in active_tiers(spec.regime, e, spec.epochs))
+        for e in range(spec.epochs)
+    ]
+
+
+def budget(tier_counts: Sequence[int], spec: ScheduleSpec) -> int | Fraction:
+    """Total molecule-views over all epochs: the sum of ``epoch_views``."""
+    return sum(epoch_views(tier_counts, spec))
 
 
 def baseline_budget(tier_counts: Sequence[int], epochs: int) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,13 @@ from moltiers.pipeline import (
     save_prevalence,
 )
 from moltiers.synth import generate_corpus
+
+# stdout and schedule_summary.json of `schedule --tier-counts <paper counts>`
+# for every regime at two hard starts plus a 7-epoch mixed run, as written
+# before the per-epoch budget moved into scheduler.epoch_views
+SCHEDULE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "schedule_golden.json").read_text()
+)
 
 
 @pytest.fixture()
@@ -186,12 +194,6 @@ class TestCli:
                         "--n-pairs", "50") == 0
         assert "spearman=1.0000" in capsys.readouterr().out
 
-    def test_bench_tiny(self, capsys):
-        assert self.run("bench", "--n", "300", "--seed", "3",
-                        "--workers", "2") == 0
-        out = capsys.readouterr().out
-        assert "mol/s" in out and "efficiency" in out
-
     def test_config_file_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_text("regime = additive\nepochs = 5\n# comment\n")
@@ -231,3 +233,32 @@ class TestCli:
         empty.write_text("")
         assert self.run("prevalence", "--input", str(empty),
                         "--output-dir", str(tmp_path / "p")) == 2
+
+
+class TestScheduleOutput:
+    @pytest.mark.parametrize(
+        "case", SCHEDULE_GOLDEN["cases"],
+        ids=lambda case: "-".join(case["flags"][1::2]),
+    )
+    def test_golden(self, case, tmp_path, capsys):
+        assert main(["schedule", "--tier-counts", SCHEDULE_GOLDEN["tier_counts"],
+                     *case["flags"], "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == case["stdout"]
+        assert (tmp_path / "schedule_summary.json").read_bytes() == \
+            case["schedule_summary.json"].encode()
+
+    @pytest.mark.parametrize("regime", ["staged10", "mixed"])
+    @pytest.mark.parametrize("source", ["annotated", "tier-counts"])
+    def test_zero_molecules_is_data_error(self, regime, source, tmp_path, capsys):
+        if source == "annotated":
+            empty = tmp_path / "empty.jsonl"
+            empty.write_text("")
+            flags = ["--annotated", str(empty)]
+        else:
+            flags = ["--tier-counts", "0,0,0,0,0"]
+        outdir = tmp_path / "sched"
+        assert main(["schedule", *flags, "--regime", regime,
+                     "--output-dir", str(outdir)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not (outdir / "schedule_summary.json").exists()
+        assert list(outdir.glob("manifest_epoch_*")) == []

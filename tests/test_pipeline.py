@@ -108,11 +108,37 @@ class TestEquivalence:
             outputs.add(sink.getvalue())
         assert len(outputs) == 1
 
-    def test_custom_library_needs_path_for_workers(self, corpus, small_library):
+    @pytest.mark.parametrize("run", [run_annotate, run_annotate_one_pass],
+                             ids=lambda run: run.__name__)
+    def test_custom_library_needs_path_for_workers(self, corpus, small_library,
+                                                   run):
         annotator = ComplexityAnnotator(library=FGLibrary.from_json(small_library))
-        with pytest.raises(ValueError):
-            run_annotate_one_pass(iter_input(corpus), annotator, io.StringIO(),
-                                  workers=2)
+        annotator.fit(s for _, s in iter_input(corpus))
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="library_path"):
+            run(iter_input(corpus), annotator, sink, workers=2)
+        assert sink.getvalue() == ""
+
+    def test_workers_use_the_tier_flags(self, corpus, tmp_path):
+        """Pool workers annotate with the caller's tier parameters, with and
+        without a prevalence table."""
+        assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                     str(tmp_path / "p")]) == 0
+        table = ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
+        tier_flags = ["--top-k", "3", "--s-threshold", "2", "--fg-low", "1"]
+
+        def annotate(name, *flags):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                         "--trace", *flags]) == 0
+            return out.read_bytes()
+
+        outputs = {
+            annotate(f"w{workers}-{k}", "--workers", workers, *tier_flags, *extra)
+            for workers in ("1", "2") for k, extra in enumerate(([], table))
+        }
+        assert len(outputs) == 1
+        assert outputs != {annotate("default", "--workers", "2")}
 
 
 class TestDerivedTable:

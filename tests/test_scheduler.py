@@ -9,8 +9,10 @@ from moltiers.scheduler import (
     ScheduleSpec,
     TierIndex,
     active_tiers,
+    REGIMES,
     baseline_budget,
     budget,
+    epoch_views,
     sample_epoch,
     tier_weights_mixed,
     uniform_draw,
@@ -176,6 +178,29 @@ class TestBudget:
             budget((1, 2, 3), ScheduleSpec("additive", 10))
         with pytest.raises(ValueError):
             budget((1, 2, 3, -1, 5), ScheduleSpec("additive", 10))
+
+
+class TestEpochViews:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("hard_start", [0.1, 0.25])
+    def test_sums_to_budget(self, regime, hard_start):
+        spec = ScheduleSpec(regime, 10, hard_start)
+        views = epoch_views(PAPER_COUNTS, spec)
+        assert len(views) == 10
+        assert sum(views) == budget(PAPER_COUNTS, spec)
+
+    def test_staged10_paper_counts(self):
+        assert epoch_views(PAPER_COUNTS, ScheduleSpec("staged10", 10)) == [
+            107_638, 107_638, 107_638,
+            261_593, 261_593,
+            964_876, 964_876, 964_876,
+            1_000_000, 1_000_000,
+        ]
+
+    def test_mixed_exact_fractions(self):
+        views = epoch_views((0, 0, 9, 0, 0), ScheduleSpec("mixed", 4, 0.1))
+        assert views == [Fraction(9, 10), Fraction(36, 10), Fraction(63, 10), 9]
+        assert all(isinstance(v, Fraction) for v in views)
 
 
 class TestSpecValidation:
