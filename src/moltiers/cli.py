@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: prevalence, annotate, schedule, stats, loss-check.
-Options resolve as flag > config file > built-in default; the config file is
-plain ``key = value`` lines with ``#`` comments.  Exit codes: 0 success,
-1 usage error, 2 data error.
+Each option declares its default once, on its ``add_argument``; the tier
+options are generated from ``TierConfig``'s fields.  A ``--config`` file
+(plain ``key = value`` lines with ``#`` comments) supplies defaults for the
+chosen subcommand's value-taking options, and argv is parsed again over
+them, so options resolve as flag > config file > built-in default and a
+file value is converted, or rejected as a usage error, by the option's type.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -40,14 +45,12 @@ from .scheduler import (
     sample_epoch,
     tier_weights_mixed,
 )
-from .tiering import TIERS, tier_histogram
+from .tiering import TIERS, TierConfig, tier_histogram
 
 log = logging.getLogger("moltiers")
 
 
-def load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
+def load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -61,69 +64,15 @@ def load_config(path: str | None) -> dict[str, str]:
     return values
 
 
-def resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
-    """Fill None-valued options from the config file, then from defaults."""
-    for key, value in vars(args).items():
-        if value is None and key in config:
-            setattr(args, key, config[key])
-    for key, default in _DEFAULTS.items():
-        if getattr(args, key, 0) is None:
-            setattr(args, key, default)
-    # coerce strings coming from the config file
-    for key, default in _DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
-        value = getattr(args, key)
-        if isinstance(default, bool) and isinstance(value, str):
-            setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(default, int) and not isinstance(value, bool) \
-                and isinstance(value, str):
-            setattr(args, key, int(value))
-        elif isinstance(default, float) and isinstance(value, str):
-            setattr(args, key, float(value))
-
-
-_DEFAULTS = {
-    "workers": 1,
-    "seed": 0,
-    "epochs": 10,
-    "hard_start": 0.1,
-    "top_k": 6,
-    "chunk_size": 256,
-    "smiles_column": "smiles",
-    "format": "auto",
-    "delimiter": "",
-    "regime": "staged10",
-    "seeds": 100,
-    "n_pairs": 1000,
-    "rarity_threshold": 0.9,
-    "s_threshold": 4,
-    "ct_per_ha_threshold": 50.0,
-    "min_rings_t3": 3,
-    "fg_low": 2,
-    "fg_mid_lo": 3,
-    "fg_mid_hi": 5,
-}
-
-
 def _annotator_from_args(args: argparse.Namespace) -> ComplexityAnnotator:
-    library = FGLibrary.from_json(args.library) if getattr(args, "library", None) else None
-    return ComplexityAnnotator(
-        rarity_threshold=args.rarity_threshold,
-        top_k=args.top_k,
-        s_threshold=args.s_threshold,
-        ct_per_ha_threshold=args.ct_per_ha_threshold,
-        min_rings_t3=args.min_rings_t3,
-        fg_low=args.fg_low,
-        fg_mid_lo=args.fg_mid_lo,
-        fg_mid_hi=args.fg_mid_hi,
-        library=library,
-    )
+    # built first, so invalid thresholds fail before any file is read
+    config = TierConfig.from_attributes(args)
+    library = FGLibrary.from_json(args.library) if args.library else None
+    return ComplexityAnnotator(**asdict(config), library=library)
 
 
 def _input_records(args: argparse.Namespace):
-    return iter_input(args.input, args.format, args.smiles_column,
-                      args.delimiter or None)
+    return iter_input(args.input, args.format, args.smiles_column, args.delimiter)
 
 
 def cmd_prevalence(args: argparse.Namespace) -> int:
@@ -343,7 +292,9 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The moltiers parser; ``config`` values become defaults of the
+    subcommands' value-taking options, and other keys are ignored."""
     parser = argparse.ArgumentParser(
         prog="moltiers",
         description="Molecular complexity descriptors, curriculum tiers, "
@@ -355,21 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p):
         p.add_argument("--input", required=True, help="corpus (.smi/.csv/.tsv)")
-        p.add_argument("--format", choices=("auto", "smi", "delimited"))
-        p.add_argument("--smiles-column", dest="smiles_column")
+        p.add_argument("--format", choices=("auto", "smi", "delimited"),
+                       default="auto")
+        p.add_argument("--smiles-column", default="smiles")
         p.add_argument("--delimiter")
         p.add_argument("--library", help="functional-group library JSON")
 
     def add_tier_config(p):
-        p.add_argument("--rarity-threshold", dest="rarity_threshold", type=float)
-        p.add_argument("--top-k", dest="top_k", type=int)
-        p.add_argument("--s-threshold", dest="s_threshold", type=int)
-        p.add_argument("--ct-per-ha-threshold", dest="ct_per_ha_threshold",
-                       type=float)
-        p.add_argument("--min-rings-t3", dest="min_rings_t3", type=int)
-        p.add_argument("--fg-low", dest="fg_low", type=int)
-        p.add_argument("--fg-mid-lo", dest="fg_mid_lo", type=int)
-        p.add_argument("--fg-mid-hi", dest="fg_mid_hi", type=int)
+        for field in fields(TierConfig):
+            p.add_argument("--" + field.name.replace("_", "-"),
+                           type=type(field.default), default=field.default)
 
     p = sub.add_parser("prevalence", help="compute group prevalence P(f)")
     add_io(p)
@@ -382,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_tier_config(p)
     p.add_argument("--output", required=True)
     p.add_argument("--prevalence", help="prevalence.tsv from the prevalence step")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--chunk-size", dest="chunk_size", type=int)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--chunk-size", type=int, default=256)
     p.add_argument("--trace", action="store_true",
                    help="include the tier rule trace in each record")
     p.set_defaults(func=cmd_annotate)
@@ -393,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier-counts", dest="tier_counts",
                    help="five counts, e.g. 268,107370,153955,703283,35124 "
                         "(budget report only)")
-    p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--hard-start", dest="hard_start", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--regime", choices=REGIMES, default="staged10")
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--hard-start", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir")
     p.add_argument("--no-manifests", action="store_true")
     p.set_defaults(func=cmd_schedule)
@@ -407,33 +353,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("loss-check", help="gradient and invariant self-checks")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--matrix-a", dest="matrix_a")
-    p.add_argument("--matrix-b", dest="matrix_b")
-    p.add_argument("--n-pairs", dest="n_pairs", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--matrix-a")
+    p.add_argument("--matrix-b")
+    p.add_argument("--n-pairs", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_loss_check)
+
+    for p in sub.choices.values():
+        takes_value = {a.dest for a in p._actions if a.option_strings and a.nargs != 0}
+        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in takes_value})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-    try:
-        config = load_config(args.config)
-        resolve(args, config)
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+            stream=sys.stderr,
+        )
+        if args.config:
+            # the file's values are defaults, so a flag given in argv wins
+            args = build_parser(load_config(args.config)).parse_args(argv)
         if hasattr(args, "seed") or hasattr(args, "workers"):
             log.info("seed=%s workers=%s", getattr(args, "seed", "-"),
                      getattr(args, "workers", "-"))
         return args.func(args)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code in (0, None) else 1
     except (MoltiersError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 2

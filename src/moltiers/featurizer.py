@@ -75,14 +75,14 @@ class ComplexityAnnotator:
 
     def __init__(
         self,
-        rarity_threshold: float = 0.9,
-        top_k: int = 6,
-        s_threshold: int = 4,
-        ct_per_ha_threshold: float = 50.0,
-        min_rings_t3: int = 3,
-        fg_low: int = 2,
-        fg_mid_lo: int = 3,
-        fg_mid_hi: int = 5,
+        rarity_threshold: float = TierConfig.rarity_threshold,
+        top_k: int = TierConfig.top_k,
+        s_threshold: int = TierConfig.s_threshold,
+        ct_per_ha_threshold: float = TierConfig.ct_per_ha_threshold,
+        min_rings_t3: int = TierConfig.min_rings_t3,
+        fg_low: int = TierConfig.fg_low,
+        fg_mid_lo: int = TierConfig.fg_mid_lo,
+        fg_mid_hi: int = TierConfig.fg_mid_hi,
         library: FGLibrary | None = None,
     ):
         self.rarity_threshold = rarity_threshold
@@ -114,16 +114,8 @@ class ComplexityAnnotator:
 
     # -- estimator surface -------------------------------------------------
     def tier_config(self) -> TierConfig:
-        return TierConfig(
-            rarity_threshold=self.rarity_threshold,
-            top_k=self.top_k,
-            s_threshold=self.s_threshold,
-            ct_per_ha_threshold=self.ct_per_ha_threshold,
-            min_rings_t3=self.min_rings_t3,
-            fg_low=self.fg_low,
-            fg_mid_lo=self.fg_mid_lo,
-            fg_mid_hi=self.fg_mid_hi,
-        )
+        """The tier parameters; raises ValueError when they are invalid."""
+        return TierConfig.from_attributes(self)
 
     def _lib(self) -> FGLibrary:
         return self.library if self.library is not None else default_library()
@@ -132,8 +124,10 @@ class ComplexityAnnotator:
         """Learn group prevalence from a SMILES corpus.
 
         Unparseable and heavy-atom-free entries are skipped and counted in
-        ``n_skipped_``; they are not part of the corpus size.
+        ``n_skipped_``; they are not part of the corpus size.  Invalid tier
+        parameters raise ValueError before ``X`` is read.
         """
+        self.tier_config()
         library = self._lib()
 
         def graphs():

@@ -241,9 +241,11 @@ def run_annotate_one_pass(
     """Fit prevalence and annotate a stream, describing each molecule once.
 
     Same output as ``fit`` on the stream followed by ``run_annotate``, and
-    leaves ``annotator`` fitted on the stream.  Raises EmptyCorpus, before
+    leaves ``annotator`` fitted on the stream.  Raises ValueError on invalid
+    tier parameters before reading ``records``, and EmptyCorpus, before
     writing anything, when no entry can be annotated.
     """
+    annotator.tier_config()
     stats = AnnotateStats()
     groups: Counter = Counter()
     size = 0

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable
 
 from .descriptors import DescriptorRecord
@@ -27,6 +28,14 @@ class TierConfig:
         if min(self.rarity_threshold, self.s_threshold,
                self.ct_per_ha_threshold, self.min_rings_t3, self.top_k) <= 0:
             raise ValueError("thresholds must be positive")
+
+    @classmethod
+    def from_attributes(cls, obj: object) -> TierConfig:
+        """The config whose fields are ``obj``'s attributes of the same names."""
+        return cls(*_field_values(obj))
+
+
+_field_values = attrgetter(*(f.name for f in fields(TierConfig)))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,35 @@ class TestCli:
                         "--epochs", "10", "--regime", "staged10") == 0
         assert "epochs=10" in capsys.readouterr().out
 
+    def test_schedule_config_file_equals_flags(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("regime = mixed\nhard_start = 0.25\nseed = 7\n"
+                          "epochs = 7\n")
+        counts = ["--tier-counts", "268,107370,153955,703283,35124"]
+        results = []
+        for name, argv in (
+            ("file", ["--config", str(config), "schedule", *counts]),
+            ("flags", ["schedule", *counts, "--regime", "mixed",
+                       "--hard-start", "0.25", "--seed", "7", "--epochs", "7"]),
+        ):
+            assert self.run(*argv, "--output-dir", str(tmp_path / name)) == 0
+            results.append((capsys.readouterr().out,
+                            (tmp_path / name / "schedule_summary.json").read_bytes()))
+        assert results[0] == results[1]
+        assert "regime=mixed epochs=7 seed=7" in results[0][0]
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        """A value the option's type rejects exits 1 from the file as from
+        the flag, with argparse's message."""
+        config = tmp_path / "run.conf"
+        config.write_text("epochs = x\n")
+        assert self.run("--config", str(config), "schedule",
+                        "--tier-counts", "1,1,1,1,1") == 1
+        assert "argument --epochs: invalid int value: 'x'" in capsys.readouterr().err
+        assert self.run("schedule", "--tier-counts", "1,1,1,1,1",
+                        "--epochs", "x") == 1
+        assert "argument --epochs: invalid int value: 'x'" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         assert self.run("schedule", "--bogus-flag") == 1
         assert self.run() == 1

@@ -140,6 +140,35 @@ class TestEquivalence:
         assert len(outputs) == 1
         assert outputs != {annotate("default", "--workers", "2")}
 
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_config_file_equals_flags(self, corpus, tmp_path, with_table):
+        """Every tier parameter, workers and chunk size read from a config
+        file give the bytes of the same flags; an on/off key is ignored."""
+        values = {"rarity_threshold": "0.5", "top_k": "3", "s_threshold": "2",
+                  "ct_per_ha_threshold": "20.5", "min_rings_t3": "2",
+                  "fg_low": "1", "fg_mid_lo": "2", "fg_mid_hi": "4",
+                  "workers": "2", "chunk_size": "64"}
+        config = tmp_path / "run.conf"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                          + "trace = true\n")
+        flags = [x for k, v in values.items() for x in ("--" + k.replace("_", "-"), v)]
+        table = []
+        if with_table:
+            assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                         str(tmp_path / "p")]) == 0
+            table = ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
+
+        def annotate(name, config_flags, flags):
+            out = tmp_path / f"{name}.jsonl"
+            assert main([*config_flags, "annotate", "--input", str(corpus),
+                         "--output", str(out), *table, *flags]) == 0
+            return out.read_bytes()
+
+        from_file = annotate("file", ["--config", str(config)], [])
+        assert from_file == annotate("flags", [], flags)
+        assert from_file != annotate("default", [], [])
+        assert b"rule_trace" not in from_file
+
 
 class TestDerivedTable:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -295,8 +324,9 @@ def test_cli_import_leaves_numpy_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_one_pass_parses_each_line_once(corpus, tmp_path, monkeypatch):
-    """Annotating without a table must not re-parse the corpus."""
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """The texts passed to parse_smiles in this process, in call order."""
     import moltiers.smiles
 
     real = moltiers.smiles.parse_smiles
@@ -310,7 +340,47 @@ def test_one_pass_parses_each_line_once(corpus, tmp_path, monkeypatch):
         if name.startswith("moltiers") and \
                 getattr(module, "parse_smiles", None) is real:
             monkeypatch.setattr(module, "parse_smiles", counting)
+    return calls
+
+
+def test_one_pass_parses_each_line_once(corpus, tmp_path, parse_calls):
+    """Annotating without a table must not re-parse the corpus."""
     out = tmp_path / "out.jsonl"
     assert main(["annotate", "--input", str(corpus), "--output", str(out),
                  "--workers", "1"]) == 0
-    assert len(calls) == len(list(iter_input(corpus)))
+    assert len(parse_calls) == len(list(iter_input(corpus)))
+
+
+@pytest.mark.parametrize("bad", [["--fg-low", "9"], ["--top-k", "0"]])
+@pytest.mark.parametrize("command", ["prevalence", "annotate", "annotate-prevalence"])
+def test_invalid_tier_flags_fail_before_reading(command, bad, corpus, tmp_path,
+                                                parse_calls):
+    """Invalid thresholds are a data error before the first parse, and
+    nothing is written."""
+    assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                 str(tmp_path / "p")]) == 0
+    del parse_calls[:]
+    dest = tmp_path / "dest"
+    argv = {
+        "prevalence": ["prevalence", "--output-dir", str(dest)],
+        "annotate": ["annotate", "--output", str(dest / "out.jsonl")],
+        "annotate-prevalence": ["annotate", "--output", str(dest / "out.jsonl"),
+                                "--prevalence", str(tmp_path / "p" / "prevalence.tsv")],
+    }[command]
+    assert main([*argv, "--input", str(corpus), *bad]) == 2
+    assert parse_calls == []
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("run", ["fit", "one_pass"])
+def test_invalid_tier_params_fail_before_reading(run, corpus, parse_calls):
+    annotator = ComplexityAnnotator(fg_low=9)
+    pairs = list(iter_input(corpus))
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="fg_low"):
+        if run == "fit":
+            annotator.fit(s for _, s in pairs)
+        else:
+            run_annotate_one_pass(iter(pairs), annotator, sink)
+    assert parse_calls == []
+    assert sink.getvalue() == ""
