@@ -6,7 +6,9 @@ options are generated from ``TierConfig``'s fields.  A ``--config`` file
 (plain ``key = value`` lines with ``#`` comments) supplies defaults for the
 chosen subcommand's value-taking options, and argv is parsed again over
 them, so options resolve as flag > config file > built-in default and a
-file value is converted, or rejected as a usage error, by the option's type.
+file value is converted, or rejected as a usage error, by the option's type
+and its choices.  ``annotate`` is one ``pipeline.run_annotate`` call, with
+or without a ``--prevalence`` table.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -32,7 +34,6 @@ from .pipeline import (
     load_prevalence,
     read_annotated,
     run_annotate,
-    run_annotate_one_pass,
     save_prevalence,
 )
 from .scheduler import (
@@ -113,14 +114,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.prevalence:
         annotator.set_prevalence(load_prevalence(args.prevalence))
-        run = run_annotate
     else:
         log.info("no prevalence table given; fitting it in the annotate pass")
-        run = run_annotate_one_pass
     t0 = time.perf_counter()
     with _replace_on_success(out_path) as out:
         try:
-            stats = run(
+            stats = run_annotate(
                 _input_records(args), annotator, out,
                 workers=args.workers, chunk_size=args.chunk_size,
                 include_trace=args.trace, library_path=args.library,
@@ -366,6 +365,19 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     return parser
 
 
+def _check_choices(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject a config-file value outside its option's ``choices`` as a
+    usage error; argparse checks ``choices`` only for values in argv."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    for action in sub._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value not in action.choices:
+            sub.error(f"argument {'/'.join(action.option_strings)}: invalid "
+                      f"choice: {value!r} (choose from "
+                      + ", ".join(map(repr, action.choices)) + ")")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -376,7 +388,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.config:
             # the file's values are defaults, so a flag given in argv wins
-            args = build_parser(load_config(args.config)).parse_args(argv)
+            parser = build_parser(load_config(args.config))
+            args = parser.parse_args(argv)
+            _check_choices(parser, args)
         if hasattr(args, "seed") or hasattr(args, "workers"):
             log.info("seed=%s workers=%s", getattr(args, "seed", "-"),
                      getattr(args, "workers", "-"))

@@ -89,3 +89,7 @@ class Staged10RequiresTenEpochs(MoltiersError):
 
 class MissingTierField(MoltiersError):
     """Annotated record lacks the tier (or id) field needed for scheduling."""
+
+
+class WorkerDied(MoltiersError):
+    """A pool worker process exited while it held a chunk of the run."""

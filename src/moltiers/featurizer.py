@@ -110,6 +110,8 @@ class ComplexityAnnotator:
             if key not in valid:
                 raise ValueError(f"invalid parameter {key!r}")
             setattr(self, key, value)
+        if hasattr(self, "prevalence_"):
+            self._adopt(self.prevalence_)
         return self
 
     # -- estimator surface -------------------------------------------------
@@ -129,9 +131,10 @@ class ComplexityAnnotator:
         """
         self.tier_config()
         library = self._lib()
+        skipped = 0
 
         def graphs():
-            skipped = 0
+            nonlocal skipped
             for text in X:
                 try:
                     graph = perceive_aromaticity(parse_smiles(text.strip()))
@@ -142,12 +145,9 @@ class ComplexityAnnotator:
                     yield graph
                 else:
                     skipped += 1
-            self.n_skipped_ = skipped
 
-        self.n_skipped_ = 0
-        self.prevalence_ = corpus_prevalence(graphs(), library)
-        self.top_groups_ = frozenset(top_k_groups(self.prevalence_, self.top_k))
-        self.n_fitted_ = self.prevalence_.corpus_size
+        self.set_prevalence(corpus_prevalence(graphs(), library))
+        self.n_skipped_ = skipped
         return self
 
     def _check_fitted(self) -> None:
@@ -165,11 +165,18 @@ class ComplexityAnnotator:
                 f"prevalence table lacks {len(missing)} library group(s): "
                 + ", ".join(missing)
             )
-        self.prevalence_ = table
-        self.top_groups_ = frozenset(top_k_groups(table, self.top_k))
+        self._adopt(table)
         self.n_fitted_ = table.corpus_size
         self.n_skipped_ = 0
         return self
+
+    def _adopt(self, table: PrevalenceTable) -> None:
+        # finish reads the validated config held here, refreshed by
+        # set_params, and the top groups its top_k picks from the table
+        config = self.tier_config()
+        self.top_groups_ = frozenset(top_k_groups(table, config.top_k))
+        self.config_ = config
+        self.prevalence_ = table
 
     def describe(self, smiles: str) -> DescriptorCore:
         """The corpus-independent part of a record; needs no fit."""
@@ -179,7 +186,7 @@ class ComplexityAnnotator:
     def finish(self, core: DescriptorCore) -> tuple[DescriptorRecord, TierLabel]:
         """Rarity and tier for a described molecule under the fitted table."""
         record = finish_record(core, self.prevalence_)
-        label = assign_tier(record, self.top_groups_, self.tier_config())
+        label = assign_tier(record, self.top_groups_, self.config_)
         return record, label
 
     def annotate_one(self, smiles: str) -> tuple[DescriptorRecord, TierLabel]:

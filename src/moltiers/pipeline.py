@@ -1,21 +1,24 @@
 """Corpus ingestion and the fan-out/fan-in parallel annotation pipeline.
 
-Both annotate runs go through one mapper, ``_map_chunks``: it cuts the
-record stream into chunks and applies a chunk function to each, in-process
-for one worker or from one pool otherwise.  Pool workers each build an
-immutable annotator once, from the caller's parameters, library file and
-prevalence table (if fitted), and chunks come back through an
-order-preserving imap, so output is byte-identical for any worker count or
-chunk size.
+``run_annotate`` is the one annotate run.  It cuts the record stream into
+chunks and hands them to one mapper, ``_chunk_mapper``, which runs a chunk
+function in-process for one worker, or otherwise from one pool that lives
+for the whole run.  Pool workers each build an annotator once, from the
+caller's parameters and library file; every task carries the caller's
+prevalence table, if it has one, and results come back in input order, so
+output is byte-identical for any worker count or chunk size.
 
-* ``run_annotate`` maps ``annotate_chunk`` under a fixed prevalence table
-  (the ``annotate --prevalence`` path).
-* ``run_annotate_one_pass`` maps ``describe_chunk`` and needs no table.
-  Each molecule is parsed and described once; the parent sums group counts
-  into the table while it spills each chunk's descriptor cores to an
-  anonymous temp file, then re-reads the chunks in input order and adds
-  rarity, tier and JSON.  Its output is byte-identical to ``fit`` followed
-  by ``run_annotate``.
+* With a prevalence table, each chunk is described and finished in one task
+  (``annotate_chunk``).
+* Without one, the run fits the table in the same pass: each molecule is
+  parsed and described once (``describe_chunk``), the parent spills the
+  pickled chunks to an anonymous temp file while it sums their group counts
+  into the table, and the spilled chunks then go back through the same pool
+  to be finished (``finish_chunk``).  The output is byte-identical to
+  ``fit`` followed by a run with the fitted annotator.
+
+The parent only routes chunks and writes lines.  A worker that dies ends
+the run with WorkerDied.
 """
 
 from __future__ import annotations
@@ -25,18 +28,20 @@ import json
 import multiprocessing as mp
 import pickle
 import tempfile
-from collections import Counter
-from contextlib import closing
+from collections import Counter, deque
+from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .errors import EmptyCorpus, MissingTierField
+from .descriptors import DescriptorCore
+from .errors import EmptyCorpus, MissingTierField, WorkerDied
 from .featurizer import UNANNOTATABLE, ComplexityAnnotator, record_to_dict
 from .fgroups import FGLibrary, PrevalenceTable, prevalence_from_counts
 
-ChunkFn = Callable[[list[tuple[int, str]], ComplexityAnnotator], object]
+ChunkFn = Callable[[object, ComplexityAnnotator], object]
 
 
 def detect_format(path: str | Path, fmt: str = "auto") -> str:
@@ -102,40 +107,29 @@ def dumps_record(payload: dict) -> str:
 _WORKER: ComplexityAnnotator | None = None
 
 
-def _init_worker(
-    params: dict, library_path: str | None, table: PrevalenceTable | None
-) -> None:
+def _init_worker(params: dict, library_path: str | None) -> None:
     global _WORKER
     library = FGLibrary.from_json(library_path) if library_path else None
     _WORKER = ComplexityAnnotator(library=library, **params)
-    if table is not None:
-        _WORKER.set_prevalence(table)
 
 
-def _worker_chunk(fn: ChunkFn, chunk: list[tuple[int, str]]):
+def _worker_chunk(fn: ChunkFn, table: PrevalenceTable | None, chunk):
     assert _WORKER is not None
+    if table is not None and getattr(_WORKER, "prevalence_", None) != table:
+        _WORKER.set_prevalence(table)
     return fn(chunk, _WORKER)
 
 
-def _map_chunks(
-    fn: ChunkFn,
-    records: Iterable[tuple[int, str]],
-    annotator: ComplexityAnnotator,
-    workers: int,
-    chunk_size: int,
-    library_path: str | None,
-) -> Iterator:
-    """``fn(chunk, annotator)`` per chunk, in input order.
-
-    With one worker the chunks run in-process on ``annotator``; otherwise a
-    pool runs them on per-process copies built from its parameters, its
-    prevalence table if fitted, and the library at ``library_path``.  Close
-    the generator when done with it: that ends the pool.
-    """
-    chunks = chunked(records, chunk_size)
+@contextmanager
+def _chunk_mapper(
+    annotator: ComplexityAnnotator, workers: int, library_path: str | None
+) -> Iterator[Callable[[ChunkFn, Iterable], Iterator]]:
+    """A ``map_chunks(fn, chunks)`` yielding ``fn(chunk, annotator)`` per
+    chunk, in input order: in-process for one worker, otherwise from one
+    pool, alive for the whole block, of annotators built from
+    ``annotator``'s parameters and the library at ``library_path``."""
     if workers <= 1:
-        for chunk in chunks:
-            yield fn(chunk, annotator)
+        yield lambda fn, chunks: (fn(chunk, annotator) for chunk in chunks)
         return
     if annotator.library is not None and library_path is None:
         raise ValueError(
@@ -147,13 +141,70 @@ def _map_chunks(
     # at 2 workers)
     annotator._lib()
     params = {k: v for k, v in annotator.get_params().items() if k != "library"}
-    table = getattr(annotator, "prevalence_", None)
-    with mp.get_context().Pool(
-        workers,
-        initializer=_init_worker,
-        initargs=(params, library_path, table),
-    ) as pool:
-        yield from pool.imap(partial(_worker_chunk, fn), chunks)
+    # imported here, so commands that start no pool do not load it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: spawn cost about 0.2 s more per 2,500-molecule command at 2
+    # workers, and with fork the executor starts every worker before its
+    # manager thread, so no thread is running when the process forks
+    pool = ProcessPoolExecutor(workers, mp.get_context("fork"),
+                               _init_worker, (params, library_path))
+
+    def map_chunks(fn: ChunkFn, chunks: Iterable) -> Iterator:
+        # at most two chunks in flight per worker; each task carries the
+        # table the annotator holds when the task is submitted
+        pending: deque = deque()
+        done = 0
+        try:
+            for chunk in chunks:
+                table = getattr(annotator, "prevalence_", None)
+                pending.append(pool.submit(_worker_chunk, fn, table, chunk))
+                if len(pending) >= 2 * workers:
+                    yield pending.popleft().result()
+                    done += 1
+            while pending:
+                yield pending.popleft().result()
+                done += 1
+        except BrokenExecutor as exc:
+            name = getattr(fn, "func", fn).__name__
+            raise WorkerDied(f"a worker process died; {name} lost chunk "
+                             f"{done} (counting from 0)") from exc
+
+    try:
+        yield map_chunks
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+Described = list[tuple[int, str, DescriptorCore]]
+
+
+def _describe(
+    chunk: list[tuple[int, str]], annotator: ComplexityAnnotator
+) -> tuple[Described, int]:
+    """(id, smiles, core) per describable entry, and the count of the rest."""
+    described: Described = []
+    skipped = 0
+    for mol_id, smiles in chunk:
+        try:
+            described.append((mol_id, smiles, annotator.describe(smiles)))
+        except UNANNOTATABLE:
+            skipped += 1
+    return described, skipped
+
+
+def _finish(
+    described: Described,
+    skipped: int,
+    annotator: ComplexityAnnotator,
+    include_trace: bool,
+) -> tuple[list[str], int]:
+    lines = [
+        dumps_record(record_to_dict(mol_id, smiles, *annotator.finish(core),
+                                    include_trace))
+        for mol_id, smiles, core in described
+    ]
+    return lines, skipped
 
 
 def annotate_chunk(
@@ -162,42 +213,52 @@ def annotate_chunk(
     include_trace: bool,
 ) -> tuple[list[str], int]:
     """JSON lines for one chunk plus the count of unannotatable entries."""
-    lines: list[str] = []
-    skipped = 0
-    for mol_id, smiles in chunk:
-        try:
-            record, label = annotator.annotate_one(smiles)
-        except UNANNOTATABLE:
-            skipped += 1
-            continue
-        lines.append(
-            dumps_record(record_to_dict(mol_id, smiles, record, label, include_trace))
-        )
-    return lines, skipped
+    return _finish(*_describe(chunk, annotator), annotator, include_trace)
 
 
 def describe_chunk(
     chunk: list[tuple[int, str]], annotator: ComplexityAnnotator
 ) -> tuple[bytes, Counter, int, int]:
-    """Descriptor cores for one chunk, pickled, with its group tallies.
+    """One chunk described but not finished: ``_describe``'s result pickled
+    as one object, molecules per group, the number described and the number
+    of unannotatable entries."""
+    described, skipped = _describe(chunk, annotator)
+    groups = Counter(name for _, _, core in described for name in core.fg_names)
+    blob = pickle.dumps((described, skipped), pickle.HIGHEST_PROTOCOL)
+    return blob, groups, len(described), skipped
 
-    Returns one pickled (id, smiles, core) per described molecule, joined;
-    molecules per group; the number described; and the number of
-    unannotatable entries.  Pickling each core as it is made keeps only one
-    chunk's bytes, not its objects, alive in the worker.
-    """
-    pickles = []
+
+def finish_chunk(
+    blob: bytes, annotator: ComplexityAnnotator, include_trace: bool
+) -> tuple[list[str], int]:
+    """``annotate_chunk``'s result for a chunk that ``describe_chunk`` pickled."""
+    return _finish(*pickle.loads(blob), annotator, include_trace)
+
+
+def _describe_and_fit(
+    map_chunks: Callable[[ChunkFn, Iterable], Iterator],
+    chunks: Iterable,
+    annotator: ComplexityAnnotator,
+) -> Iterator[bytes]:
+    """Describe every chunk, fit ``annotator`` on their group counts, then
+    yield the described chunks in input order from a spill file."""
     groups: Counter = Counter()
-    skipped = 0
-    for mol_id, smiles in chunk:
-        try:
-            core = annotator.describe(smiles)
-        except UNANNOTATABLE:
-            skipped += 1
-            continue
-        groups.update(core.fg_names)
-        pickles.append(pickle.dumps((mol_id, smiles, core), pickle.HIGHEST_PROTOCOL))
-    return b"".join(pickles), groups, len(pickles), skipped
+    lengths: list[int] = []
+    size = skipped = 0
+    with tempfile.TemporaryFile() as spill:
+        for blob, chunk_groups, described, chunk_skipped in map_chunks(
+                describe_chunk, chunks):
+            lengths.append(spill.write(blob))
+            groups.update(chunk_groups)
+            size += described
+            skipped += chunk_skipped
+        annotator.set_prevalence(
+            prevalence_from_counts(groups, size, annotator._lib())
+        )
+        annotator.n_skipped_ = skipped
+        spill.seek(0)
+        for length in lengths:
+            yield spill.read(length)
 
 
 @dataclass
@@ -215,60 +276,29 @@ def run_annotate(
     include_trace: bool = False,
     library_path: str | None = None,
 ) -> AnnotateStats:
-    """Annotate a stream, preserving input order for any worker count."""
-    annotator._check_fitted()
-    stats = AnnotateStats()
-    annotate = partial(annotate_chunk, include_trace=include_trace)
-    with closing(_map_chunks(annotate, records, annotator, workers, chunk_size,
-                             library_path)) as results:
-        for lines, skipped in results:
-            stats.skipped += skipped
-            for line in lines:
-                out.write(line + "\n")
-                stats.written += 1
-    return stats
+    """Annotate a stream, preserving input order for any worker count.
 
-
-def run_annotate_one_pass(
-    records: Iterable[tuple[int, str]],
-    annotator: ComplexityAnnotator,
-    out: TextIO,
-    workers: int = 1,
-    chunk_size: int = 256,
-    include_trace: bool = False,
-    library_path: str | None = None,
-) -> AnnotateStats:
-    """Fit prevalence and annotate a stream, describing each molecule once.
-
-    Same output as ``fit`` on the stream followed by ``run_annotate``, and
-    leaves ``annotator`` fitted on the stream.  Raises ValueError on invalid
+    With a fitted annotator (``fit`` or ``set_prevalence``) each chunk is
+    described and finished in one task.  Otherwise the run fits the table in
+    the same pass and leaves ``annotator`` fitted on the stream, with the
+    output of ``fit`` followed by a fitted run.  Raises ValueError on invalid
     tier parameters before reading ``records``, and EmptyCorpus, before
-    writing anything, when no entry can be annotated.
+    writing anything, when an unfitted run finds nothing to annotate.
     """
     annotator.tier_config()
     stats = AnnotateStats()
-    groups: Counter = Counter()
-    size = 0
-    with tempfile.TemporaryFile() as spill:
-        with closing(_map_chunks(describe_chunk, records, annotator, workers,
-                                 chunk_size, library_path)) as results:
-            for blob, chunk_groups, described, skipped in results:
-                spill.write(blob)
-                groups.update(chunk_groups)
-                size += described
-                stats.skipped += skipped
-        annotator.set_prevalence(
-            prevalence_from_counts(groups, size, annotator._lib())
-        )
-        annotator.n_skipped_ = stats.skipped
-        spill.seek(0)
-        for _ in range(size):
-            mol_id, smiles, core = pickle.load(spill)
-            record, label = annotator.finish(core)
-            out.write(dumps_record(
-                record_to_dict(mol_id, smiles, record, label, include_trace)
-            ) + "\n")
-            stats.written += 1
+    with _chunk_mapper(annotator, workers, library_path) as map_chunks:
+        chunks = chunked(records, chunk_size)
+        finish = annotate_chunk
+        if not hasattr(annotator, "prevalence_"):
+            chunks = _describe_and_fit(map_chunks, chunks, annotator)
+            finish = finish_chunk
+        finish = partial(finish, include_trace=include_trace)
+        for lines, skipped in map_chunks(finish, chunks):
+            stats.skipped += skipped
+            stats.written += len(lines)
+            if lines:
+                out.write("\n".join(lines) + "\n")
     return stats
 
 

@@ -239,6 +239,30 @@ class TestCli:
                         "--epochs", "x") == 1
         assert "argument --epochs: invalid int value: 'x'" in capsys.readouterr().err
 
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path,
+                                                          smi_file, capsys):
+        """A file value outside its option's choices exits 1 with argparse's
+        message, as the flag does, before any output is written."""
+        config = tmp_path / "run.conf"
+        config.write_text("regime = bogus\nformat = bogus\n")
+        for flag in ([], ["--regime", "bogus"]):
+            config_flags = [] if flag else ["--config", str(config)]
+            assert self.run(*config_flags, "schedule", "--tier-counts",
+                            "1,1,1,1,1", *flag) == 1
+            assert ("argument --regime: invalid choice: 'bogus'"
+                    in capsys.readouterr().err)
+        out = tmp_path / "out.jsonl"
+        for flag in ([], ["--format", "bogus"]):
+            config_flags = [] if flag else ["--config", str(config)]
+            assert self.run(*config_flags, "annotate", "--input", str(smi_file),
+                            "--output", str(out), *flag) == 1
+            assert ("argument --format: invalid choice: 'bogus'"
+                    in capsys.readouterr().err)
+        assert not out.exists()
+        # a key that only another subcommand takes is still ignored
+        assert self.run("--config", str(config), "stats", "--annotated",
+                        str(tmp_path / "missing.jsonl")) == 2
+
     def test_usage_error_exit_1(self):
         assert self.run("schedule", "--bogus-flag") == 1
         assert self.run() == 1

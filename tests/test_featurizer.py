@@ -5,6 +5,7 @@ import pytest
 from moltiers.errors import NotFitted
 from moltiers.featurizer import RECORD_FIELDS, ComplexityAnnotator
 from moltiers.synth import generate_corpus
+from moltiers.tiering import TierConfig
 
 CORPUS = ["CCO", "CC(=O)O", "c1ccccc1", "CCOCC", "CCN", "Clc1ccccc1"]
 
@@ -32,6 +33,36 @@ class TestEstimatorSurface:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError):
             ComplexityAnnotator().set_params(bogus=1)
+
+    def test_tier_config_is_held_not_rebuilt(self, monkeypatch):
+        """finish reads the config validated at fit; TierConfig is not
+        rebuilt per molecule."""
+        corpus = list(generate_corpus(100, seed=4))
+        annotator = ComplexityAnnotator().fit(corpus)
+        post_init = TierConfig.__post_init__
+        built = []
+
+        def counting(config):
+            built.append(config)
+            post_init(config)
+
+        monkeypatch.setattr(TierConfig, "__post_init__", counting)
+        annotator.transform(corpus[:1])
+        per_call = len(built)
+        assert len(annotator.transform(corpus)) == 100
+        assert per_call <= 1
+        assert len(built) == 2 * per_call
+
+    def test_set_params_after_fit_changes_predict(self):
+        corpus = list(generate_corpus(200, seed=5))
+        annotator = ComplexityAnnotator().fit(corpus)
+        before = annotator.predict(corpus)
+        params = {"top_k": 1, "rarity_threshold": 0.5, "s_threshold": 1}
+        after = annotator.set_params(**params).predict(corpus)
+        assert after != before
+        assert after == ComplexityAnnotator(**params).fit(corpus).predict(corpus)
+        with pytest.raises(ValueError, match="fg_low"):
+            annotator.set_params(fg_low=9)
 
     def test_fit_skips_malformed(self):
         # a molecule without a heavy atom is skipped like a malformed line

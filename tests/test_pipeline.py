@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -21,7 +22,7 @@ from moltiers.cli import main
 from moltiers.errors import EmptyCorpus, MoltiersError, PrevalenceMismatch
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.fgroups import FGLibrary
-from moltiers.pipeline import iter_input, run_annotate, run_annotate_one_pass
+from moltiers.pipeline import iter_input, run_annotate
 from moltiers.synth import generate_corpus
 
 MALFORMED = ["((bad", "C1CC", "Xx", "[H][H]", "C[C@@H"]
@@ -102,21 +103,21 @@ class TestEquivalence:
         outputs = set()
         for workers, chunk in ((1, 256), (1, 7), (2, 64), (3, 5)):
             sink = io.StringIO()
-            stats = run_annotate_one_pass(iter(pairs), ComplexityAnnotator(), sink,
-                                          workers=workers, chunk_size=chunk)
+            stats = run_annotate(iter(pairs), ComplexityAnnotator(), sink,
+                                 workers=workers, chunk_size=chunk)
             assert (stats.written, stats.skipped) == (700, len(MALFORMED))
             outputs.add(sink.getvalue())
         assert len(outputs) == 1
 
-    @pytest.mark.parametrize("run", [run_annotate, run_annotate_one_pass],
-                             ids=lambda run: run.__name__)
+    @pytest.mark.parametrize("fitted", [True, False], ids=["fitted", "unfitted"])
     def test_custom_library_needs_path_for_workers(self, corpus, small_library,
-                                                   run):
+                                                   fitted):
         annotator = ComplexityAnnotator(library=FGLibrary.from_json(small_library))
-        annotator.fit(s for _, s in iter_input(corpus))
+        if fitted:
+            annotator.fit(s for _, s in iter_input(corpus))
         sink = io.StringIO()
         with pytest.raises(ValueError, match="library_path"):
-            run(iter_input(corpus), annotator, sink, workers=2)
+            run_annotate(iter_input(corpus), annotator, sink, workers=2)
         assert sink.getvalue() == ""
 
     def test_workers_use_the_tier_flags(self, corpus, tmp_path):
@@ -176,8 +177,7 @@ class TestDerivedTable:
         pairs = list(iter_input(corpus))
         one_pass = ComplexityAnnotator()
         sink = io.StringIO()
-        run_annotate_one_pass(iter(pairs), one_pass, sink, workers=workers,
-                              chunk_size=50)
+        run_annotate(iter(pairs), one_pass, sink, workers=workers, chunk_size=50)
         fitted = ComplexityAnnotator().fit(s for _, s in pairs)
         assert one_pass.prevalence_ == fitted.prevalence_
         assert one_pass.top_groups_ == fitted.top_groups_
@@ -190,8 +190,7 @@ class TestDerivedTable:
     def test_nothing_annotatable_raises_before_writing(self):
         sink = io.StringIO()
         with pytest.raises(EmptyCorpus):
-            run_annotate_one_pass(iter(enumerate(MALFORMED)), ComplexityAnnotator(),
-                                  sink)
+            run_annotate(iter(enumerate(MALFORMED)), ComplexityAnnotator(), sink)
         assert sink.getvalue() == ""
 
 
@@ -266,6 +265,112 @@ class TestMismatchedTable:
             ComplexityAnnotator().set_prevalence(table)
 
 
+@pytest.mark.parametrize("with_table", [False, True])
+def test_parent_never_finishes_at_two_workers(corpus, tmp_path, monkeypatch,
+                                              with_table):
+    """With a pool, every record is finished in a worker, never in the
+    parent, and the bytes are those of an in-process run."""
+    table = []
+    if with_table:
+        assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                     str(tmp_path / "p")]) == 0
+        table = ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
+    expected = tmp_path / "expected.jsonl"
+    assert main(["annotate", "--input", str(corpus), "--output", str(expected),
+                 "--workers", "1", *table]) == 0
+    parent = os.getpid()
+    finish = ComplexityAnnotator.finish
+
+    def workers_only(self, core):
+        assert os.getpid() != parent, "finish called in the parent process"
+        return finish(self, core)
+
+    monkeypatch.setattr(ComplexityAnnotator, "finish", workers_only)
+    out = tmp_path / "out.jsonl"
+    assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                 "--workers", "2", "--chunk-size", "64", *table]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+
+
+# Runs `moltiers` with ComplexityAnnotator.describe patched so that each
+# pool worker exits at its 300th call; forked workers inherit the patch.
+DYING_WORKER = """
+import os, sys
+from moltiers.cli import main
+from moltiers.featurizer import ComplexityAnnotator
+
+parent = os.getpid()
+describe = ComplexityAnnotator.describe
+calls = 0
+
+def dying(self, smiles):
+    global calls
+    if os.getpid() != parent:
+        calls += 1
+        if calls == 300:
+            os._exit(9)
+    return describe(self, smiles)
+
+ComplexityAnnotator.describe = dying
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def child_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    import moltiers
+
+    src = str(Path(moltiers.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+class TestDeadWorker:
+    """A pool worker that dies ends the run with exit 2 and no output.
+
+    The run happens in a child interpreter, so a pool that waits forever
+    fails the test by timing out instead of hanging the suite.
+    """
+
+    TIMEOUT_S = 60
+
+    def annotate(self, argv: list[str]) -> tuple[int, str]:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", DYING_WORKER, *argv], env=child_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=self.TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"annotate still running after {self.TIMEOUT_S} s")
+        return proc.returncode, err
+
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_exits_2_and_leaves_destination(self, tmp_path, with_table):
+        corpus = tmp_path / "corpus.smi"
+        corpus.write_text("\n".join(generate_corpus(3000, seed=12)) + "\n")
+        table = []
+        if with_table:
+            assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                         str(tmp_path / "p")]) == 0
+            table = ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
+        out = tmp_path / "out.jsonl"
+        argv = ["annotate", "--input", str(corpus), "--output", str(out),
+                "--workers", "2", *table]
+        code, err = self.annotate(argv)
+        assert code == 2, err
+        assert "worker process died" in err
+        assert not out.exists()
+        out.write_text("earlier output\n")
+        assert self.annotate(argv)[0] == 2
+        assert out.read_text() == "earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["corpus.smi", "out.jsonl"] + (["p"] if with_table else []))
+
+
 class TestNoPartialOutput:
     """A failed annotate run leaves the destination as it found it."""
 
@@ -312,16 +417,11 @@ class TestNoPartialOutput:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    import moltiers
-
-    src = str(Path(moltiers.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, moltiers.cli; "
             "assert 'numpy' not in sys.modules, 'numpy imported'; "
             "from moltiers import nt_xent, LinearMap; "
             "assert 'numpy' in sys.modules")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
 
 
 @pytest.fixture()
@@ -381,6 +481,6 @@ def test_invalid_tier_params_fail_before_reading(run, corpus, parse_calls):
         if run == "fit":
             annotator.fit(s for _, s in pairs)
         else:
-            run_annotate_one_pass(iter(pairs), annotator, sink)
+            run_annotate(iter(pairs), annotator, sink)
     assert parse_calls == []
     assert sink.getvalue() == ""
