@@ -5,11 +5,22 @@ from a SMILES corpus; ``transform`` turns SMILES into descriptor/tier
 records ready for JSON serialization.  ``get_params``/``set_params`` follow
 the scikit-learn contract so the annotator drops into sklearn pipelines and
 search utilities without this package depending on sklearn.
+
+Only rarity and tier depend on the fitted table, so ``annotate_one``,
+``transform`` and ``predict`` remember the corpus-independent part of each
+molecule (its ``DescriptorCore``) in a bounded LRU of up to
+``DESCRIBE_CACHE_SIZE`` stripped SMILES per annotator; a repeated request
+is then only finished.  The cache stays valid across ``fit``,
+``set_prevalence`` and ``set_params``, because rarity and tier are computed
+on every call; it is dropped when the library changes, never holds
+unannotatable input, and is not copied by pickle or deepcopy.  ``describe``
+is uncached: the annotate pipeline, whose input has no repeats, calls it.
 """
 
 from __future__ import annotations
 
 import inspect
+from collections import OrderedDict
 from typing import Iterable
 
 from .descriptors import (
@@ -38,6 +49,9 @@ RECORD_FIELDS = (
     "id", "smiles", "d_scaf", "rarity", "conjugation", "arom_sub", "bertz_ct",
     "n_ha", "n_het", "n_ring", "n_sc", "n_fg", "mw", "fg_names", "tier",
 )
+
+# Most described molecules one annotator remembers (see the module docstring)
+DESCRIBE_CACHE_SIZE = 8192
 
 
 def record_to_dict(
@@ -68,6 +82,22 @@ def record_to_dict(
     if include_trace:
         out["rule_trace"] = label.rule_trace
     return out
+
+
+class _CoreCache:
+    """Described molecules for one library, least recently used first.
+
+    Equal group-name sets are interned: many molecules share few sets.
+    Every step is one dict call, so threads sharing an annotator at worst
+    describe a molecule twice.
+    """
+
+    __slots__ = ("library", "cores", "names")
+
+    def __init__(self, library: FGLibrary | None):
+        self.library = library
+        self.cores: OrderedDict[str, DescriptorCore] = OrderedDict()
+        self.names: dict[frozenset[str], frozenset[str]] = {}
 
 
 class ComplexityAnnotator:
@@ -113,6 +143,12 @@ class ComplexityAnnotator:
         if hasattr(self, "prevalence_"):
             self._adopt(self.prevalence_)
         return self
+
+    def __getstate__(self) -> dict:
+        # the describe cache is a memo, not state: copies start without it
+        state = self.__dict__.copy()
+        state.pop("_cache", None)
+        return state
 
     # -- estimator surface -------------------------------------------------
     def tier_config(self) -> TierConfig:
@@ -189,20 +225,45 @@ class ComplexityAnnotator:
         label = assign_tier(record, self.top_groups_, self.config_)
         return record, label
 
+    def _cached_core(self, smiles: str) -> DescriptorCore:
+        """``describe`` for a stripped SMILES, through the bounded cache."""
+        cache = self.__dict__.get("_cache")
+        if cache is None or cache.library is not self.library:
+            cache = self._cache = _CoreCache(self.library)
+        cores = cache.cores
+        # a hit is popped and put back, which makes it the youngest entry
+        core = cores.pop(smiles, None)
+        if core is None:
+            core = descriptor_core(parse_smiles(smiles), self._lib())
+            names = cache.names
+            if len(names) >= DESCRIBE_CACHE_SIZE:
+                names.clear()
+            core.fg_names = names.setdefault(core.fg_names, core.fg_names)
+        cores[smiles] = core
+        # evicting after the insert brings threads racing past the bound
+        # back to it
+        while len(cores) > DESCRIBE_CACHE_SIZE:
+            try:
+                cores.popitem(last=False)
+            except KeyError:  # another thread emptied it first
+                break
+        return core
+
     def annotate_one(self, smiles: str) -> tuple[DescriptorRecord, TierLabel]:
         self._check_fitted()
-        return self.finish(self.describe(smiles))
+        return self.finish(self._cached_core(smiles.strip()))
 
     def transform(self, X: Iterable[str]) -> list[dict]:
         """One record dict per parseable input, in input order."""
         self._check_fitted()
         out = []
         for i, text in enumerate(X):
+            smiles = text.strip()
             try:
-                record, label = self.annotate_one(text)
+                record, label = self.finish(self._cached_core(smiles))
             except UNANNOTATABLE:
                 continue
-            out.append(record_to_dict(i, text.strip(), record, label))
+            out.append(record_to_dict(i, smiles, record, label))
         return out
 
     def fit_transform(self, X, y=None) -> list[dict]:

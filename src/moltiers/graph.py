@@ -52,13 +52,19 @@ class ScaffoldResult:
     is_empty: bool
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class StructuralCounts:
     n_ha: int
     n_het: int
     n_ring: int
     n_sc: int
     mw: float
+
+    def __reduce__(self):
+        # pickled as constructor arguments: the state a frozen dataclass
+        # pickles by default takes about twice as long to load, and the
+        # one-pass annotate run spills and reloads every molecule's counts
+        return (StructuralCounts, (self.n_ha, self.n_het, self.n_ring, self.n_sc, self.mw))
 
 
 def has_heavy_atom(graph: MolecularGraph) -> bool:

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import copy
+import gc
+import io
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 
+import moltiers.featurizer as featurizer
 from moltiers.errors import NotFitted
-from moltiers.featurizer import RECORD_FIELDS, ComplexityAnnotator
+from moltiers.featurizer import RECORD_FIELDS, ComplexityAnnotator, record_to_dict
+from moltiers.fgroups import FGLibrary, default_library
+from moltiers.pipeline import run_annotate
 from moltiers.synth import generate_corpus
 from moltiers.tiering import TierConfig
 
@@ -105,3 +116,166 @@ class TestTransform:
         corpus = list(generate_corpus(100, seed=9))
         annotator = ComplexityAnnotator().fit(corpus)
         assert annotator.transform(corpus) == annotator.transform(corpus)
+
+
+def uncached(annotator: ComplexityAnnotator, smiles: list[str]) -> list[dict]:
+    """transform's answer, built from describe and finish with no cache."""
+    out = []
+    for i, text in enumerate(smiles):
+        try:
+            core = annotator.describe(text)
+        except featurizer.UNANNOTATABLE:
+            continue
+        out.append(record_to_dict(i, text.strip(), *annotator.finish(core)))
+    return out
+
+
+@pytest.fixture
+def described(monkeypatch):
+    """The library of each descriptor_core call made by the annotator."""
+    calls = []
+    real = featurizer.descriptor_core
+
+    def counting(graph, library=None):
+        calls.append(library)
+        return real(graph, library)
+
+    monkeypatch.setattr(featurizer, "descriptor_core", counting)
+    return calls
+
+
+def cached_keys(annotator: ComplexityAnnotator) -> list[str]:
+    cache = getattr(annotator, "_cache", None)
+    return [] if cache is None else list(cache.cores)
+
+
+class TestDescribeCache:
+    def test_each_distinct_molecule_described_once(self, described):
+        annotator = ComplexityAnnotator().fit(CORPUS)
+        described.clear()
+        requests = ["CCO", " CCO\n", "c1ccccc1", "CCO", "c1ccccc1\t", "CCN"]
+        records = annotator.transform(requests)
+        assert len(described) == 3
+        assert [r["smiles"] for r in records] == [s.strip() for s in requests]
+        assert annotator.predict(requests) == [r["tier"] for r in records]
+        assert annotator.annotate_one(" CCN ")[1].tier == records[-1]["tier"]
+        assert len(described) == 3
+
+    def test_records_equal_uncached_reference(self):
+        corpus = list(generate_corpus(150, seed=11))
+        requests = corpus + corpus[::3] + [" " + s for s in corpus[::7]]
+        annotator = ComplexityAnnotator().fit(corpus)
+        assert annotator.transform(requests) == uncached(annotator, requests)
+        other = ComplexityAnnotator().fit(generate_corpus(150, seed=12))
+        annotator.set_prevalence(other.prevalence_)
+        assert annotator.transform(requests) == uncached(annotator, requests)
+        annotator.set_params(top_k=3)
+        assert annotator.transform(requests) == uncached(annotator, requests)
+        assert annotator.predict(requests) == [
+            r["tier"] for r in uncached(annotator, requests)
+        ]
+
+    def test_library_change_drops_cached_cores(self, described):
+        corpus = list(generate_corpus(120, seed=13))
+        annotator = ComplexityAnnotator().fit(corpus)
+        annotator.transform(corpus)
+        small = FGLibrary(default_library().patterns[:15])
+        annotator.set_params(library=small)
+        described.clear()
+        records = annotator.transform(corpus)
+        assert len(described) == len(set(corpus))
+        assert all(library is small for library in described)
+        assert records == uncached(annotator, corpus)
+        names = set(small.names())
+        assert all(set(r["fg_names"]) <= names for r in records)
+        assert any(r["n_fg"] for r in records)
+
+    def test_bound_evicts_least_recently_used(self, monkeypatch, described):
+        monkeypatch.setattr(featurizer, "DESCRIBE_CACHE_SIZE", 4)
+        annotator = ComplexityAnnotator().fit(CORPUS)
+        described.clear()
+        first, *rest = CORPUS
+        annotator.transform(CORPUS[:4])
+        annotator.transform([first])  # first becomes the youngest entry
+        annotator.transform(CORPUS[4:])
+        assert len(described) == 6
+        assert cached_keys(annotator) == [CORPUS[3], first, *CORPUS[4:]]
+        annotator.transform([first, CORPUS[3]])
+        assert len(described) == 6
+        annotator.transform([CORPUS[1]])
+        assert len(described) == 7
+        assert len(cached_keys(annotator)) == 4
+
+    def test_unannotatable_input_is_skipped_and_not_cached(self, described):
+        annotator = ComplexityAnnotator().fit(CORPUS)
+        described.clear()
+        bad = ["xxx(", "[H][H]", " ", "C1CC"]
+        for _ in range(3):
+            assert annotator.transform(bad) == []
+        assert cached_keys(annotator) == []
+        assert len(described) == 3  # only [H][H] parses, each time
+
+    def test_pipeline_leaves_cache_empty(self):
+        corpus = list(generate_corpus(60, seed=14))
+        annotator = ComplexityAnnotator().fit(corpus)
+        run_annotate(enumerate(corpus), annotator, io.StringIO(), workers=1)
+        assert cached_keys(annotator) == []
+
+    def test_warm_annotator_pickles_and_deepcopies(self):
+        corpus = list(generate_corpus(80, seed=15))
+        annotator = ComplexityAnnotator().fit(corpus)
+        expected = annotator.transform(corpus)
+        for clone in (pickle.loads(pickle.dumps(annotator)), copy.deepcopy(annotator)):
+            assert cached_keys(clone) == []
+            assert clone.get_params() == annotator.get_params()
+            assert clone.transform(corpus) == expected
+
+    def test_transform_leaves_no_cyclic_garbage(self):
+        corpus = list(generate_corpus(200, seed=3))
+        annotator = ComplexityAnnotator().fit(corpus)
+        gc.collect()
+        gc.disable()
+        try:
+            for smiles in corpus:
+                annotator.transform([smiles])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_threads_share_a_cache(self, monkeypatch):
+        # one-atom molecules describe fast and a bound below the working set
+        # evicts often, so threads keep evicting entries that others have
+        # just looked up: a lookup in two steps (get, then move_to_end) or
+        # an eviction that iterates the cache raises here
+        monkeypatch.setattr(featurizer, "DESCRIBE_CACHE_SIZE", 2)
+        molecules = ["C", "N", "O"]
+        annotator = ComplexityAnnotator().fit(molecules)
+        expected = {m: uncached(annotator, [m]) for m in molecules}
+        errors: list[BaseException] = []
+        wrong: list[str] = []
+
+        def client(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(10000):
+                    smiles = rng.choice(molecules)
+                    if annotator.transform([smiles]) != expected[smiles]:
+                        wrong.append(smiles)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == []
+        annotator.transform(molecules[:1])
+        assert len(cached_keys(annotator)) == 2

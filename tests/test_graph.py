@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -48,6 +50,15 @@ class TestStructuralCounts:
     def test_stereocenter_counts(self, mol):
         assert structural_counts(mol("C[C@H](N)C(=O)O")).n_sc == 1
         assert structural_counts(mol("F/C=C/F")).n_sc == 1
+
+    def test_counts_are_frozen(self, mol):
+        # one counts object is shared by every record the annotator's
+        # describe cache serves for the same SMILES
+        counts = structural_counts(mol("CCO"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            counts.n_ha = 0
+        assert counts.n_ha == 3
+        assert pickle.loads(pickle.dumps(counts)) == counts
         assert structural_counts(mol("F/C=C/C=C/F")).n_sc == 2
         # mark on one side only does not make a stereo double bond
         assert structural_counts(mol("F/C=CF")).n_sc == 0
