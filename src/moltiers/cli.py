@@ -34,7 +34,7 @@ from .pipeline import (
     load_prevalence,
     read_annotated,
     run_annotate,
-    save_prevalence,
+    write_prevalence,
 )
 from .scheduler import (
     REGIMES,
@@ -81,9 +81,13 @@ def cmd_prevalence(args: argparse.Namespace) -> int:
     stats = fit_prevalence_streaming(_input_records(args), annotator)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_prevalence(annotator.prevalence_, outdir / "prevalence.tsv")
-    top = top_k_groups(annotator.prevalence_, args.top_k)
-    (outdir / "top_groups.txt").write_text("\n".join(top) + "\n", encoding="utf-8")
+    # both files are renamed into place only after both are written, so a
+    # failure leaves the earlier pair as it was
+    with (_replace_on_success(outdir / "prevalence.tsv") as table_out,
+          _replace_on_success(outdir / "top_groups.txt") as top_out):
+        write_prevalence(annotator.prevalence_, table_out)
+        top = top_k_groups(annotator.prevalence_, args.top_k)
+        top_out.write("\n".join(top) + "\n")
     log.info("prevalence over %d molecules (%d skipped) -> %s",
              stats.written, stats.skipped, outdir)
     for name in top:

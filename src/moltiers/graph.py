@@ -15,6 +15,11 @@ finds the same cycle it would over the whole graph.  Rings are reported in
 the order of the bond that produced them, deduplicated by atom set, which
 covers drug-like ring systems without full SSSR machinery.  The ring
 *count* is always the cyclomatic number, bonds - atoms + components.
+
+Aromaticity perception promotes Kekulé-written 6-rings of C/N atoms with
+alternating single and double bonds.  Such a ring holds three double bonds
+between C/N atoms, so a molecule with fewer, such as one written with
+aromatic atoms, is returned unchanged before any ring search.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ from .smiles import (
 )
 
 MAX_RING_SIZE = 8
+
+# the elements of a ring that aromaticity perception promotes
+_CN = frozenset(("C", "N"))
 
 
 @dataclass(slots=True)
@@ -239,20 +247,27 @@ def perceive_aromaticity(
 
     Atoms and bonds already aromatic are left untouched; the operation is
     idempotent and never removes a flag.  Returns the input object when no
-    ring qualifies.  A new graph shares the input's view topology and ring
+    ring qualifies.  Such a ring holds three double bonds between C/N atoms,
+    so a molecule with fewer is returned at once, without running
+    ``ring_info``.  A new graph shares the input's view topology and ring
     perception, since only bond orders and aromatic flags change.
     """
-    if rings is None:
-        rings = ring_info(graph)
     view = graph.view()
     elements = view.elements
     orders = view.orders
+    if orders.count(DOUBLE) < 3 or sum(
+        1 for bond, order in zip(graph.bonds, orders)
+        if order == DOUBLE and elements[bond.a] in _CN and elements[bond.b] in _CN
+    ) < 3:
+        return graph
+    if rings is None:
+        rings = ring_info(graph)
     flip_atoms: set[int] = set()
     flip_bonds: set[int] = set()
     for cycle in rings.rings:
         if len(cycle) != 6:
             continue
-        if any(elements[a] not in ("C", "N") for a in cycle):
+        if any(elements[a] not in _CN for a in cycle):
             continue
         bond_ids = cycle_bonds(view.adj, cycle)
         ring_orders = [orders[bi] for bi in bond_ids]

@@ -305,16 +305,18 @@ def run_annotate(
 def fit_prevalence_streaming(
     records: Iterable[tuple[int, str]], annotator: ComplexityAnnotator
 ) -> AnnotateStats:
-    """First pass of the two-phase pipeline: learn prevalence from a stream."""
+    """Fit the annotator's prevalence table on the SMILES of ``(id, smiles)``
+    records, as the ``prevalence`` command does; counts fitted and skipped."""
     annotator.fit(smiles for _, smiles in records)
     return AnnotateStats(written=annotator.n_fitted_, skipped=annotator.n_skipped_)
 
 
-def save_prevalence(table: PrevalenceTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# corpus_size={table.corpus_size}\n")
-        for name in sorted(table.prevalence):
-            fh.write(f"{name}\t{table.prevalence[name]!r}\n")
+def write_prevalence(table: PrevalenceTable, out: TextIO) -> None:
+    """The table as ``load_prevalence`` reads it: a corpus-size comment, then
+    one ``name<TAB>prevalence`` row per group, in name order."""
+    out.write(f"# corpus_size={table.corpus_size}\n")
+    for name in sorted(table.prevalence):
+        out.write(f"{name}\t{table.prevalence[name]!r}\n")
 
 
 def load_prevalence(path: str | Path) -> PrevalenceTable:

@@ -187,6 +187,7 @@ class MolecularGraph:
     bonds: list[Bond] = field(default_factory=list)
     source: str = ""
     _view: MolView | None = field(default=None, repr=False, compare=False)
+    _valences: list[int] | None = field(default=None, repr=False, compare=False)
 
     def view(self) -> MolView:
         """The per-molecule indices, built lazily and memoised; safe because
@@ -194,6 +195,13 @@ class MolecularGraph:
         if self._view is None:
             self._view = MolView(self)
         return self._view
+
+    def valences(self) -> list[int]:
+        """Per-atom bond-order sums, aromatic bonds counting one; memoised,
+        so the parser's valence check and the hydrogen count share them."""
+        if self._valences is None:
+            self._valences = _explicit_valences(self)
+        return self._valences
 
     def neighbors(self) -> list[list[tuple[int, int]]]:
         """Adjacency as ``adj[i] = [(neighbor_index, bond_index), ...]``."""
@@ -450,7 +458,7 @@ def _check_valences(graph: MolecularGraph, offsets: list[int]) -> None:
     as written.  Aromatic atoms are granted one extra unit to cover the
     delocalised bond.
     """
-    val = _explicit_valences(graph)
+    val = graph.valences()
     for atom in graph.atoms:
         if atom.explicit_h is not None:
             continue
@@ -470,7 +478,7 @@ def implicit_hydrogens(graph: MolecularGraph) -> list[int]:
     bonds count one each and one hydrogen is withheld for the delocalised
     electron, which reproduces the usual counts (benzene CH, pyridine N).
     """
-    val = _explicit_valences(graph)
+    val = graph.valences()
     out = [0] * len(graph.atoms)
     for atom in graph.atoms:
         if atom.explicit_h is not None:

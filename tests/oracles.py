@@ -4,11 +4,14 @@ Everything here deliberately avoids the library's own algorithms: cycles are
 enumerated exhaustively instead of via block-based perception, matches come
 from raw candidate products instead of backtracking, entropy and correlations
 are recomputed from first principles.  ``reference_ring_info`` keeps the
-earlier whole-graph ring perception as a differential reference.
+earlier whole-graph ring perception as a differential reference, and
+``reference_perceive_aromaticity`` the aromaticity perception that searched
+rings in every molecule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -199,6 +202,45 @@ def reference_ring_info(
             seen.add(frozenset(cycle))
             rings.append(cycle)
     return frozenset(ring_atoms), ring_bonds, rings
+
+
+def reference_perceive_aromaticity(graph: MolecularGraph) -> MolecularGraph:
+    """Kekulé 6-ring promotion the way it worked before it could return
+    without a ring search: every ring is perceived and checked.
+
+    Rings come from ``reference_ring_info``; returns ``graph`` itself when
+    no 6-ring of C/N atoms alternates single and double bonds.
+    """
+    adj = plain_adjacency(graph)
+    bond_index = {}
+    for bi, bond in enumerate(graph.bonds):
+        bond_index[frozenset((bond.a, bond.b))] = bi
+    flip_atoms: set[int] = set()
+    flip_bonds: set[int] = set()
+    for cycle in reference_ring_info(graph)[2]:
+        if len(cycle) != 6:
+            continue
+        if any(graph.atoms[a].element not in ("C", "N") for a in cycle):
+            continue
+        pairs = [(cycle[k], cycle[(k + 1) % 6]) for k in range(6)]
+        ring_orders = [adj[a][b] for a, b in pairs]
+        if any(order not in (SINGLE, DOUBLE) for order in ring_orders):
+            continue
+        if all(ring_orders[k] != ring_orders[k - 1] for k in range(6)):
+            flip_atoms.update(cycle)
+            flip_bonds.update(bond_index[frozenset(pair)] for pair in pairs)
+    if not flip_atoms:
+        return graph
+    atoms = [
+        dataclasses.replace(atom, aromatic=True) if atom.index in flip_atoms
+        else atom
+        for atom in graph.atoms
+    ]
+    bonds = [
+        dataclasses.replace(bond, order=AROMATIC) if bi in flip_bonds else bond
+        for bi, bond in enumerate(graph.bonds)
+    ]
+    return MolecularGraph(atoms, bonds, graph.source)
 
 
 def connected_components(graph: MolecularGraph) -> list[set[int]]:

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import moltiers.cli as cli_module
 from moltiers.cli import main
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.pipeline import (
     iter_input,
     load_prevalence,
     run_annotate,
-    save_prevalence,
+    write_prevalence,
 )
 from moltiers.synth import generate_corpus
 
@@ -70,7 +71,8 @@ class TestPrevalenceIO:
     def test_round_trip(self, tmp_path):
         annotator = ComplexityAnnotator().fit(["CC(=O)O", "CCO", "CCCCCC"])
         path = tmp_path / "prev.tsv"
-        save_prevalence(annotator.prevalence_, path)
+        with open(path, "w", encoding="utf-8") as out:
+            write_prevalence(annotator.prevalence_, out)
         table = load_prevalence(path)
         assert table.corpus_size == 3
         assert table.prevalence == annotator.prevalence_.prevalence
@@ -129,6 +131,27 @@ class TestCli:
         assert len(rows) == 4  # one malformed line skipped
         assert [r["id"] for r in rows] == [0, 1, 2, 4]
         assert all("tier" in r for r in rows)
+
+    @pytest.mark.parametrize("stage", ["write_prevalence", "top_k_groups"])
+    def test_prevalence_failure_keeps_earlier_pair(self, stage, smi_file,
+                                                   tmp_path, monkeypatch):
+        outdir = tmp_path / "prev"
+        assert self.run("prevalence", "--input", str(smi_file),
+                        "--output-dir", str(outdir)) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        real = getattr(cli_module, stage)
+
+        def fail_after(*args):
+            real(*args)
+            raise OSError("no space left on device")
+
+        # the table is written in full before either failure
+        monkeypatch.setattr(cli_module, stage, fail_after)
+        other = tmp_path / "other.smi"
+        other.write_text("CCN\nCC#N\nCCS\n")
+        assert self.run("prevalence", "--input", str(other),
+                        "--output-dir", str(outdir), "--top-k", "2") == 2
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
     def test_annotate_two_phase_and_trace(self, smi_file, tmp_path):
         out = tmp_path / "annotated.jsonl"

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 import moltiers.featurizer as featurizer
+import moltiers.smiles as smiles_module
 from moltiers.errors import NotFitted
 from moltiers.featurizer import RECORD_FIELDS, ComplexityAnnotator, record_to_dict
 from moltiers.fgroups import FGLibrary, default_library
@@ -116,6 +117,36 @@ class TestTransform:
         corpus = list(generate_corpus(100, seed=9))
         annotator = ComplexityAnnotator().fit(corpus)
         assert annotator.transform(corpus) == annotator.transform(corpus)
+
+
+class TestDescribeWork:
+    @pytest.fixture
+    def valence_sums(self, monkeypatch):
+        """The source of each graph whose per-atom valences were summed."""
+        calls = []
+        real = smiles_module._explicit_valences
+
+        def counting(graph):
+            calls.append(graph.source)
+            return real(graph)
+
+        monkeypatch.setattr(smiles_module, "_explicit_valences", counting)
+        return calls
+
+    def test_valences_summed_once_per_molecule(self, valence_sums):
+        # the parser's valence check and the molecular weight share one sum
+        annotator = ComplexityAnnotator()
+        for smiles in generate_corpus(60, seed=3):
+            valence_sums.clear()
+            annotator.describe(smiles)
+            assert valence_sums == [smiles]
+
+    def test_promoted_ring_sums_its_aromatic_bonds_again(self, valence_sums):
+        # aromaticity perception rebuilds the graph, and its aromatic bonds
+        # count one where the Kekulé double bonds counted two
+        core = ComplexityAnnotator().describe("C1=CC=CC=C1O")
+        assert valence_sums == ["C1=CC=CC=C1O", "C1=CC=CC=C1O"]
+        assert core.counts == ComplexityAnnotator().describe("c1ccccc1O").counts
 
 
 def uncached(annotator: ComplexityAnnotator, smiles: list[str]) -> list[dict]:

@@ -27,6 +27,7 @@ from oracles import (
     brute_conjugation_extent,
     brute_scaffold,
     connected_components,
+    reference_perceive_aromaticity,
     reference_ring_info,
     ring_atoms_exhaustive,
 )
@@ -133,6 +134,15 @@ class TestAromaticityPerception:
             after = perceive_aromaticity(g)
             for b, a in zip(before, after.atoms):
                 assert a.aromatic >= b
+
+    def test_no_ring_search_below_three_cn_double_bonds(self):
+        # aromatic-written, saturated, a cyclohexadiene, and a quinone whose
+        # two C=O bonds do not count: no promotable ring can exist
+        for smiles in ("c1ccccc1CC", "C1CCCCC1", "C1=CC=CCC1",
+                       "O=C1C=CC(=O)C=C1", "CCO"):
+            graph = parse_smiles(smiles)
+            assert perceive_aromaticity(graph) is graph
+            assert graph.view().rings is None
 
     def test_kekule_naphthalene(self, mol):
         # both rings written with alternating bonds (fusion bond double)
@@ -308,6 +318,78 @@ class TestRingSearchCount:
         assert perceived is not graph
         assert ring_info(perceived) is rings
         assert len(searches) == 11
+
+
+KEKULE_CASES = [
+    "C1=CC=CC=C1",
+    "C1=CC=NC=C1",
+    "C1=CC=C2C=CC=CC2=C1",  # naphthalene, only one ring alternates
+    "C1=CC=CC2=C1C=CC=C2",  # naphthalene, both rings alternate
+    "O=C1C=CC(=O)C=C1",  # p-benzoquinone: two C=C, never promoted
+    "C=CC=CC=C",  # three C=C and no ring
+    "C1=CC=CC=CC1",  # alternating, but seven atoms
+    "O1C=CC=CC1",
+    "c1ccccc1C1=CC=CC=C1",  # one aromatic-written and one Kekulé ring
+    "C1=Cc2ccccc2C=C1",  # a Kekulé ring fused to an aromatic bond
+    "C1=CC=CC=C1.C=CC=C",
+    "CC1=C(C)C=C(N)C=C1C=CC=O",
+]
+
+
+class TestAromaticityMatchesReference:
+    """The exit before the ring search changes nothing the full search
+    decides: same flags, same orders, and the input object when nothing
+    flips."""
+
+    @staticmethod
+    def check(graph):
+        perceived = perceive_aromaticity(graph)
+        expected = reference_perceive_aromaticity(graph)
+        assert (perceived is graph) == (expected is graph)
+        assert [a.aromatic for a in perceived.atoms] == [
+            a.aromatic for a in expected.atoms]
+        assert [b.order for b in perceived.bonds] == [
+            b.order for b in expected.bonds]
+        assert perceived.view().orders == [b.order for b in expected.bonds]
+        return perceived is not graph
+
+    def test_kekule_cases(self):
+        flipped = {s for s in KEKULE_CASES if self.check(parse_smiles(s))}
+        assert flipped == {
+            "C1=CC=CC=C1", "C1=CC=NC=C1", "C1=CC=C2C=CC=CC2=C1",
+            "C1=CC=CC2=C1C=CC=C2", "c1ccccc1C1=CC=CC=C1",
+            "C1=CC=CC=C1.C=CC=C", "CC1=C(C)C=C(N)C=C1C=CC=O",
+        }
+
+    @pytest.mark.parametrize("seed", [1, 3, 7, 11])
+    def test_generated_corpus(self, seed):
+        for smiles in generate_corpus(400, seed=seed):
+            self.check(parse_smiles(smiles))
+
+    def test_random_kekule_rings(self):
+        # seeded rings of 5-7 C/N atoms with random single/double bonds,
+        # some with a chain, an aromatic ring or a second such ring attached
+        rng = random.Random(29)
+
+        def ring(digit):
+            size = rng.choice((5, 6, 6, 6, 7))
+            atoms = [rng.choice("CCCN") for _ in range(size)]
+            bonds = [rng.choice(("", "=")) for _ in range(size)]
+            text = atoms[0] + digit
+            for atom, bond in zip(atoms[1:], bonds):
+                text += bond + atom
+            return text + bonds[-1] + digit
+
+        parsed = flipped = 0
+        for _ in range(3000):
+            text = ring("1") + rng.choice(("", "C=CC", "c2ccccc2", ring("2")))
+            try:
+                graph = parse_smiles(text)
+            except SmilesError:
+                continue
+            parsed += 1
+            flipped += self.check(graph)
+        assert parsed > 1000 and flipped > 20
 
 
 class TestMurckoScaffold:
