@@ -24,8 +24,9 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import accumulate
 from pathlib import Path
+from typing import Iterator
 
-from .errors import EmptyCorpus, MissingTierField, MoltiersError
+from .errors import EmptyCorpus, MalformedLine, MissingTierField, MoltiersError
 from .featurizer import ComplexityAnnotator
 from .fgroups import FGLibrary, top_k_groups
 from .pipeline import (
@@ -114,20 +115,18 @@ def _replace_on_success(path: Path):
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     annotator = _annotator_from_args(args)
-    out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.prevalence:
         annotator.set_prevalence(load_prevalence(args.prevalence))
     else:
         log.info("no prevalence table given; fitting it in the annotate pass")
+    out_path = Path(args.output)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     with _replace_on_success(out_path) as out:
         try:
-            stats = run_annotate(
-                _input_records(args), annotator, out,
-                workers=args.workers, chunk_size=args.chunk_size,
-                include_trace=args.trace, library_path=args.library,
-            )
+            stats = run_annotate(_input_records(args), annotator, out,
+                                 workers=args.workers, chunk_size=args.chunk_size,
+                                 include_trace=args.trace)
         except EmptyCorpus as exc:
             # raised before any record is written, so the output is empty
             log.info("%s; wrote empty output", exc)
@@ -145,6 +144,29 @@ def _parse_tier_counts(text: str) -> tuple[int, ...]:
     return tuple(int(p.replace("_", "")) for p in parts)
 
 
+def _tier_pairs(path: str) -> Iterator[tuple[int, int]]:
+    """(id, tier index) per record of an annotated file; raises MalformedLine,
+    naming the line, for a record without an integer id and a tier T0-T4,
+    or with an earlier record's id."""
+    seen: set[int] = set()
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                mol_id, tier = row["id"], TIERS.index(row["tier"])
+            except (ValueError, LookupError, TypeError):
+                mol_id = None
+            if type(mol_id) is not int:
+                raise MalformedLine(f"{path}:{n}: not a JSON record with an "
+                                    "integer id and a tier T0-T4")
+            if mol_id in seen:
+                raise MalformedLine(f"{path}:{n}: id {mol_id} appears twice")
+            seen.add(mol_id)
+            yield mol_id, tier
+
+
 def cmd_schedule(args: argparse.Namespace) -> int:
     spec = ScheduleSpec(args.regime, args.epochs, args.hard_start, args.seed)
     if args.tier_counts:
@@ -153,12 +175,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     else:
         if not args.annotated:
             raise MissingTierField("schedule needs --annotated or --tier-counts")
-        pairs = []
-        for row in read_annotated(args.annotated):
-            if "tier" not in row or "id" not in row:
-                raise MissingTierField(f"record without tier/id: {row}")
-            pairs.append((int(row["id"]), TIERS.index(row["tier"])))
-        index = TierIndex.from_pairs(pairs)
+        index = TierIndex.from_pairs(_tier_pairs(args.annotated))
         counts = index.counts()
 
     views = epoch_views(counts, spec)
@@ -225,13 +242,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def _percentiles(values, probs=(25, 50, 75)):
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
-    return [float(np.percentile(arr, p)) for p in probs]
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -252,7 +262,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for tier in TIERS:
         values = [r["bertz_ct"] for r in rows if r["tier"] == tier]
         if values:
-            q25, q50, q75 = _percentiles(values)
+            q25, q50, q75 = map(float, np.percentile(np.asarray(values, dtype=float),
+                                                     (25, 50, 75)))
             per_tier[tier] = {"n": len(values), "q25": q25, "median": q50, "q75": q75}
     report["bertz_ct_per_tier"] = per_tier
 
@@ -295,6 +306,12 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _one_char(text: str) -> str:
+    if len(text) > 1:  # csv's limit; an empty delimiter means the default
+        raise argparse.ArgumentTypeError(f"{text!r} is not one character")
+    return text
+
+
 def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The moltiers parser; ``config`` values become defaults of the
     subcommands' value-taking options, and other keys are ignored."""
@@ -312,7 +329,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
         p.add_argument("--format", choices=("auto", "smi", "delimited"),
                        default="auto")
         p.add_argument("--smiles-column", default="smiles")
-        p.add_argument("--delimiter")
+        p.add_argument("--delimiter", type=_one_char)
         p.add_argument("--library", help="functional-group library JSON")
 
     def add_tier_config(p):

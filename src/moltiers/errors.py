@@ -87,6 +87,10 @@ class Staged10RequiresTenEpochs(MoltiersError):
     pass
 
 
+class MalformedLine(MoltiersError):
+    """A line of a prevalence table or annotated file cannot be read."""
+
+
 class MissingTierField(MoltiersError):
     """Annotated record lacks the tier (or id) field needed for scheduling."""
 

@@ -30,7 +30,6 @@ _ORDER_BY_NAME = {
     "triple": TRIPLE,
     "aromatic": AROMATIC,
 }
-_NAME_BY_ORDER = {v: k for k, v in _ORDER_BY_NAME.items()}
 
 
 @dataclass(frozen=True)
@@ -144,9 +143,6 @@ def _build_plan(pattern: FunctionalGroupPattern):
 class PrevalenceTable:
     prevalence: dict[str, float]
     corpus_size: int
-
-    def get(self, name: str) -> float:
-        return self.prevalence[name]
 
 
 class FGLibrary:

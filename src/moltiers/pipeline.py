@@ -3,10 +3,10 @@
 ``run_annotate`` is the one annotate run.  It cuts the record stream into
 chunks and hands them to one mapper, ``_chunk_mapper``, which runs a chunk
 function in-process for one worker, or otherwise from one pool that lives
-for the whole run.  Pool workers each build an annotator once, from the
-caller's parameters and library file; every task carries the caller's
-prevalence table, if it has one, and results come back in input order, so
-output is byte-identical for any worker count or chunk size.
+for the whole run.  Pool workers are forked from the caller and inherit its
+annotator, library and fitted table included; a task carries only the chunk
+function and the chunk, and results come back in input order, so output is
+byte-identical for any worker count or chunk size.
 
 * With a prevalence table, each chunk is described and finished in one task
   (``annotate_chunk``).
@@ -14,8 +14,8 @@ output is byte-identical for any worker count or chunk size.
   parsed and described once (``describe_chunk``), the parent spills the
   pickled chunks to an anonymous temp file while it sums their group counts
   into the table, and the spilled chunks then go back through the same pool
-  to be finished (``finish_chunk``).  The output is byte-identical to
-  ``fit`` followed by a run with the fitted annotator.
+  to be finished (``finish_chunk``, given the table the workers were forked
+  without).  The output is byte-identical to ``fit`` then a fitted run.
 
 The parent only routes chunks and writes lines.  A worker that dies ends
 the run with WorkerDied.
@@ -30,29 +30,18 @@ import pickle
 import tempfile
 from collections import Counter, deque
 from concurrent.futures import BrokenExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from .descriptors import DescriptorCore
-from .errors import EmptyCorpus, MissingTierField, WorkerDied
+from .errors import EmptyCorpus, MalformedLine, MissingTierField, WorkerDied
 from .featurizer import UNANNOTATABLE, ComplexityAnnotator, record_to_dict
-from .fgroups import FGLibrary, PrevalenceTable, prevalence_from_counts
+from .fgroups import PrevalenceTable, prevalence_from_counts
 
 ChunkFn = Callable[[object, ComplexityAnnotator], object]
-
-
-def detect_format(path: str | Path, fmt: str = "auto") -> str:
-    if fmt != "auto":
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".smi":
-        return "smi"
-    if suffix in (".csv", ".tsv"):
-        return "delimited"
-    return "smi"
 
 
 def iter_input(
@@ -61,8 +50,10 @@ def iter_input(
     smiles_column: str = "smiles",
     delimiter: str | None = None,
 ) -> Iterator[tuple[int, str]]:
-    """Yield (row id, smiles) pairs; blank rows are skipped silently."""
-    fmt = detect_format(path, fmt)
+    """Yield (row id, smiles) pairs; blank rows are skipped silently.  The
+    ``auto`` format reads .csv and .tsv files as delimited, others as smi."""
+    if fmt == "auto":
+        fmt = "delimited" if Path(path).suffix.lower() in (".csv", ".tsv") else "smi"
     if fmt == "smi":
         with open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh):
@@ -107,58 +98,47 @@ def dumps_record(payload: dict) -> str:
 _WORKER: ComplexityAnnotator | None = None
 
 
-def _init_worker(params: dict, library_path: str | None) -> None:
+def _init_worker(annotator: ComplexityAnnotator) -> None:
     global _WORKER
-    library = FGLibrary.from_json(library_path) if library_path else None
-    _WORKER = ComplexityAnnotator(library=library, **params)
+    _WORKER = annotator
 
 
-def _worker_chunk(fn: ChunkFn, table: PrevalenceTable | None, chunk):
-    assert _WORKER is not None
-    if table is not None and getattr(_WORKER, "prevalence_", None) != table:
-        _WORKER.set_prevalence(table)
+def _worker_chunk(fn: ChunkFn, chunk):
     return fn(chunk, _WORKER)
 
 
 @contextmanager
 def _chunk_mapper(
-    annotator: ComplexityAnnotator, workers: int, library_path: str | None
+    annotator: ComplexityAnnotator, workers: int
 ) -> Iterator[Callable[[ChunkFn, Iterable], Iterator]]:
     """A ``map_chunks(fn, chunks)`` yielding ``fn(chunk, annotator)`` per
     chunk, in input order: in-process for one worker, otherwise from one
-    pool, alive for the whole block, of annotators built from
-    ``annotator``'s parameters and the library at ``library_path``."""
+    pool, alive for the whole block, of workers that inherit ``annotator``
+    as it is at the first submit."""
     if workers <= 1:
         yield lambda fn, chunks: (fn(chunk, annotator) for chunk in chunks)
         return
-    if annotator.library is not None and library_path is None:
-        raise ValueError(
-            "a custom pattern library needs library_path so worker "
-            "processes can load it"
-        )
     # loaded before the pool forks, so workers inherit the default library
     # instead of each building a private copy (about 1 MB less summed RSS
     # at 2 workers)
     annotator._lib()
-    params = {k: v for k, v in annotator.get_params().items() if k != "library"}
     # imported here, so commands that start no pool do not load it
     from concurrent.futures import ProcessPoolExecutor
 
     # fork: spawn cost about 0.2 s more per 2,500-molecule command at 2
     # workers, and with fork the executor starts every worker before its
-    # manager thread, so no thread is running when the process forks
+    # manager thread, so no thread is running when the process forks; the
+    # forked workers share the caller's annotator instead of unpickling it
     pool = ProcessPoolExecutor(workers, mp.get_context("fork"),
-                               _init_worker, (params, library_path))
+                               _init_worker, (annotator,))
 
     def map_chunks(fn: ChunkFn, chunks: Iterable) -> Iterator:
-        # at most two chunks in flight per worker; each task carries the
-        # table the annotator holds when the task is submitted
+        # at most two chunks in flight per worker
         pending: deque = deque()
         done = 0
         try:
             for chunk in chunks:
-                table = getattr(annotator, "prevalence_", None)
-                pending.append(pool.submit(_worker_chunk, fn, table, chunk))
+                pending.append(pool.submit(_worker_chunk, fn, chunk))
                 if len(pending) >= 2 * workers:
                     yield pending.popleft().result()
                     done += 1
@@ -229,9 +209,13 @@ def describe_chunk(
 
 
 def finish_chunk(
-    blob: bytes, annotator: ComplexityAnnotator, include_trace: bool
+    blob: bytes, annotator: ComplexityAnnotator, table: PrevalenceTable,
+    include_trace: bool,
 ) -> tuple[list[str], int]:
-    """``annotate_chunk``'s result for a chunk that ``describe_chunk`` pickled."""
+    """``annotate_chunk``'s result, under ``table``, for a chunk that
+    ``describe_chunk`` pickled."""
+    if getattr(annotator, "prevalence_", None) != table:
+        annotator.set_prevalence(table)
     return _finish(*pickle.loads(blob), annotator, include_trace)
 
 
@@ -239,26 +223,25 @@ def _describe_and_fit(
     map_chunks: Callable[[ChunkFn, Iterable], Iterator],
     chunks: Iterable,
     annotator: ComplexityAnnotator,
+    spill: BinaryIO,
 ) -> Iterator[bytes]:
-    """Describe every chunk, fit ``annotator`` on their group counts, then
-    yield the described chunks in input order from a spill file."""
+    """Describe every chunk into ``spill`` and fit ``annotator`` on their
+    group counts; returns the described chunks, read back in input order."""
     groups: Counter = Counter()
     lengths: list[int] = []
     size = skipped = 0
-    with tempfile.TemporaryFile() as spill:
-        for blob, chunk_groups, described, chunk_skipped in map_chunks(
-                describe_chunk, chunks):
-            lengths.append(spill.write(blob))
-            groups.update(chunk_groups)
-            size += described
-            skipped += chunk_skipped
-        annotator.set_prevalence(
-            prevalence_from_counts(groups, size, annotator._lib())
-        )
-        annotator.n_skipped_ = skipped
-        spill.seek(0)
-        for length in lengths:
-            yield spill.read(length)
+    for blob, chunk_groups, described, chunk_skipped in map_chunks(
+            describe_chunk, chunks):
+        lengths.append(spill.write(blob))
+        groups.update(chunk_groups)
+        size += described
+        skipped += chunk_skipped
+    annotator.set_prevalence(
+        prevalence_from_counts(groups, size, annotator._lib())
+    )
+    annotator.n_skipped_ = skipped
+    spill.seek(0)
+    return (spill.read(length) for length in lengths)
 
 
 @dataclass
@@ -274,26 +257,27 @@ def run_annotate(
     workers: int = 1,
     chunk_size: int = 256,
     include_trace: bool = False,
-    library_path: str | None = None,
 ) -> AnnotateStats:
     """Annotate a stream, preserving input order for any worker count.
 
-    With a fitted annotator (``fit`` or ``set_prevalence``) each chunk is
-    described and finished in one task.  Otherwise the run fits the table in
-    the same pass and leaves ``annotator`` fitted on the stream, with the
-    output of ``fit`` followed by a fitted run.  Raises ValueError on invalid
-    tier parameters before reading ``records``, and EmptyCorpus, before
-    writing anything, when an unfitted run finds nothing to annotate.
+    Pool workers use ``annotator`` itself, its library included.  With a
+    fitted annotator (``fit`` or ``set_prevalence``) each chunk is described
+    and finished in one task.  Otherwise the run fits the table in the same
+    pass and leaves ``annotator`` fitted on the stream, with the output of
+    ``fit`` followed by a fitted run.  Raises ValueError on invalid tier
+    parameters before reading ``records``, and EmptyCorpus, before writing
+    anything, when an unfitted run finds nothing to annotate.
     """
     annotator.tier_config()
     stats = AnnotateStats()
-    with _chunk_mapper(annotator, workers, library_path) as map_chunks:
+    with _chunk_mapper(annotator, workers) as map_chunks, ExitStack() as stack:
         chunks = chunked(records, chunk_size)
-        finish = annotate_chunk
+        finish = partial(annotate_chunk, include_trace=include_trace)
         if not hasattr(annotator, "prevalence_"):
-            chunks = _describe_and_fit(map_chunks, chunks, annotator)
-            finish = finish_chunk
-        finish = partial(finish, include_trace=include_trace)
+            spill = stack.enter_context(tempfile.TemporaryFile())
+            chunks = _describe_and_fit(map_chunks, chunks, annotator, spill)
+            finish = partial(finish_chunk, table=annotator.prevalence_,
+                             include_trace=include_trace)
         for lines, skipped in map_chunks(finish, chunks):
             stats.skipped += skipped
             stats.written += len(lines)
@@ -320,19 +304,27 @@ def write_prevalence(table: PrevalenceTable, out: TextIO) -> None:
 
 
 def load_prevalence(path: str | Path) -> PrevalenceTable:
+    """The table ``write_prevalence`` wrote.  Raises MalformedLine, naming
+    the line, for a row that is not ``name<TAB>prevalence`` with a
+    prevalence in [0, 1], or a ``corpus_size`` that is not a count."""
     prevalence: dict[str, float] = {}
     corpus_size = 0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "corpus_size=" in line:
+            try:
+                if line.startswith("#") and "corpus_size=" in line:
                     corpus_size = int(line.split("corpus_size=")[1])
-                continue
-            name, value = line.split("\t")
-            prevalence[name] = float(value)
+                    if corpus_size < 0:
+                        raise ValueError
+                elif line and not line.startswith("#"):
+                    name, value = line.split("\t")
+                    prevalence[name] = float(value)
+                    if not 0.0 <= prevalence[name] <= 1.0:  # nan too
+                        raise ValueError
+            except ValueError:
+                raise MalformedLine(f"{path}:{n}: {line!r} is not name<TAB>prevalence"
+                                    " in [0, 1] or # corpus_size=<count>") from None
     if not prevalence:
         raise EmptyCorpus(f"no prevalence rows in {path}")
     return PrevalenceTable(prevalence, corpus_size)

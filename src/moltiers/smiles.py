@@ -68,10 +68,6 @@ class Atom:
     isotope: int = 0
     index: int = 0
 
-    @property
-    def is_heavy(self) -> bool:
-        return self.element != "H"
-
 
 @dataclass(slots=True)
 class Bond:
@@ -202,13 +198,6 @@ class MolecularGraph:
         if self._valences is None:
             self._valences = _explicit_valences(self)
         return self._valences
-
-    def neighbors(self) -> list[list[tuple[int, int]]]:
-        """Adjacency as ``adj[i] = [(neighbor_index, bond_index), ...]``."""
-        return self.view().adj
-
-    def heavy_indices(self) -> list[int]:
-        return [a.index for a in self.atoms if a.element != "H"]
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -564,7 +553,7 @@ def write_smiles_mapped(graph: MolecularGraph) -> tuple[str, list[int]]:
     """
     if not graph.atoms:
         raise EmptyMolecule("cannot write an empty graph")
-    adj = graph.neighbors()
+    adj = graph.view().adj
     natoms = len(graph.atoms)
     visited = [False] * natoms
     order: list[int] = []

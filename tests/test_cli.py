@@ -77,6 +77,29 @@ class TestPrevalenceIO:
         assert table.corpus_size == 3
         assert table.prevalence == annotator.prevalence_.prevalence
 
+    @pytest.mark.parametrize("line", [
+        "hydroxyl\tnan", "hydroxyl\tinf", "hydroxyl\t1.5", "hydroxyl\t-0.25",
+        "hydroxyl 0.5", "hydroxyl\t0.5\t0.5", "# corpus_size=many",
+        "# corpus_size=-3",
+    ], ids=["nan", "inf", "above-1", "negative", "no-tab", "three-fields",
+            "corpus-size", "negative-corpus-size"])
+    def test_corrupt_line_is_data_error_before_output(self, smi_file, tmp_path,
+                                                      caplog, line):
+        assert main(["prevalence", "--input", str(smi_file), "--output-dir",
+                     str(tmp_path / "p")]) == 0
+        table = tmp_path / "p" / "prevalence.tsv"
+        rows = table.read_text().splitlines()
+        key = "# corpus_size=" if line.startswith("#") else "hydroxyl\t"
+        at = next(i for i, row in enumerate(rows) if row.startswith(key))
+        rows[at] = line
+        table.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out" / "annotated.jsonl"
+        assert main(["annotate", "--input", str(smi_file), "--output", str(out),
+                     "--prevalence", str(table)]) == 2
+        assert f"{table}:{at + 1}: {line!r} is not name<TAB>prevalence in " \
+            "[0, 1] or # corpus_size=<count>" in caplog.text
+        assert not out.parent.exists()
+
 
 class TestWorkerDeterminism:
     def test_fresh_interpreters_byte_identical(self, tmp_path):
@@ -286,6 +309,25 @@ class TestCli:
         assert self.run("--config", str(config), "stats", "--annotated",
                         str(tmp_path / "missing.jsonl")) == 2
 
+    @pytest.mark.parametrize("command", ["prevalence", "annotate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_long_delimiter_is_usage_error(self, csv_file, tmp_path, capsys,
+                                           command, source):
+        out = ["--output-dir", str(tmp_path / "p")] if command == "prevalence" \
+            else ["--output", str(tmp_path / "out.jsonl")]
+        if source == "flag":
+            argv = [command, "--input", str(csv_file), *out, "--delimiter", "ab"]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text("delimiter = ab\n")
+            argv = ["--config", str(config), command, "--input", str(csv_file),
+                    *out]
+        assert self.run(*argv) == 1
+        assert "argument --delimiter: 'ab' is not one character" in \
+            capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["corpus.csv"] + (["run.conf"] if source == "config" else []))
+
     def test_usage_error_exit_1(self):
         assert self.run("schedule", "--bogus-flag") == 1
         assert self.run() == 1
@@ -322,6 +364,28 @@ class TestScheduleOutput:
         assert capsys.readouterr().out == case["stdout"]
         assert (tmp_path / "schedule_summary.json").read_bytes() == \
             case["schedule_summary.json"].encode()
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"id":2,"tier":"T9"}', "not a JSON record with an integer id"),
+        ('{"id":"x","tier":"T1"}', "not a JSON record with an integer id"),
+        ('{"id":2.5,"tier":"T1"}', "not a JSON record with an integer id"),
+        ('{"id":2', "not a JSON record with an integer id"),
+        ('{"id":2}', "not a JSON record with an integer id"),
+        ('["T1"]', "not a JSON record with an integer id"),
+        ('{"id":0,"tier":"T3"}', "id 0 appears twice"),
+    ], ids=["tier-T9", "string-id", "float-id", "not-json", "no-tier",
+            "not-an-object", "repeated-id"])
+    def test_bad_annotated_record_is_data_error(self, tmp_path, capsys, caplog,
+                                                record, message):
+        annotated = tmp_path / "ann.jsonl"
+        annotated.write_text('{"id":0,"tier":"T0"}\n\n{"id":1,"tier":"T2"}\n'
+                             + record + "\n")
+        outdir = tmp_path / "sched"
+        assert main(["schedule", "--annotated", str(annotated),
+                     "--output-dir", str(outdir)]) == 2
+        assert f"{annotated}:4: {message}" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("regime", ["staged10", "mixed"])
     @pytest.mark.parametrize("source", ["annotated", "tier-counts"])

@@ -110,15 +110,26 @@ class TestEquivalence:
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("fitted", [True, False], ids=["fitted", "unfitted"])
-    def test_custom_library_needs_path_for_workers(self, corpus, small_library,
-                                                   fitted):
-        annotator = ComplexityAnnotator(library=FGLibrary.from_json(small_library))
-        if fitted:
-            annotator.fit(s for _, s in iter_input(corpus))
-        sink = io.StringIO()
-        with pytest.raises(ValueError, match="library_path"):
-            run_annotate(iter_input(corpus), annotator, sink, workers=2)
-        assert sink.getvalue() == ""
+    def test_workers_inherit_custom_library(self, corpus, small_library, fitted):
+        """Pool workers use the caller's annotator, library included: the
+        library file is not read again once the annotator is built."""
+        pairs = list(iter_input(corpus))
+        library = FGLibrary.from_json(small_library)
+        annotators = {workers: ComplexityAnnotator(library=library)
+                      for workers in (1, 2)}
+        small_library.unlink()
+        outputs = {}
+        for workers, annotator in annotators.items():
+            if fitted:
+                annotator.fit(s for _, s in pairs)
+            sink = io.StringIO()
+            run_annotate(iter(pairs), annotator, sink, workers=workers,
+                         chunk_size=64)
+            outputs[workers] = sink.getvalue()
+        assert outputs[2] == outputs[1]
+        rows = [json.loads(line) for line in outputs[1].splitlines()]
+        assert len(rows) == 700
+        assert set().union(*(r["fg_names"] for r in rows)) <= set(library.names())
 
     def test_workers_use_the_tier_flags(self, corpus, tmp_path):
         """Pool workers annotate with the caller's tier parameters, with and
