@@ -46,6 +46,7 @@ from .scheduler import (
     epoch_views,
     sample_epoch,
     tier_weights_mixed,
+    write_manifest,
 )
 from .tiering import TIERS, TierConfig, tier_histogram
 
@@ -225,27 +226,24 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         return 0
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "schedule_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    # every file is renamed into place whole, and the summary comes last,
+    # so a failed run into a fresh directory leaves no summary
     if index is not None and not args.no_manifests:
         for e in range(spec.epochs):
             manifest = sample_epoch(index, spec, e)
             path = outdir / f"manifest_epoch_{e:03d}.jsonl"
-            with open(path, "w", encoding="utf-8") as fh:
-                for mol_id in manifest.sampled_ids:
-                    fh.write(json.dumps(
-                        {"epoch": e, "regime": spec.regime, "id": mol_id},
-                        separators=(",", ":"),
-                    ) + "\n")
+            with _replace_on_success(path) as fh:
+                write_manifest(fh, manifest)
             log.info("epoch %d manifest: %d ids -> %s", e, manifest.size, path)
+    with _replace_on_success(outdir / "schedule_summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     import numpy as np
 
-    rows = list(read_annotated(args.annotated))
+    rows = list(read_annotated(args.annotated, ("mw", "bertz_ct", "n_ring", "tier")))
     if not rows:
         raise EmptyCorpus(f"no records in {args.annotated}")
     report: dict = {"n": len(rows)}

@@ -330,9 +330,25 @@ def load_prevalence(path: str | Path) -> PrevalenceTable:
     return PrevalenceTable(prevalence, corpus_size)
 
 
-def read_annotated(path: str | Path) -> Iterator[dict]:
+def read_annotated(path: str | Path, fields: Iterable[str] = ()) -> Iterator[dict]:
+    """The records of an annotated JSONL file, skipping blank lines.
+
+    Raises MalformedLine, naming ``path:line``, for a line that is not a
+    JSON object or that lacks one of ``fields``.
+    """
+    fields = tuple(fields)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError:
+                row = None
+            if type(row) is not dict:
+                raise MalformedLine(f"{path}:{n}: not a JSON record")
+            missing = [f for f in fields if f not in row]
+            if missing:
+                raise MalformedLine(f"{path}:{n}: record lacks "
+                                    + ", ".join(missing))
+            yield row

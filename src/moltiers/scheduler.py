@@ -8,15 +8,20 @@ iteration order.
 
 from __future__ import annotations
 
+import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import EpochOutOfRange, Staged10RequiresTenEpochs
 
 REGIMES = ("additive", "staged10", "mixed", "standard", "anti")
 
 N_TIERS = 5
+
+# manifest lines joined per write: bounds the text held in memory at once
+MANIFEST_BLOCK = 1 << 16
 
 _STAGED10 = (
     (0, 1), (0, 1), (0, 1),
@@ -105,12 +110,14 @@ def uniform_draw(seed: int, mol_id: int, epoch: int) -> float:
 
 
 class TierIndex:
-    """Molecule ids grouped by tier, kept in sorted order."""
+    """Molecule ids grouped by tier, kept as sorted tuples."""
 
     def __init__(self, ids_by_tier: Mapping[int, Sequence[int]]):
-        self.ids_by_tier: dict[int, list[int]] = {
-            t: sorted(ids_by_tier.get(t, ())) for t in range(N_TIERS)
+        self.ids_by_tier: dict[int, tuple[int, ...]] = {
+            t: tuple(sorted(ids_by_tier.get(t, ()))) for t in range(N_TIERS)
         }
+        # tier -> (seed key, the ids hashed, their hashes); see _keyed_hashes
+        self._keyed: dict[int, tuple[int, tuple[int, ...], array]] = {}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TierIndex":
@@ -126,11 +133,32 @@ class TierIndex:
     def total(self) -> int:
         return sum(self.counts())
 
+    def _keyed_hashes(self, key: int, tier: int) -> array:
+        """``_mix64(key ^ id)`` for each id of the tier, in order: the part
+        of a mixed-regime draw that does not change with the epoch.  The
+        last key's hashes are kept per tier, so the epochs of one schedule
+        hash each id once."""
+        ids = self.ids_by_tier[tier]
+        kept = self._keyed.get(tier)
+        if kept is None or kept[0] != key or kept[1] is not ids:
+            kept = (key, ids, array("Q", (_mix64(key ^ m) for m in ids)))
+            self._keyed[tier] = kept
+        return kept[2]
+
 
 def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManifest:
-    """Molecule ids active at the epoch, in ascending id order."""
+    """Molecule ids active at the epoch, in ascending id order.
+
+    A mixed-regime molecule is kept when ``uniform_draw(seed, id, epoch)``
+    falls below its tier's weight.  The seed's hash is taken once per call,
+    the id's hash once per seed (``TierIndex._keyed_hashes``), and the draw
+    is compared in integer units: ``h >> 11`` is below 2**53, and
+    ``rho * 2**53`` is exact, so the comparison equals the float one.
+    """
     if spec.regime == "mixed":
         weights = tier_weights_mixed(epoch, spec.epochs, spec.hard_start)
+        key = _mix64(spec.seed & 0xFFFFFFFFFFFFFFFF)
+        salt = epoch + 1
         ids: list[int] = []
         for tier in range(N_TIERS):
             rho = weights[tier]
@@ -139,10 +167,11 @@ def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManif
                 continue
             if rho <= 0.0:
                 continue
-            seed = spec.seed
+            cut = rho * 2.0**53
             ids.extend(
-                m for m in index.ids_by_tier[tier]
-                if uniform_draw(seed, m, epoch) < rho
+                m for m, h in zip(index.ids_by_tier[tier],
+                                  index._keyed_hashes(key, tier))
+                if _mix64(h ^ salt) >> 11 < cut
             )
         ids.sort()
         return EpochManifest(epoch, spec.regime, None, weights, ids)
@@ -152,6 +181,23 @@ def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManif
         ids.extend(index.ids_by_tier[tier])
     ids.sort()
     return EpochManifest(epoch, spec.regime, tiers, None, ids)
+
+
+def write_manifest(fh: TextIO, manifest: EpochManifest) -> None:
+    """Write the manifest as JSON lines ``{"epoch":e,"regime":r,"id":i}``,
+    one per sampled id, in the manifest's order.
+
+    Every line of an epoch shares its prefix, so the lines are formatted
+    from it rather than serialised one by one; ``str`` of an int is its
+    JSON text.
+    """
+    prefix = '{"epoch":%d,"regime":%s,"id":' % (manifest.epoch,
+                                                json.dumps(manifest.regime))
+    between = "}\n" + prefix
+    ids = manifest.sampled_ids
+    for start in range(0, len(ids), MANIFEST_BLOCK):
+        block = ids[start:start + MANIFEST_BLOCK]
+        fh.write(prefix + between.join(map(str, block)) + "}\n")
 
 
 def epoch_views(

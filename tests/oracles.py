@@ -6,17 +6,25 @@ from raw candidate products instead of backtracking, entropy and correlations
 are recomputed from first principles.  ``reference_ring_info`` keeps the
 earlier whole-graph ring perception as a differential reference, and
 ``reference_perceive_aromaticity`` the aromaticity perception that searched
-rings in every molecule.
+rings in every molecule.  ``reference_sample_epoch`` draws every mixed-regime
+id with the public ``uniform_draw``, and ``reference_manifest_text`` writes
+each manifest line with its own ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 from collections import Counter, deque
 
+from moltiers.scheduler import (
+    active_tiers,
+    tier_weights_mixed,
+    uniform_draw,
+)
 from moltiers.smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolecularGraph
 
 # ---------------------------------------------------------------------------
@@ -471,3 +479,30 @@ def assert_isomorphic(original: MolecularGraph, reparsed: MolecularGraph,
         return out
 
     assert edge_set(original, inverse) == edge_set(reparsed)
+
+
+# ---------------------------------------------------------------------------
+# curriculum manifests: one draw and one json.dumps per id
+
+
+def reference_sample_epoch(ids_by_tier: dict[int, list[int]], spec,
+                           epoch: int) -> list[int]:
+    """Sorted ids of the epoch: every id of an active tier, or, in the mixed
+    regime, each id whose ``uniform_draw`` falls below its tier's weight."""
+    if spec.regime == "mixed":
+        weights = tier_weights_mixed(epoch, spec.epochs, spec.hard_start)
+        return sorted(
+            m for tier, ids in ids_by_tier.items() for m in ids
+            if uniform_draw(spec.seed, m, epoch) < weights[tier]
+        )
+    tiers = active_tiers(spec.regime, epoch, spec.epochs)
+    return sorted(m for tier in tiers for m in ids_by_tier.get(tier, ()))
+
+
+def reference_manifest_text(epoch: int, regime: str, ids) -> str:
+    """The manifest as written line by line with ``json.dumps``."""
+    return "".join(
+        json.dumps({"epoch": epoch, "regime": regime, "id": m},
+                   separators=(",", ":")) + "\n"
+        for m in ids
+    )

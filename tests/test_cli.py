@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,25 @@ from moltiers.synth import generate_corpus
 SCHEDULE_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "schedule_golden.json").read_text()
 )
+
+
+# SHA-256 of the ten manifests, concatenated in epoch order, of
+# `schedule --regime mixed --seed 3` on write_tier_records' file, as the
+# per-id draw and json.dumps writer produced them
+MIXED_SEED3_MANIFEST_SHA256 = (
+    "2aa2feb54fde608df7008032129572b70e921e5bcd8bb12e618a480b80ce4141")
+
+
+def write_tier_records(path: Path, n: int = 3000) -> None:
+    """An annotated file that depends on no descriptor: ids with gaps,
+    negative ids and ids above 2**64, in shuffled order, each with a tier
+    from a fixed integer rule."""
+    lines = []
+    for k in range(n):
+        mol_id = (k * 3 - 1000) if k % 10 else 2**64 + k
+        tier = (k * 2654435761 >> 7) % 5
+        lines.append((k * 7919 % n, json.dumps({"id": mol_id, "tier": f"T{tier}"})))
+    path.write_text("".join(line + "\n" for _, line in sorted(lines)))
 
 
 @pytest.fixture()
@@ -220,6 +241,28 @@ class TestCli:
         assert sum(report["tier_histogram"].values()) == 4
         assert "mean" in report["mw"]
 
+    @pytest.mark.parametrize("record, message", [
+        ("{not json", "not a JSON record"),
+        ('["T1"]', "not a JSON record"),
+        ('{"id":2,"tier":"T1","bertz_ct":1.5,"n_ring":0}', "record lacks mw"),
+        ('{"id":2,"tier":"T1","mw":16.0,"n_ring":0}', "record lacks bertz_ct"),
+        ('{"id":2,"tier":"T1","mw":16.0,"bertz_ct":1.5}', "record lacks n_ring"),
+        ('{"id":2,"mw":16.0,"bertz_ct":1.5,"n_ring":0}', "record lacks tier"),
+    ], ids=["not-json", "not-an-object", "no-mw", "no-bertz_ct", "no-n_ring",
+            "no-tier"])
+    def test_stats_bad_record_is_data_error(self, smi_file, tmp_path, caplog,
+                                            capsys, record, message):
+        annotated = tmp_path / "ann.jsonl"
+        self.run("annotate", "--input", str(smi_file), "--output", str(annotated))
+        with open(annotated, "a") as fh:
+            fh.write("\n" + record + "\n")
+        report_path = tmp_path / "stats.json"
+        assert self.run("stats", "--annotated", str(annotated),
+                        "--json", str(report_path)) == 2
+        assert f"{annotated}:6: {message}" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not report_path.exists()
+
     def test_loss_check_quick(self, capsys):
         assert self.run("loss-check", "--seeds", "3") == 0
         out = capsys.readouterr().out
@@ -386,6 +429,56 @@ class TestScheduleOutput:
         assert f"{annotated}:4: {message}" in caplog.text
         assert capsys.readouterr().out == ""
         assert not outdir.exists()
+
+    def test_mixed_manifest_digest(self, tmp_path):
+        annotated = tmp_path / "ann.jsonl"
+        write_tier_records(annotated)
+        outdir = tmp_path / "sched"
+        assert main(["schedule", "--annotated", str(annotated), "--regime", "mixed",
+                     "--seed", "3", "--output-dir", str(outdir)]) == 0
+        digest = hashlib.sha256()
+        for e in range(10):
+            digest.update((outdir / f"manifest_epoch_{e:03d}.jsonl").read_bytes())
+        assert digest.hexdigest() == MIXED_SEED3_MANIFEST_SHA256
+
+    def test_failed_manifest_write_leaves_whole_files_only(self, tmp_path, caplog,
+                                                           monkeypatch):
+        annotated = tmp_path / "ann.jsonl"
+        write_tier_records(annotated, 500)
+        real_open = open
+
+        class DiskFull:
+            """Passes half of each write to the file, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def failing_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return DiskFull(fh) if "manifest_epoch_003" in str(path) else fh
+
+        monkeypatch.setattr(cli_module, "open", failing_open, raising=False)
+        outdir = tmp_path / "sched"
+        assert main(["schedule", "--annotated", str(annotated),
+                     "--output-dir", str(outdir)]) == 2
+        assert "No space left on device" in caplog.text
+        assert sorted(os.listdir(outdir)) == [
+            f"manifest_epoch_{e:03d}.jsonl" for e in range(3)]
+        for e in range(3):
+            text = (outdir / f"manifest_epoch_{e:03d}.jsonl").read_text()
+            assert text.endswith("}\n")
+            assert all(json.loads(line)["epoch"] == e for line in text.splitlines())
 
     @pytest.mark.parametrize("regime", ["staged10", "mixed"])
     @pytest.mark.parametrize("source", ["annotated", "tier-counts"])

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import io
+import random
 from fractions import Fraction
 
 import pytest
 
+import moltiers.scheduler as scheduler_module
 from moltiers.errors import EpochOutOfRange, Staged10RequiresTenEpochs
 from moltiers.scheduler import (
+    EpochManifest,
     ScheduleSpec,
     TierIndex,
     active_tiers,
@@ -16,7 +20,9 @@ from moltiers.scheduler import (
     sample_epoch,
     tier_weights_mixed,
     uniform_draw,
+    write_manifest,
 )
+from oracles import reference_manifest_text, reference_sample_epoch
 
 PAPER_COUNTS = (268, 107_370, 153_955, 703_283, 35_124)
 
@@ -126,6 +132,76 @@ class TestSampling:
         index = TierIndex({0: [7, 3, 11], 3: [2, 9]})
         manifest = sample_epoch(index, ScheduleSpec("additive", 10), 9)
         assert manifest.sampled_ids == [2, 3, 7, 9, 11]
+
+
+def _oracle_ids_by_tier() -> dict[int, list[int]]:
+    """400 ids spread over the tiers: zero, negatives, ids above 2**64."""
+    rng = random.Random(11)
+    ids = [0, -1, -7, -2**64 - 3, 2**64, 2**64 + 1, 2**80 + 3, 2**63, 2**63 - 1]
+    ids += rng.sample(range(-10**6, 10**6), 391)
+    by_tier: dict[int, list[int]] = {t: [] for t in range(5)}
+    for k, mol_id in enumerate(ids):
+        by_tier[k % 5 if k < 45 else rng.randrange(5)].append(mol_id)
+    return by_tier
+
+
+class TestSamplingOracle:
+    """sample_epoch and write_manifest against a per-id uniform_draw and a
+    per-line json.dumps."""
+
+    @pytest.mark.parametrize("epochs", [2, 10])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_ids_and_bytes_equal_reference(self, regime, epochs):
+        by_tier = _oracle_ids_by_tier()
+        index = TierIndex(by_tier)
+        if regime == "staged10" and epochs != 10:
+            spec = ScheduleSpec(regime, epochs)
+            with pytest.raises(Staged10RequiresTenEpochs):
+                sample_epoch(index, spec, 0)
+            with pytest.raises(Staged10RequiresTenEpochs):
+                reference_sample_epoch(by_tier, spec, 0)
+            return
+        for seed in (0, 7, -3, 2**64 + 5):
+            for hard_start in (0.0, 0.1, 0.37, 1.0):
+                spec = ScheduleSpec(regime, epochs, hard_start, seed)
+                for e in range(epochs):
+                    manifest = sample_epoch(index, spec, e)
+                    expected = reference_sample_epoch(by_tier, spec, e)
+                    assert manifest.sampled_ids == expected, (seed, hard_start, e)
+                    out = io.StringIO()
+                    write_manifest(out, manifest)
+                    assert out.getvalue() == \
+                        reference_manifest_text(e, regime, expected)
+
+    def test_mixed_draws_are_not_trivial(self):
+        # the oracle comparison above must see partial selections
+        by_tier = _oracle_ids_by_tier()
+        spec = ScheduleSpec("mixed", 10, 0.37, 2**64 + 5)
+        ids = set(reference_sample_epoch(by_tier, spec, 3))
+        complex_ids = [m for t in (2, 3, 4) for m in by_tier[t]]
+        assert 0 < sum(m in ids for m in complex_ids) < len(complex_ids)
+        assert any(m in ids for m in complex_ids if m < 0 or m >= 2**64)
+
+    def test_mixed_draws_follow_replaced_ids(self):
+        # the index keeps each id's seed hash between epochs; a tier whose
+        # ids are replaced must be hashed again
+        by_tier = _oracle_ids_by_tier()
+        index = TierIndex(by_tier)
+        spec = ScheduleSpec("mixed", 10, 0.1, 7)
+        sample_epoch(index, spec, 1)
+        by_tier[3] = [m + 1 for m in by_tier[3]]
+        index.ids_by_tier[3] = tuple(sorted(by_tier[3]))
+        assert sample_epoch(index, spec, 2).sampled_ids == \
+            reference_sample_epoch(by_tier, spec, 2)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+    def test_manifest_blocks_join_to_the_same_bytes(self, block, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "MANIFEST_BLOCK", block)
+        for ids in ([], [5], [3, -1, 2**70, 0, 9]):
+            manifest = EpochManifest(4, "anti", None, None, ids)
+            out = io.StringIO()
+            write_manifest(out, manifest)
+            assert out.getvalue() == reference_manifest_text(4, "anti", ids)
 
 
 class TestUniformDraw:
