@@ -1,133 +1,87 @@
 """moltiers: molecular complexity descriptors, curriculum tiers, schedule
 manifests, and contrastive-loss kernels."""
 
-from .descriptors import (
-    DescriptorCore,
-    DescriptorRecord,
-    aromatic_substitution_complexity,
-    bertz_ct,
-    conjugation_extent,
-    descriptor_core,
-    descriptor_record,
-    fg_rarity,
-    finish_record,
-    scaffold_decoration,
-)
-from .fgroups import (
-    FGLibrary,
-    FunctionalGroupPattern,
-    PrevalenceTable,
-    corpus_prevalence,
-    default_library,
-    match_groups,
-    present_groups,
-    top_k_groups,
-)
-from .featurizer import ComplexityAnnotator
-from .graph import (
-    MolecularGraph,
-    RingInfo,
-    ScaffoldResult,
-    StructuralCounts,
-    conjugated_components,
-    murcko_scaffold,
-    perceive_aromaticity,
-    ring_info,
-    structural_counts,
-)
-from .scheduler import (
-    EpochManifest,
-    ScheduleSpec,
-    TierIndex,
-    active_tiers,
-    baseline_budget,
-    budget,
-    sample_epoch,
-    tier_weights_mixed,
-)
-from .smiles import Atom, Bond, parse_smiles, write_smiles
-from .synth import generate_corpus, random_smiles
-from .tiering import TierConfig, TierLabel, assign_tier, tier_histogram
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The loss kernels need numpy; they load on first access, so importing the
-# package (and the CLI) does not import numpy.
-_LOSS_NAMES = frozenset({
-    "LinearMap",
-    "LossParams",
-    "hybrid_loss",
-    "l2_normalize_rows",
-    "load_embeddings",
-    "nt_xent",
-    "pairwise_distance_correlation",
-    "save_embeddings",
-    "siglip_loss",
-})
+# Every public name loads its module on first access, so importing the
+# package, or the CLI, loads only what is used: `schedule` and `stats` load
+# no SMILES or descriptor code, and nothing but the loss kernels needs
+# numpy.
+_EXPORTS = {
+    "descriptors": (
+        "DescriptorCore",
+        "DescriptorRecord",
+        "aromatic_substitution_complexity",
+        "bertz_ct",
+        "conjugation_extent",
+        "descriptor_core",
+        "descriptor_record",
+        "fg_rarity",
+        "finish_record",
+        "scaffold_decoration",
+    ),
+    "fgroups": (
+        "FGLibrary",
+        "FunctionalGroupPattern",
+        "PrevalenceTable",
+        "corpus_prevalence",
+        "default_library",
+        "match_groups",
+        "present_groups",
+        "top_k_groups",
+    ),
+    "featurizer": ("ComplexityAnnotator",),
+    "graph": (
+        "MolecularGraph",
+        "RingInfo",
+        "ScaffoldResult",
+        "StructuralCounts",
+        "conjugated_components",
+        "murcko_scaffold",
+        "perceive_aromaticity",
+        "ring_info",
+        "structural_counts",
+    ),
+    "losses": (
+        "LinearMap",
+        "LossParams",
+        "hybrid_loss",
+        "l2_normalize_rows",
+        "load_embeddings",
+        "nt_xent",
+        "pairwise_distance_correlation",
+        "save_embeddings",
+        "siglip_loss",
+    ),
+    "scheduler": (
+        "EpochManifest",
+        "ScheduleSpec",
+        "TierIndex",
+        "active_tiers",
+        "baseline_budget",
+        "budget",
+        "sample_epoch",
+        "tier_weights_mixed",
+    ),
+    "smiles": ("Atom", "Bond", "parse_smiles", "write_smiles"),
+    "synth": ("generate_corpus", "random_smiles"),
+    "tiering": ("TierConfig", "TierLabel", "assign_tier", "tier_histogram"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _LOSS_NAMES:
-        from . import losses
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
 
-        return getattr(losses, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})
 
-__all__ = [
-    "Atom",
-    "Bond",
-    "ComplexityAnnotator",
-    "DescriptorCore",
-    "DescriptorRecord",
-    "EpochManifest",
-    "FGLibrary",
-    "FunctionalGroupPattern",
-    "LinearMap",
-    "LossParams",
-    "MolecularGraph",
-    "PrevalenceTable",
-    "RingInfo",
-    "ScaffoldResult",
-    "ScheduleSpec",
-    "StructuralCounts",
-    "TierConfig",
-    "TierIndex",
-    "TierLabel",
-    "active_tiers",
-    "aromatic_substitution_complexity",
-    "assign_tier",
-    "baseline_budget",
-    "bertz_ct",
-    "budget",
-    "conjugated_components",
-    "conjugation_extent",
-    "corpus_prevalence",
-    "default_library",
-    "descriptor_core",
-    "descriptor_record",
-    "fg_rarity",
-    "finish_record",
-    "generate_corpus",
-    "hybrid_loss",
-    "l2_normalize_rows",
-    "load_embeddings",
-    "match_groups",
-    "murcko_scaffold",
-    "nt_xent",
-    "pairwise_distance_correlation",
-    "parse_smiles",
-    "perceive_aromaticity",
-    "present_groups",
-    "random_smiles",
-    "ring_info",
-    "sample_epoch",
-    "save_embeddings",
-    "scaffold_decoration",
-    "siglip_loss",
-    "structural_counts",
-    "tier_histogram",
-    "tier_weights_mixed",
-    "top_k_groups",
-    "write_smiles",
-]

@@ -8,7 +8,9 @@ chosen subcommand's value-taking options, and argv is parsed again over
 them, so options resolve as flag > config file > built-in default and a
 file value is converted, or rejected as a usage error, by the option's type
 and its choices.  ``annotate`` is one ``pipeline.run_annotate`` call, with
-or without a ``--prevalence`` table.
+or without a ``--prevalence`` table.  The commands that read SMILES import
+the SMILES, descriptor and pool modules when they run, so ``schedule`` and
+``stats`` load only the record reader and the scheduler.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -24,19 +26,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING
 
-from .errors import EmptyCorpus, MalformedLine, MissingTierField, MoltiersError
-from .featurizer import ComplexityAnnotator
-from .fgroups import FGLibrary, top_k_groups
-from .pipeline import (
-    fit_prevalence_streaming,
-    iter_input,
-    load_prevalence,
-    read_annotated,
-    run_annotate,
-    write_prevalence,
-)
+from .errors import EmptyCorpus, MissingTierField, MoltiersError
+from .records import STAT_FIELDS, read_stat_columns, read_tier_ids
 from .scheduler import (
     REGIMES,
     ScheduleSpec,
@@ -48,7 +41,10 @@ from .scheduler import (
     tier_weights_mixed,
     write_manifest,
 )
-from .tiering import TIERS, TierConfig, tier_histogram
+from .tiering import TIERS, TierConfig
+
+if TYPE_CHECKING:
+    from .featurizer import ComplexityAnnotator
 
 log = logging.getLogger("moltiers")
 
@@ -68,6 +64,9 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _annotator_from_args(args: argparse.Namespace) -> ComplexityAnnotator:
+    from .featurizer import ComplexityAnnotator
+    from .fgroups import FGLibrary
+
     # built first, so invalid thresholds fail before any file is read
     config = TierConfig.from_attributes(args)
     library = FGLibrary.from_json(args.library) if args.library else None
@@ -75,10 +74,15 @@ def _annotator_from_args(args: argparse.Namespace) -> ComplexityAnnotator:
 
 
 def _input_records(args: argparse.Namespace):
+    from .pipeline import iter_input
+
     return iter_input(args.input, args.format, args.smiles_column, args.delimiter)
 
 
 def cmd_prevalence(args: argparse.Namespace) -> int:
+    from .fgroups import top_k_groups
+    from .pipeline import fit_prevalence_streaming, write_prevalence
+
     annotator = _annotator_from_args(args)
     stats = fit_prevalence_streaming(_input_records(args), annotator)
     outdir = Path(args.output_dir)
@@ -115,6 +119,8 @@ def _replace_on_success(path: Path):
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    from .pipeline import load_prevalence, run_annotate
+
     annotator = _annotator_from_args(args)
     if args.prevalence:
         annotator.set_prevalence(load_prevalence(args.prevalence))
@@ -145,29 +151,6 @@ def _parse_tier_counts(text: str) -> tuple[int, ...]:
     return tuple(int(p.replace("_", "")) for p in parts)
 
 
-def _tier_pairs(path: str) -> Iterator[tuple[int, int]]:
-    """(id, tier index) per record of an annotated file; raises MalformedLine,
-    naming the line, for a record without an integer id and a tier T0-T4,
-    or with an earlier record's id."""
-    seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                mol_id, tier = row["id"], TIERS.index(row["tier"])
-            except (ValueError, LookupError, TypeError):
-                mol_id = None
-            if type(mol_id) is not int:
-                raise MalformedLine(f"{path}:{n}: not a JSON record with an "
-                                    "integer id and a tier T0-T4")
-            if mol_id in seen:
-                raise MalformedLine(f"{path}:{n}: id {mol_id} appears twice")
-            seen.add(mol_id)
-            yield mol_id, tier
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
     spec = ScheduleSpec(args.regime, args.epochs, args.hard_start, args.seed)
     if args.tier_counts:
@@ -176,7 +159,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     else:
         if not args.annotated:
             raise MissingTierField("schedule needs --annotated or --tier-counts")
-        index = TierIndex.from_pairs(_tier_pairs(args.annotated))
+        index = TierIndex(read_tier_ids(args.annotated))
         counts = index.counts()
 
     views = epoch_views(counts, spec)
@@ -243,26 +226,27 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     import numpy as np
 
-    rows = list(read_annotated(args.annotated, ("mw", "bertz_ct", "n_ring", "tier")))
-    if not rows:
+    columns = read_stat_columns(args.annotated)
+    if not columns.tiers:
         raise EmptyCorpus(f"no records in {args.annotated}")
-    report: dict = {"n": len(rows)}
-    for key in ("mw", "bertz_ct", "n_ring"):
-        arr = np.asarray([r[key] for r in rows], dtype=float)
+    report: dict = {"n": len(columns.tiers)}
+    for key in STAT_FIELDS:
+        arr = np.frombuffer(getattr(columns, key), dtype=float)
         report[key] = {
             "mean": float(arr.mean()),
             "median": float(np.median(arr)),
             "p99": float(np.percentile(arr, 99)),
         }
-    hist = tier_histogram(r["tier"] for r in rows)
+    tiers = np.frombuffer(columns.tiers, dtype=np.uint8)
+    bertz_ct = np.frombuffer(columns.bertz_ct, dtype=float)
+    hist = {tier: int(np.count_nonzero(tiers == t)) for t, tier in enumerate(TIERS)}
     report["tier_histogram"] = hist
     per_tier = {}
-    for tier in TIERS:
-        values = [r["bertz_ct"] for r in rows if r["tier"] == tier]
-        if values:
-            q25, q50, q75 = map(float, np.percentile(np.asarray(values, dtype=float),
+    for t, tier in enumerate(TIERS):
+        if hist[tier]:
+            q25, q50, q75 = map(float, np.percentile(bertz_ct[tiers == t],
                                                      (25, 50, 75)))
-            per_tier[tier] = {"n": len(values), "q25": q25, "median": q50, "q75": q75}
+            per_tier[tier] = {"n": hist[tier], "q25": q25, "median": q50, "q75": q75}
     report["bertz_ct_per_tier"] = per_tier
 
     print(f"records: {report['n']}")

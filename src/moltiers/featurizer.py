@@ -38,17 +38,13 @@ from .fgroups import (
     top_k_groups,
 )
 from .graph import has_heavy_atom, perceive_aromaticity
+from .records import RECORD_FIELDS  # noqa: F401  (re-exported)
 from .smiles import parse_smiles
 from .tiering import TierConfig, TierLabel, assign_tier
 
 # Input that yields no record: unparseable SMILES, or no heavy atom.  Such
 # lines are skipped and counted, never fatal.
 UNANNOTATABLE = (SmilesError, EmptyMolecule)
-
-RECORD_FIELDS = (
-    "id", "smiles", "d_scaf", "rarity", "conjugation", "arom_sub", "bertz_ct",
-    "n_ha", "n_het", "n_ring", "n_sc", "n_fg", "mw", "fg_names", "tier",
-)
 
 # Most described molecules one annotator remembers (see the module docstring)
 DESCRIBE_CACHE_SIZE = 8192

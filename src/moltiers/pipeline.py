@@ -24,7 +24,6 @@ the run with WorkerDied.
 from __future__ import annotations
 
 import csv
-import json
 import multiprocessing as mp
 import pickle
 import tempfile
@@ -40,6 +39,7 @@ from .descriptors import DescriptorCore
 from .errors import EmptyCorpus, MalformedLine, MissingTierField, WorkerDied
 from .featurizer import UNANNOTATABLE, ComplexityAnnotator, record_to_dict
 from .fgroups import PrevalenceTable, prevalence_from_counts
+from .records import dumps_record, scan_records
 
 ChunkFn = Callable[[object, ComplexityAnnotator], object]
 
@@ -89,10 +89,6 @@ def chunked(items: Iterable, size: int) -> Iterator[list]:
             chunk = []
     if chunk:
         yield chunk
-
-
-def dumps_record(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":"))
 
 
 _WORKER: ComplexityAnnotator | None = None
@@ -330,25 +326,13 @@ def load_prevalence(path: str | Path) -> PrevalenceTable:
     return PrevalenceTable(prevalence, corpus_size)
 
 
-def read_annotated(path: str | Path, fields: Iterable[str] = ()) -> Iterator[dict]:
+def read_annotated(path: str | Path) -> Iterator[dict]:
     """The records of an annotated JSONL file, skipping blank lines.
 
     Raises MalformedLine, naming ``path:line``, for a line that is not a
-    JSON object or that lacks one of ``fields``.
+    JSON object.
     """
-    fields = tuple(fields)
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                row = None
-            if type(row) is not dict:
-                raise MalformedLine(f"{path}:{n}: not a JSON record")
-            missing = [f for f in fields if f not in row]
-            if missing:
-                raise MalformedLine(f"{path}:{n}: record lacks "
-                                    + ", ".join(missing))
-            yield row
+    for n, _, row in scan_records(path, layout=None):
+        if type(row) is not dict:
+            raise MalformedLine(f"{path}:{n}: not a JSON record")
+        yield row

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .descriptors import DescriptorRecord
+if TYPE_CHECKING:  # only annotations name it, so tiering loads no descriptor code
+    from .descriptors import DescriptorRecord
 
 TIERS = ("T0", "T1", "T2", "T3", "T4")
 

@@ -8,7 +8,9 @@ earlier whole-graph ring perception as a differential reference, and
 ``reference_perceive_aromaticity`` the aromaticity perception that searched
 rings in every molecule.  ``reference_sample_epoch`` draws every mixed-regime
 id with the public ``uniform_draw``, and ``reference_manifest_text`` writes
-each manifest line with its own ``json.dumps``.
+each manifest line with its own ``json.dumps``.  ``reference_records``
+and ``reference_stats_report`` read annotated records with ``json.loads``
+on every line, as the readers did before the layout match.
 """
 
 from __future__ import annotations
@@ -506,3 +508,45 @@ def reference_manifest_text(epoch: int, regime: str, ids) -> str:
                    separators=(",", ":")) + "\n"
         for m in ids
     )
+
+
+# ---------------------------------------------------------------------------
+# annotated records: json.loads on every line
+
+
+def reference_records(path) -> list[tuple[int, dict]]:
+    """(line number, record) per non-blank line; every line must be an object."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if line.strip():
+                row = json.loads(line)
+                assert type(row) is dict, (n, line)
+                rows.append((n, row))
+    return rows
+
+
+def reference_stats_report(path) -> dict:
+    """The ``stats --json`` report, computed from whole records in memory."""
+    import numpy as np
+
+    rows = [row for _, row in reference_records(path)]
+    report: dict = {"n": len(rows)}
+    for key in ("mw", "bertz_ct", "n_ring"):
+        arr = np.asarray([r[key] for r in rows], dtype=float)
+        report[key] = {
+            "mean": float(arr.mean()),
+            "median": float(np.median(arr)),
+            "p99": float(np.percentile(arr, 99)),
+        }
+    tiers = ("T0", "T1", "T2", "T3", "T4")
+    report["tier_histogram"] = {t: sum(r["tier"] == t for r in rows) for t in tiers}
+    per_tier = {}
+    for tier in tiers:
+        values = [r["bertz_ct"] for r in rows if r["tier"] == tier]
+        if values:
+            q25, q50, q75 = map(float, np.percentile(np.asarray(values, dtype=float),
+                                                     (25, 50, 75)))
+            per_tier[tier] = {"n": len(values), "q25": q25, "median": q50, "q75": q75}
+    report["bertz_ct_per_tier"] = per_tier
+    return report

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import moltiers.cli as cli_module
+import moltiers.fgroups as fgroups_module
+import moltiers.pipeline as pipeline_module
 from moltiers.cli import main
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.pipeline import (
@@ -183,14 +185,17 @@ class TestCli:
         assert self.run("prevalence", "--input", str(smi_file),
                         "--output-dir", str(outdir)) == 0
         before = {p.name: p.read_bytes() for p in outdir.iterdir()}
-        real = getattr(cli_module, stage)
+        # the command imports both when it runs, from these modules
+        module = {"write_prevalence": pipeline_module,
+                  "top_k_groups": fgroups_module}[stage]
+        real = getattr(module, stage)
 
         def fail_after(*args):
             real(*args)
             raise OSError("no space left on device")
 
         # the table is written in full before either failure
-        monkeypatch.setattr(cli_module, stage, fail_after)
+        monkeypatch.setattr(module, stage, fail_after)
         other = tmp_path / "other.smi"
         other.write_text("CCN\nCC#N\nCCS\n")
         assert self.run("prevalence", "--input", str(other),
@@ -248,8 +253,17 @@ class TestCli:
         ('{"id":2,"tier":"T1","mw":16.0,"n_ring":0}', "record lacks bertz_ct"),
         ('{"id":2,"tier":"T1","mw":16.0,"bertz_ct":1.5}', "record lacks n_ring"),
         ('{"id":2,"mw":16.0,"bertz_ct":1.5,"n_ring":0}', "record lacks tier"),
+        ('{"id":2,"tier":"T9","mw":16.0,"bertz_ct":1.5,"n_ring":0}',
+         "tier is not one of T0-T4"),
+        ('{"id":2,"tier":"T1","mw":"x","bertz_ct":1.5,"n_ring":0}', "mw is not a number"),
+        ('{"id":2,"tier":"T1","mw":null,"bertz_ct":1.5,"n_ring":0}', "mw is not a number"),
+        ('{"id":2,"tier":"T1","mw":16.0,"bertz_ct":true,"n_ring":0}',
+         "bertz_ct is not a number"),
+        ('{"id":2,"tier":"T1","mw":16.0,"bertz_ct":1.5,"n_ring":[0]}',
+         "n_ring is not a number"),
     ], ids=["not-json", "not-an-object", "no-mw", "no-bertz_ct", "no-n_ring",
-            "no-tier"])
+            "no-tier", "tier-T9", "mw-string", "mw-null", "bertz_ct-true",
+            "n_ring-list"])
     def test_stats_bad_record_is_data_error(self, smi_file, tmp_path, caplog,
                                             capsys, record, message):
         annotated = tmp_path / "ann.jsonl"

@@ -435,6 +435,30 @@ def test_cli_import_leaves_numpy_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
 
 
+def test_cli_import_loads_no_smiles_or_descriptor_module():
+    # schedule and stats run on what `import moltiers.cli` loads
+    code = ("import sys, moltiers.cli; "
+            "loaded = sorted(m for m in ('moltiers.smiles', 'moltiers.graph', "
+            "'moltiers.descriptors', 'moltiers.featurizer', 'moltiers.pipeline') "
+            "if m in sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+
+
+def test_every_public_name_resolves():
+    import moltiers
+
+    code = ("import moltiers; from moltiers import *; "
+            "missing = [n for n in moltiers.__all__ if n not in globals()]; "
+            "assert not missing, missing")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+    for name in moltiers.__all__:
+        assert getattr(moltiers, name) is not None, name
+    assert set(moltiers.__all__) <= set(dir(moltiers))
+    with pytest.raises(AttributeError):
+        getattr(moltiers, "no_such_name")
+
+
 @pytest.fixture()
 def parse_calls(monkeypatch):
     """The texts passed to parse_smiles in this process, in call order."""
