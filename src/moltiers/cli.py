@@ -272,12 +272,17 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     from .check import run_gradient_suite, run_property_suite
     from .losses import load_embeddings, pairwise_distance_correlation
 
+    if (args.matrix_a is None) != (args.matrix_b is None):
+        missing = "--matrix-b" if args.matrix_b is None else "--matrix-a"
+        log.error("loss-check: %s is missing; give both matrices or neither",
+                  missing)
+        return 1
     results = run_gradient_suite(args.seeds) + run_property_suite()
     failed = 0
     for result in results:
         print(result.line())
         failed += not result.passed
-    if args.matrix_a and args.matrix_b:
+    if args.matrix_a is not None:
         a = load_embeddings(args.matrix_a)
         b = load_embeddings(args.matrix_b)
         rho, r = pairwise_distance_correlation(a, b, args.n_pairs, args.seed)
@@ -292,6 +297,13 @@ def _one_char(text: str) -> str:
     if len(text) > 1:  # csv's limit; an empty delimiter means the default
         raise argparse.ArgumentTypeError(f"{text!r} is not one character")
     return text
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
@@ -355,7 +367,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("loss-check", help="gradient and invariant self-checks")
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--seeds", type=_positive_int, default=100)
     p.add_argument("--matrix-a")
     p.add_argument("--matrix-b")
     p.add_argument("--n-pairs", type=int, default=1000)

@@ -4,7 +4,10 @@ embedding-distance correlation analysis.
 All kernels operate on dense float64 row-major matrices and never normalize
 inputs themselves; callers own normalization.  Pass ``check_normalized=True``
 to assert unit rows (debug mode; finite-difference probes perturb rows off
-the sphere, so checks stay off by default).
+the sphere, so checks stay off by default).  Inputs are never written: a
+float64 input is used as given, and every in-place step works on a matrix
+the kernel allocated.  ``nt_xent`` and ``siglip_loss`` take one exponential
+per pair and build no label or mask matrix.
 """
 
 from __future__ import annotations
@@ -18,15 +21,12 @@ from .errors import DegenerateVariance, NotNormalized, ShapeMismatch
 
 @dataclass(frozen=True)
 class LossParams:
-    temperature: float = 0.07
     bias: float = 0.0
     scale: float = 1.0
     alpha: float = 10.0
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("loss weights must be >= 0")
 
@@ -40,10 +40,6 @@ class LinearMap:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.T + self.bias
-
-    @classmethod
-    def zeros(cls, d_out: int, d_in: int) -> "LinearMap":
-        return cls(np.zeros((d_out, d_in)), np.zeros(d_out))
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -66,20 +62,6 @@ def _require_normalized(m: np.ndarray, name: str) -> None:
         raise NotNormalized(f"{name} rows are not unit-norm")
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + exp(x)) without overflow
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass(frozen=True)
 class NtXentResult:
     loss: float
@@ -100,6 +82,8 @@ def nt_xent(
     *other* rows only, so the loss can go negative; set
     ``include_positive_in_denominator=True`` for the conventional variant.
     """
+    if not temperature > 0:  # NaN fails this test too
+        raise ValueError(f"temperature must be positive, got {temperature!r}")
     v1 = _as_matrix(v1, "v1")
     v2 = _as_matrix(v2, "v2")
     if v1.shape != v2.shape:
@@ -110,25 +94,23 @@ def nt_xent(
     if check_normalized:
         _require_normalized(v1, "v1")
         _require_normalized(v2, "v2")
-    sim = v1 @ v2.T / temperature
-    if include_positive_in_denominator:
-        masked = sim
-    else:
-        masked = sim.copy()
-        np.fill_diagonal(masked, -np.inf)
-    row_max = masked.max(axis=1, keepdims=True)
-    exp = np.exp(masked - row_max)
-    denom = exp.sum(axis=1)
-    log_denom = row_max[:, 0] + np.log(denom)
-    loss = float(np.sum(log_denom - np.diagonal(sim)))
-
-    # softmax over the masked similarities; diagonal stays zero when excluded
-    p = exp / denom[:, None]
-    g = p.copy()
+    sim = v1 @ v2.T
+    sim /= temperature
     idx = np.arange(n)
-    g[idx, idx] -= 1.0
-    g /= temperature
-    return NtXentResult(loss, g @ v2, g.T @ v1)
+    positive = sim[idx, idx]
+    if not include_positive_in_denominator:
+        sim[idx, idx] = -np.inf
+    # sim becomes the masked softmax, then the gradient w.r.t. the scaled
+    # similarities; an excluded diagonal is exp(-inf) = 0 before the -1
+    row_max = sim.max(axis=1, keepdims=True)
+    sim -= row_max
+    np.exp(sim, out=sim)
+    denom = sim.sum(axis=1)
+    loss = float(np.sum(row_max[:, 0] + np.log(denom) - positive))
+    sim /= denom[:, None]
+    sim[idx, idx] -= 1.0
+    sim /= temperature
+    return NtXentResult(loss, sim @ v2, sim.T @ v1)
 
 
 @dataclass(frozen=True)
@@ -163,20 +145,32 @@ def siglip_loss(
         _require_normalized(t, "t")
     n = v.shape[0]
     sim = v @ t.T
-    labels = np.full((n, n), -1.0)
-    np.fill_diagonal(labels, 1.0)
+    # m = -z: the label is +1 on the diagonal and -1 elsewhere
+    m = scale * sim
     if signed_bias:
-        z = labels * (scale * sim) + labels * bias
-    else:
-        z = labels * (scale * sim) + bias
+        m += bias
+    idx = np.arange(n)
+    m[idx, idx] = -m[idx, idx]
+    if not signed_bias:
+        m -= bias
     inv_n2 = 1.0 / (n * n)
-    loss = float(np.sum(_softplus(-z)) * inv_n2)
+    e = np.exp(-np.abs(m))
+    loss = float(np.sum(np.log1p(e) + np.maximum(m, 0.0)) * inv_n2)  # softplus(m)
 
-    dz = -_sigmoid(-z) * inv_n2          # d loss / d z
-    w = dz * labels * scale              # d loss / d sim
-    grad_scale = float(np.sum(dz * labels * sim))
-    grad_bias = float(np.sum(dz * labels)) if signed_bias else float(np.sum(dz))
-    return SiglipResult(loss, w @ t, w.T @ v, grad_scale, grad_bias)
+    # q = sigmoid(m) / N^2 = -dloss/dz; with its diagonal negated it is
+    # labels * dloss/dz, i.e. dloss/d(scale * sim)
+    q = np.where(m >= 0.0, 1.0, e)
+    e += 1.0
+    q /= e
+    q *= inv_n2
+    if not signed_bias:
+        grad_bias = -float(np.sum(q))
+    q[idx, idx] = -q[idx, idx]
+    if signed_bias:
+        grad_bias = float(np.sum(q))
+    grad_scale = float(np.sum(q * sim))
+    q *= scale
+    return SiglipResult(loss, q @ t, q.T @ v, grad_scale, grad_bias)
 
 
 @dataclass(frozen=True)

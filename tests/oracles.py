@@ -11,6 +11,9 @@ id with the public ``uniform_draw``, and ``reference_manifest_text`` writes
 each manifest line with its own ``json.dumps``.  ``reference_records``
 and ``reference_stats_report`` read annotated records with ``json.loads``
 on every line, as the readers did before the layout match.
+``reference_nt_xent`` and ``reference_siglip_loss`` are the loss kernels
+as they were before each pair cost one exponential: a label matrix, a
+masked sigmoid and a softmax built in fresh copies.
 """
 
 from __future__ import annotations
@@ -550,3 +553,76 @@ def reference_stats_report(path) -> dict:
             per_tier[tier] = {"n": len(values), "q25": q25, "median": q50, "q75": q75}
     report["bertz_ct_per_tier"] = per_tier
     return report
+
+
+# ---------------------------------------------------------------------------
+# loss kernels with a label matrix, a masked sigmoid and softmax copies
+
+
+def reference_softplus(x):
+    import numpy as np
+
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+
+def reference_sigmoid(x):
+    import numpy as np
+
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_nt_xent(v1, v2, temperature: float = 0.07,
+                      include_positive_in_denominator: bool = False):
+    """(loss, grad_v1, grad_v2) of the temperature-scaled contrastive loss."""
+    import numpy as np
+
+    v1 = np.asarray(v1, dtype=np.float64)
+    v2 = np.asarray(v2, dtype=np.float64)
+    n = v1.shape[0]
+    sim = v1 @ v2.T / temperature
+    if include_positive_in_denominator:
+        masked = sim
+    else:
+        masked = sim.copy()
+        np.fill_diagonal(masked, -np.inf)
+    row_max = masked.max(axis=1, keepdims=True)
+    exp = np.exp(masked - row_max)
+    denom = exp.sum(axis=1)
+    log_denom = row_max[:, 0] + np.log(denom)
+    loss = float(np.sum(log_denom - np.diagonal(sim)))
+    p = exp / denom[:, None]
+    g = p.copy()
+    idx = np.arange(n)
+    g[idx, idx] -= 1.0
+    g /= temperature
+    return loss, g @ v2, g.T @ v1
+
+
+def reference_siglip_loss(v, t, scale: float = 1.0, bias: float = 0.0,
+                          signed_bias: bool = True):
+    """(loss, grad_v, grad_t, grad_scale, grad_bias) of the pairwise sigmoid
+    loss, from the full label matrix."""
+    import numpy as np
+
+    v = np.asarray(v, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    n = v.shape[0]
+    sim = v @ t.T
+    labels = np.full((n, n), -1.0)
+    np.fill_diagonal(labels, 1.0)
+    if signed_bias:
+        z = labels * (scale * sim) + labels * bias
+    else:
+        z = labels * (scale * sim) + bias
+    inv_n2 = 1.0 / (n * n)
+    loss = float(np.sum(reference_softplus(-z)) * inv_n2)
+    dz = -reference_sigmoid(-z) * inv_n2
+    w = dz * labels * scale
+    grad_scale = float(np.sum(dz * labels * sim))
+    grad_bias = float(np.sum(dz * labels)) if signed_bias else float(np.sum(dz))
+    return loss, w @ t, w.T @ v, grad_scale, grad_bias

@@ -297,6 +297,23 @@ class TestCli:
                         "--n-pairs", "50") == 0
         assert "spearman=1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_loss_check_seeds_below_one_is_usage_error(self, capsys, seeds):
+        assert self.run("loss-check", "--seeds", seeds) == 1
+        captured = capsys.readouterr()
+        assert f"argument --seeds: '{seeds}' is not a positive integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("given, missing", [("--matrix-a", "--matrix-b"),
+                                                ("--matrix-b", "--matrix-a")])
+    def test_loss_check_one_matrix_is_usage_error(self, tmp_path, capsys, caplog,
+                                                  given, missing):
+        # the named file does not exist; the usage error comes first
+        assert self.run("loss-check", "--seeds", "2",
+                        given, str(tmp_path / "absent.npy")) == 1
+        assert f"{missing} is missing" in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_config_file_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_text("regime = additive\nepochs = 5\n# comment\n")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import moltiers.losses
 from moltiers.errors import DegenerateVariance, NotNormalized, ShapeMismatch
 from moltiers.losses import (
     LinearMap,
@@ -21,7 +24,14 @@ from moltiers.losses import (
     spearman,
 )
 
-from oracles import brute_pearson, brute_spearman, finite_difference, max_rel_error
+from oracles import (
+    brute_pearson,
+    brute_spearman,
+    finite_difference,
+    max_rel_error,
+    reference_nt_xent,
+    reference_siglip_loss,
+)
 
 
 def rand_unit(rng, n, d):
@@ -72,6 +82,9 @@ class TestNtXent:
             nt_xent(v[:1], v[:1])  # N=1 has an empty denominator
         with pytest.raises(NotNormalized):
             nt_xent(2.0 * v, v, check_normalized=True)
+        for temperature in (0.0, -0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                nt_xent(np.eye(3), np.eye(3), temperature)
 
 
 class TestSiglip:
@@ -203,6 +216,129 @@ class TestHybrid:
             hybrid_loss(v, g, proj, head, y[:2])
         with pytest.raises(ShapeMismatch):
             hybrid_loss(v, g, LinearMap(np.zeros((3, 3)), np.zeros(3)), head, y)
+
+
+def read_only(*arrays):
+    """float64 copies that raise on any write, so a kernel that writes its
+    inputs fails, and ``_as_matrix`` hands the kernel these very arrays."""
+    out = []
+    for a in arrays:
+        a = np.array(a, dtype=np.float64)
+        a.flags.writeable = False
+        out.append(a)
+    return out
+
+
+def assert_nt_xent_matches(v1, v2, temperature, include):
+    res = nt_xent(v1, v2, temperature, include)
+    loss, grad_v1, grad_v2 = reference_nt_xent(v1, v2, temperature, include)
+    assert res.loss == loss
+    assert np.array_equal(res.grad_v1, grad_v1)
+    assert np.array_equal(res.grad_v2, grad_v2)
+
+
+def assert_siglip_matches(v, t, scale, bias, signed_bias):
+    res = siglip_loss(v, t, scale, bias, signed_bias)
+    loss, grad_v, grad_t, grad_scale, grad_bias = reference_siglip_loss(
+        v, t, scale, bias, signed_bias)
+    assert res.loss == loss
+    assert np.array_equal(res.grad_v, grad_v)
+    assert np.array_equal(res.grad_t, grad_t)
+    assert res.grad_scale == grad_scale
+    assert res.grad_bias == grad_bias
+
+
+def reference_hybrid(v, g, proj, head, y, params):
+    """hybrid_loss with its inner sigmoid loss taken from the reference."""
+    def siglip(v, t, scale, bias):
+        return moltiers.losses.SiglipResult(*reference_siglip_loss(v, t, scale, bias))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moltiers.losses, "siglip_loss", siglip)
+        return hybrid_loss(v, g, proj, head, y, params)
+
+
+def assert_hybrid_matches(v, g, proj, head, y, params):
+    res = hybrid_loss(v, g, proj, head, y, params)
+    ref = reference_hybrid(v, g, proj, head, y, params)
+    for name in ("loss", "siglip_term", "align_term", "target_term"):
+        assert getattr(res, name) == getattr(ref, name), name
+    for name in ("grad_v", "grad_proj_weight", "grad_proj_bias",
+                 "grad_head_weight", "grad_head_bias"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+
+
+class TestKernelsMatchReference:
+    """The kernels return the exact bits of the label-matrix and
+    softmax-copy versions kept in ``oracles``, and never write an input."""
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(2023)
+        for k in range(300):
+            n, d = int(rng.integers(2, 41)), int(rng.integers(1, 17))
+            v, t = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            if k % 2:
+                v, t = l2_normalize_rows(v), l2_normalize_rows(t)
+            v, t = read_only(v, t)
+            # every third batch scales similarities by 800-2,000
+            scale = (float(rng.uniform(800.0, 2000.0)) if k % 3 == 0
+                     else float(rng.uniform(0.0, 10.0)))
+            bias = (float(rng.uniform(-900.0, 900.0)) if k % 4 == 0
+                    else float(rng.normal()))
+            for signed_bias in (True, False):
+                assert_siglip_matches(v, t, scale, bias, signed_bias)
+            temperature = float(10.0 ** rng.uniform(-4.0, 0.5))
+            for include in (False, True):
+                assert_nt_xent_matches(v, t, temperature, include)
+
+    def test_extreme_logits(self):
+        v, t = read_only(np.eye(3), np.eye(3)[::-1])
+        for scale, bias in ((1000.0, 0.0), (2000.0, -900.0), (800.0, 900.0)):
+            for signed_bias in (True, False):
+                assert_siglip_matches(v, t, scale, bias, signed_bias)
+        for temperature in (1e-4, 1e-3):
+            for include in (False, True):
+                assert_nt_xent_matches(v, t, temperature, include)
+
+    def test_hybrid_at_step_shape(self):
+        rng = np.random.default_rng(11)
+        n, d = 256, 128
+        v = rand_unit(rng, n, d)
+        g, y = rng.normal(size=(n, d)), rng.normal(size=n)
+        w, hw = rng.standard_normal((d, d)) / np.sqrt(d), rng.standard_normal((1, d))
+        v, g, y, w, hw, pb, hb = read_only(v, g, y, w, hw, np.zeros(d), np.zeros(1))
+        assert_hybrid_matches(v, g, LinearMap(w, pb), LinearMap(hw, hb), y,
+                              LossParams(bias=-0.4, scale=2.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        unit=st.booleans(),
+        scale=st.floats(0.0, 2000.0),
+        bias=st.floats(-900.0, 900.0),
+        signed_bias=st.booleans(),
+        temperature=st.floats(1e-4, 10.0),
+        include=st.booleans(),
+        alpha=st.floats(0.0, 20.0),
+        beta=st.floats(0.0, 5.0),
+    )
+    def test_property(self, n, d, seed, unit, scale, bias, signed_bias,
+                      temperature, include, alpha, beta):
+        rng = np.random.default_rng(seed)
+        v, t = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        if unit:
+            v, t = l2_normalize_rows(v), l2_normalize_rows(t)
+        g, y = rng.normal(size=(n, d + 1)), rng.normal(size=n)
+        w, pb = rng.normal(size=(d, d + 1)), rng.normal(size=d)
+        hw, hb = rng.normal(size=(1, d)), rng.normal(size=1)
+        v, t, g, y, w, pb, hw, hb = read_only(v, t, g, y, w, pb, hw, hb)
+        assert_siglip_matches(v, t, scale, bias, signed_bias)
+        assert_nt_xent_matches(v, t, temperature, include)
+        assert_hybrid_matches(v, g, LinearMap(w, pb), LinearMap(hw, hb), y,
+                              LossParams(bias=bias, scale=scale, alpha=alpha,
+                                         beta=beta))
 
 
 class TestRanksAndCorrelation:
