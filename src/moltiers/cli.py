@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import EmptyCorpus, MissingTierField, MoltiersError
 from .records import STAT_FIELDS, read_stat_columns, read_tier_ids
@@ -152,6 +152,10 @@ def _parse_tier_counts(text: str) -> tuple[int, ...]:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    if args.annotated and args.tier_counts:
+        log.error("schedule: --annotated and --tier-counts exclude each other; "
+                  "give one")
+        return 1
     spec = ScheduleSpec(args.regime, args.epochs, args.hard_start, args.seed)
     if args.tier_counts:
         counts = _parse_tier_counts(args.tier_counts)
@@ -277,15 +281,17 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
         log.error("loss-check: %s is missing; give both matrices or neither",
                   missing)
         return 1
+    # a bad matrix file is reported before the checks spend any time
+    if args.matrix_a is not None:
+        rho, r = pairwise_distance_correlation(load_embeddings(args.matrix_a),
+                                               load_embeddings(args.matrix_b),
+                                               args.n_pairs, args.seed)
     results = run_gradient_suite(args.seeds) + run_property_suite()
     failed = 0
     for result in results:
         print(result.line())
         failed += not result.passed
     if args.matrix_a is not None:
-        a = load_embeddings(args.matrix_a)
-        b = load_embeddings(args.matrix_b)
-        rho, r = pairwise_distance_correlation(a, b, args.n_pairs, args.seed)
         print(f"pairwise-distance correlation: spearman={rho:.4f} pearson={r:.4f} "
               f"({args.n_pairs} pairs, seed {args.seed})")
     if failed:
@@ -299,10 +305,29 @@ def _one_char(text: str) -> str:
     return text
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+def _int_at_least(low: int, name: str) -> Callable[[str], int]:
+    """An argparse type for integers of at least ``low``, ``name`` in errors."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {name}")
+        return value
+    return convert
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+
+
+def _unit_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
     return value
 
 
@@ -354,8 +379,8 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
                    help="five counts, e.g. 268,107370,153955,703283,35124 "
                         "(budget report only)")
     p.add_argument("--regime", choices=REGIMES, default="staged10")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--hard-start", type=float, default=0.1)
+    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--hard-start", type=_unit_float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir")
     p.add_argument("--no-manifests", action="store_true")
@@ -370,7 +395,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--seeds", type=_positive_int, default=100)
     p.add_argument("--matrix-a")
     p.add_argument("--matrix-b")
-    p.add_argument("--n-pairs", type=int, default=1000)
+    p.add_argument("--n-pairs", type=_int_at_least(2, "at least 2"), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_loss_check)
 

@@ -8,20 +8,23 @@ search utilities without this package depending on sklearn.
 
 Only rarity and tier depend on the fitted table, so ``annotate_one``,
 ``transform`` and ``predict`` remember the corpus-independent part of each
-molecule (its ``DescriptorCore``) in a bounded LRU of up to
-``DESCRIBE_CACHE_SIZE`` stripped SMILES per annotator; a repeated request
-is then only finished.  The cache stays valid across ``fit``,
-``set_prevalence`` and ``set_params``, because rarity and tier are computed
-on every call; it is dropped when the library changes, never holds
-unannotatable input, and is not copied by pickle or deepcopy.  ``describe``
-is uncached: the annotate pipeline, whose input has no repeats, calls it.
+molecule (its ``DescriptorCore``) in a ``functools.lru_cache`` of up to
+``DESCRIBE_CACHE_SIZE`` stripped SMILES, one per annotator and library: the
+least recently used entry is evicted first, and a repeated request is only
+finished.  Equal group-name sets are interned, so an entry takes about 430
+bytes.  The cache stays valid across ``fit``, ``set_prevalence`` and
+``set_params``, because rarity and tier are computed on every call; it is
+rebuilt empty when ``library`` changes, never holds unannotatable input
+(``lru_cache`` stores no exception), and is not copied by pickle or
+deepcopy.  ``describe`` is uncached: the annotate pipeline, whose input has
+no repeats, calls it.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
-from collections import OrderedDict
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .descriptors import (
     DescriptorCore,
@@ -80,20 +83,23 @@ def record_to_dict(
     return out
 
 
-class _CoreCache:
-    """Described molecules for one library, least recently used first.
+def _describe_cache(library: FGLibrary | None) -> Callable[[str], DescriptorCore]:
+    """``describe`` for stripped SMILES under ``library``, memoised.
 
     Equal group-name sets are interned: many molecules share few sets.
-    Every step is one dict call, so threads sharing an annotator at worst
-    describe a molecule twice.
     """
+    names: dict[frozenset[str], frozenset[str]] = {}
 
-    __slots__ = ("library", "cores", "names")
+    @functools.lru_cache(DESCRIBE_CACHE_SIZE)
+    def describe(smiles: str) -> DescriptorCore:
+        core = descriptor_core(parse_smiles(smiles), library)
+        if len(names) >= DESCRIBE_CACHE_SIZE:
+            names.clear()
+        core.fg_names = names.setdefault(core.fg_names, core.fg_names)
+        return core
 
-    def __init__(self, library: FGLibrary | None):
-        self.library = library
-        self.cores: OrderedDict[str, DescriptorCore] = OrderedDict()
-        self.names: dict[frozenset[str], frozenset[str]] = {}
+    describe.library = library
+    return describe
 
 
 class ComplexityAnnotator:
@@ -225,25 +231,8 @@ class ComplexityAnnotator:
         """``describe`` for a stripped SMILES, through the bounded cache."""
         cache = self.__dict__.get("_cache")
         if cache is None or cache.library is not self.library:
-            cache = self._cache = _CoreCache(self.library)
-        cores = cache.cores
-        # a hit is popped and put back, which makes it the youngest entry
-        core = cores.pop(smiles, None)
-        if core is None:
-            core = descriptor_core(parse_smiles(smiles), self._lib())
-            names = cache.names
-            if len(names) >= DESCRIBE_CACHE_SIZE:
-                names.clear()
-            core.fg_names = names.setdefault(core.fg_names, core.fg_names)
-        cores[smiles] = core
-        # evicting after the insert brings threads racing past the bound
-        # back to it
-        while len(cores) > DESCRIBE_CACHE_SIZE:
-            try:
-                cores.popitem(last=False)
-            except KeyError:  # another thread emptied it first
-                break
-        return core
+            cache = self._cache = _describe_cache(self.library)
+        return cache(smiles)
 
     def annotate_one(self, smiles: str) -> tuple[DescriptorRecord, TierLabel]:
         self._check_fitted()

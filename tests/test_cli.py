@@ -282,18 +282,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "nt_xent" in out and "FAIL" not in out
 
-    def test_loss_check_with_matrices(self, tmp_path, capsys):
+    @pytest.fixture()
+    def matrices(self, tmp_path):
+        """--matrix-a/--matrix-b flags naming two text matrices whose
+        pairwise distances correlate perfectly."""
         import numpy as np
 
         from moltiers.losses import save_embeddings
 
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(20, 4))
+        a = np.random.default_rng(0).normal(size=(20, 4))
         save_embeddings(tmp_path / "a.txt", a)
         save_embeddings(tmp_path / "b.txt", a * 2.0)
-        assert self.run("loss-check", "--seeds", "2",
-                        "--matrix-a", str(tmp_path / "a.txt"),
-                        "--matrix-b", str(tmp_path / "b.txt"),
+        return ["--matrix-a", str(tmp_path / "a.txt"),
+                "--matrix-b", str(tmp_path / "b.txt")]
+
+    def test_loss_check_with_matrices(self, matrices, capsys):
+        assert self.run("loss-check", "--seeds", "2", *matrices,
                         "--n-pairs", "50") == 0
         assert "spearman=1.0000" in capsys.readouterr().out
 
@@ -313,6 +317,69 @@ class TestCli:
                         given, str(tmp_path / "absent.npy")) == 1
         assert f"{missing} is missing" in caplog.text
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n_pairs", ["1", "0", "-5"])
+    def test_loss_check_n_pairs_below_two_is_usage_error(self, matrices, capsys,
+                                                        n_pairs):
+        assert self.run("loss-check", "--seeds", "2", *matrices,
+                        "--n-pairs", n_pairs) == 1
+        captured = capsys.readouterr()
+        assert f"argument --n-pairs: '{n_pairs}' is not at least 2" in captured.err
+        assert "[ok ]" not in captured.out
+
+    @pytest.mark.parametrize("absent", ["--matrix-a", "--matrix-b"])
+    def test_loss_check_absent_matrix_is_data_error_before_checks(
+            self, matrices, tmp_path, capsys, caplog, absent):
+        argv = list(matrices)
+        argv[argv.index(absent) + 1] = str(tmp_path / "absent.txt")
+        assert self.run("loss-check", "--seeds", "2", *argv) == 2
+        assert "absent.txt" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("source", ["flags", "annotated-in-file",
+                                        "counts-in-file"])
+    def test_schedule_annotated_and_tier_counts_is_usage_error(
+            self, tmp_path, capsys, caplog, source):
+        annotated = tmp_path / "ann.jsonl"
+        write_tier_records(annotated, n=50)
+        config = tmp_path / "run.conf"
+        flags = {"annotated": str(annotated), "tier_counts": "1,1,1,1,1"}
+        in_file = {"flags": (), "annotated-in-file": ("annotated",),
+                   "counts-in-file": ("tier_counts",)}[source]
+        config.write_text("".join(f"{k} = {flags[k]}\n" for k in in_file))
+        argv = ["--config", str(config), "schedule"]
+        for key, value in flags.items():
+            if key not in in_file:
+                argv += ["--" + key.replace("_", "-"), value]
+        outdir = tmp_path / "sched"
+        assert self.run(*argv, "--output-dir", str(outdir)) == 1
+        assert "--annotated and --tier-counts exclude each other" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("epochs", "0", "'0' is not a positive integer"),
+        ("epochs", "-2", "'-2' is not a positive integer"),
+        ("hard_start", "-0.1", "'-0.1' is not in [0, 1]"),
+        ("hard_start", "1.5", "'1.5' is not in [0, 1]"),
+        ("hard_start", "nan", "'nan' is not in [0, 1]"),
+        ("hard_start", "x", "invalid float value: 'x'"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_schedule_epochs_and_hard_start_out_of_range_are_usage_errors(
+            self, tmp_path, capsys, option, value, message, source):
+        flag = "--" + option.replace("_", "-")
+        config = tmp_path / "run.conf"
+        config.write_text(f"{option} = {value}\n")
+        argv = (["schedule", flag, value] if source == "flag"
+                else ["--config", str(config), "schedule"])
+        outdir = tmp_path / "sched"
+        assert self.run(*argv, "--tier-counts", "1,1,1,1,1",
+                        "--output-dir", str(outdir)) == 1
+        captured = capsys.readouterr()
+        assert f"argument {flag}: {message}" in captured.err
+        assert captured.out == ""
+        assert not outdir.exists()
 
     def test_config_file_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -175,9 +175,10 @@ def described(monkeypatch):
     return calls
 
 
-def cached_keys(annotator: ComplexityAnnotator) -> list[str]:
+def cache_size(annotator: ComplexityAnnotator) -> int:
+    """Molecules in the annotator's describe cache."""
     cache = getattr(annotator, "_cache", None)
-    return [] if cache is None else list(cache.cores)
+    return 0 if cache is None else cache.cache_info().currsize
 
 
 class TestDescribeCache:
@@ -191,6 +192,16 @@ class TestDescribeCache:
         assert annotator.predict(requests) == [r["tier"] for r in records]
         assert annotator.annotate_one(" CCN ")[1].tier == records[-1]["tier"]
         assert len(described) == 3
+
+    def test_equal_group_sets_share_one_object(self):
+        annotator = ComplexityAnnotator().fit(CORPUS)
+        # describe builds a new set per molecule; the cache keeps one
+        assert annotator.describe("CCO").fg_names is not \
+            annotator.describe("CCCO").fg_names
+        ethanol, _ = annotator.annotate_one("CCO")
+        propanol, _ = annotator.annotate_one("CCCO")
+        assert ethanol.fg_names and ethanol.fg_names == propanol.fg_names
+        assert ethanol.fg_names is propanol.fg_names
 
     def test_records_equal_uncached_reference(self):
         corpus = list(generate_corpus(150, seed=11))
@@ -230,12 +241,17 @@ class TestDescribeCache:
         annotator.transform([first])  # first becomes the youngest entry
         annotator.transform(CORPUS[4:])
         assert len(described) == 6
-        assert cached_keys(annotator) == [CORPUS[3], first, *CORPUS[4:]]
-        annotator.transform([first, CORPUS[3]])
+        assert cache_size(annotator) == 4
+        # CORPUS[1] and CORPUS[2] were evicted, not the refreshed first
+        annotator.transform([CORPUS[3], first, *CORPUS[4:]])
         assert len(described) == 6
-        annotator.transform([CORPUS[1]])
+        annotator.transform([CORPUS[1]])  # evicts CORPUS[3], now the oldest
         assert len(described) == 7
-        assert len(cached_keys(annotator)) == 4
+        annotator.transform([first, *CORPUS[4:], CORPUS[1]])
+        assert len(described) == 7
+        annotator.transform([CORPUS[3]])
+        assert len(described) == 8
+        assert cache_size(annotator) == 4
 
     def test_unannotatable_input_is_skipped_and_not_cached(self, described):
         annotator = ComplexityAnnotator().fit(CORPUS)
@@ -243,21 +259,21 @@ class TestDescribeCache:
         bad = ["xxx(", "[H][H]", " ", "C1CC"]
         for _ in range(3):
             assert annotator.transform(bad) == []
-        assert cached_keys(annotator) == []
+        assert cache_size(annotator) == 0
         assert len(described) == 3  # only [H][H] parses, each time
 
     def test_pipeline_leaves_cache_empty(self):
         corpus = list(generate_corpus(60, seed=14))
         annotator = ComplexityAnnotator().fit(corpus)
         run_annotate(enumerate(corpus), annotator, io.StringIO(), workers=1)
-        assert cached_keys(annotator) == []
+        assert cache_size(annotator) == 0
 
     def test_warm_annotator_pickles_and_deepcopies(self):
         corpus = list(generate_corpus(80, seed=15))
         annotator = ComplexityAnnotator().fit(corpus)
         expected = annotator.transform(corpus)
         for clone in (pickle.loads(pickle.dumps(annotator)), copy.deepcopy(annotator)):
-            assert cached_keys(clone) == []
+            assert cache_size(clone) == 0
             assert clone.get_params() == annotator.get_params()
             assert clone.transform(corpus) == expected
 
@@ -309,4 +325,4 @@ class TestDescribeCache:
         assert errors == []
         assert wrong == []
         annotator.transform(molecules[:1])
-        assert len(cached_keys(annotator)) == 2
+        assert cache_size(annotator) == 2
