@@ -156,6 +156,16 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         log.error("schedule: --annotated and --tier-counts exclude each other; "
                   "give one")
         return 1
+    # ScheduleSpec takes these pairs, and they fail only in the per-epoch
+    # arithmetic, after --annotated has been read; check them first
+    if args.regime == "staged10" and args.epochs != 10:
+        log.error("schedule: --regime staged10 needs --epochs 10, got %d",
+                  args.epochs)
+        return 1
+    if args.regime == "mixed" and args.epochs < 2:
+        log.error("schedule: --regime mixed needs --epochs of at least 2, "
+                  "got %d", args.epochs)
+        return 1
     spec = ScheduleSpec(args.regime, args.epochs, args.hard_start, args.seed)
     if args.tier_counts:
         counts = _parse_tier_counts(args.tier_counts)

@@ -186,7 +186,7 @@ def descriptor_core(
     Aromaticity perception is applied internally (idempotent), and ring
     analysis is shared across the descriptors that need it.
     """
-    library = library or default_library()
+    library = default_library() if library is None else library
     rings = ring_info(graph)
     perceived = perceive_aromaticity(graph, rings)
     counts = structural_counts(perceived)

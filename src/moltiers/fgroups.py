@@ -308,9 +308,10 @@ def match_groups(
     graph: MolecularGraph, library: FGLibrary | None = None
 ) -> set[tuple[str, tuple[int, ...]]]:
     """All embeddings of every library pattern into the molecule."""
+    library = default_library() if library is None else library
     view = graph.view()
     out: set[tuple[str, tuple[int, ...]]] = set()
-    for pattern in _matchable(view, library or default_library()):
+    for pattern in _matchable(view, library):
         for embedding in _match_pattern(view, pattern, first_only=False):
             out.add((pattern.name, embedding))
     return out
@@ -320,9 +321,10 @@ def present_groups(
     graph: MolecularGraph, library: FGLibrary | None = None
 ) -> frozenset[str]:
     """Names of patterns with at least one embedding (early-exit matcher)."""
+    library = default_library() if library is None else library
     view = graph.view()
     return frozenset(
-        pattern.name for pattern in _matchable(view, library or default_library())
+        pattern.name for pattern in _matchable(view, library)
         if _match_pattern(view, pattern, first_only=True)
     )
 
@@ -331,7 +333,7 @@ def corpus_prevalence(
     graphs: Iterable[MolecularGraph], library: FGLibrary | None = None
 ) -> PrevalenceTable:
     """P(f) = fraction of corpus molecules containing group f."""
-    library = library or default_library()
+    library = default_library() if library is None else library
     counts = {name: 0 for name in library.names()}
     size = 0
     for graph in graphs:
@@ -348,7 +350,7 @@ def prevalence_from_counts(
 
     Groups absent from `counts` get prevalence 0.
     """
-    library = library or default_library()
+    library = default_library() if library is None else library
     if size == 0:
         raise EmptyCorpus("prevalence requires at least one molecule")
     return PrevalenceTable(

@@ -3,16 +3,22 @@ manifests, and exact sample-budget arithmetic.
 
 Mixed-regime sampling uses a counter-style hash of (seed, molecule id,
 epoch), so manifests are reproducible and independent of worker count or
-iteration order.
+iteration order.  ``uniform_draw`` defines a draw one id at a time;
+``sample_epoch`` takes the same bits for a block of ids at once, each id's
+64-bit hash state in its own 128-bit lane of one Python int.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, TextIO
+from functools import lru_cache
+from itertools import chain, compress
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import EpochOutOfRange, Staged10RequiresTenEpochs
 
@@ -22,6 +28,13 @@ N_TIERS = 5
 
 # manifest lines joined per write: bounds the text held in memory at once
 MANIFEST_BLOCK = 1 << 16
+
+# ids hashed per packed int, 16 bytes each: bounds the memory of the lane
+# arithmetic; at 1M ids, blocks of 1 << 12 to 1 << 14 sample equally fast
+# and larger ones hold more memory and run no faster
+DRAW_BLOCK = 1 << 12
+
+_M64 = 0xFFFFFFFFFFFFFFFF
 
 _STAGED10 = (
     (0, 1), (0, 1), (0, 1),
@@ -97,16 +110,52 @@ def tier_weights_mixed(
 
 def _mix64(x: int) -> int:
     # splitmix64 finaliser
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    x = (x + 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
     return x ^ (x >> 31)
 
 
 def uniform_draw(seed: int, mol_id: int, epoch: int) -> float:
     """Deterministic Uniform[0, 1) keyed by (seed, molecule, epoch)."""
-    h = _mix64(_mix64(_mix64(seed & 0xFFFFFFFFFFFFFFFF) ^ mol_id) ^ (epoch + 1))
+    h = _mix64(_mix64(_mix64(seed & _M64) ^ mol_id) ^ (epoch + 1))
     return (h >> 11) / float(1 << 53)
+
+
+# Packed lanes: n values below 2**64 held in one int, value i in bits
+# [128 i, 128 i + 64) and the high half of each lane zero.  A sum then
+# carries, and a product of two 64-bit factors grows, only into its own
+# lane's high half; a right shift moves the next lane's low bits only into
+# that high half.  Each step masks the high halves before a carry, product
+# or shift could cross into another lane.
+
+@lru_cache(maxsize=8)
+def _lane_constants(n: int) -> tuple[int, int, int]:
+    """``ones`` (1 in every lane), the low-half ``mask`` and splitmix64's
+    increment in every lane, for n lanes; shared by every block of n."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    return ones, ones * _M64, ones * 0x9E3779B97F4A7C15
+
+
+def _pack(values: Sequence[int]) -> int:
+    """``value & (2**64 - 1)`` of each value in its own lane, in order."""
+    lanes = array("Q", bytes(16 * len(values)))
+    try:
+        lanes[::2] = array("Q", values)
+    except OverflowError:  # a negative id or one above 2**64 - 1
+        lanes[::2] = array("Q", [v & _M64 for v in values])
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _mix64_lanes(x: int, n: int) -> int:
+    """``_mix64`` of each of the n lanes of ``x``."""
+    _, mask, increment = _lane_constants(n)
+    x = (x + increment) & mask
+    x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (x ^ (x >> 31)) & mask
 
 
 class TierIndex:
@@ -117,7 +166,7 @@ class TierIndex:
             t: tuple(sorted(ids_by_tier.get(t, ()))) for t in range(N_TIERS)
         }
         # tier -> (seed key, the ids hashed, their hashes); see _keyed_hashes
-        self._keyed: dict[int, tuple[int, tuple[int, ...], array]] = {}
+        self._keyed: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TierIndex":
@@ -133,32 +182,58 @@ class TierIndex:
     def total(self) -> int:
         return sum(self.counts())
 
-    def _keyed_hashes(self, key: int, tier: int) -> array:
-        """``_mix64(key ^ id)`` for each id of the tier, in order: the part
-        of a mixed-regime draw that does not change with the epoch.  The
-        last key's hashes are kept per tier, so the epochs of one schedule
-        hash each id once."""
+    def _keyed_hashes(self, key: int, tier: int) -> list[int]:
+        """``_mix64(key ^ id)`` for each id of the tier, packed in lanes,
+        one int per ``DRAW_BLOCK`` ids in order: the part of a mixed-regime
+        draw that does not change with the epoch.  The last key's hashes are
+        kept per tier, so the epochs of one schedule hash each id once."""
         ids = self.ids_by_tier[tier]
         kept = self._keyed.get(tier)
         if kept is None or kept[0] != key or kept[1] is not ids:
-            kept = (key, ids, array("Q", (_mix64(key ^ m) for m in ids)))
+            hashes = []
+            for start in range(0, len(ids), DRAW_BLOCK):
+                block = ids[start:start + DRAW_BLOCK]
+                n = len(block)
+                keys = _lane_constants(n)[0] * key
+                hashes.append(_mix64_lanes(_pack(block) ^ keys, n))
+            kept = (key, ids, hashes)
             self._keyed[tier] = kept
         return kept[2]
+
+
+def _drawn_below(index: TierIndex, key: int, tier: int, salt: int,
+                 limit: int) -> Iterator[bytes]:
+    """Per ``DRAW_BLOCK`` of the tier's ids, one byte per id: 1 when
+    ``_mix64(_mix64(key ^ id) ^ salt)`` is below ``limit`` (at most 2**64),
+    else 0.  ``2**64 + limit - 1 - drawn`` lies in [limit, 2**64 + limit),
+    so it borrows from no other lane, and its bit 64 is set exactly when
+    ``drawn < limit``."""
+    size = len(index.ids_by_tier[tier])
+    lanes: dict[int, tuple[int, int]] = {}  # lane count -> (salts, tops)
+    for start, h in zip(range(0, size, DRAW_BLOCK), index._keyed_hashes(key, tier)):
+        n = min(DRAW_BLOCK, size - start)
+        if n not in lanes:
+            ones = _lane_constants(n)[0]
+            lanes[n] = (ones * salt, ones * ((1 << 64) + limit - 1))
+        salts, tops = lanes[n]
+        drawn = _mix64_lanes(h ^ salts, n)
+        yield (tops - drawn).to_bytes(16 * n, "little")[8::16]
 
 
 def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManifest:
     """Molecule ids active at the epoch, in ascending id order.
 
     A mixed-regime molecule is kept when ``uniform_draw(seed, id, epoch)``
-    falls below its tier's weight.  The seed's hash is taken once per call,
-    the id's hash once per seed (``TierIndex._keyed_hashes``), and the draw
-    is compared in integer units: ``h >> 11`` is below 2**53, and
-    ``rho * 2**53`` is exact, so the comparison equals the float one.
+    falls below its tier's weight rho, with the same bits: the seed's hash
+    is taken once per call, the id's hash once per seed
+    (``TierIndex._keyed_hashes``), and each epoch hashes a whole block of
+    ids in packed lanes.  The draw is compared in integer units: ``h >> 11``
+    is below 2**53 and ``rho * 2**53`` is exact, so ``h >> 11 < rho * 2**53``
+    exactly when ``h < ceil(rho * 2**53) << 11``.
     """
     if spec.regime == "mixed":
         weights = tier_weights_mixed(epoch, spec.epochs, spec.hard_start)
-        key = _mix64(spec.seed & 0xFFFFFFFFFFFFFFFF)
-        salt = epoch + 1
+        key = _mix64(spec.seed & _M64)
         ids: list[int] = []
         for tier in range(N_TIERS):
             rho = weights[tier]
@@ -167,12 +242,9 @@ def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManif
                 continue
             if rho <= 0.0:
                 continue
-            cut = rho * 2.0**53
-            ids.extend(
-                m for m, h in zip(index.ids_by_tier[tier],
-                                  index._keyed_hashes(key, tier))
-                if _mix64(h ^ salt) >> 11 < cut
-            )
+            limit = math.ceil(rho * 2.0**53) << 11
+            flags = _drawn_below(index, key, tier, epoch + 1, limit)
+            ids.extend(compress(index.ids_by_tier[tier], chain.from_iterable(flags)))
         ids.sort()
         return EpochManifest(epoch, spec.regime, None, weights, ids)
     tiers = active_tiers(spec.regime, epoch, spec.epochs)

@@ -357,6 +357,30 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("regime, epochs, message", [
+        ("staged10", "5", "--regime staged10 needs --epochs 10, got 5"),
+        ("staged10", "11", "--regime staged10 needs --epochs 10, got 11"),
+        ("mixed", "1", "--regime mixed needs --epochs of at least 2, got 1"),
+    ])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("molecules", ["annotated", "tier-counts"])
+    def test_schedule_regime_epochs_mismatch_is_usage_error(
+            self, tmp_path, capsys, caplog, regime, epochs, message, source,
+            molecules):
+        """Found from the options alone: the --annotated file named here
+        does not exist, so reading it first would exit 2."""
+        config = tmp_path / "run.conf"
+        config.write_text(f"regime = {regime}\nepochs = {epochs}\n")
+        argv = (["--config", str(config), "schedule"] if source == "config"
+                else ["schedule", "--regime", regime, "--epochs", epochs])
+        argv += (["--annotated", str(tmp_path / "absent.jsonl")]
+                 if molecules == "annotated" else ["--tier-counts", "1,1,1,1,1"])
+        outdir = tmp_path / "sched"
+        assert self.run(*argv, "--output-dir", str(outdir)) == 1
+        assert message in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("option, value, message", [
         ("epochs", "0", "'0' is not a positive integer"),
         ("epochs", "-2", "'-2' is not a positive integer"),

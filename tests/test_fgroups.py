@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from moltiers.descriptors import descriptor_core
 from moltiers.errors import EmptyCorpus
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.fgroups import (
@@ -13,6 +14,7 @@ from moltiers.fgroups import (
     corpus_prevalence,
     default_library,
     match_groups,
+    prevalence_from_counts,
     present_groups,
     top_k_groups,
 )
@@ -166,6 +168,24 @@ class TestPrevalence:
         rng.shuffle(shuffled)
         t2 = corpus_prevalence(shuffled)
         assert t1.prevalence == t2.prevalence
+
+
+class TestEmptyLibrary:
+    """An empty library is a library: nothing matches, and no function swaps
+    it for the default one."""
+    EMPTY = FGLibrary.from_dict({"patterns": []})
+
+    def test_nothing_matches(self, mol):
+        graph = mol("CCO")
+        assert present_groups(graph) == {"hydroxyl"}
+        assert present_groups(graph, self.EMPTY) == frozenset()
+        assert match_groups(graph, self.EMPTY) == set()
+        core = descriptor_core(graph, self.EMPTY)
+        assert (core.n_fg, core.fg_names) == (0, frozenset())
+
+    def test_prevalence_has_no_groups(self, mol):
+        assert corpus_prevalence([mol("CCO")], self.EMPTY).prevalence == {}
+        assert prevalence_from_counts({}, 3, self.EMPTY).prevalence == {}
 
 
 class TestTopK:

@@ -57,6 +57,13 @@ def small_library(tmp_path):
     return path
 
 
+@pytest.fixture()
+def empty_library(tmp_path):
+    path = tmp_path / "empty_library.json"
+    path.write_text('{"patterns": []}')
+    return path
+
+
 def annotate_both_ways(corpus, tmp_path, *flags, library=None) -> tuple[bytes, bytes]:
     """(one-pass output, prevalence + annotate --prevalence output)."""
     library_flags = ["--library", str(library)] if library else []
@@ -97,6 +104,28 @@ class TestEquivalence:
         names = set(FGLibrary.from_json(small_library).names())
         for line in one_pass.decode().splitlines():
             assert set(json.loads(line)["fg_names"]) <= names
+
+    def test_empty_library_names_no_group(self, corpus, empty_library, tmp_path):
+        """An empty --library is used as given, not swapped for the default
+        one, at any worker count."""
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                         "--library", str(empty_library), "--workers", workers,
+                         "--chunk-size", "64"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = [json.loads(line) for line in outputs[0].decode().splitlines()]
+        assert len(rows) == 700
+        assert all(r["n_fg"] == 0 and r["fg_names"] == [] for r in rows)
+
+    def test_empty_library_prevalence_has_no_group_rows(self, corpus,
+                                                        empty_library, tmp_path):
+        prev_dir = tmp_path / "prev"
+        assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                     str(prev_dir), "--library", str(empty_library)]) == 0
+        assert (prev_dir / "prevalence.tsv").read_text() == "# corpus_size=700\n"
 
     def test_worker_counts_and_chunk_sizes_agree(self, corpus):
         pairs = list(iter_input(corpus))

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import moltiers.scheduler as scheduler_module
 from moltiers.errors import EpochOutOfRange, Staged10RequiresTenEpochs
 from moltiers.scheduler import (
+    _mix64,
+    _mix64_lanes,
+    _pack,
     EpochManifest,
     ScheduleSpec,
     TierIndex,
@@ -202,6 +207,109 @@ class TestSamplingOracle:
             out = io.StringIO()
             write_manifest(out, manifest)
             assert out.getvalue() == reference_manifest_text(4, "anti", ids)
+
+
+M64 = 2**64 - 1
+
+
+def _lanes(x: int, n: int) -> list[int]:
+    """The n lanes of a packed int, after checking that each high half and
+    everything above the last lane is zero."""
+    assert x >> (128 * n) == 0
+    assert all(x >> (128 * i + 64) & M64 == 0 for i in range(n))
+    return [x >> (128 * i) & M64 for i in range(n)]
+
+
+def _top_bit_values(count: int) -> list[int]:
+    """Values whose first or second splitmix64 product sets bit 127 of its
+    lane: the largest products a lane holds."""
+    rng = random.Random(3)
+    found: list[int] = []
+    while len(found) < count:
+        v = rng.getrandbits(64)
+        x = (v + 0x9E3779B97F4A7C15) & M64
+        p1 = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+        x = p1 & M64
+        p2 = (x ^ (x >> 27)) * 0x94D049BB133111EB
+        if p1 >> 127 or p2 >> 127:
+            found.append(v)
+    return found
+
+
+def _unmix64(h: int) -> int:
+    """The x with ``_mix64(x) == h``: splitmix64's finaliser is a bijection."""
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+    x = unshift(h, 31)
+    x = unshift(x * pow(0x94D049BB133111EB, -1, 2**64) & M64, 27)
+    x = unshift(x * pow(0xBF58476D1CE4E5B9, -1, 2**64) & M64, 30)
+    return (x - 0x9E3779B97F4A7C15) & M64
+
+
+class TestLaneKernel:
+    EDGES = [0, 1, 2**63, M64, M64 - 0x9E3779B97F4A7C15,
+             M64 - 0x9E3779B97F4A7C15 + 1, 2**63 - 1, 0x5555555555555555]
+
+    @pytest.mark.parametrize("values", [
+        EDGES, EDGES[::-1], [M64] * 7, _top_bit_values(64), [0], [M64]])
+    def test_equals_scalar_lane_by_lane(self, values):
+        mixed = _mix64_lanes(_pack(values), len(values))
+        assert _lanes(mixed, len(values)) == [_mix64(v) for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, M64), min_size=1, max_size=40))
+    def test_equals_scalar_property(self, values):
+        mixed = _mix64_lanes(_pack(values), len(values))
+        assert _lanes(mixed, len(values)) == [_mix64(v) for v in values]
+
+    def test_pack_masks_to_64_bits(self):
+        values = [-1, -2**64 - 3, 2**64, 2**80 + 3, 5]
+        assert _lanes(_pack(values), 5) == [v & M64 for v in values]
+        assert _pack([]) == 0
+
+    def test_draws_on_the_limit(self):
+        """Ids made to draw exactly around each epoch's limit: kept below
+        ``ceil(rho * 2**53) << 11``, dropped from it on, as uniform_draw
+        decides."""
+        spec = ScheduleSpec("mixed", 10, 0.37, 7)
+        key = _mix64(7)
+        assert all(_mix64(_unmix64(h)) == h for h in (0, 1, M64, key))
+        for e in range(9):
+            rho = tier_weights_mixed(e, 10, 0.37)[2]
+            limit = math.ceil(rho * 2**53)
+            drawn = {(limit << 11) - 2049: True, (limit << 11) - 2048: True,
+                     (limit << 11) - 1: True, limit << 11: False,
+                     (limit << 11) + 1: False, (limit << 11) + 2047: False}
+            ids = {_unmix64(_unmix64(d) ^ (e + 1)) ^ key: kept
+                   for d, kept in drawn.items()}
+            assert [uniform_draw(7, m, e) < rho for m in ids] == list(ids.values())
+            by_tier = {2: list(ids)}
+            assert sample_epoch(TierIndex(by_tier), spec, e).sampled_ids == \
+                sorted(m for m, kept in ids.items() if kept)
+
+    @pytest.mark.parametrize("size", ["empty", "one", "block-1", "block",
+                                      "block+1"])
+    def test_blocks_join_to_the_same_draws(self, size, monkeypatch):
+        block = 5
+        monkeypatch.setattr(scheduler_module, "DRAW_BLOCK", block)
+        n = {"empty": 0, "one": 1, "block-1": block - 1, "block": block,
+             "block+1": block + 1}[size]
+        # distinct ids from below -2**64 to above 2**64
+        rng = random.Random(n)
+        ids = iter([k * 2**60 - 2**64 + rng.getrandbits(60)
+                    for k in range(8 * block)])
+        by_tier = {0: [next(ids)], 1: [], 2: [next(ids) for _ in range(n)],
+                   3: [next(ids) for _ in range(2 * block + n)],
+                   4: [next(ids) for _ in range(3 * block + 1)]}
+        index = TierIndex(by_tier)
+        for seed in (0, 3, -3, 2**64 + 5):
+            spec = ScheduleSpec("mixed", 10, 0.37, seed)
+            for e in range(10):
+                assert sample_epoch(index, spec, e).sampled_ids == \
+                    reference_sample_epoch(by_tier, spec, e), (seed, e)
 
 
 class TestUniformDraw:
