@@ -93,7 +93,7 @@ def cmd_prevalence(args: argparse.Namespace) -> int:
           _replace_on_success(outdir / "top_groups.txt") as top_out):
         write_prevalence(annotator.prevalence_, table_out)
         top = top_k_groups(annotator.prevalence_, args.top_k)
-        top_out.write("\n".join(top) + "\n")
+        top_out.writelines(name + "\n" for name in top)
     log.info("prevalence over %d molecules (%d skipped) -> %s",
              stats.written, stats.skipped, outdir)
     for name in top:

@@ -206,9 +206,14 @@ def descriptor_core(
 
 def finish_record(core: DescriptorCore, table: PrevalenceTable) -> DescriptorRecord:
     """The full record: the core plus rarity under a prevalence table."""
+    return with_rarity(core, group_rarity(core.fg_names, table))
+
+
+def with_rarity(core: DescriptorCore, rarity: float) -> DescriptorRecord:
+    """The full record of ``core`` with an already computed rarity."""
     return DescriptorRecord(
         d_scaf=core.d_scaf,
-        rarity=group_rarity(core.fg_names, table),
+        rarity=rarity,
         conjugation=core.conjugation,
         arom_sub=core.arom_sub,
         bertz_ct=core.bertz_ct,

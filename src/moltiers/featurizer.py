@@ -6,31 +6,38 @@ records ready for JSON serialization.  ``get_params``/``set_params`` follow
 the scikit-learn contract so the annotator drops into sklearn pipelines and
 search utilities without this package depending on sklearn.
 
-Only rarity and tier depend on the fitted table, so ``annotate_one``,
-``transform`` and ``predict`` remember the corpus-independent part of each
-molecule (its ``DescriptorCore``) in a ``functools.lru_cache`` of up to
-``DESCRIBE_CACHE_SIZE`` stripped SMILES, one per annotator and library: the
-least recently used entry is evicted first, and a repeated request is only
-finished.  Equal group-name sets are interned, so an entry takes about 430
-bytes.  The cache stays valid across ``fit``, ``set_prevalence`` and
-``set_params``, because rarity and tier are computed on every call; it is
-rebuilt empty when ``library`` changes, never holds unannotatable input
-(``lru_cache`` stores no exception), and is not copied by pickle or
-deepcopy.  ``describe`` is uncached: the annotate pipeline, whose input has
-no repeats, calls it.
+``annotate_one``, ``transform`` and ``predict`` keep one entry per molecule
+in a ``functools.lru_cache`` of up to ``DESCRIBE_CACHE_SIZE`` stripped
+SMILES, one per annotator and library, least recently used out first.  An
+entry holds the molecule's ``DescriptorCore``, its group names in order,
+and its finished part: rarity, tier, and the fitted state it was finished
+under.  That state is the ``(prevalence_, top_groups_, config_)`` tuple that
+``fit``, ``set_prevalence`` and ``set_params`` replace whole, so a request
+whose entry was finished under the current state (by identity) only builds
+its row; otherwise the entry is finished again and holds the new result.
+Each call reads the state once, so under a concurrent ``set_prevalence`` it
+answers wholly under the old state or wholly under the new one.  Equal
+group-name sets are interned with their sorted names, and each row gets a
+fresh list of them.  An entry takes about 605 bytes; an entry not
+requested since an older state keeps that state's table alive until it is
+finished again or evicted.  The cache is rebuilt empty when ``library``
+changes, never holds unannotatable input (``lru_cache`` stores no
+exception), and is not copied by pickle or deepcopy.  ``describe`` is
+uncached: the annotate pipeline, whose input has no repeats, calls it.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .descriptors import (
     DescriptorCore,
     DescriptorRecord,
     descriptor_core,
     finish_record,
+    with_rarity,
 )
 from .errors import EmptyMolecule, NotFitted, PrevalenceMismatch, SmilesError
 from .fgroups import (
@@ -53,6 +60,29 @@ UNANNOTATABLE = (SmilesError, EmptyMolecule)
 DESCRIBE_CACHE_SIZE = 8192
 
 
+def _row(mol_id: int, smiles: str, core: DescriptorCore | DescriptorRecord,
+         rarity: float, fg_names: list[str], tier: str) -> dict:
+    """The fixed JSONL schema (field order matters)."""
+    counts = core.counts
+    return {
+        "id": mol_id,
+        "smiles": smiles,
+        "d_scaf": core.d_scaf,
+        "rarity": rarity,
+        "conjugation": core.conjugation,
+        "arom_sub": core.arom_sub,
+        "bertz_ct": core.bertz_ct,
+        "n_ha": counts.n_ha,
+        "n_het": counts.n_het,
+        "n_ring": counts.n_ring,
+        "n_sc": counts.n_sc,
+        "n_fg": core.n_fg,
+        "mw": counts.mw,
+        "fg_names": fg_names,
+        "tier": tier,
+    }
+
+
 def record_to_dict(
     mol_id: int,
     smiles: str,
@@ -60,46 +90,72 @@ def record_to_dict(
     label: TierLabel,
     include_trace: bool = False,
 ) -> dict:
-    """Flatten a record into the fixed JSONL schema (field order matters)."""
-    out = {
-        "id": mol_id,
-        "smiles": smiles,
-        "d_scaf": record.d_scaf,
-        "rarity": record.rarity,
-        "conjugation": record.conjugation,
-        "arom_sub": record.arom_sub,
-        "bertz_ct": record.bertz_ct,
-        "n_ha": record.counts.n_ha,
-        "n_het": record.counts.n_het,
-        "n_ring": record.counts.n_ring,
-        "n_sc": record.counts.n_sc,
-        "n_fg": record.n_fg,
-        "mw": record.counts.mw,
-        "fg_names": sorted(record.fg_names),
-        "tier": label.tier,
-    }
+    """Flatten a record into the fixed JSONL schema."""
+    out = _row(mol_id, smiles, record, record.rarity, sorted(record.fg_names),
+               label.tier)
     if include_trace:
         out["rule_trace"] = label.rule_trace
     return out
 
 
-def _describe_cache(library: FGLibrary | None) -> Callable[[str], DescriptorCore]:
-    """``describe`` for stripped SMILES under ``library``, memoised.
+class _Fitted(NamedTuple):
+    """What ``fit``, ``set_prevalence`` and ``set_params`` set, replaced whole."""
 
-    Equal group-name sets are interned: many molecules share few sets.
+    prevalence: PrevalenceTable
+    top_groups: frozenset[str]
+    config: TierConfig
+
+
+def _finish(core: DescriptorCore, state: _Fitted) -> tuple[DescriptorRecord, TierLabel]:
+    record = finish_record(core, state.prevalence)
+    return record, assign_tier(record, state.top_groups, state.config)
+
+
+# an entry's finished part before its first finish: no state is None
+_UNFINISHED = (None, 0.0, None)
+
+
+class _Entry:
+    """A cached molecule: its core, its group names in order, and its
+    finished part ``(state, rarity, label)``, one tuple in one slot, so a
+    thread reads either the old tuple or the new one."""
+
+    __slots__ = ("core", "names", "finished")
+
+    def __init__(self, core: DescriptorCore, names: tuple[str, ...]):
+        self.core = core
+        self.names = names
+        self.finished = _UNFINISHED
+
+
+def _finished(entry: _Entry, state: _Fitted) -> tuple:
+    """``entry``'s ``(state, rarity, label)``, finished once per state."""
+    finished = entry.finished
+    if finished[0] is not state:
+        record, label = _finish(entry.core, state)
+        finished = entry.finished = (state, record.rarity, label)
+    return finished
+
+
+def _describe_cache(library: FGLibrary | None) -> Callable[[str], _Entry]:
+    """The cache entry of a stripped SMILES under ``library``, memoised.
+
+    Equal group-name sets are interned, each with its names in order: many
+    molecules share few sets.
     """
-    names: dict[frozenset[str], frozenset[str]] = {}
+    names: dict[frozenset[str], tuple[frozenset[str], tuple[str, ...]]] = {}
 
     @functools.lru_cache(DESCRIBE_CACHE_SIZE)
-    def describe(smiles: str) -> DescriptorCore:
+    def entry(smiles: str) -> _Entry:
         core = descriptor_core(parse_smiles(smiles), library)
         if len(names) >= DESCRIBE_CACHE_SIZE:
             names.clear()
-        core.fg_names = names.setdefault(core.fg_names, core.fg_names)
-        return core
+        core.fg_names, ordered = names.setdefault(
+            core.fg_names, (core.fg_names, tuple(sorted(core.fg_names))))
+        return _Entry(core, ordered)
 
-    describe.library = library
-    return describe
+    entry.library = library
+    return entry
 
 
 class ComplexityAnnotator:
@@ -188,9 +244,11 @@ class ComplexityAnnotator:
         self.n_skipped_ = skipped
         return self
 
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "prevalence_"):
-            raise NotFitted("call fit() before transform()/predict()")
+    def _state(self) -> _Fitted:
+        try:
+            return self._fitted
+        except AttributeError:
+            raise NotFitted("call fit() before transform()/predict()") from None
 
     def set_prevalence(self, table: PrevalenceTable) -> "ComplexityAnnotator":
         """Adopt a precomputed prevalence table instead of fitting.
@@ -210,11 +268,23 @@ class ComplexityAnnotator:
 
     def _adopt(self, table: PrevalenceTable) -> None:
         # finish reads the validated config held here, refreshed by
-        # set_params, and the top groups its top_k picks from the table
+        # set_params, and the top groups its top_k picks from the table;
+        # one assignment, so a reader never sees parts of two fits
         config = self.tier_config()
-        self.top_groups_ = frozenset(top_k_groups(table, config.top_k))
-        self.config_ = config
-        self.prevalence_ = table
+        self._fitted = _Fitted(
+            table, frozenset(top_k_groups(table, config.top_k)), config)
+
+    @property
+    def prevalence_(self) -> PrevalenceTable:
+        return self._fitted.prevalence
+
+    @property
+    def top_groups_(self) -> frozenset[str]:
+        return self._fitted.top_groups
+
+    @property
+    def config_(self) -> TierConfig:
+        return self._fitted.config
 
     def describe(self, smiles: str) -> DescriptorCore:
         """The corpus-independent part of a record; needs no fit."""
@@ -223,32 +293,38 @@ class ComplexityAnnotator:
 
     def finish(self, core: DescriptorCore) -> tuple[DescriptorRecord, TierLabel]:
         """Rarity and tier for a described molecule under the fitted table."""
-        record = finish_record(core, self.prevalence_)
-        label = assign_tier(record, self.top_groups_, self.config_)
-        return record, label
+        return _finish(core, self._fitted)
 
-    def _cached_core(self, smiles: str) -> DescriptorCore:
-        """``describe`` for a stripped SMILES, through the bounded cache."""
+    def _entries(self) -> Callable[[str], _Entry]:
+        """The describe cache for the current library."""
         cache = self.__dict__.get("_cache")
         if cache is None or cache.library is not self.library:
             cache = self._cache = _describe_cache(self.library)
-        return cache(smiles)
+        return cache
 
     def annotate_one(self, smiles: str) -> tuple[DescriptorRecord, TierLabel]:
-        self._check_fitted()
-        return self.finish(self._cached_core(smiles.strip()))
+        state = self._state()
+        entry = self._entries()(smiles.strip())
+        _, rarity, label = _finished(entry, state)
+        return with_rarity(entry.core, rarity), label
 
     def transform(self, X: Iterable[str]) -> list[dict]:
         """One record dict per parseable input, in input order."""
-        self._check_fitted()
+        state = self._state()
+        cache = self._entries()
         out = []
         for i, text in enumerate(X):
             smiles = text.strip()
             try:
-                record, label = self.finish(self._cached_core(smiles))
+                entry = cache(smiles)
             except UNANNOTATABLE:
                 continue
-            out.append(record_to_dict(i, smiles, record, label))
+            # _finished's test, inlined: a hit makes no call for it
+            finished = entry.finished
+            if finished[0] is not state:
+                finished = _finished(entry, state)
+            out.append(_row(i, smiles, entry.core, finished[1],
+                            list(entry.names), finished[2].tier))
         return out
 
     def fit_transform(self, X, y=None) -> list[dict]:
@@ -257,5 +333,6 @@ class ComplexityAnnotator:
 
     def predict(self, X: Iterable[str]) -> list[str]:
         """Tier label per input SMILES."""
-        self._check_fitted()
-        return [self.annotate_one(text)[1].tier for text in X]
+        state = self._state()
+        cache = self._entries()
+        return [_finished(cache(text.strip()), state)[2].tier for text in X]

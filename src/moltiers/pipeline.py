@@ -332,7 +332,7 @@ def read_annotated(path: str | Path) -> Iterator[dict]:
     Raises MalformedLine, naming ``path:line``, for a line that is not a
     JSON object.
     """
-    for n, _, row in scan_records(path, layout=None):
+    for n, _, row in scan_records(path, match_layout=False):
         if type(row) is not dict:
             raise MalformedLine(f"{path}:{n}: not a JSON record")
         yield row

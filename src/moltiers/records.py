@@ -3,9 +3,10 @@
 ``annotate`` writes one compact JSON object per molecule, its fields in
 ``RECORD_FIELDS`` order (``dumps_record``, plus ``rule_trace`` with
 ``--trace``).  ``scan_records`` reads such a file back, one line at a time.
-It first matches each line against that exact layout with one compiled
-pattern, which accepts only text that ``json.loads`` accepts and captures
-the values the readers need as the same text ``json.loads`` would convert.
+It first matches each line against that exact layout with one pattern
+(``RECORD_LAYOUT``, compiled on first use), which accepts only text that
+``json.loads`` accepts and captures the values the readers need as the same
+text ``json.loads`` would convert.
 Any other non-blank line (spaced separators, reordered keys, escaped
 strings, ``NaN``, extra fields, or no record at all) goes through
 ``json.loads``, so either path yields the same values and the same errors.
@@ -21,6 +22,7 @@ The readers built on it:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -69,21 +71,39 @@ _VALUES = {  # every other field is a _NUMBER
     "tier": '"(T[0-4])"',
 }
 
-# Groups: 1 id, 2 bertz_ct, 3 n_ring, 4 mw, 5 tier.
-RECORD_LAYOUT = re.compile(
-    r"\{"
-    + ",".join(f'"{name}":' + _VALUES.get(name, _NUMBER) for name in RECORD_FIELDS)
-    + f'(?:,"rule_trace":{_STRING}|)' + r"\}\n?"
-)
+
+@functools.cache
+def record_layout() -> re.Pattern:
+    """The pattern a compact record line matches whole, compiled on first
+    use: the compile takes a few milliseconds, which every command that
+    imports this module but reads no record would otherwise pay.
+
+    Groups: 1 id, 2 bertz_ct, 3 n_ring, 4 mw, 5 tier.
+    """
+    return re.compile(
+        r"\{"
+        + ",".join(f'"{name}":' + _VALUES.get(name, _NUMBER) for name in RECORD_FIELDS)
+        + f'(?:,"rule_trace":{_STRING}|)' + r"\}\n?"
+    )
+
+
+def __getattr__(name: str) -> re.Pattern:
+    # RECORD_LAYOUT is record_layout(), looked up like a constant
+    if name == "RECORD_LAYOUT":
+        return record_layout()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _TIER_INDEX = {tier: t for t, tier in enumerate(TIERS)}
 
 
-def scan_records(path: str | Path, layout: re.Pattern | None = RECORD_LAYOUT
+def scan_records(path: str | Path, match_layout: bool = True
                  ) -> Iterator[tuple[int, re.Match | None, object]]:
-    """(line number, match, None) for each line of ``path`` that ``layout``
-    matches whole, and (line number, None, ``json.loads`` value, or None
-    for text that is not JSON) for every other non-blank line."""
-    match = layout.fullmatch if layout is not None else _no_match
+    """(line number, match, None) for each line of ``path`` that the record
+    layout matches whole, and (line number, None, ``json.loads`` value, or
+    None for text that is not JSON) for every other non-blank line.  With
+    ``match_layout`` false, every non-blank line goes through ``json.loads``."""
+    match = record_layout().fullmatch if match_layout else _no_match
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             found = match(line)

@@ -45,6 +45,18 @@ class TierLabel:
     rule_trace: str
 
 
+# One shared label per rule: assign_tier hands these out, never a new one
+_T0_HYDROCARBON = TierLabel("T0", "t0_pure_hydrocarbon")
+_T4_STEREOCENTER = TierLabel("T4", "t4_stereocenter")
+_T4_RARE_GROUPS = TierLabel("T4", "t4_rare_groups")
+_T3_SUBSTITUTION = TierLabel("T3", "t3_substitution_complexity")
+_T3_CT_DENSITY = TierLabel("T3", "t3_ct_density")
+_T1_COMMON_GROUPS = TierLabel("T1", "t1_common_groups")
+_T2_MULTI_GROUP = TierLabel("T2", "t2_multi_group")
+_T2_FALLBACK = TierLabel("T2", "t2_fallback")
+_T3_FALLBACK = TierLabel("T3", "t3_fallback")
+
+
 def assign_tier(
     record: DescriptorRecord,
     top_groups: frozenset[str] | set[str],
@@ -58,29 +70,29 @@ def assign_tier(
     """
     counts = record.counts
     if counts.n_het == 0:
-        return TierLabel("T0", "t0_pure_hydrocarbon")
+        return _T0_HYDROCARBON
     if counts.n_sc > 0:
-        return TierLabel("T4", "t4_stereocenter")
+        return _T4_STEREOCENTER
     if record.rarity >= config.rarity_threshold:
-        return TierLabel("T4", "t4_rare_groups")
+        return _T4_RARE_GROUPS
     if record.arom_sub > config.s_threshold:
-        return TierLabel("T3", "t3_substitution_complexity")
+        return _T3_SUBSTITUTION
     if (
         counts.n_ha > 0
         and record.bertz_ct / counts.n_ha > config.ct_per_ha_threshold
         and counts.n_ring >= config.min_rings_t3
     ):
-        return TierLabel("T3", "t3_ct_density")
-    if record.n_fg <= config.fg_low and record.fg_names <= set(top_groups):
-        return TierLabel("T1", "t1_common_groups")
+        return _T3_CT_DENSITY
+    if record.n_fg <= config.fg_low and record.fg_names <= top_groups:
+        return _T1_COMMON_GROUPS
     if (
         config.fg_mid_lo <= record.n_fg <= config.fg_mid_hi
         and record.arom_sub <= config.s_threshold
     ):
-        return TierLabel("T2", "t2_multi_group")
+        return _T2_MULTI_GROUP
     if record.n_fg <= config.fg_mid_hi:
-        return TierLabel("T2", "t2_fallback")
-    return TierLabel("T3", "t3_fallback")
+        return _T2_FALLBACK
+    return _T3_FALLBACK
 
 
 def tier_histogram(labels: Iterable[TierLabel | str]) -> dict[str, int]:

@@ -511,6 +511,17 @@ class TestCli:
                         "--output", str(out)) == 0
         assert out.read_text() == ""
 
+    def test_prevalence_with_empty_library_writes_empty_top_groups(self, smi_file,
+                                                                   tmp_path):
+        library = tmp_path / "empty_library.json"
+        library.write_text('{"patterns": []}')
+        outdir = tmp_path / "prev"
+        assert self.run("prevalence", "--input", str(smi_file),
+                        "--output-dir", str(outdir), "--library", str(library)) == 0
+        # one line per group, so no group leaves no line, not one blank line
+        assert (outdir / "top_groups.txt").read_bytes() == b""
+        assert (outdir / "prevalence.tsv").read_text().startswith("# corpus_size=")
+
     def test_empty_input_prevalence_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.smi"
         empty.write_text("")

@@ -326,3 +326,145 @@ class TestDescribeCache:
         assert wrong == []
         annotator.transform(molecules[:1])
         assert cache_size(annotator) == 2
+
+
+def assert_answers_uncached(annotator: ComplexityAnnotator, requests: list[str]):
+    """transform, predict and annotate_one equal the cache-free reference."""
+    expected = uncached(annotator, requests)
+    assert annotator.transform(requests) == expected
+    valid = [s for s in requests if s.strip() in {r["smiles"] for r in expected}]
+    assert annotator.predict(valid) == [r["tier"] for r in expected]
+    for text in valid:
+        assert annotator.annotate_one(text) == annotator.finish(annotator.describe(text))
+
+
+# each changes the fitted state, and with it some answers to REQUESTS
+STATE_CHANGES = {
+    "set_prevalence": lambda a: a.set_prevalence(
+        ComplexityAnnotator().fit(generate_corpus(150, seed=12)).prevalence_),
+    "top_k": lambda a: a.set_params(top_k=3),
+    "rarity_threshold": lambda a: a.set_params(rarity_threshold=0.5),
+    "refit": lambda a: a.fit(generate_corpus(150, seed=16)),
+    "library": lambda a: a.set_params(
+        library=FGLibrary(default_library().patterns[:15])),
+}
+FIT_CORPUS = list(generate_corpus(150, seed=11))
+REQUESTS = FIT_CORPUS + FIT_CORPUS[::3] + [" " + s for s in FIT_CORPUS[::7]]
+
+
+@pytest.fixture
+def finishes(monkeypatch):
+    """The core of each record the annotator finished."""
+    calls = []
+    real = featurizer.finish_record
+
+    def counting(core, table):
+        calls.append(core)
+        return real(core, table)
+
+    monkeypatch.setattr(featurizer, "finish_record", counting)
+    return calls
+
+
+class TestFinishedEntries:
+    @pytest.mark.parametrize("change", list(STATE_CHANGES))
+    def test_answers_follow_the_fitted_state(self, change):
+        annotator = ComplexityAnnotator().fit(FIT_CORPUS)
+        before = uncached(annotator, REQUESTS)
+        assert_answers_uncached(annotator, REQUESTS)
+        STATE_CHANGES[change](annotator)
+        # the change moves some answers, so a held answer would show
+        assert uncached(annotator, REQUESTS) != before
+        assert_answers_uncached(annotator, REQUESTS)
+        assert_answers_uncached(annotator, REQUESTS)
+
+    def test_each_molecule_finished_once_per_fitted_state(self, finishes):
+        annotator = ComplexityAnnotator().fit(FIT_CORPUS)
+        distinct = len({s.strip() for s in REQUESTS})
+        for _ in range(2):
+            annotator.transform(REQUESTS)
+            annotator.predict(REQUESTS)
+            for text in REQUESTS[:20]:
+                annotator.annotate_one(text)
+            assert len(finishes) == distinct
+        for k, change in enumerate(("set_prevalence", "top_k", "rarity_threshold",
+                                    "refit"), 2):
+            STATE_CHANGES[change](annotator)
+            annotator.predict(REQUESTS)
+            annotator.transform(REQUESTS)
+            assert len(finishes) == k * distinct
+        # set_params with unchanged values is still a new fitted state
+        annotator.set_params(top_k=3)
+        annotator.transform(REQUESTS[:1])
+        assert len(finishes) == 5 * distinct + 1
+
+    def test_mutating_an_answer_changes_no_later_answer(self):
+        annotator = ComplexityAnnotator().fit(FIT_CORPUS)
+        requests = [s for s in FIT_CORPUS if len(annotator.describe(s).fg_names) > 1]
+        expected = uncached(annotator, requests)
+        for row in annotator.transform(requests):
+            row["fg_names"].append("zz_extra")
+            row["fg_names"].sort(reverse=True)
+            row["tier"] = "T9"
+            row["rarity"] = -1.0
+        for text in requests:
+            record, _ = annotator.annotate_one(text)
+            record.rarity = -1.0
+            record.fg_names = frozenset({"zz_extra"})
+        assert annotator.transform(requests) == expected
+        assert_answers_uncached(annotator, requests)
+
+    def test_threads_see_one_whole_state_per_call(self):
+        # one thread switches between two tables while eight serve requests:
+        # every call answers wholly under one table, never a mix of a held
+        # answer and a new one, and once the switching ends, under the last
+        molecules = list(dict.fromkeys(generate_corpus(40, seed=17)))
+        tables = [ComplexityAnnotator().fit(generate_corpus(150, seed=seed)).prevalence_
+                  for seed in (18, 19)]
+        annotator = ComplexityAnnotator().fit(molecules)
+        references = []
+        for table in tables:
+            annotator.set_prevalence(table)
+            references.append({r["smiles"]: r for r in uncached(annotator, molecules)})
+        assert references[0] != references[1]
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        wrong: list[list[str]] = []
+
+        def switcher() -> None:
+            k = 0
+            while not stop.is_set():
+                k += 1
+                annotator.set_prevalence(tables[k % 2])
+
+        def client(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(2000):
+                    batch = rng.sample(molecules, 4)
+                    answer = annotator.transform(batch)
+                    if not any(answer == [dict(ref[s], id=i) for i, s in enumerate(batch)]
+                               for ref in references):
+                        wrong.append(batch)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+            switching = threading.Thread(target=switcher)
+            switching.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            stop.set()
+            switching.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*threads, switching])
+        assert errors == []
+        assert wrong == []
+        annotator.set_prevalence(tables[0])
+        assert annotator.transform(molecules) == uncached(annotator, molecules)

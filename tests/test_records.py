@@ -6,7 +6,10 @@ message."""
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from array import array
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from moltiers.cli import main
+import moltiers.records as records_module
 from moltiers.errors import MalformedLine
 from moltiers.pipeline import read_annotated
 from moltiers.records import (
@@ -291,3 +295,40 @@ def test_layout_accepts_only_json(row, data):
     found = RECORD_LAYOUT.fullmatch(line)
     if found is not None:
         assert_groups_equal_json(found, line)
+
+
+# Counts the patterns compiled while the annotate and prevalence commands'
+# modules are imported, then while RECORD_LAYOUT is imported, one JSON list each.
+_IMPORT_PROBE = """
+import json, re
+compiled = []
+real = re.compile
+
+def counting(pattern, flags=0):
+    compiled.append(str(pattern))
+    return real(pattern, flags)
+
+re.compile = counting
+import moltiers.cli, moltiers.pipeline
+print(json.dumps(compiled))
+compiled.clear()
+from moltiers.records import RECORD_LAYOUT
+print(json.dumps(compiled))
+"""
+
+
+def test_importing_the_pipeline_compiles_no_layout():
+    env = dict(os.environ, PYTHONPATH=str(Path(records_module.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    on_import, on_first_use = map(json.loads, out.splitlines())
+    layout = RECORD_LAYOUT.pattern
+    assert layout not in on_import
+    assert on_first_use == [layout]
+
+
+def test_layout_is_compiled_once():
+    assert RECORD_LAYOUT is records_module.RECORD_LAYOUT
+    assert RECORD_LAYOUT is records_module.record_layout()
+    with pytest.raises(AttributeError, match="NO_SUCH_NAME"):
+        records_module.NO_SUCH_NAME

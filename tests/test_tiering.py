@@ -89,6 +89,15 @@ class TestRuleOrder:
         label = assign_tier(outside, TOP6)
         assert (label.tier, label.rule_trace) == ("T2", "t2_fallback")
 
+    def test_top_groups_as_frozenset_or_set_share_one_label(self):
+        common = make_record(n_fg=1, fg_names={"hydroxyl"})
+        labels = [assign_tier(common, top) for top in
+                  (frozenset({"hydroxyl", "amine"}), {"hydroxyl"}, TOP6 | {"hydroxyl"})]
+        assert labels[0].tier == "T1"
+        assert all(label is labels[0] for label in labels)
+        assert assign_tier(common, set()) is assign_tier(common, frozenset({"amine"}))
+        assert assign_tier(common, set()).rule_trace == "t2_fallback"
+
     def test_t2_window(self):
         mid = make_record(n_fg=4, fg_names=frozenset({"a", "b", "c", "d"}))
         assert assign_tier(mid, TOP6).rule_trace == "t2_multi_group"
