@@ -377,8 +377,8 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     add_tier_config(p)
     p.add_argument("--output", required=True)
     p.add_argument("--prevalence", help="prevalence.tsv from the prevalence step")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--chunk-size", type=int, default=256)
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--chunk-size", type=_positive_int, default=256)
     p.add_argument("--trace", action="store_true",
                    help="include the tier rule trace in each record")
     p.set_defaults(func=cmd_annotate)

@@ -4,6 +4,13 @@ Patterns are small constraint graphs (1-6 atoms): per-atom element set,
 aromatic flag, and heavy-degree bounds; per-bond allowed order sets.  This
 deliberately covers far less than a full query language -- no recursion, no
 logic operators -- but it is enough to express the default 31-group library.
+
+Each pattern is compiled once into a flat plan (``_compile``): one step per
+pattern atom, its constraint fields unpacked, rooted on the most selective
+atom.  ``present_groups`` and ``match_groups`` run the plans through one
+iterative search (``_search``) over the molecule's ``MolView``, with inline
+checks in place of ``AtomConstraint.admits``; ``admits`` stays the
+definition the brute-force oracle tests the search against.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptyCorpus
 from .smiles import (
@@ -64,21 +71,13 @@ class FunctionalGroupPattern:
     atoms: list[AtomConstraint]
     bonds: list[BondConstraint]
     priority: int = 0
-    # search plan, built once: (atom_pos, anchor_pos, allowed_orders,
-    # [(earlier_pos, allowed_orders), ...])  -- anchor_pos is -1 for the root
-    _plan: list[tuple[int, int, frozenset[int] | None, list]] = field(
-        default_factory=list, repr=False
-    )
-    # feature_mask of the required elements and orders: a molecule whose
-    # view.features lacks any of these bits cannot match
-    _features: int = field(default=0, repr=False)
+    # the compiled search plan, built once (see _compile)
+    _plan: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.atoms) <= 6:
             raise ValueError(f"pattern {self.name!r} must have 1-6 atoms")
-        self._plan = _build_plan(self)
-        self._features = feature_mask(self.required_elements(),
-                                      self.required_orders())
+        self._plan = _compile(self)
 
     def required_elements(self) -> dict[str, int]:
         """Lower bound on element counts a molecule needs to match."""
@@ -95,7 +94,27 @@ class FunctionalGroupPattern:
         )
 
 
-def _build_plan(pattern: FunctionalGroupPattern):
+# stands for max_deg=None in a compiled step, so a degree check is one
+# chained comparison
+_NO_MAX_DEG = 1 << 30
+
+
+def _compile(pattern: FunctionalGroupPattern) -> tuple:
+    """The pattern as one flat search plan.
+
+    The plan is ``(name, features, root_site, pair, inverse, steps)``:
+    ``features`` is the ``feature_mask`` of the required elements and
+    orders, so a molecule whose ``view.features`` lacks any of its bits
+    cannot match; ``root_site`` is the root atom's element when it allows
+    only one (its candidates are then that element's sites) and None
+    otherwise; ``pair`` is True for a two-atom pattern the root loop
+    finishes; ``inverse[j]`` is the step that places pattern atom ``j``.
+    Step ``k`` is ``(anchor, anchor_orders, elements, aromatic, min_deg,
+    max_deg, extras)``: the atom is a neighbour of step ``anchor``'s atom
+    through a bond of ``anchor_orders`` (-1 and None for the root), and
+    ``extras`` lists ``(earlier_step, allowed_orders)`` for its other bonds
+    to atoms already placed.
+    """
     n = len(pattern.atoms)
     adj: list[list[tuple[int, frozenset[int]]]] = [[] for _ in range(n)]
     for bc in pattern.bonds:
@@ -123,7 +142,7 @@ def _build_plan(pattern: FunctionalGroupPattern):
         order.append(nxt)
         placed.add(nxt)
     pos_of = {atom: k for k, atom in enumerate(order)}
-    plan = []
+    steps = []
     for k, atom in enumerate(order):
         anchor = -1
         anchor_orders = None
@@ -135,8 +154,16 @@ def _build_plan(pattern: FunctionalGroupPattern):
                     anchor_orders = orders
                 else:
                     extras.append((pos_of[j], orders))
-        plan.append((atom, anchor, anchor_orders, extras))
-    return plan
+        c = pattern.atoms[atom]
+        steps.append((anchor, anchor_orders, c.elements, c.aromatic, c.min_deg,
+                      _NO_MAX_DEG if c.max_deg is None else c.max_deg,
+                      tuple(extras)))
+    root_elements = pattern.atoms[root].elements
+    root_site = next(iter(root_elements)) if len(root_elements) == 1 else None
+    features = feature_mask(pattern.required_elements(), pattern.required_orders())
+    pair = n == 2 and not steps[1][6]
+    return (pattern.name, features, root_site, pair,
+            tuple(pos_of[j] for j in range(n)), tuple(steps))
 
 
 @dataclass
@@ -153,6 +180,7 @@ class FGLibrary:
         if len(set(names)) != len(names):
             raise ValueError("pattern names must be unique")
         self.patterns = list(patterns)
+        self._plans = tuple(p._plan for p in self.patterns)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -209,99 +237,104 @@ def default_library() -> FGLibrary:
     return _DEFAULT
 
 
-def _candidates(view: MolView, constraint: AtomConstraint) -> Iterator[int]:
-    if len(constraint.elements) == 1:
-        (el,) = constraint.elements
-        pool = view.element_sites.get(el, ())
-    else:
-        pool = range(len(view.elements))
-    elements = view.elements
-    aromatic = view.aromatic
-    degree = view.degree
-    for i in pool:
-        if constraint.admits(elements[i], aromatic[i], degree[i]):
-            yield i
+def _search(view: MolView, plans: tuple, embeddings: set | None) -> list[str]:
+    """Run every compiled plan whose features the molecule has.
 
-
-def _match_pattern(
-    view: MolView, pattern: FunctionalGroupPattern, first_only: bool
-) -> list[tuple[int, ...]]:
-    results: list[tuple[int, ...]] = []
-    assign = [-1] * len(pattern._plan)  # plan position -> molecule atom
-    _extend(view, pattern, assign, set(), 0, results, first_only)
-    return results
-
-
-def _extend(view, pattern, assign, used, depth, results, first_only) -> bool:
-    """Place plan position ``depth`` and recurse; True stops the search.
-
-    A module function rather than a recursive closure: the closure would be
-    a reference cycle holding the molecule's view, which only the cyclic
-    garbage collector could then free.
+    With ``embeddings`` None, each plan stops at its first embedding;
+    otherwise every embedding is added to ``embeddings`` as ``(name,
+    atoms)``, ``atoms[j]`` being the molecule atom of pattern atom ``j``.
+    Returns the names of the plans that found one.  Backtracking keeps one
+    cursor per step into its anchor atom's neighbour list, and an atom is
+    free when it is not in ``assign``: no recursion, generator or set.
     """
-    plan = pattern._plan
-    if depth == len(plan):
-        out = [0] * depth
-        for k, (atom_pos, _, _, _) in enumerate(plan):
-            out[atom_pos] = assign[k]
-        results.append(tuple(out))
-        return first_only
-    atom_pos, anchor, anchor_orders, extras = plan[depth]
-    constraint = pattern.atoms[atom_pos]
-    if anchor == -1:
-        candidates: Iterator[int] = _candidates(view, constraint)
-    else:
-        candidates = _extend_candidates(
-            view, constraint, assign[anchor], anchor_orders, extras, assign
-        )
-    for cand in candidates:
-        if cand in used:
-            continue
-        assign[depth] = cand
-        used.add(cand)
-        if _extend(view, pattern, assign, used, depth + 1, results, first_only):
-            return True
-        used.discard(cand)
-        assign[depth] = -1
-    return False
-
-
-def _extend_candidates(view, constraint, anchor_mol, anchor_orders, extras, assign):
     adj = view.adj
     orders = view.orders
     elements = view.elements
     aromatic = view.aromatic
     degree = view.degree
-    for nb, bi in adj[anchor_mol]:
-        if orders[bi] not in anchor_orders:
-            continue
-        if not constraint.admits(elements[nb], aromatic[nb], degree[nb]):
-            continue
-        ok = True
-        for pos, allowed in extras:
-            other = assign[pos]
-            found = False
-            for nb2, bi2 in adj[nb]:
-                if nb2 == other and orders[bi2] in allowed:
-                    found = True
-                    break
-            if not found:
-                ok = False
-                break
-        if ok:
-            yield nb
-
-
-def _matchable(
-    view: MolView, library: FGLibrary
-) -> Iterator[FunctionalGroupPattern]:
-    """The library's patterns whose required elements and orders the
-    molecule has: one integer AND per pattern."""
+    sites = view.element_sites
     features = view.features
-    for pattern in library.patterns:
-        required = pattern._features
-        if features & required == required:
-            yield pattern
+    first_only = embeddings is None
+    names = []
+    for name, required, root_site, pair, inverse, steps in plans:
+        if features & required != required:
+            continue
+        _, _, r_elements, r_aromatic, r_min, r_max, _ = steps[0]
+        n = len(steps)
+        hit = False
+        for r in range(len(elements)) if root_site is None else sites.get(root_site, ()):
+            if (elements[r] not in r_elements
+                    or (r_aromatic is not None and aromatic[r] != r_aromatic)
+                    or not r_min <= degree[r] <= r_max):
+                continue
+            if n == 1:
+                hit = True
+                if first_only:
+                    break
+                embeddings.add((name, (r,)))
+                continue
+            if pair:
+                _, b_orders, b_elements, b_aromatic, b_min, b_max, _ = steps[1]
+                for nb, bi in adj[r]:
+                    if (orders[bi] in b_orders and elements[nb] in b_elements
+                            and (b_aromatic is None or aromatic[nb] == b_aromatic)
+                            and b_min <= degree[nb] <= b_max):
+                        hit = True
+                        if first_only:
+                            break
+                        embeddings.add((name, (r, nb) if inverse[0] == 0 else (nb, r)))
+                if hit and first_only:
+                    break
+                continue
+            assign = [r] + [-1] * (n - 1)  # step -> molecule atom, -1 unplaced
+            cursor = [0] * n
+            depth = 1
+            while depth:
+                anchor, a_orders, s_elements, s_aromatic, s_min, s_max, extras = steps[depth]
+                nbrs = adj[assign[anchor]]
+                k = cursor[depth]
+                assign[depth] = -1
+                while k < len(nbrs):
+                    nb, bi = nbrs[k]
+                    k += 1
+                    if (orders[bi] not in a_orders or elements[nb] not in s_elements
+                            or (s_aromatic is not None and aromatic[nb] != s_aromatic)
+                            or not s_min <= degree[nb] <= s_max or nb in assign):
+                        continue
+                    ok = True
+                    for pos, allowed in extras:
+                        other = assign[pos]
+                        ok = False
+                        for nb2, bi2 in adj[nb]:
+                            if nb2 == other and orders[bi2] in allowed:
+                                ok = True
+                                break
+                        if not ok:
+                            break
+                    if not ok:
+                        continue
+                    if depth + 1 < n:
+                        cursor[depth] = k
+                        assign[depth] = nb
+                        depth += 1
+                        cursor[depth] = 0
+                        break
+                    hit = True
+                    if first_only:
+                        break
+                    assign[depth] = nb
+                    embeddings.add((name, tuple([assign[p] for p in inverse])))
+                    assign[depth] = -1
+                else:
+                    depth -= 1
+                    continue
+                if hit and first_only:
+                    break
+            if hit and first_only:
+                break
+        if hit:
+            names.append(name)
+    return names
 
 
 def match_groups(
@@ -309,24 +342,18 @@ def match_groups(
 ) -> set[tuple[str, tuple[int, ...]]]:
     """All embeddings of every library pattern into the molecule."""
     library = default_library() if library is None else library
-    view = graph.view()
     out: set[tuple[str, tuple[int, ...]]] = set()
-    for pattern in _matchable(view, library):
-        for embedding in _match_pattern(view, pattern, first_only=False):
-            out.add((pattern.name, embedding))
+    _search(graph.view(), library._plans, out)
     return out
 
 
 def present_groups(
     graph: MolecularGraph, library: FGLibrary | None = None
 ) -> frozenset[str]:
-    """Names of patterns with at least one embedding (early-exit matcher)."""
+    """Names of patterns with at least one embedding (each plan stops at
+    its first)."""
     library = default_library() if library is None else library
-    view = graph.view()
-    return frozenset(
-        pattern.name for pattern in _matchable(view, library)
-        if _match_pattern(view, pattern, first_only=True)
-    )
+    return frozenset(_search(graph.view(), library._plans, None))
 
 
 def corpus_prevalence(

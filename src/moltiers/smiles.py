@@ -8,6 +8,9 @@ wildcards, atom classes, and quadruple bonds are rejected.
 
 Parsing is total: every input string either yields a ``MolecularGraph`` or
 raises a ``SmilesError`` subclass carrying the byte offset of the problem.
+The parser fills the graph's ``MolView`` arrays in the loop that reads the
+atoms and bonds; ``MolView(graph)`` builds the same view for a graph built
+by hand.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ _BOND_CHAR_ORDER = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
                     "/": SINGLE, "\\": SINGLE}
 _BOND_CHAR_STEREO = {"/": STEREO_UP, "\\": STEREO_DOWN}
 _ORDER_CHAR = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
+# unbracketed atoms: first letter -> (element, aromatic); "Cl" and "Br" take
+# the second letter that follows their first
+_ORGANIC_ATOM = {c: (c, False) for c in "BCNOPSFI"}
+_ORGANIC_ATOM.update((c, (c.upper(), True)) for c in "bcnops")
+_SECOND_LETTER = {"C": "l", "B": "r"}
 
 
 @dataclass(slots=True)
@@ -114,6 +122,10 @@ class MolView:
     ``element_sites`` maps each element to its atom indices, in index order;
     ``features`` is the molecule's ``feature_mask``.  ``rings`` is filled in
     by the graph module's ring perception the first time it runs.
+
+    ``parse_smiles`` fills the arrays as it reads the atoms and bonds and
+    sets the graph's view itself; ``MolView(graph)`` walks a graph built by
+    hand.  Both derive the rest in ``_fill``.
     """
 
     __slots__ = ("adj", "orders", "elements", "aromatic", "degree",
@@ -121,54 +133,50 @@ class MolView:
 
     def __init__(self, graph: MolecularGraph):
         atoms = graph.atoms
-        elements = [a.element for a in atoms]
         adj: list[list[tuple[int, int]]] = [[] for _ in atoms]
-        degree = [0] * len(atoms)
         orders = []
         for bi, bond in enumerate(graph.bonds):
-            a, b = bond.a, bond.b
-            adj[a].append((b, bi))
-            adj[b].append((a, bi))
+            adj[bond.a].append((bond.b, bi))
+            adj[bond.b].append((bond.a, bi))
             orders.append(bond.order)
-            if elements[b] != "H":
-                degree[a] += 1
-            if elements[a] != "H":
-                degree[b] += 1
+        elements = [a.element for a in atoms]
         sites: dict[str, list[int]] = {}
         for i, el in enumerate(elements):
             if el in sites:
                 sites[el].append(i)
             else:
                 sites[el] = [i]
+        self._fill(adj, orders, elements, [a.aromatic for a in atoms], sites)
+
+    def _fill(self, adj, orders, elements, aromatic, element_sites,
+              rings=None) -> MolView:
+        """Set the arrays and derive heavy degrees, ``n_heavy`` and
+        ``features`` from them: the one place those are computed."""
+        degree = [len(nbrs) for nbrs in adj]
+        hydrogens = element_sites.get("H", ())
+        for h in hydrogens:
+            for nb, _ in adj[h]:
+                degree[nb] -= 1
         self.adj = adj
         self.orders = orders
         self.elements = elements
-        self.aromatic = [a.aromatic for a in atoms]
+        self.aromatic = aromatic
         self.degree = degree
-        self.element_sites = sites
-        self.n_heavy = len(atoms) - len(sites.get("H", ()))
-        self.features = self._features()
-        self.rings = None
-
-    def _features(self) -> int:
-        counts = {el: len(sites) for el, sites in self.element_sites.items()}
-        return feature_mask(counts, set(self.orders))
+        self.element_sites = element_sites
+        self.n_heavy = len(elements) - len(hydrogens)
+        self.features = feature_mask(
+            {el: len(sites) for el, sites in element_sites.items()}, set(orders))
+        self.rings = rings
+        return self
 
     def with_flags(self, graph: MolecularGraph) -> MolView:
         """The view of ``graph``, a copy of this view's molecule that differs
-        only in bond orders and aromatic flags: topology, heavy degrees,
-        element sites and rings are shared."""
-        view = MolView.__new__(MolView)
-        view.adj = self.adj
-        view.orders = [bond.order for bond in graph.bonds]
-        view.elements = self.elements
-        view.aromatic = [atom.aromatic for atom in graph.atoms]
-        view.degree = self.degree
-        view.element_sites = self.element_sites
-        view.n_heavy = self.n_heavy
-        view.features = view._features()
-        view.rings = self.rings
-        return view
+        only in bond orders and aromatic flags: topology, element sites and
+        rings are shared."""
+        return MolView.__new__(MolView)._fill(
+            self.adj, [bond.order for bond in graph.bonds], self.elements,
+            [atom.aromatic for atom in graph.atoms], self.element_sites,
+            self.rings)
 
 
 @dataclass(slots=True)
@@ -186,8 +194,9 @@ class MolecularGraph:
     _valences: list[int] | None = field(default=None, repr=False, compare=False)
 
     def view(self) -> MolView:
-        """The per-molecule indices, built lazily and memoised; safe because
-        graphs never change after construction."""
+        """The per-molecule indices: set by ``parse_smiles``, built on first
+        use for any other graph and memoised; safe because graphs never
+        change after construction."""
         if self._view is None:
             self._view = MolView(self)
         return self._view
@@ -201,7 +210,12 @@ class MolecularGraph:
 
 
 def parse_smiles(text: str) -> MolecularGraph:
-    """Parse ``text`` into a MolecularGraph or raise a SmilesError."""
+    """Parse ``text`` into a MolecularGraph or raise a SmilesError.
+
+    The graph's ``MolView`` arrays (adjacency, bond orders, elements,
+    aromatic flags, element sites) are filled in the same loop that reads
+    the atoms and bonds, so no later pass walks them again.
+    """
     if not text:
         raise EmptyInput("empty SMILES", 0)
     if not text.isascii():
@@ -212,7 +226,11 @@ def parse_smiles(text: str) -> MolecularGraph:
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     atom_offsets: list[int] = []
-    bond_pairs: set[tuple[int, int]] = set()
+    elements: list[str] = []
+    aromatic: list[bool] = []
+    adj: list[list[tuple[int, int]]] = []
+    orders: list[int] = []
+    sites: dict[str, list[int]] = {}
     # open ring closures: digit -> (atom index, pending order, pending stereo, offset)
     open_rings: dict[int, tuple[int, int, int, int]] = {}
     stack: list[int] = []
@@ -224,55 +242,45 @@ def parse_smiles(text: str) -> MolecularGraph:
 
     n = len(text)
     i = 0
-
-    def add_bond(a_idx: int, b_idx: int, order: int, stereo: int, offset: int) -> None:
-        if a_idx == b_idx:
-            raise UnmatchedRingClosure("ring closure bonds an atom to itself", offset)
-        key = (a_idx, b_idx) if a_idx < b_idx else (b_idx, a_idx)
-        if key in bond_pairs:
-            raise UnmatchedRingClosure("duplicate bond between atom pair", offset)
-        bond_pairs.add(key)
-        if order == 0:
-            if atoms[a_idx].aromatic and atoms[b_idx].aromatic:
-                order = AROMATIC
-            else:
-                order = SINGLE
-        if order == AROMATIC and not (atoms[a_idx].aromatic and atoms[b_idx].aromatic):
-            raise AromaticBondError("aromatic bond on non-aromatic atom", offset)
-        bonds.append(Bond(a_idx, b_idx, order, stereo))
-
-    def attach(atom: Atom, offset: int) -> None:
-        nonlocal prev, pend_order, pend_stereo
-        atom.index = len(atoms)
-        atoms.append(atom)
-        atom_offsets.append(offset)
-        if prev >= 0:
-            add_bond(prev, atom.index, pend_order, pend_stereo, offset)
-        elif pend_order:
-            raise DanglingBond("bond symbol with no preceding atom", pend_offset)
-        prev = atom.index
-        pend_order = 0
-        pend_stereo = STEREO_NONE
-
     while i < n:
+        # each pass reads one token; an atom or a ring closure then falls
+        # through to add the bond a-b of ``order`` and ``stereo``
         c = text[i]
-        if c == "C":
-            if i + 1 < n and text[i + 1] == "l":
-                attach(Atom("Cl"), i)
-                i += 2
-            else:
-                attach(Atom("C"), i)
+        token = _ORGANIC_ATOM.get(c)
+        if token is not None or c == "[":
+            offset = i
+            if token is not None:
+                element, arom = token
                 i += 1
-        elif c in "NOPSFI" or c == "B":
-            if c == "B" and i + 1 < n and text[i + 1] == "r":
-                attach(Atom("Br"), i)
-                i += 2
+                if i < n and text[i] == _SECOND_LETTER.get(c):
+                    element = c + text[i]
+                    i += 1
+                atom = Atom(element, arom, 0, None, CHI_NONE, 0, len(atoms))
             else:
-                attach(Atom(c), i)
-                i += 1
-        elif c in "bcnops":
-            attach(Atom(c.upper(), aromatic=True), i)
-            i += 1
+                atom, i = _parse_bracket(text, i)
+                atom.index = len(atoms)
+                element = atom.element
+                arom = atom.aromatic
+            b = atom.index
+            atoms.append(atom)
+            atom_offsets.append(offset)
+            elements.append(element)
+            aromatic.append(arom)
+            adj.append([])
+            if element in sites:
+                sites[element].append(b)
+            else:
+                sites[element] = [b]
+            a = prev
+            order = pend_order
+            stereo = pend_stereo
+            prev = b
+            pend_order = 0
+            pend_stereo = STEREO_NONE
+            if a < 0:
+                if order:
+                    raise DanglingBond("bond symbol with no preceding atom", pend_offset)
+                continue
         elif c == "(":
             if pend_order:
                 raise DanglingBond("bond symbol before branch open", pend_offset)
@@ -281,6 +289,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             stack.append(prev)
             paren_offsets.append(i)
             i += 1
+            continue
         elif c == ")":
             if pend_order:
                 raise DanglingBond("bond symbol before branch close", pend_offset)
@@ -289,6 +298,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             prev = stack.pop()
             paren_offsets.pop()
             i += 1
+            continue
         elif c in _BOND_CHAR_ORDER:
             if pend_order:
                 raise DanglingBond("two bond symbols in a row", i)
@@ -296,6 +306,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             pend_stereo = _BOND_CHAR_STEREO.get(c, STEREO_NONE)
             pend_offset = i
             i += 1
+            continue
         elif c.isdigit() or c == "%":
             if c == "%":
                 if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
@@ -307,15 +318,24 @@ def parse_smiles(text: str) -> MolecularGraph:
                 width = 1
             if prev < 0:
                 raise UnmatchedRingClosure("ring closure before any atom", i)
-            if num in open_rings:
-                o_atom, o_order, o_stereo, _ = open_rings.pop(num)
-                if o_order and pend_order and o_order != pend_order:
-                    raise UnmatchedRingClosure("ring closure bond order conflict", i)
-                order = pend_order or o_order
-                stereo = pend_stereo or o_stereo
-                add_bond(o_atom, prev, order, stereo, i)
-            else:
+            if num not in open_rings:
                 open_rings[num] = (prev, pend_order, pend_stereo, i)
+                pend_order = 0
+                pend_stereo = STEREO_NONE
+                i += width
+                continue
+            a, o_order, o_stereo, _ = open_rings.pop(num)
+            if o_order and pend_order and o_order != pend_order:
+                raise UnmatchedRingClosure("ring closure bond order conflict", i)
+            b = prev
+            order = pend_order or o_order
+            stereo = pend_stereo or o_stereo
+            offset = i
+            if a == b:
+                raise UnmatchedRingClosure("ring closure bonds an atom to itself", i)
+            for nb, _ in adj[a]:
+                if nb == b:
+                    raise UnmatchedRingClosure("duplicate bond between atom pair", i)
             pend_order = 0
             pend_stereo = STEREO_NONE
             i += width
@@ -324,12 +344,19 @@ def parse_smiles(text: str) -> MolecularGraph:
                 raise DanglingBond("bond symbol before '.'", pend_offset)
             prev = -1
             i += 1
-        elif c == "[":
-            atom, i2 = _parse_bracket(text, i)
-            attach(atom, i)
-            i = i2
+            continue
         else:
             raise UnknownElement(f"unexpected character {c!r}", i)
+
+        if order == 0:
+            order = AROMATIC if aromatic[a] and aromatic[b] else SINGLE
+        elif order == AROMATIC and not (aromatic[a] and aromatic[b]):
+            raise AromaticBondError("aromatic bond on non-aromatic atom", offset)
+        bi = len(bonds)
+        bonds.append(Bond(a, b, order, stereo))
+        orders.append(order)
+        adj[a].append((b, bi))
+        adj[b].append((a, bi))
 
     if pend_order:
         raise DanglingBond("bond symbol at end of input", pend_offset)
@@ -341,7 +368,9 @@ def parse_smiles(text: str) -> MolecularGraph:
     if not atoms:
         raise EmptyInput("no atoms in SMILES", 0)
 
-    graph = MolecularGraph(atoms, bonds, text)
+    graph = MolecularGraph(atoms, bonds, text,
+                           MolView.__new__(MolView)._fill(
+                               adj, orders, elements, aromatic, sites))
     _check_valences(graph, atom_offsets)
     return graph
 

@@ -26,9 +26,12 @@ class TierConfig:
     def __post_init__(self) -> None:
         if not (self.fg_low < self.fg_mid_lo <= self.fg_mid_hi):
             raise ValueError("require fg_low < fg_mid_lo <= fg_mid_hi")
-        if min(self.rarity_threshold, self.s_threshold,
-               self.ct_per_ha_threshold, self.min_rings_t3, self.top_k) <= 0:
-            raise ValueError("thresholds must be positive")
+        # `not value > 0` rejects NaN, which every comparison fails; inf
+        # passes and switches its rule off
+        for value in (self.rarity_threshold, self.s_threshold,
+                      self.ct_per_ha_threshold, self.min_rings_t3, self.top_k):
+            if not value > 0:
+                raise ValueError("thresholds must be positive")
 
     @classmethod
     def from_attributes(cls, obj: object) -> TierConfig:

@@ -6,7 +6,8 @@ from raw candidate products instead of backtracking, entropy and correlations
 are recomputed from first principles.  ``reference_ring_info`` keeps the
 earlier whole-graph ring perception as a differential reference, and
 ``reference_perceive_aromaticity`` the aromaticity perception that searched
-rings in every molecule.  ``reference_sample_epoch`` draws every mixed-regime
+rings in every molecule, and ``reference_parse_smiles`` the parser that
+left the molecule view to ``MolView(graph)``.  ``reference_sample_epoch`` draws every mixed-regime
 id with the public ``uniform_draw``, and ``reference_manifest_text`` writes
 each manifest line with its own ``json.dumps``.  ``reference_records``
 and ``reference_stats_report`` read annotated records with ``json.loads``
@@ -25,12 +26,32 @@ import math
 import random
 from collections import Counter, deque
 
+import moltiers.smiles as smiles_module
+from moltiers.errors import (
+    AromaticBondError,
+    DanglingBond,
+    EmptyInput,
+    UnbalancedParenthesis,
+    UnknownElement,
+    UnmatchedRingClosure,
+)
 from moltiers.scheduler import (
     active_tiers,
     tier_weights_mixed,
     uniform_draw,
 )
-from moltiers.smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolecularGraph
+from moltiers.smiles import (
+    AROMATIC,
+    DOUBLE,
+    SINGLE,
+    STEREO_DOWN,
+    STEREO_NONE,
+    STEREO_UP,
+    TRIPLE,
+    Atom,
+    Bond,
+    MolecularGraph,
+)
 
 # ---------------------------------------------------------------------------
 # shared small helpers
@@ -52,6 +73,162 @@ def heavy_degree(graph: MolecularGraph) -> list[int]:
         if graph.atoms[bond.a].element != "H":
             deg[bond.b] += 1
     return deg
+
+
+# ---------------------------------------------------------------------------
+# the parser before it filled the view
+
+_BOND_CHAR_ORDER = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
+                    "/": SINGLE, "\\": SINGLE}
+_BOND_CHAR_STEREO = {"/": STEREO_UP, "\\": STEREO_DOWN}
+
+
+def reference_parse_smiles(text: str) -> MolecularGraph:
+    """The parser as it was before it filled the molecule view: Atom and
+    Bond objects only, a bond-pair set for duplicates, and no view, so
+    ``graph.view()`` builds one with ``MolView(graph)``."""
+    if not text:
+        raise EmptyInput("empty SMILES", 0)
+    if not text.isascii():
+        for off, ch in enumerate(text):
+            if ord(ch) > 127:
+                raise UnknownElement(f"non-ASCII byte {ch!r}", off)
+
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    atom_offsets: list[int] = []
+    bond_pairs: set[tuple[int, int]] = set()
+    # open ring closures: digit -> (atom index, pending order, pending stereo, offset)
+    open_rings: dict[int, tuple[int, int, int, int]] = {}
+    stack: list[int] = []
+    paren_offsets: list[int] = []
+    prev = -1
+    pend_order = 0      # 0 = no pending bond symbol
+    pend_stereo = STEREO_NONE
+    pend_offset = -1
+
+    n = len(text)
+    i = 0
+
+    def add_bond(a_idx: int, b_idx: int, order: int, stereo: int, offset: int) -> None:
+        if a_idx == b_idx:
+            raise UnmatchedRingClosure("ring closure bonds an atom to itself", offset)
+        key = (a_idx, b_idx) if a_idx < b_idx else (b_idx, a_idx)
+        if key in bond_pairs:
+            raise UnmatchedRingClosure("duplicate bond between atom pair", offset)
+        bond_pairs.add(key)
+        if order == 0:
+            if atoms[a_idx].aromatic and atoms[b_idx].aromatic:
+                order = AROMATIC
+            else:
+                order = SINGLE
+        if order == AROMATIC and not (atoms[a_idx].aromatic and atoms[b_idx].aromatic):
+            raise AromaticBondError("aromatic bond on non-aromatic atom", offset)
+        bonds.append(Bond(a_idx, b_idx, order, stereo))
+
+    def attach(atom: Atom, offset: int) -> None:
+        nonlocal prev, pend_order, pend_stereo
+        atom.index = len(atoms)
+        atoms.append(atom)
+        atom_offsets.append(offset)
+        if prev >= 0:
+            add_bond(prev, atom.index, pend_order, pend_stereo, offset)
+        elif pend_order:
+            raise DanglingBond("bond symbol with no preceding atom", pend_offset)
+        prev = atom.index
+        pend_order = 0
+        pend_stereo = STEREO_NONE
+
+    while i < n:
+        c = text[i]
+        if c == "C":
+            if i + 1 < n and text[i + 1] == "l":
+                attach(Atom("Cl"), i)
+                i += 2
+            else:
+                attach(Atom("C"), i)
+                i += 1
+        elif c in "NOPSFI" or c == "B":
+            if c == "B" and i + 1 < n and text[i + 1] == "r":
+                attach(Atom("Br"), i)
+                i += 2
+            else:
+                attach(Atom(c), i)
+                i += 1
+        elif c in "bcnops":
+            attach(Atom(c.upper(), aromatic=True), i)
+            i += 1
+        elif c == "(":
+            if pend_order:
+                raise DanglingBond("bond symbol before branch open", pend_offset)
+            if prev < 0:
+                raise UnbalancedParenthesis("branch opened before any atom", i)
+            stack.append(prev)
+            paren_offsets.append(i)
+            i += 1
+        elif c == ")":
+            if pend_order:
+                raise DanglingBond("bond symbol before branch close", pend_offset)
+            if not stack:
+                raise UnbalancedParenthesis("unmatched ')'", i)
+            prev = stack.pop()
+            paren_offsets.pop()
+            i += 1
+        elif c in _BOND_CHAR_ORDER:
+            if pend_order:
+                raise DanglingBond("two bond symbols in a row", i)
+            pend_order = _BOND_CHAR_ORDER[c]
+            pend_stereo = _BOND_CHAR_STEREO.get(c, STEREO_NONE)
+            pend_offset = i
+            i += 1
+        elif c.isdigit() or c == "%":
+            if c == "%":
+                if i + 2 >= n or not (text[i + 1].isdigit() and text[i + 2].isdigit()):
+                    raise UnmatchedRingClosure("'%' needs two digits", i)
+                num = int(text[i + 1 : i + 3])
+                width = 3
+            else:
+                num = int(c)
+                width = 1
+            if prev < 0:
+                raise UnmatchedRingClosure("ring closure before any atom", i)
+            if num in open_rings:
+                o_atom, o_order, o_stereo, _ = open_rings.pop(num)
+                if o_order and pend_order and o_order != pend_order:
+                    raise UnmatchedRingClosure("ring closure bond order conflict", i)
+                order = pend_order or o_order
+                stereo = pend_stereo or o_stereo
+                add_bond(o_atom, prev, order, stereo, i)
+            else:
+                open_rings[num] = (prev, pend_order, pend_stereo, i)
+            pend_order = 0
+            pend_stereo = STEREO_NONE
+            i += width
+        elif c == ".":
+            if pend_order:
+                raise DanglingBond("bond symbol before '.'", pend_offset)
+            prev = -1
+            i += 1
+        elif c == "[":
+            atom, i2 = smiles_module._parse_bracket(text, i)
+            attach(atom, i)
+            i = i2
+        else:
+            raise UnknownElement(f"unexpected character {c!r}", i)
+
+    if pend_order:
+        raise DanglingBond("bond symbol at end of input", pend_offset)
+    if stack:
+        raise UnbalancedParenthesis("unclosed '('", paren_offsets[0])
+    if open_rings:
+        off = min(v[3] for v in open_rings.values())
+        raise UnmatchedRingClosure("unclosed ring bond", off)
+    if not atoms:
+        raise EmptyInput("no atoms in SMILES", 0)
+
+    graph = MolecularGraph(atoms, bonds, text)
+    smiles_module._check_valences(graph, atom_offsets)
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,35 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["corpus.csv"] + (["run.conf"] if source == "config" else []))
 
+    @pytest.mark.parametrize("option", ["rarity-threshold", "ct-per-ha-threshold"])
+    def test_nan_threshold_is_data_error(self, smi_file, tmp_path, caplog, option):
+        """NaN passes no threshold rule, so taking it would shift the tiers."""
+        out = tmp_path / "out.jsonl"
+        assert self.run("annotate", "--input", str(smi_file), "--output", str(out),
+                        "--" + option, "nan") == 2
+        assert "thresholds must be positive" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.smi"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("workers", "0"), ("workers", "-2"),
+        ("chunk_size", "0"), ("chunk_size", "-5"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_workers_and_chunk_size_below_one_are_usage_errors(
+            self, smi_file, tmp_path, capsys, option, value, source):
+        flag = "--" + option.replace("_", "-")
+        out = ["--input", str(smi_file), "--output", str(tmp_path / "out.jsonl")]
+        if source == "flag":
+            argv = ["annotate", *out, flag, value]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"{option} = {value}\n")
+            argv = ["--config", str(config), "annotate", *out]
+        assert self.run(*argv) == 1
+        assert f"argument {flag}: '{value}' is not a positive integer" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_usage_error_exit_1(self):
         assert self.run("schedule", "--bogus-flag") == 1
         assert self.run() == 1

@@ -14,7 +14,7 @@ import moltiers.featurizer as featurizer
 import moltiers.smiles as smiles_module
 from moltiers.errors import NotFitted
 from moltiers.featurizer import RECORD_FIELDS, ComplexityAnnotator, record_to_dict
-from moltiers.fgroups import FGLibrary, default_library
+from moltiers.fgroups import FGLibrary, default_library, top_k_groups
 from moltiers.pipeline import run_annotate
 from moltiers.synth import generate_corpus
 from moltiers.tiering import TierConfig
@@ -110,7 +110,10 @@ class TestTransform:
     def test_prevalence_learned_from_corpus(self):
         annotator = ComplexityAnnotator().fit(["CC(=O)O", "CCCCCC"])
         assert annotator.prevalence_.prevalence["carboxylic_acid"] == 0.5
-        assert "carboxylic_acid" not in annotator.top_groups_ or True
+        # the three groups at 0.5, then the ties at 0 broken by name
+        assert annotator.top_groups_ == frozenset(
+            top_k_groups(annotator.prevalence_, 6))
+        assert {"carboxylic_acid", "carbonyl", "hydroxyl"} <= annotator.top_groups_
         assert annotator.prevalence_.corpus_size == 2
 
     def test_transform_deterministic(self):

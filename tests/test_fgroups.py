@@ -18,9 +18,11 @@ from moltiers.fgroups import (
     present_groups,
     top_k_groups,
 )
+from moltiers.graph import perceive_aromaticity
+from moltiers.smiles import parse_smiles
 from moltiers.synth import generate_corpus
 
-from oracles import brute_matches
+from oracles import brute_matches, brute_present, heavy_degree
 
 LIB = default_library()
 
@@ -207,3 +209,108 @@ class TestTopK:
     def test_k_equals_all(self):
         table = PrevalenceTable({n: 0.0 for n in LIB.names()}, 1)
         assert len(top_k_groups(table, 31)) == 31
+
+
+# one atom with several elements (the root scans every atom), a six-atom
+# ring whose last bond closes onto the root (a plan extra), a pair listed
+# twice (a two-atom plan with an extra) and atoms of either aromaticity
+CUSTOM = FGLibrary.from_dict({"patterns": [
+    {"name": "halogen",
+     "atoms": [{"elements": ["F", "Cl", "Br", "I"], "max_deg": 1}],
+     "bonds": []},
+    {"name": "pyridine_ring",
+     "atoms": [{"elements": ["N"], "aromatic": True}]
+              + [{"elements": ["C"], "aromatic": True}] * 5,
+     "bonds": [{"a": k, "b": (k + 1) % 6, "orders": ["aromatic"]}
+               for k in range(6)]},
+    {"name": "hetero_carbonyl",
+     "atoms": [{"elements": ["N", "O"]}, {"elements": ["C"], "min_deg": 2},
+               {"elements": ["O"], "max_deg": 1}],
+     "bonds": [{"a": 0, "b": 1, "orders": ["single", "aromatic"]},
+               {"a": 1, "b": 2, "orders": ["double"]}]},
+    {"name": "carbonyl_listed_twice",
+     "atoms": [{"elements": ["C"]}, {"elements": ["O"]}],
+     "bonds": [{"a": 0, "b": 1, "orders": ["single", "double"]},
+               {"a": 1, "b": 0, "orders": ["double"]}]},
+    {"name": "cyclopropane",
+     "atoms": [{"elements": ["C"], "min_deg": 2}] * 3,
+     "bonds": [{"a": 0, "b": 1, "orders": ["single"]},
+               {"a": 1, "b": 2, "orders": ["single"]},
+               {"a": 2, "b": 0, "orders": ["single"]}]},
+]})
+
+LIBRARIES = {"default": LIB, "empty": TestEmptyLibrary.EMPTY, "custom": CUSTOM}
+
+HAND_MOLECULES = [
+    "c1ccncc1", "Clc1ccncc1C(=O)N", "OC(=O)c1cccnc1", "C1=CC=NC=C1",
+    "c1ccc2ncccc2c1", "FC(F)(F)Br", "[H]OC=O", "[H]N([H])C(=O)OC", "C1CC1",
+    "CC1(C)CC1C(=O)O", "O=C1CC1", "ICI", "Oc1ccccc1", "CC(=O)Nc1ccc(O)cc1",
+    "C=C", "C#CC=CC#N", "CS(=O)(=O)N", "[N+](=O)([O-])c1ccccc1",
+]
+
+
+def brute_cost(graph, library) -> int:
+    """Candidate tuples the brute-force oracle tries for the library."""
+    deg = heavy_degree(graph)
+    total = 0
+    for pattern in library.patterns:
+        product = 1
+        for c in pattern.atoms:
+            product *= sum(1 for i, atom in enumerate(graph.atoms)
+                           if c.admits(atom.element, atom.aromatic, deg[i]))
+        total += product
+    return total
+
+
+@pytest.fixture(scope="module")
+def molecules():
+    """Hand-written molecules and generated ones the oracle can afford."""
+    graphs = [perceive_aromaticity(parse_smiles(s)) for s in HAND_MOLECULES]
+    for smiles in generate_corpus(300, seed=77):
+        graph = perceive_aromaticity(parse_smiles(smiles))
+        if brute_cost(graph, LIB) + brute_cost(graph, CUSTOM) <= 60_000:
+            graphs.append(graph)
+    return graphs
+
+
+class TestCompiledPlans:
+    """The search over compiled plans finds what the brute-force oracle,
+    built on AtomConstraint.admits, finds."""
+
+    @pytest.mark.parametrize("name", sorted(LIBRARIES))
+    def test_present_equals_brute(self, molecules, name):
+        library = LIBRARIES[name]
+        for graph in molecules:
+            assert present_groups(graph, library) == brute_present(graph, library), \
+                graph.source
+
+    @pytest.mark.parametrize("name", sorted(LIBRARIES))
+    def test_matches_equal_brute(self, molecules, name):
+        library = LIBRARIES[name]
+        for graph in molecules:
+            want = {(p.name, emb) for p in library.patterns
+                    for emb in brute_matches(graph, p)}
+            assert match_groups(graph, library) == want, graph.source
+
+    def test_custom_library_is_exercised(self, molecules):
+        found = set()
+        for graph in molecules:
+            found |= present_groups(graph, CUSTOM)
+        assert found == set(CUSTOM.names())
+        assert len(molecules) >= 60
+
+    def test_steps_admit_what_admits_admits(self):
+        # each compiled step holds its constraint's fields, unpacked
+        grid = [(el, arom, deg) for el in ("C", "N", "O", "F", "Cl", "S", "H")
+                for arom in (False, True) for deg in range(6)]
+        for library in (LIB, CUSTOM):
+            for pattern in library.patterns:
+                _, _, _, _, inverse, steps = pattern._plan
+                for j, constraint in enumerate(pattern.atoms):
+                    _, _, elements, aromatic, min_deg, max_deg, _ = steps[inverse[j]]
+                    for el, arom, deg in grid:
+                        step_admits = (el in elements
+                                       and (aromatic is None or arom == aromatic)
+                                       and min_deg <= deg <= max_deg)
+                        assert step_admits == constraint.admits(el, arom, deg), \
+                            (pattern.name, j, el, arom, deg)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moltiers.errors import (
+    AromaticBondError,
     DanglingBond,
     EmptyInput,
     InvalidBracketAtom,
@@ -24,6 +25,11 @@ from moltiers.smiles import (
     SINGLE,
     STEREO_UP,
     TRIPLE,
+    Atom,
+    Bond,
+    MolecularGraph,
+    MolView,
+    feature_mask,
     implicit_hydrogens,
     molecular_weight,
     parse_smiles,
@@ -32,7 +38,7 @@ from moltiers.smiles import (
 )
 from moltiers.synth import generate_corpus
 
-from oracles import assert_isomorphic
+from oracles import assert_isomorphic, heavy_degree, reference_parse_smiles
 
 
 def bond_set(graph):
@@ -291,3 +297,105 @@ def fuzz_strings(seed: int = 99, count: int = 20_000) -> list[str]:
         n = rng.randint(0, 30)
         out.append("".join(chr(rng.randint(1, 255)) for _ in range(n)))
     return out
+
+
+# One string per raise site of the parser, in source order, each with the
+# error it must give; the equivalence check below runs them all.
+ERROR_CASES = [
+    ("", EmptyInput),
+    ("Cé", UnknownElement),
+    ("=C", DanglingBond),
+    ("C=(C)C", DanglingBond),
+    ("(C)", UnbalancedParenthesis),
+    ("C(C=)C", DanglingBond),
+    ("CC)C", UnbalancedParenthesis),
+    ("C==C", DanglingBond),
+    ("C%1", UnmatchedRingClosure),
+    ("1CC", UnmatchedRingClosure),
+    ("C=1CCCCC#1", UnmatchedRingClosure),
+    ("C11", UnmatchedRingClosure),
+    ("C12CC12", UnmatchedRingClosure),
+    ("C:C", AromaticBondError),
+    ("C1CCCCC:1", AromaticBondError),
+    ("C=.C", DanglingBond),
+    ("CQ", UnknownElement),
+    ("C=", DanglingBond),
+    ("C(C", UnbalancedParenthesis),
+    ("C1CC", UnmatchedRingClosure),
+    ("..", EmptyInput),
+    ("O(C)(C)C", ValenceError),
+    ("[1234C]", InvalidBracketAtom),
+    ("[C", InvalidBracketAtom),
+    ("[q]", UnknownElement),
+    ("[Xx]", UnknownElement),
+    ("[+]", InvalidBracketAtom),
+    ("[C+5]", InvalidBracketAtom),
+    ("[CH4", InvalidBracketAtom),
+]
+
+# everything the bracket-free and bracket grammar reads, and some it does not
+SMILES_ALPHABET = "CcNnOoSsPpBbrlFI[]()=#:/\\%0123456789.@H+-Q"
+
+
+def parse_outcome(parse, text):
+    """The graph, or the error's class, offset and message."""
+    try:
+        return parse(text)
+    except SmilesError as err:
+        return type(err), err.offset, err.args
+
+
+def view_fields(view) -> dict:
+    return {name: getattr(view, name) for name in MolView.__slots__}
+
+
+def assert_parses_as_reference(text):
+    """The parser gives the graph or error the parser before it gave, and
+    the view it fills is the one ``MolView(graph)`` builds, field by field."""
+    got = parse_outcome(parse_smiles, text)
+    want = parse_outcome(reference_parse_smiles, text)
+    if isinstance(want, tuple):
+        assert got == want, text
+        return
+    assert isinstance(got, MolecularGraph), (text, got)
+    assert (got.atoms, got.bonds, got.source) == (want.atoms, want.bonds, want.source)
+    assert got._view is not None, text
+    assert view_fields(got._view) == view_fields(MolView(want)), text
+    assert got.view().degree == heavy_degree(want), text
+
+
+class TestViewFilledByParser:
+    def test_every_error_path(self):
+        for text, error in ERROR_CASES:
+            assert parse_outcome(reference_parse_smiles, text)[0] is error, text
+            assert_parses_as_reference(text)
+
+    def test_corpus_and_fuzz(self):
+        texts = (list(generate_corpus(2500, seed=1)) + fuzz_strings(count=3000)
+                 + [text for text, _ in ERROR_CASES]
+                 + ["[H]C([H])([H])[H]", "[H][H]", "[2H]OC", "N[C@@H](C)C(=O)O",
+                    "F/C=C/F", "c1ccccc1-c1ccccc1", "C%10CC%10", "[nH]1cccc1",
+                    "C1=CC=CC=C1", "[Na+].[Cl-]", "OC(=O)c1cccnc1", "BrCCCl"])
+        errors = 0
+        for text in texts:
+            assert_parses_as_reference(text)
+            errors += isinstance(parse_outcome(reference_parse_smiles, text), tuple)
+        assert 3000 < errors < len(texts) - 2500
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=SMILES_ALPHABET, max_size=40))
+    def test_generated_strings(self, text):
+        assert_parses_as_reference(text)
+
+    def test_hand_built_graph_view(self):
+        # a graph built by hand gets its view from MolView(graph), with
+        # hydrogens left out of the heavy degrees
+        graph = MolecularGraph(
+            [Atom("C", index=0), Atom("H", index=1), Atom("O", index=2)],
+            [Bond(0, 1), Bond(0, 2, DOUBLE)])
+        view = graph.view()
+        assert view.degree == [1, 1, 1]
+        assert view.element_sites == {"C": [0], "H": [1], "O": [2]}
+        assert (view.n_heavy, view.orders) == (2, [SINGLE, DOUBLE])
+        assert view.features == feature_mask({"C": 1, "H": 1, "O": 1},
+                                             {SINGLE, DOUBLE})

@@ -195,3 +195,22 @@ class TestConfig:
             TierConfig(fg_mid_lo=6, fg_mid_hi=5)
         with pytest.raises(ValueError):
             TierConfig(rarity_threshold=0.0)
+
+    @pytest.mark.parametrize("field", ["rarity_threshold", "ct_per_ha_threshold",
+                                       "s_threshold", "min_rings_t3", "top_k"])
+    @pytest.mark.parametrize("value", [float("nan"), 0, -1.5])
+    def test_nan_or_not_positive_threshold_rejected(self, field, value):
+        # NaN fails every comparison, so only `not value > 0` catches it
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            TierConfig(**{field: value})
+
+    def test_infinite_threshold_switches_its_rule_off(self):
+        config = TierConfig(rarity_threshold=float("inf"),
+                            ct_per_ha_threshold=float("inf"))
+        rare = make_record(rarity=0.99, n_fg=1, fg_names=frozenset({"ether"}))
+        assert assign_tier(rare, TOP6).tier == "T4"
+        assert assign_tier(rare, TOP6, config).tier == "T1"
+        dense = make_record(bertz_ct=1e9, n_ha=10, n_ring=3, n_fg=1,
+                            fg_names=frozenset({"ether"}))
+        assert assign_tier(dense, TOP6).rule_trace == "t3_ct_density"
+        assert assign_tier(dense, TOP6, config).tier == "T1"
