@@ -17,7 +17,6 @@ _EXPORTS = {
         "bertz_ct",
         "conjugation_extent",
         "descriptor_core",
-        "descriptor_record",
         "fg_rarity",
         "finish_record",
         "scaffold_decoration",
@@ -65,9 +64,9 @@ _EXPORTS = {
         "sample_epoch",
         "tier_weights_mixed",
     ),
-    "smiles": ("Atom", "Bond", "parse_smiles", "write_smiles"),
+    "smiles": ("Atom", "Bond", "parse_smiles"),
     "synth": ("generate_corpus", "random_smiles"),
-    "tiering": ("TierConfig", "TierLabel", "assign_tier", "tier_histogram"),
+    "tiering": ("TierConfig", "TierLabel", "assign_tier"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

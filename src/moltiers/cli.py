@@ -28,7 +28,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .errors import EmptyCorpus, MissingTierField, MoltiersError
+from .errors import EmptyCorpus, MoltiersError
 from .records import STAT_FIELDS, read_stat_columns, read_tier_ids
 from .scheduler import (
     REGIMES,
@@ -144,14 +144,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tier_counts(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
-    if len(parts) != 5:
-        raise ValueError("--tier-counts needs five comma-separated integers")
-    return tuple(int(p.replace("_", "")) for p in parts)
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
+    if not args.annotated and not args.tier_counts:
+        log.error("schedule: give --annotated or --tier-counts")
+        return 1
     if args.annotated and args.tier_counts:
         log.error("schedule: --annotated and --tier-counts exclude each other; "
                   "give one")
@@ -168,11 +164,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         return 1
     spec = ScheduleSpec(args.regime, args.epochs, args.hard_start, args.seed)
     if args.tier_counts:
-        counts = _parse_tier_counts(args.tier_counts)
+        counts = args.tier_counts
         index = None
     else:
-        if not args.annotated:
-            raise MissingTierField("schedule needs --annotated or --tier-counts")
         index = TierIndex(read_tier_ids(args.annotated))
         counts = index.counts()
 
@@ -331,6 +325,20 @@ def _int_at_least(low: int, name: str) -> Callable[[str], int]:
 _positive_int = _int_at_least(1, "a positive integer")
 
 
+def _parse_tier_counts(text: str) -> tuple[int, ...]:
+    """An argparse type: five non-negative integers, separated by commas or
+    semicolons."""
+    parts = [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
+    try:
+        counts = tuple(int(p.replace("_", "")) for p in parts)
+    except ValueError:
+        counts = ()
+    if len(counts) != 5 or min(counts) < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not five non-negative integers")
+    return counts
+
+
 def _unit_float(text: str) -> float:
     try:
         value = float(text)
@@ -385,7 +393,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
 
     p = sub.add_parser("schedule", help="per-epoch manifests and budget report")
     p.add_argument("--annotated", help="annotate output (JSONL with id+tier)")
-    p.add_argument("--tier-counts", dest="tier_counts",
+    p.add_argument("--tier-counts", type=_parse_tier_counts,
                    help="five counts, e.g. 268,107370,153955,703283,35124 "
                         "(budget report only)")
     p.add_argument("--regime", choices=REGIMES, default="staged10")

@@ -221,12 +221,3 @@ def with_rarity(core: DescriptorCore, rarity: float) -> DescriptorRecord:
         n_fg=core.n_fg,
         fg_names=core.fg_names,
     )
-
-
-def descriptor_record(
-    graph: MolecularGraph,
-    table: PrevalenceTable,
-    library: FGLibrary | None = None,
-) -> DescriptorRecord:
-    """All five descriptors plus counts and group names."""
-    return finish_record(descriptor_core(graph, library), table)

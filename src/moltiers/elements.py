@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-# Atoms writable without brackets.
-ORGANIC_SUBSET = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
-
 # Lowercase symbols accepted as aromatic atoms (organic subset only outside
 # brackets; 'se'/'as' additionally allowed inside brackets).
 AROMATIC_ORGANIC = frozenset({"b", "c", "n", "o", "p", "s"})

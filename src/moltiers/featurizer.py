@@ -47,7 +47,7 @@ from .fgroups import (
     default_library,
     top_k_groups,
 )
-from .graph import has_heavy_atom, perceive_aromaticity
+from .graph import perceive_aromaticity
 from .records import RECORD_FIELDS  # noqa: F401  (re-exported)
 from .smiles import parse_smiles
 from .tiering import TierConfig, TierLabel, assign_tier
@@ -235,7 +235,7 @@ class ComplexityAnnotator:
                 except SmilesError:
                     skipped += 1
                     continue
-                if has_heavy_atom(graph):
+                if graph.view().n_heavy:
                     yield graph
                 else:
                     skipped += 1

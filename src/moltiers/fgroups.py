@@ -70,7 +70,6 @@ class FunctionalGroupPattern:
     name: str
     atoms: list[AtomConstraint]
     bonds: list[BondConstraint]
-    priority: int = 0
     # the compiled search plan, built once (see _compile)
     _plan: tuple = field(default=(), repr=False)
 
@@ -208,11 +207,7 @@ class FGLibrary:
                 )
                 for b in item["bonds"]
             ]
-            patterns.append(
-                FunctionalGroupPattern(
-                    item["name"], atoms, bonds, item.get("priority", 0)
-                )
-            )
+            patterns.append(FunctionalGroupPattern(item["name"], atoms, bonds))
         return cls(patterns)
 
     @classmethod

@@ -75,10 +75,6 @@ class StructuralCounts:
         return (StructuralCounts, (self.n_ha, self.n_het, self.n_ring, self.n_sc, self.mw))
 
 
-def has_heavy_atom(graph: MolecularGraph) -> bool:
-    return graph.view().n_heavy > 0
-
-
 def _blocks(adj: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
     """Biconnected blocks of more than one bond, as bond-index lists, and
     the number of connected components (iterative lowlink DFS that keeps
@@ -221,10 +217,6 @@ def _perceive_rings(graph: MolecularGraph, adj) -> RingInfo:
     n_ring = len(bonds) - len(graph.atoms) + components
     return RingInfo(frozenset(ring_atoms), frozenset(ring_bonds),
                     [cycle for _, cycle in found], n_ring)
-
-
-def cyclomatic_number(graph: MolecularGraph) -> int:
-    return ring_info(graph).n_ring
 
 
 def cycle_bonds(adj: list[list[tuple[int, int]]],

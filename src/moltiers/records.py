@@ -4,7 +4,7 @@
 ``RECORD_FIELDS`` order (``dumps_record``, plus ``rule_trace`` with
 ``--trace``).  ``scan_records`` reads such a file back, one line at a time.
 It first matches each line against that exact layout with one pattern
-(``RECORD_LAYOUT``, compiled on first use), which accepts only text that
+(``record_layout()``, compiled on first use), which accepts only text that
 ``json.loads`` accepts and captures the values the readers need as the same
 text ``json.loads`` would convert.
 Any other non-blank line (spaced separators, reordered keys, escaped
@@ -85,13 +85,6 @@ def record_layout() -> re.Pattern:
         + ",".join(f'"{name}":' + _VALUES.get(name, _NUMBER) for name in RECORD_FIELDS)
         + f'(?:,"rule_trace":{_STRING}|)' + r"\}\n?"
     )
-
-
-def __getattr__(name: str) -> re.Pattern:
-    # RECORD_LAYOUT is record_layout(), looked up like a constant
-    if name == "RECORD_LAYOUT":
-        return record_layout()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _TIER_INDEX = {tier: t for t, tier in enumerate(TIERS)}

@@ -64,8 +64,6 @@ class ScheduleSpec:
 class EpochManifest:
     epoch: int
     regime: str
-    active_tiers: frozenset[int] | None
-    tier_weights: tuple[float, ...] | None
     sampled_ids: list[int]
 
     @property
@@ -179,9 +177,6 @@ class TierIndex:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.ids_by_tier[t]) for t in range(N_TIERS))
 
-    def total(self) -> int:
-        return sum(self.counts())
-
     def _keyed_hashes(self, key: int, tier: int) -> list[int]:
         """``_mix64(key ^ id)`` for each id of the tier, packed in lanes,
         one int per ``DRAW_BLOCK`` ids in order: the part of a mixed-regime
@@ -231,10 +226,10 @@ def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManif
     is below 2**53 and ``rho * 2**53`` is exact, so ``h >> 11 < rho * 2**53``
     exactly when ``h < ceil(rho * 2**53) << 11``.
     """
+    ids: list[int] = []
     if spec.regime == "mixed":
         weights = tier_weights_mixed(epoch, spec.epochs, spec.hard_start)
         key = _mix64(spec.seed & _M64)
-        ids: list[int] = []
         for tier in range(N_TIERS):
             rho = weights[tier]
             if rho >= 1.0:
@@ -245,14 +240,11 @@ def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManif
             limit = math.ceil(rho * 2.0**53) << 11
             flags = _drawn_below(index, key, tier, epoch + 1, limit)
             ids.extend(compress(index.ids_by_tier[tier], chain.from_iterable(flags)))
-        ids.sort()
-        return EpochManifest(epoch, spec.regime, None, weights, ids)
-    tiers = active_tiers(spec.regime, epoch, spec.epochs)
-    ids = []
-    for tier in sorted(tiers):
-        ids.extend(index.ids_by_tier[tier])
+    else:
+        for tier in sorted(active_tiers(spec.regime, epoch, spec.epochs)):
+            ids.extend(index.ids_by_tier[tier])
     ids.sort()
-    return EpochManifest(epoch, spec.regime, tiers, None, ids)
+    return EpochManifest(epoch, spec.regime, ids)
 
 
 def write_manifest(fh: TextIO, manifest: EpochManifest) -> None:

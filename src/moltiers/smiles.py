@@ -1,4 +1,4 @@
-"""SMILES parsing and writing over a practical organic-chemistry subset.
+"""SMILES parsing over a practical organic-chemistry subset.
 
 Supported notation: organic-subset atoms (B C N O P S F Cl Br I), aromatic
 lowercase atoms (b c n o p s), bracket atoms with isotope / chirality /
@@ -10,7 +10,8 @@ Parsing is total: every input string either yields a ``MolecularGraph`` or
 raises a ``SmilesError`` subclass carrying the byte offset of the problem.
 The parser fills the graph's ``MolView`` arrays in the loop that reads the
 atoms and bonds; ``MolView(graph)`` builds the same view for a graph built
-by hand.
+by hand.  The package writes no SMILES: a record carries its input
+string as read.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from .elements import (
     ATOMIC_MASS,
     HYDROGEN_MASS,
     KNOWN_ELEMENTS,
-    ORGANIC_SUBSET,
     VALENCES,
 )
 from .errors import (
     AromaticBondError,
     DanglingBond,
     EmptyInput,
-    EmptyMolecule,
     InvalidBracketAtom,
     UnbalancedParenthesis,
     UnknownElement,
@@ -58,7 +57,6 @@ STEREO_DOWN = 2  # '\'
 _BOND_CHAR_ORDER = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
                     "/": SINGLE, "\\": SINGLE}
 _BOND_CHAR_STEREO = {"/": STEREO_UP, "\\": STEREO_DOWN}
-_ORDER_CHAR = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 # unbracketed atoms: first letter -> (element, aromatic); "Cl" and "Br" take
 # the second letter that follows their first
 _ORGANIC_ATOM = {c: (c, False) for c in "BCNOPSFI"}
@@ -83,9 +81,6 @@ class Bond:
     b: int
     order: int = SINGLE
     stereo: int = STEREO_NONE
-
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
 
 
 # Bits of a feature mask: one per bond order, then per element one bit for
@@ -521,142 +516,3 @@ def molecular_weight(graph: MolecularGraph) -> float:
     for atom in graph.atoms:
         mass += ATOMIC_MASS[atom.element] + HYDROGEN_MASS * hs[atom.index]
     return mass
-
-
-def _atom_token(atom: Atom) -> str:
-    symbol = atom.element.lower() if atom.aromatic else atom.element
-    if (
-        atom.formal_charge == 0
-        and atom.explicit_h is None
-        and atom.chirality == CHI_NONE
-        and atom.isotope == 0
-        and atom.element in ORGANIC_SUBSET
-        and (not atom.aromatic or symbol in AROMATIC_ORGANIC)
-    ):
-        return symbol
-    parts = ["["]
-    if atom.isotope:
-        parts.append(str(atom.isotope))
-    parts.append(symbol)
-    if atom.chirality == CHI_AT:
-        parts.append("@")
-    elif atom.chirality == CHI_AT_AT:
-        parts.append("@@")
-    h = atom.explicit_h or 0
-    if h == 1:
-        parts.append("H")
-    elif h > 1:
-        parts.append(f"H{h}")
-    q = atom.formal_charge
-    if q == 1:
-        parts.append("+")
-    elif q == -1:
-        parts.append("-")
-    elif q > 0:
-        parts.append(f"+{q}")
-    elif q < 0:
-        parts.append(f"-{-q}")
-    parts.append("]")
-    return "".join(parts)
-
-
-def _bond_token(bond: Bond, src: int, both_aromatic: bool) -> str:
-    if bond.stereo == STEREO_UP:
-        return "/" if src == bond.a else "\\"
-    if bond.stereo == STEREO_DOWN:
-        return "\\" if src == bond.a else "/"
-    if bond.order == SINGLE:
-        # explicit '-' so two adjacent aromatic atoms don't fuse on re-parse
-        return "-" if both_aromatic else ""
-    if bond.order == AROMATIC:
-        return "" if both_aromatic else ":"
-    return _ORDER_CHAR[bond.order]
-
-
-def write_smiles_mapped(graph: MolecularGraph) -> tuple[str, list[int]]:
-    """Serialize to SMILES; also return the emission order of atom indices.
-
-    The order list maps output position -> input atom index, which gives
-    round-trip tests an explicit isomorphism instead of a graph-matching
-    search.
-    """
-    if not graph.atoms:
-        raise EmptyMolecule("cannot write an empty graph")
-    adj = graph.view().adj
-    natoms = len(graph.atoms)
-    visited = [False] * natoms
-    order: list[int] = []
-    pieces: list[str] = []
-    digit_free: list[int] = list(range(99, 0, -1))
-
-    for root in range(natoms):
-        if visited[root]:
-            continue
-        if pieces:
-            pieces.append(".")
-
-        # spanning tree + back edges for this component
-        tree_children: dict[int, list[tuple[int, int]]] = {}
-        back_edges_at: dict[int, list[int]] = {}
-        seen_bonds: set[int] = set()
-        visited[root] = True
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            children: list[tuple[int, int]] = []
-            for nb, bi in adj[a]:
-                if bi in seen_bonds:
-                    continue
-                seen_bonds.add(bi)
-                if not visited[nb]:
-                    visited[nb] = True
-                    children.append((nb, bi))
-                    stack.append(nb)
-                else:
-                    bond = graph.bonds[bi]
-                    back_edges_at.setdefault(bond.a, []).append(bi)
-                    back_edges_at.setdefault(bond.b, []).append(bi)
-            tree_children[a] = children
-
-        # emit; all children but the last are parenthesised
-        opened_digit: dict[int, int] = {}
-        emit: list[tuple[str, int, int]] = [("atom", root, -1)]
-        while emit:
-            kind, a, bi = emit.pop()
-            if kind == "text":
-                pieces.append(")" if a else "(")
-                continue
-            if bi >= 0:
-                bond = graph.bonds[bi]
-                both = graph.atoms[bond.a].aromatic and graph.atoms[bond.b].aromatic
-                src = bond.a if a == bond.b else bond.b
-                pieces.append(_bond_token(bond, src, both))
-            pieces.append(_atom_token(graph.atoms[a]))
-            order.append(a)
-            for rbi in back_edges_at.get(a, ()):
-                rbond = graph.bonds[rbi]
-                if rbi not in opened_digit:
-                    both = (
-                        graph.atoms[rbond.a].aromatic and graph.atoms[rbond.b].aromatic
-                    )
-                    digit = digit_free.pop()
-                    opened_digit[rbi] = digit
-                    pieces.append(_bond_token(rbond, a, both))
-                else:
-                    digit = opened_digit[rbi]
-                    digit_free.append(digit)
-                pieces.append(str(digit) if digit < 10 else f"%{digit:02d}")
-            children = tree_children.get(a, [])
-            if children:
-                last, last_bi = children[-1]
-                emit.append(("atom", last, last_bi))
-                for child, cbi in reversed(children[:-1]):
-                    emit.append(("text", 1, -1))
-                    emit.append(("atom", child, cbi))
-                    emit.append(("text", 0, -1))
-    return "".join(pieces), order
-
-
-def write_smiles(graph: MolecularGraph) -> str:
-    """Serialize a graph back to SMILES (re-parses to an isomorphic graph)."""
-    return write_smiles_mapped(graph)[0]

@@ -1,10 +1,10 @@
-"""Deterministic curriculum tier assignment (T0-T4) and tier histograms."""
+"""Deterministic curriculum tier assignment (T0-T4)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # only annotations name it, so tiering loads no descriptor code
     from .descriptors import DescriptorRecord
@@ -96,12 +96,3 @@ def assign_tier(
     if record.n_fg <= config.fg_mid_hi:
         return _T2_FALLBACK
     return _T3_FALLBACK
-
-
-def tier_histogram(labels: Iterable[TierLabel | str]) -> dict[str, int]:
-    """Counts per tier; always returns all five keys."""
-    hist = {tier: 0 for tier in TIERS}
-    for label in labels:
-        tier = label if isinstance(label, str) else label.tier
-        hist[tier] += 1
-    return hist

@@ -352,7 +352,8 @@ def reference_ring_info(
                 elif disc[nb] < low[a]:
                     low[a] = disc[nb]
             elif in_bond != -1:
-                parent = graph.bonds[in_bond].other(a)
+                bond = graph.bonds[in_bond]
+                parent = bond.b if a == bond.a else bond.a
                 if low[a] < low[parent]:
                     low[parent] = low[a]
                 if low[a] > disc[parent]:

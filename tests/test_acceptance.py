@@ -18,7 +18,7 @@ import conftest
 from conftest import SUITE_PREVALENCE, TOP6
 
 from moltiers.cli import main as cli_main
-from moltiers.descriptors import descriptor_record
+from moltiers.descriptors import descriptor_core, finish_record
 from moltiers.errors import SmilesError
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.fgroups import PrevalenceTable, default_library
@@ -33,7 +33,7 @@ from moltiers.losses import (
 )
 from moltiers.pipeline import annotate_chunk, chunked, run_annotate
 from moltiers.scheduler import ScheduleSpec, TierIndex, sample_epoch
-from moltiers.smiles import parse_smiles, write_smiles_mapped
+from moltiers.smiles import parse_smiles
 from moltiers.synth import generate_corpus
 from moltiers.tiering import assign_tier
 
@@ -48,6 +48,7 @@ from oracles import (
     finite_difference,
     max_rel_error,
 )
+from smiles_writer import write_smiles_mapped
 from tier_suite import SUITE_CONFIG, TIER_SUITE
 
 LIB = default_library()
@@ -90,7 +91,7 @@ def test_criterion_2_tier_rule_suite():
     correct = 0
     failures = []
     for smiles, tier, trace in TIER_SUITE:
-        rec = descriptor_record(parse_smiles(smiles), table)
+        rec = finish_record(descriptor_core(parse_smiles(smiles)), table)
         label = assign_tier(rec, TOP6, SUITE_CONFIG)
         if (label.tier, label.rule_trace) == (tier, trace):
             correct += 1
@@ -110,7 +111,7 @@ def test_criterion_3_descriptor_oracles():
     worst = 0.0
     for smiles, _, _ in TIER_SUITE:
         graph = parse_smiles(smiles)
-        rec = descriptor_record(graph, table)
+        rec = finish_record(descriptor_core(graph), table)
         from moltiers.graph import perceive_aromaticity
 
         perceived = perceive_aromaticity(graph)

@@ -357,6 +357,50 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("regime, config", [("staged10", ""),
+                                                ("mixed", "epochs = 1\n")])
+    def test_schedule_without_source_is_usage_error(
+            self, tmp_path, capsys, caplog, regime, config):
+        """Checked first: the regime's epoch count is not reported, even
+        when it is wrong too."""
+        path = tmp_path / "run.conf"
+        path.write_text(config)
+        outdir = tmp_path / "sched"
+        assert self.run("--config", str(path), "schedule", "--regime", regime,
+                        "--output-dir", str(outdir)) == 1
+        assert "give --annotated or --tier-counts" in caplog.text
+        assert "--epochs" not in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("value", [
+        "1,1,1,1", "1,1,1,1,1,1", "1,1,1,1,-1", "1,1,1,1,x", "1,1,1,1,1.5",
+        ",,,,", "",
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_tier_counts_is_usage_error(self, tmp_path, capsys,
+                                                  value, source):
+        config = tmp_path / "run.conf"
+        config.write_text(f"tier_counts = {value}\n")
+        argv = (["--config", str(config), "schedule"] if source == "config"
+                else ["schedule", "--tier-counts", value])
+        outdir = tmp_path / "sched"
+        assert self.run(*argv, "--output-dir", str(outdir)) == 1
+        captured = capsys.readouterr()
+        assert (f"argument --tier-counts: {value.strip()!r} is not five "
+                "non-negative integers") in captured.err
+        assert captured.out == ""
+        assert not outdir.exists()
+
+    def test_tier_counts_separators(self, capsys):
+        assert cli_module._parse_tier_counts(" 268, 107_370;0 ,1;2 ") == (
+            268, 107370, 0, 1, 2)
+        assert self.run("schedule", "--regime", "additive", "--epochs", "2",
+                        "--tier-counts", "1;2;3;4;5") == 0
+        out = capsys.readouterr().out
+        assert "tier counts: {'T0': 1, 'T1': 2, 'T2': 3, 'T3': 4, 'T4': 5}" in out
+        assert "total molecule-views: 4" in out  # T0, then T0 and T1
+
     @pytest.mark.parametrize("regime, epochs, message", [
         ("staged10", "5", "--regime staged10 needs --epochs 10, got 5"),
         ("staged10", "11", "--regime staged10 needs --epochs 10, got 11"),
@@ -529,7 +573,10 @@ class TestCli:
     def test_data_error_exit_2(self, tmp_path):
         assert self.run("annotate", "--input", str(tmp_path / "missing.smi"),
                         "--output", str(tmp_path / "out.jsonl")) == 2
-        assert self.run("schedule", "--regime", "staged10") == 2
+        # no source at all is a usage error (exit 1); a source that cannot
+        # be read is a data error
+        assert self.run("schedule", "--annotated",
+                        str(tmp_path / "missing.jsonl")) == 2
 
     def test_empty_input_annotate(self, tmp_path):
         empty = tmp_path / "empty.smi"

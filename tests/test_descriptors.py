@@ -5,21 +5,23 @@ import random
 import pytest
 
 from moltiers.descriptors import (
+    DescriptorRecord,
     aromatic_substitution_complexity,
     bertz_ct,
     conjugation_extent,
     descriptor_core,
-    descriptor_record,
     fg_rarity,
     finish_record,
     scaffold_decoration,
 )
 from moltiers.errors import EmptyMolecule
-from moltiers.fgroups import PrevalenceTable, default_library
-from moltiers.smiles import Atom, Bond, MolecularGraph, parse_smiles, write_smiles
+from moltiers.fgroups import PrevalenceTable, default_library, present_groups
+from moltiers.graph import ring_info, structural_counts
+from moltiers.smiles import Atom, Bond, MolecularGraph, parse_smiles
 from moltiers.synth import generate_corpus
 
 from oracles import brute_aromatic_substitution, brute_bertz_ct
+from smiles_writer import write_smiles
 
 LIB = default_library()
 
@@ -186,7 +188,7 @@ class TestBertz:
 
 class TestDescriptorRecord:
     def test_hexane(self, mol, suite_prevalence):
-        rec = descriptor_record(mol("CCCCCC"), suite_prevalence)
+        rec = finish_record(descriptor_core(mol("CCCCCC")), suite_prevalence)
         assert rec.d_scaf == 1.0
         assert rec.rarity == 0.0
         assert rec.conjugation == 0
@@ -195,7 +197,7 @@ class TestDescriptorRecord:
         assert rec.counts.n_het == 0
 
     def test_benzene(self, mol, suite_prevalence):
-        rec = descriptor_record(mol("c1ccccc1"), suite_prevalence)
+        rec = finish_record(descriptor_core(mol("c1ccccc1")), suite_prevalence)
         assert rec.d_scaf == 0.0
         assert rec.rarity == 0.0
         assert rec.conjugation == 6
@@ -203,14 +205,14 @@ class TestDescriptorRecord:
         assert rec.counts.n_het == 0
 
     def test_acetic_acid(self, mol, suite_prevalence):
-        rec = descriptor_record(mol("CC(=O)O"), suite_prevalence)
+        rec = finish_record(descriptor_core(mol("CC(=O)O")), suite_prevalence)
         assert rec.rarity > 0.0
         assert rec.n_fg >= 2
         assert rec.fg_names >= {"carbonyl", "carboxylic_acid"}
 
     def test_perception_applied_internally(self, suite_prevalence):
         raw = parse_smiles("C1=CC=CC=C1")
-        rec = descriptor_record(raw, suite_prevalence)
+        rec = finish_record(descriptor_core(raw), suite_prevalence)
         assert rec.conjugation == 6
         assert rec.d_scaf == 0.0
 
@@ -220,8 +222,10 @@ class TestDescriptorRecord:
             "CC(=O)Oc1ccccc1C(=O)O", "Clc1cc(Cl)c(Cl)cc1Cl",
         ]:
             g = mol(smiles)
-            base = descriptor_record(g, suite_prevalence)
-            shuffled = descriptor_record(permuted(g, rng), suite_prevalence)
+            base = finish_record(descriptor_core(g), suite_prevalence)
+            shuffled = finish_record(
+                descriptor_core(permuted(g, rng)), suite_prevalence
+            )
             assert base.d_scaf == pytest.approx(shuffled.d_scaf, abs=1e-12)
             assert base.rarity == pytest.approx(shuffled.rarity, abs=1e-12)
             assert base.conjugation == shuffled.conjugation
@@ -232,9 +236,9 @@ class TestDescriptorRecord:
     def test_rewrite_invariance(self, mol, suite_prevalence):
         for smiles in generate_corpus(60, seed=46):
             g = mol(smiles)
-            base = descriptor_record(g, suite_prevalence)
-            rewritten = descriptor_record(
-                parse_smiles(write_smiles(g)), suite_prevalence
+            base = finish_record(descriptor_core(g), suite_prevalence)
+            rewritten = finish_record(
+                descriptor_core(parse_smiles(write_smiles(g))), suite_prevalence
             )
             assert base.d_scaf == pytest.approx(rewritten.d_scaf, abs=1e-12)
             assert base.rarity == pytest.approx(rewritten.rarity, abs=1e-12)
@@ -246,11 +250,23 @@ class TestDescriptorRecord:
 
 class TestDescriptorCore:
     def test_core_plus_finish_is_the_record(self, mol, suite_prevalence):
+        """Each field of the finished record is what the descriptor
+        function of that name gives."""
         for smiles in list(generate_corpus(40, seed=47)) + ["CC(=O)O", "CCCCCC"]:
             g = mol(smiles)
-            core = descriptor_core(g)
-            assert finish_record(core, suite_prevalence) == descriptor_record(
-                g, suite_prevalence
+            rings = ring_info(g)
+            groups = present_groups(g, LIB)
+            assert finish_record(descriptor_core(g), suite_prevalence) == (
+                DescriptorRecord(
+                    d_scaf=scaffold_decoration(g, rings),
+                    rarity=fg_rarity(g, suite_prevalence, LIB, groups),
+                    conjugation=conjugation_extent(g),
+                    arom_sub=aromatic_substitution_complexity(g, rings),
+                    bertz_ct=bertz_ct(g),
+                    counts=structural_counts(g),
+                    n_fg=len(groups),
+                    fg_names=groups,
+                )
             )
 
     def test_core_is_table_free(self, mol, suite_prevalence):

@@ -136,7 +136,7 @@ class TestMatcherCompleteness:
             g = mol(smiles)
             base = present_groups(g)
             text_again = smiles  # reparse under a rewritten atom order
-            from moltiers.smiles import write_smiles
+            from smiles_writer import write_smiles
 
             g2 = mol(write_smiles(g))
             assert present_groups(g2) == base

@@ -7,6 +7,8 @@ input molecule once.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import io
 import json
 import os
@@ -486,6 +488,49 @@ def test_every_public_name_resolves():
     assert set(moltiers.__all__) <= set(dir(moltiers))
     with pytest.raises(AttributeError):
         getattr(moltiers, "no_such_name")
+
+
+def perfbench_imports() -> list[tuple[str, str, str, set[str]]]:
+    """(file:line, module, name, attributes the file reads off that name)
+    for every ``from moltiers... import name`` in perfbench, in a function
+    body or at module level."""
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        attributes: dict[str, set[str]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                attributes.setdefault(node.value.id, set()).add(node.attr)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "moltiers"):
+                for alias in node.names:
+                    found.append((f"{path.name}:{node.lineno}", node.module,
+                                  alias.name,
+                                  attributes.get(alias.asname or alias.name, set())))
+    return found
+
+
+def test_every_name_perfbench_imports_resolves():
+    """perfbench is frozen between benchmark changes: each package name it
+    imports, and each attribute it reads off one (``TierIndex.from_pairs``),
+    must still exist."""
+    imports = perfbench_imports()
+    found = {(where.split(":")[0], module, name)
+             for where, module, name, _ in imports}
+    # these two are imported only inside function bodies
+    assert ("workloads.py", "moltiers.pipeline", "dumps_record") in found
+    assert ("test_harness.py", "moltiers.scheduler", "TierIndex") in found
+    missing = []
+    for where, module, name, attributes in imports:
+        namespace = importlib.import_module(module)
+        if not hasattr(namespace, name):
+            missing.append(f"{where}: {module}.{name}")
+            continue
+        value = getattr(namespace, name)
+        missing += [f"{where}: {module}.{name}.{attr}" for attr in sorted(attributes)
+                    if not hasattr(value, attr)]
+    assert not missing, missing
 
 
 @pytest.fixture()

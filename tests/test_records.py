@@ -23,10 +23,10 @@ from moltiers.errors import MalformedLine
 from moltiers.pipeline import read_annotated
 from moltiers.records import (
     RECORD_FIELDS,
-    RECORD_LAYOUT,
     dumps_record,
     read_stat_columns,
     read_tier_ids,
+    record_layout,
 )
 from moltiers.tiering import TIERS
 
@@ -92,7 +92,7 @@ JSON_LINES = {
 
 @pytest.mark.parametrize("line, matched", JSON_LINES.values(), ids=JSON_LINES)
 def test_line_reads_as_json_reads_it(tmp_path, line, matched):
-    assert (RECORD_LAYOUT.fullmatch(line + "\n") is not None) == matched
+    assert (record_layout().fullmatch(line + "\n") is not None) == matched
     path = write_lines(tmp_path / "ann.jsonl", [
         dumps_record(record(3, tier="T0")), line, dumps_record(record(9, tier="T4"))])
     assert_reads_like_json(path)
@@ -100,7 +100,7 @@ def test_line_reads_as_json_reads_it(tmp_path, line, matched):
 
 def test_integer_past_the_digit_limit_is_left_to_json(tmp_path):
     line = dumps_record(record(7)).replace('"n_ha":3', '"n_ha":' + "9" * 5000)
-    assert RECORD_LAYOUT.fullmatch(line) is None
+    assert record_layout().fullmatch(line) is None
     path = write_lines(tmp_path / "ann.jsonl", [line])
     try:
         json.loads(line)
@@ -263,7 +263,7 @@ def assert_groups_equal_json(found, line: str) -> None:
 @settings(max_examples=300, deadline=None)
 def test_layout_match_equals_json(row):
     line = dumps_record(row) + "\n"
-    found = RECORD_LAYOUT.fullmatch(line)
+    found = record_layout().fullmatch(line)
     assert (found is not None) == plain(row)
     if found is not None:
         assert_groups_equal_json(found, line)
@@ -292,13 +292,13 @@ def test_layout_accepts_only_json(row, data):
         char = data.draw(st.sampled_from(EDITS))
         cut = data.draw(st.integers(0, 1))
         line = line[:at] + char + line[at + cut:]
-    found = RECORD_LAYOUT.fullmatch(line)
+    found = record_layout().fullmatch(line)
     if found is not None:
         assert_groups_equal_json(found, line)
 
 
 # Counts the patterns compiled while the annotate and prevalence commands'
-# modules are imported, then while RECORD_LAYOUT is imported, one JSON list each.
+# modules are imported, then while the layout is first used, one JSON list each.
 _IMPORT_PROBE = """
 import json, re
 compiled = []
@@ -312,7 +312,8 @@ re.compile = counting
 import moltiers.cli, moltiers.pipeline
 print(json.dumps(compiled))
 compiled.clear()
-from moltiers.records import RECORD_LAYOUT
+from moltiers.records import record_layout
+record_layout()
 print(json.dumps(compiled))
 """
 
@@ -322,13 +323,12 @@ def test_importing_the_pipeline_compiles_no_layout():
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          check=True, capture_output=True, text=True).stdout
     on_import, on_first_use = map(json.loads, out.splitlines())
-    layout = RECORD_LAYOUT.pattern
+    layout = record_layout().pattern
     assert layout not in on_import
     assert on_first_use == [layout]
 
 
 def test_layout_is_compiled_once():
-    assert RECORD_LAYOUT is records_module.RECORD_LAYOUT
-    assert RECORD_LAYOUT is records_module.record_layout()
+    assert record_layout() is records_module.record_layout()
     with pytest.raises(AttributeError, match="NO_SUCH_NAME"):
         records_module.NO_SUCH_NAME

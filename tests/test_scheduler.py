@@ -203,7 +203,7 @@ class TestSamplingOracle:
     def test_manifest_blocks_join_to_the_same_bytes(self, block, monkeypatch):
         monkeypatch.setattr(scheduler_module, "MANIFEST_BLOCK", block)
         for ids in ([], [5], [3, -1, 2**70, 0, 9]):
-            manifest = EpochManifest(4, "anti", None, None, ids)
+            manifest = EpochManifest(4, "anti", ids)
             out = io.StringIO()
             write_manifest(out, manifest)
             assert out.getvalue() == reference_manifest_text(4, "anti", ids)
@@ -399,4 +399,4 @@ class TestSpecValidation:
     def test_tier_index_counts(self):
         index = TierIndex.from_pairs([(0, 0), (1, 0), (2, 3)])
         assert index.counts() == (2, 0, 0, 1, 0)
-        assert index.total() == 3
+        assert sum(index.counts()) == 3

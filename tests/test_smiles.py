@@ -33,12 +33,11 @@ from moltiers.smiles import (
     implicit_hydrogens,
     molecular_weight,
     parse_smiles,
-    write_smiles,
-    write_smiles_mapped,
 )
 from moltiers.synth import generate_corpus
 
 from oracles import assert_isomorphic, heavy_degree, reference_parse_smiles
+from smiles_writer import write_smiles, write_smiles_mapped
 
 
 def bond_set(graph):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moltiers.descriptors import DescriptorRecord, descriptor_record
+from moltiers.descriptors import DescriptorRecord, descriptor_core, finish_record
 from moltiers.graph import StructuralCounts
 from moltiers.smiles import parse_smiles
 from moltiers.synth import generate_corpus
-from moltiers.tiering import TIERS, TierConfig, assign_tier, tier_histogram
+from moltiers.tiering import TIERS, TierConfig, TierLabel, assign_tier
 
 from conftest import TOP6
 from tier_suite import SUITE_CONFIG, TIER_SUITE
@@ -32,10 +32,23 @@ def make_record(
     )
 
 
+def describe(smiles: str, table) -> DescriptorRecord:
+    return finish_record(descriptor_core(parse_smiles(smiles)), table)
+
+
+def tier_histogram(labels) -> dict[str, int]:
+    """Counts per tier, labels or tier names; always all five keys."""
+    hist = {tier: 0 for tier in TIERS}
+    for label in labels:
+        tier = label if isinstance(label, str) else label.tier
+        hist[tier] += 1
+    return hist
+
+
 class TestSuite:
     def test_twenty_molecules(self, suite_prevalence):
         for smiles, tier, trace in TIER_SUITE:
-            record = descriptor_record(parse_smiles(smiles), suite_prevalence)
+            record = describe(smiles, suite_prevalence)
             label = assign_tier(record, TOP6, SUITE_CONFIG)
             assert (label.tier, label.rule_trace) == (tier, trace), smiles
 
@@ -105,13 +118,11 @@ class TestRuleOrder:
         assert assign_tier(high, TOP6).rule_trace == "t3_fallback"
 
     def test_spec_rule_examples(self, suite_prevalence):
-        hexane = descriptor_record(parse_smiles("CCCCCC"), suite_prevalence)
+        hexane = describe("CCCCCC", suite_prevalence)
         assert assign_tier(hexane, TOP6).tier == "T0"
-        chiral = descriptor_record(
-            parse_smiles("C[C@H](N)C(=O)O"), suite_prevalence
-        )
+        chiral = describe("C[C@H](N)C(=O)O", suite_prevalence)
         assert assign_tier(chiral, TOP6).tier == "T4"
-        ethanol = descriptor_record(parse_smiles("CCO"), suite_prevalence)
+        ethanol = describe("CCO", suite_prevalence)
         label = assign_tier(ethanol, TOP6)
         assert (label.tier, label.rule_trace) == ("T1", "t1_common_groups")
 
@@ -141,7 +152,7 @@ class TestProperties:
 
     def test_stereo_monotone(self, suite_prevalence):
         for smiles in generate_corpus(120, seed=31):
-            record = descriptor_record(parse_smiles(smiles), suite_prevalence)
+            record = describe(smiles, suite_prevalence)
             if record.counts.n_het == 0:
                 continue
             flipped = dataclasses.replace(
@@ -156,8 +167,6 @@ class TestHistogram:
         assert tier_histogram([]) == {t: 0 for t in TIERS}
 
     def test_small(self):
-        from moltiers.tiering import TierLabel
-
         labels = [TierLabel("T0", "x")] * 3 + [TierLabel("T4", "y")]
         assert tier_histogram(labels) == {
             "T0": 3, "T1": 0, "T2": 0, "T3": 0, "T4": 1,
@@ -170,7 +179,7 @@ class TestHistogram:
         corpus = list(generate_corpus(200, seed=32))
         labels = []
         for smiles in corpus:
-            record = descriptor_record(parse_smiles(smiles), suite_prevalence)
+            record = describe(smiles, suite_prevalence)
             labels.append(assign_tier(record, TOP6))
         hist = tier_histogram(labels)
         assert sum(hist.values()) == len(corpus)
@@ -178,7 +187,7 @@ class TestHistogram:
     def test_suite_histogram(self, suite_prevalence):
         labels = [
             assign_tier(
-                descriptor_record(parse_smiles(s), suite_prevalence),
+                describe(s, suite_prevalence),
                 TOP6, SUITE_CONFIG,
             )
             for s, _, _ in TIER_SUITE
