@@ -27,7 +27,6 @@ _EXPORTS = {
         "PrevalenceTable",
         "corpus_prevalence",
         "default_library",
-        "match_groups",
         "present_groups",
         "top_k_groups",
     ),
@@ -51,7 +50,6 @@ _EXPORTS = {
         "load_embeddings",
         "nt_xent",
         "pairwise_distance_correlation",
-        "save_embeddings",
         "siglip_loss",
     ),
     "scheduler": (

@@ -270,8 +270,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         print(f"{tier:>5} {hist[tier]:>9}  {quartiles}")
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n",
-                                   encoding="utf-8")
+        json_path = Path(args.json)
+        json_path.parent.mkdir(parents=True, exist_ok=True)
+        with _replace_on_success(json_path) as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 

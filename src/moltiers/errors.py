@@ -60,7 +60,8 @@ class EmptyCorpus(MoltiersError):
 
 
 class PrevalenceMismatch(MoltiersError):
-    """A prevalence table lacks groups of the pattern library."""
+    """A prevalence table lacks groups of the pattern library, or names
+    groups outside it."""
 
 
 class NotFitted(MoltiersError):

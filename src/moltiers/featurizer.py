@@ -253,14 +253,21 @@ class ComplexityAnnotator:
     def set_prevalence(self, table: PrevalenceTable) -> "ComplexityAnnotator":
         """Adopt a precomputed prevalence table instead of fitting.
 
-        Raises PrevalenceMismatch when the table lacks a library group.
+        Raises PrevalenceMismatch when the table lacks a library group or
+        names a group outside the library.
         """
-        missing = [n for n in self._lib().names() if n not in table.prevalence]
+        names = self._lib().names()
+        missing = [n for n in names if n not in table.prevalence]
+        extra = sorted(table.prevalence.keys() - set(names))
+        problems = []
         if missing:
-            raise PrevalenceMismatch(
-                f"prevalence table lacks {len(missing)} library group(s): "
-                + ", ".join(missing)
-            )
+            problems.append(f"lacks {len(missing)} library group(s): "
+                            + ", ".join(missing))
+        if extra:
+            problems.append(f"has {len(extra)} group(s) outside the library: "
+                            + ", ".join(extra))
+        if problems:
+            raise PrevalenceMismatch("prevalence table " + "; ".join(problems))
         self._adopt(table)
         self.n_fitted_ = table.corpus_size
         self.n_skipped_ = 0

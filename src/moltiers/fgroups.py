@@ -7,10 +7,11 @@ logic operators -- but it is enough to express the default 31-group library.
 
 Each pattern is compiled once into a flat plan (``_compile``): one step per
 pattern atom, its constraint fields unpacked, rooted on the most selective
-atom.  ``present_groups`` and ``match_groups`` run the plans through one
-iterative search (``_search``) over the molecule's ``MolView``, with inline
-checks in place of ``AtomConstraint.admits``; ``admits`` stays the
-definition the brute-force oracle tests the search against.
+atom.  ``present_groups`` runs the plans through one iterative search
+(``_search``) over the molecule's ``MolView``, which stops each plan at its
+first embedding, with inline checks in place of ``AtomConstraint.admits``;
+``admits`` stays the definition the brute-force oracle tests the search
+against.
 """
 
 from __future__ import annotations
@@ -101,14 +102,12 @@ _NO_MAX_DEG = 1 << 30
 def _compile(pattern: FunctionalGroupPattern) -> tuple:
     """The pattern as one flat search plan.
 
-    The plan is ``(name, features, root_site, pair, inverse, steps)``:
-    ``features`` is the ``feature_mask`` of the required elements and
-    orders, so a molecule whose ``view.features`` lacks any of its bits
-    cannot match; ``root_site`` is the root atom's element when it allows
-    only one (its candidates are then that element's sites) and None
-    otherwise; ``pair`` is True for a two-atom pattern the root loop
-    finishes; ``inverse[j]`` is the step that places pattern atom ``j``.
-    Step ``k`` is ``(anchor, anchor_orders, elements, aromatic, min_deg,
+    The plan is ``(name, features, root_site, pair, steps)``: ``features``
+    is the ``feature_mask`` of the required elements and orders, so a
+    molecule whose ``view.features`` lacks any of its bits cannot match;
+    ``root_site`` is the root atom's element when it allows only one (its
+    candidates are then that element's sites) and None otherwise; ``pair``
+    is True for a two-atom pattern the root loop finishes.  Step ``k`` is ``(anchor, anchor_orders, elements, aromatic, min_deg,
     max_deg, extras)``: the atom is a neighbour of step ``anchor``'s atom
     through a bond of ``anchor_orders`` (-1 and None for the root), and
     ``extras`` lists ``(earlier_step, allowed_orders)`` for its other bonds
@@ -161,8 +160,7 @@ def _compile(pattern: FunctionalGroupPattern) -> tuple:
     root_site = next(iter(root_elements)) if len(root_elements) == 1 else None
     features = feature_mask(pattern.required_elements(), pattern.required_orders())
     pair = n == 2 and not steps[1][6]
-    return (pattern.name, features, root_site, pair,
-            tuple(pos_of[j] for j in range(n)), tuple(steps))
+    return (pattern.name, features, root_site, pair, tuple(steps))
 
 
 @dataclass
@@ -232,15 +230,13 @@ def default_library() -> FGLibrary:
     return _DEFAULT
 
 
-def _search(view: MolView, plans: tuple, embeddings: set | None) -> list[str]:
-    """Run every compiled plan whose features the molecule has.
+def _search(view: MolView, plans: tuple) -> list[str]:
+    """Names of the compiled plans with an embedding in the molecule.
 
-    With ``embeddings`` None, each plan stops at its first embedding;
-    otherwise every embedding is added to ``embeddings`` as ``(name,
-    atoms)``, ``atoms[j]`` being the molecule atom of pattern atom ``j``.
-    Returns the names of the plans that found one.  Backtracking keeps one
-    cursor per step into its anchor atom's neighbour list, and an atom is
-    free when it is not in ``assign``: no recursion, generator or set.
+    A plan is tried only when the molecule has its features, and stops at
+    its first embedding.  Backtracking keeps one cursor per step into its
+    anchor atom's neighbour list, and an atom is free when it is not in
+    ``assign``: no recursion, generator or set.
     """
     adj = view.adj
     orders = view.orders
@@ -249,9 +245,8 @@ def _search(view: MolView, plans: tuple, embeddings: set | None) -> list[str]:
     degree = view.degree
     sites = view.element_sites
     features = view.features
-    first_only = embeddings is None
     names = []
-    for name, required, root_site, pair, inverse, steps in plans:
+    for name, required, root_site, pair, steps in plans:
         if features & required != required:
             continue
         _, _, r_elements, r_aromatic, r_min, r_max, _ = steps[0]
@@ -264,10 +259,7 @@ def _search(view: MolView, plans: tuple, embeddings: set | None) -> list[str]:
                 continue
             if n == 1:
                 hit = True
-                if first_only:
-                    break
-                embeddings.add((name, (r,)))
-                continue
+                break
             if pair:
                 _, b_orders, b_elements, b_aromatic, b_min, b_max, _ = steps[1]
                 for nb, bi in adj[r]:
@@ -275,10 +267,8 @@ def _search(view: MolView, plans: tuple, embeddings: set | None) -> list[str]:
                             and (b_aromatic is None or aromatic[nb] == b_aromatic)
                             and b_min <= degree[nb] <= b_max):
                         hit = True
-                        if first_only:
-                            break
-                        embeddings.add((name, (r, nb) if inverse[0] == 0 else (nb, r)))
-                if hit and first_only:
+                        break
+                if hit:
                     break
                 continue
             assign = [r] + [-1] * (n - 1)  # step -> molecule atom, -1 unplaced
@@ -315,40 +305,25 @@ def _search(view: MolView, plans: tuple, embeddings: set | None) -> list[str]:
                         cursor[depth] = 0
                         break
                     hit = True
-                    if first_only:
-                        break
-                    assign[depth] = nb
-                    embeddings.add((name, tuple([assign[p] for p in inverse])))
-                    assign[depth] = -1
+                    break
                 else:
                     depth -= 1
                     continue
-                if hit and first_only:
+                if hit:
                     break
-            if hit and first_only:
+            if hit:
                 break
         if hit:
             names.append(name)
     return names
 
 
-def match_groups(
-    graph: MolecularGraph, library: FGLibrary | None = None
-) -> set[tuple[str, tuple[int, ...]]]:
-    """All embeddings of every library pattern into the molecule."""
-    library = default_library() if library is None else library
-    out: set[tuple[str, tuple[int, ...]]] = set()
-    _search(graph.view(), library._plans, out)
-    return out
-
-
 def present_groups(
     graph: MolecularGraph, library: FGLibrary | None = None
 ) -> frozenset[str]:
-    """Names of patterns with at least one embedding (each plan stops at
-    its first)."""
+    """Names of the library patterns with at least one embedding."""
     library = default_library() if library is None else library
-    return frozenset(_search(graph.view(), library._plans, None))
+    return frozenset(_search(graph.view(), library._plans))
 
 
 def corpus_prevalence(

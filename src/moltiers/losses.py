@@ -326,14 +326,3 @@ def load_embeddings(path) -> np.ndarray:
         raise ShapeMismatch(f"{path}: header says {(n, d)}, data is {data.shape}")
     return data
 
-
-def save_embeddings(path, matrix: np.ndarray) -> None:
-    matrix = _as_matrix(matrix, "matrix")
-    path = str(path)
-    if path.endswith(".npy"):
-        np.save(path, matrix)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")

@@ -302,7 +302,8 @@ def write_prevalence(table: PrevalenceTable, out: TextIO) -> None:
 def load_prevalence(path: str | Path) -> PrevalenceTable:
     """The table ``write_prevalence`` wrote.  Raises MalformedLine, naming
     the line, for a row that is not ``name<TAB>prevalence`` with a
-    prevalence in [0, 1], or a ``corpus_size`` that is not a count."""
+    prevalence in [0, 1], a row whose name an earlier row has, or a
+    ``corpus_size`` that is not a count."""
     prevalence: dict[str, float] = {}
     corpus_size = 0
     with open(path, encoding="utf-8") as fh:
@@ -315,6 +316,8 @@ def load_prevalence(path: str | Path) -> PrevalenceTable:
                         raise ValueError
                 elif line and not line.startswith("#"):
                     name, value = line.split("\t")
+                    if name in prevalence:
+                        raise MalformedLine(f"{path}:{n}: group {name!r} appears twice")
                     prevalence[name] = float(value)
                     if not 0.0 <= prevalence[name] <= 1.0:  # nan too
                         raise ValueError

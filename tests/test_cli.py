@@ -123,6 +123,43 @@ class TestPrevalenceIO:
             "[0, 1] or # corpus_size=<count>" in caplog.text
         assert not out.parent.exists()
 
+    def test_repeated_row_is_data_error_before_output(self, smi_file, tmp_path,
+                                                      caplog):
+        assert main(["prevalence", "--input", str(smi_file), "--output-dir",
+                     str(tmp_path / "p")]) == 0
+        table = tmp_path / "p" / "prevalence.tsv"
+        rows = table.read_text().splitlines()
+        n = len(rows) + 1
+        table.write_text("\n".join(rows + ["hydroxyl\t0.25"]) + "\n")
+        out = tmp_path / "out" / "annotated.jsonl"
+        assert main(["annotate", "--input", str(smi_file), "--output", str(out),
+                     "--prevalence", str(table)]) == 2
+        assert f"{table}:{n}: group 'hydroxyl' appears twice" in caplog.text
+        assert not out.parent.exists()
+
+    def test_group_outside_library_is_data_error_before_output(self, tmp_path,
+                                                               caplog):
+        # a default-library table picks alkene and aniline into its top 6,
+        # and the first 12 default patterns cannot match either
+        corpus = tmp_path / "corpus.smi"
+        corpus.write_text("\n".join(generate_corpus(300, seed=7)) + "\n")
+        payload = json.loads((Path(fgroups_module.__file__).parent / "data"
+                              / "functional_groups.json").read_text())
+        extra = sorted(p["name"] for p in payload["patterns"][12:])
+        payload["patterns"] = payload["patterns"][:12]
+        library = tmp_path / "library.json"
+        library.write_text(json.dumps(payload))
+        assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                     str(tmp_path / "p")]) == 0
+        out = tmp_path / "out" / "annotated.jsonl"
+        assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                     "--library", str(library), "--prevalence",
+                     str(tmp_path / "p" / "prevalence.tsv")]) == 2
+        assert (f"prevalence table has {len(extra)} group(s) outside the "
+                "library: " + ", ".join(extra)) in caplog.text
+        assert {"alkene", "aniline"} <= set(extra)
+        assert not out.parent.exists()
+
 
 class TestWorkerDeterminism:
     def test_fresh_interpreters_byte_identical(self, tmp_path):
@@ -246,6 +283,32 @@ class TestCli:
         assert sum(report["tier_histogram"].values()) == 4
         assert "mean" in report["mw"]
 
+    def test_stats_json_into_new_directory(self, smi_file, tmp_path, capsys):
+        annotated = tmp_path / "ann.jsonl"
+        self.run("annotate", "--input", str(smi_file), "--output", str(annotated))
+        assert self.run("stats", "--annotated", str(annotated)) == 0
+        printed = capsys.readouterr().out
+        report_path = tmp_path / "new_dir" / "stats.json"
+        assert self.run("stats", "--annotated", str(annotated),
+                        "--json", str(report_path)) == 0
+        assert capsys.readouterr().out == printed
+        assert json.loads(report_path.read_text())["n"] == 4
+
+    def test_stats_json_failed_write_keeps_earlier_file(self, smi_file, tmp_path,
+                                                        monkeypatch):
+        annotated = tmp_path / "ann.jsonl"
+        self.run("annotate", "--input", str(smi_file), "--output", str(annotated))
+        report_path = tmp_path / "stats.json"
+        report_path.write_text("earlier\n")
+        dumps = json.dumps
+        # a lone surrogate cannot be encoded, so the write fails once the
+        # file is open
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps(*a, **k) + "\ud800")
+        assert self.run("stats", "--annotated", str(annotated),
+                        "--json", str(report_path)) == 2
+        assert report_path.read_text() == "earlier\n"
+        assert list(tmp_path.glob(".stats.json*")) == []
+
     @pytest.mark.parametrize("record, message", [
         ("{not json", "not a JSON record"),
         ('["T1"]', "not a JSON record"),
@@ -288,7 +351,7 @@ class TestCli:
         pairwise distances correlate perfectly."""
         import numpy as np
 
-        from moltiers.losses import save_embeddings
+        from test_losses import save_embeddings
 
         a = np.random.default_rng(0).normal(size=(20, 4))
         save_embeddings(tmp_path / "a.txt", a)

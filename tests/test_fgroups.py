@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -13,7 +15,6 @@ from moltiers.fgroups import (
     PrevalenceTable,
     corpus_prevalence,
     default_library,
-    match_groups,
     prevalence_from_counts,
     present_groups,
     top_k_groups,
@@ -22,7 +23,7 @@ from moltiers.graph import perceive_aromaticity
 from moltiers.smiles import parse_smiles
 from moltiers.synth import generate_corpus
 
-from oracles import brute_matches, brute_present, heavy_degree
+from oracles import brute_present, heavy_degree
 
 LIB = default_library()
 
@@ -86,11 +87,13 @@ class TestPresence:
     def test_expected_groups(self, mol, smiles, expected):
         assert set(present_groups(mol(smiles))) == expected
 
-    def test_present_agrees_with_full_matcher(self, mol):
-        for smiles in generate_corpus(120, seed=2):
-            g = mol(smiles)
-            full = {name for name, _ in match_groups(g)}
-            assert present_groups(g) == full
+    def test_present_groups_on_large_molecules_are_pinned(self, mol):
+        # many of these molecules are too large for the brute-force oracle,
+        # so their group sets are pinned by a digest of the sorted names
+        text = "\n".join(",".join(sorted(present_groups(mol(smiles))))
+                         for smiles in generate_corpus(120, seed=2))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "94a1ed64025231cd184dccc3cb9f3047a347025523562705d8668e3066b33335")
 
 
 def test_describe_leaves_no_cyclic_garbage(mol):
@@ -104,32 +107,13 @@ def test_describe_leaves_no_cyclic_garbage(mol):
     try:
         for smiles in corpus:
             annotator.describe(smiles)
-            match_groups(mol(smiles))
+            present_groups(mol(smiles))
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 class TestMatcherCompleteness:
-    def test_embeddings_match_bruteforce_small(self, mol):
-        checked = 0
-        for smiles in generate_corpus(400, seed=77):
-            g = mol(smiles)
-            heavy = sum(1 for a in g.atoms if a.element != "H")
-            if heavy > 12:
-                continue
-            checked += 1
-            found = match_groups(g)
-            for pattern in LIB.patterns:
-                ours = {emb for name, emb in found if name == pattern.name}
-                assert ours == brute_matches(g, pattern), (smiles, pattern.name)
-        assert checked >= 30
-
-    def test_handcrafted_embedding_count(self, mol):
-        g = mol("C=C")  # symmetric pattern matches in both orientations
-        embs = {emb for name, emb in match_groups(g) if name == "alkene"}
-        assert embs == {(0, 1), (1, 0)}
-
     def test_reindexing_invariance(self, mol):
         rng = random.Random(4)
         for smiles in ("CC(=O)Oc1ccccc1C(=O)O", "NC(=O)c1ccc(O)cc1", "CSC"):
@@ -181,7 +165,6 @@ class TestEmptyLibrary:
         graph = mol("CCO")
         assert present_groups(graph) == {"hydroxyl"}
         assert present_groups(graph, self.EMPTY) == frozenset()
-        assert match_groups(graph, self.EMPTY) == set()
         core = descriptor_core(graph, self.EMPTY)
         assert (core.n_fg, core.fg_names) == (0, frozenset())
 
@@ -266,7 +249,7 @@ def brute_cost(graph, library) -> int:
 def molecules():
     """Hand-written molecules and generated ones the oracle can afford."""
     graphs = [perceive_aromaticity(parse_smiles(s)) for s in HAND_MOLECULES]
-    for smiles in generate_corpus(300, seed=77):
+    for smiles in generate_corpus(400, seed=77):
         graph = perceive_aromaticity(parse_smiles(smiles))
         if brute_cost(graph, LIB) + brute_cost(graph, CUSTOM) <= 60_000:
             graphs.append(graph)
@@ -284,14 +267,6 @@ class TestCompiledPlans:
             assert present_groups(graph, library) == brute_present(graph, library), \
                 graph.source
 
-    @pytest.mark.parametrize("name", sorted(LIBRARIES))
-    def test_matches_equal_brute(self, molecules, name):
-        library = LIBRARIES[name]
-        for graph in molecules:
-            want = {(p.name, emb) for p in library.patterns
-                    for emb in brute_matches(graph, p)}
-            assert match_groups(graph, library) == want, graph.source
-
     def test_custom_library_is_exercised(self, molecules):
         found = set()
         for graph in molecules:
@@ -300,17 +275,33 @@ class TestCompiledPlans:
         assert len(molecules) >= 60
 
     def test_steps_admit_what_admits_admits(self):
-        # each compiled step holds its constraint's fields, unpacked
+        # each compiled step holds the fields of one pattern atom's
+        # constraint, unpacked, and its anchor and extra bonds are the
+        # pattern's bonds: some order of the pattern atoms lines up with
+        # the steps on both counts
         grid = [(el, arom, deg) for el in ("C", "N", "O", "F", "Cl", "S", "H")
                 for arom in (False, True) for deg in range(6)]
+
+        def step_admits(step):
+            _, _, elements, aromatic, min_deg, max_deg, _ = step
+            return [el in elements and (aromatic is None or arom == aromatic)
+                    and min_deg <= deg <= max_deg for el, arom, deg in grid]
+
         for library in (LIB, CUSTOM):
             for pattern in library.patterns:
-                _, _, _, _, inverse, steps = pattern._plan
-                for j, constraint in enumerate(pattern.atoms):
-                    _, _, elements, aromatic, min_deg, max_deg, _ = steps[inverse[j]]
-                    for el, arom, deg in grid:
-                        step_admits = (el in elements
-                                       and (aromatic is None or arom == aromatic)
-                                       and min_deg <= deg <= max_deg)
-                        assert step_admits == constraint.admits(el, arom, deg), \
-                            (pattern.name, j, el, arom, deg)
+                _, _, _, _, steps = pattern._plan
+                admits = [[c.admits(*point) for point in grid]
+                          for c in pattern.atoms]
+                bonds = sorted((sorted((b.a, b.b)), sorted(b.orders))
+                               for b in pattern.bonds)
+                step_bonds = [(k, anchor, orders) for k, (anchor, orders, *_)
+                              in enumerate(steps) if anchor >= 0]
+                step_bonds += [(k, pos, orders) for k, step in enumerate(steps)
+                               for pos, orders in step[6]]
+                assert any(
+                    all(step_admits(step) == admits[atom_of[k]]
+                        for k, step in enumerate(steps))
+                    and sorted((sorted((atom_of[k], atom_of[j])), sorted(orders))
+                               for k, j, orders in step_bonds) == bonds
+                    for atom_of in itertools.permutations(range(len(steps)))
+                ), pattern.name

@@ -19,7 +19,6 @@ from moltiers.losses import (
     pairwise_distance_correlation,
     pearson,
     rank_average,
-    save_embeddings,
     siglip_loss,
     spearman,
 )
@@ -398,6 +397,20 @@ class TestRanksAndCorrelation:
         assert pairwise_distance_correlation(a, b, 100, seed=7) == (
             pairwise_distance_correlation(a, b, 100, seed=7)
         )
+
+
+def save_embeddings(path, matrix) -> None:
+    """Write ``matrix`` as ``load_embeddings`` reads it: ``.npy``, or text
+    with an ``N d`` header line."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    path = str(path)
+    if path.endswith(".npy"):
+        np.save(path, matrix)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
+        for row in matrix:
+            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
 class TestEmbeddingIO:

@@ -306,6 +306,15 @@ class TestMismatchedTable:
         with pytest.raises(PrevalenceMismatch, match="amide, urea"):
             ComplexityAnnotator().set_prevalence(table)
 
+    def test_set_prevalence_names_groups_outside_library(self):
+        table = ComplexityAnnotator().fit(["CC(=O)NC", "CCO"]).prevalence_
+        table.prevalence["zz_made_up"] = 0.5
+        table.prevalence["aa_made_up"] = 0.0
+        with pytest.raises(PrevalenceMismatch,
+                           match="has 2 group[(]s[)] outside the library: "
+                                 "aa_made_up, zz_made_up$"):
+            ComplexityAnnotator().set_prevalence(table)
+
 
 @pytest.mark.parametrize("with_table", [False, True])
 def test_parent_never_finishes_at_two_workers(corpus, tmp_path, monkeypatch,
