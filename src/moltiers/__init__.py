@@ -36,7 +36,6 @@ _EXPORTS = {
         "RingInfo",
         "ScaffoldResult",
         "StructuralCounts",
-        "conjugated_components",
         "murcko_scaffold",
         "perceive_aromaticity",
         "ring_info",

@@ -17,14 +17,16 @@ from .fgroups import FGLibrary, PrevalenceTable, default_library, present_groups
 from .graph import (
     RingInfo,
     StructuralCounts,
-    conjugated_components,
     cycle_bonds,
     murcko_scaffold,
     perceive_aromaticity,
     ring_info,
     structural_counts,
 )
-from .smiles import AROMATIC, MolecularGraph
+from .smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolecularGraph, feature_mask
+
+# the feature bits of the bond orders that carry a pi bond
+_PI_ORDERS = feature_mask({}, (DOUBLE, TRIPLE, AROMATIC))
 
 
 @dataclass(slots=True)
@@ -86,9 +88,37 @@ def group_rarity(groups: frozenset[str], table: PrevalenceTable) -> float:
 
 
 def conjugation_extent(graph: MolecularGraph) -> int:
-    """Atom count of the largest connected conjugated pi-system."""
-    components = conjugated_components(graph)
-    return max((len(c) for c in components), default=0)
+    """Atom count of the largest connected conjugated pi-system.
+
+    A bond is conjugated when it is aromatic/double/triple, or when it is a
+    single bond whose two endpoints each carry some multiple bond.  The
+    conjugated bonds are joined by union-find, keeping each set's size.
+    """
+    view = graph.view()
+    if not view.features & _PI_ORDERS:
+        return 0
+    ends = view.ends
+    orders = view.orders
+    n = len(view.elements)
+    pi = [False] * n
+    for (a, b), order in zip(ends, orders):
+        if order != SINGLE:
+            pi[a] = pi[b] = True
+    parent = list(range(n))
+    size = [1] * n
+    best = 0
+    for (a, b), order in zip(ends, orders):
+        if order != SINGLE or (pi[a] and pi[b]):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+                size[a] += size[b]
+                if size[a] > best:
+                    best = size[a]
+    return best
 
 
 def _gap_pattern(positions: list[int], size: int) -> tuple[int, ...]:
@@ -158,14 +188,14 @@ def bertz_ct(graph: MolecularGraph) -> float:
     (element, aromatic flag, heavy degree) together with the bond order.
     Returns 0 for bond-free graphs.
     """
-    if not graph.bonds:
-        return 0.0
     view = graph.view()
+    if not view.ends:
+        return 0.0
     atom_env = list(zip(view.elements, view.aromatic, view.degree))
     hist: dict[tuple, int] = {}
-    for bond, order in zip(graph.bonds, view.orders):
-        da = atom_env[bond.a]
-        db = atom_env[bond.b]
+    for (a, b), order in zip(view.ends, view.orders):
+        da = atom_env[a]
+        db = atom_env[b]
         env = (da, db, order) if da <= db else (db, da, order)
         hist[env] = hist.get(env, 0) + 1
     total = 0.0

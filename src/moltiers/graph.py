@@ -1,25 +1,34 @@
 """Graph algorithms over MolecularGraph.
 
-Every analysis reads the graph's memoised ``MolView`` (adjacency, bond
-orders, heavy degrees, element sites), so a molecule's adjacency is built
-once however many descriptors it feeds.
+Every analysis reads only the graph's ``MolView`` arrays (adjacency, bond
+endpoints and orders, heavy degrees, element sites, valence sums and marks),
+never its ``Atom`` and ``Bond`` objects, so a parsed molecule's arrays are
+built once, in the parser's loop, however many descriptors they feed.
 
-Ring perception is block-based.  One iterative lowlink DFS splits the bonds
-into biconnected blocks; single-bond blocks are bridges, every other bond is
-a ring bond.  A block with as many bonds as atoms is a simple cycle, walked
-directly from its lowest-index bond (or dropped when it has more than
-MAX_RING_SIZE atoms).  Only fused or bridged blocks run the capped
+The ring *count* is always the cyclomatic number, bonds - atoms +
+components, which the view holds.  A molecule whose count is 0 has no cycle,
+so ``ring_info`` returns an empty result for it without any search: every
+cycle of a parsed graph holds a ring-closure bond, so that is each molecule
+written without one.  Otherwise ring perception works from a spanning
+forest.  For a parsed graph the forest is the bonds the SMILES chains and
+branches wrote, read off the adjacency, and each ring closure closes one
+cycle through it; any other graph gets a breadth-first forest.  The cycles
+that share a bond make up one biconnected block, and every ring bond lies
+on one of them.  A block with as many bonds as atoms is a simple cycle,
+walked directly from its lowest-index bond (or dropped when it has more
+than MAX_RING_SIZE atoms).  Only fused or bridged blocks run the capped
 shortest-cycle BFS, once per bond and over the block's own bonds: every
 simple path between two atoms of a block stays inside it, so the search
 finds the same cycle it would over the whole graph.  Rings are reported in
 the order of the bond that produced them, deduplicated by atom set, which
-covers drug-like ring systems without full SSSR machinery.  The ring
-*count* is always the cyclomatic number, bonds - atoms + components.
+covers drug-like ring systems without full SSSR machinery.
 
 Aromaticity perception promotes Kekulé-written 6-rings of C/N atoms with
 alternating single and double bonds.  Such a ring holds three double bonds
 between C/N atoms, so a molecule with fewer, such as one written with
-aromatic atoms, is returned unchanged before any ring search.
+aromatic atoms, is returned unchanged before any ring search.  A promoted
+molecule is a new graph whose view has new bond orders, aromatic flags and
+valence sums, and shares everything else with the input's view.
 """
 
 from __future__ import annotations
@@ -30,12 +39,9 @@ from dataclasses import dataclass
 from .errors import EmptyMolecule
 from .smiles import (
     AROMATIC,
-    CHI_NONE,
     DOUBLE,
     MolecularGraph,
     SINGLE,
-    STEREO_NONE,
-    TRIPLE,
     molecular_weight,
 )
 
@@ -75,64 +81,97 @@ class StructuralCounts:
         return (StructuralCounts, (self.n_ha, self.n_het, self.n_ring, self.n_sc, self.mw))
 
 
-def _blocks(adj: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
-    """Biconnected blocks of more than one bond, as bond-index lists, and
-    the number of connected components (iterative lowlink DFS that keeps
-    the bonds it has seen on a stack and cuts a block off at each
-    articulation)."""
-    n = len(adj)
-    disc = [-1] * n
-    low = [0] * n
-    edges: list[int] = []
-    blocks: list[list[int]] = []
-    timer = 0
-    components = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        components += 1
-        disc[root] = low[root] = timer
-        timer += 1
-        # atom, bond it was entered by, edge-stack height below that bond,
-        # remaining neighbours
-        stack = [(root, -1, 0, iter(adj[root]))]
-        while stack:
-            a, in_bond, mark, rest = stack[-1]
-            for nb, bi in rest:
-                if bi == in_bond:
-                    continue
-                d = disc[nb]
-                if d == -1:
-                    disc[nb] = low[nb] = timer
-                    timer += 1
-                    stack.append((nb, bi, len(edges), iter(adj[nb])))
-                    edges.append(bi)
-                    break
-                if d < disc[a]:  # back edge to an ancestor
-                    edges.append(bi)
-                    if d < low[a]:
-                        low[a] = d
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                parent = stack[-1][0]
-                if low[a] < low[parent]:
-                    low[parent] = low[a]
-                if low[a] >= disc[parent]:
-                    if len(edges) - mark > 1:
-                        blocks.append(edges[mark:])
-                    del edges[mark:]
-    return blocks, components
+def _spanning_forest(view) -> tuple[list[int], list[int] | None, list[int]]:
+    """A spanning forest of the molecule: each atom's bond to its parent (-1
+    for a root), a rank that grows from parent to child, and the bonds
+    outside the forest, one per independent cycle.
+
+    Each atom takes its first bond when that bond leads to a lower index,
+    and the rank is the index itself (returned as None): for a parsed graph
+    those are the bonds its chains and branches wrote, and the bonds left
+    over are its ring closures.  When that is not a spanning forest (a ring
+    closure between dot-separated parts, or a graph built by hand), a
+    breadth-first search builds one, ranked by depth.
+    """
+    adj = view.adj
+    up = [nbrs[0][1] if nbrs and nbrs[0][0] < b else -1
+          for b, nbrs in enumerate(adj)]
+    rank = None
+    # a forest leaves bonds - atoms + roots bonds out; a spanning one leaves
+    # as many as there are independent cycles
+    if len(view.ends) - len(adj) + up.count(-1) != view.n_ring:
+        up = [-1] * len(adj)
+        rank = [-1] * len(adj)
+        for root in range(len(adj)):
+            if rank[root] >= 0:
+                continue
+            rank[root] = 0
+            level = [root]
+            while level:
+                nxt = []
+                for a in level:
+                    for nb, bi in adj[a]:
+                        if rank[nb] < 0:
+                            rank[nb] = rank[a] + 1
+                            up[nb] = bi
+                            nxt.append(nb)
+                level = nxt
+    tree = set(up)
+    return up, rank, [bi for bi in range(len(view.ends)) if bi not in tree]
 
 
-def _walk_cycle(graph: MolecularGraph, adj, block_of: list[int],
+def _blocks(view) -> list[list[int]]:
+    """The ring bonds, split into biconnected blocks, as bond-index lists.
+
+    Each bond outside a spanning forest closes one cycle: that bond and
+    the forest path between its atoms.  Every ring bond lies on such a
+    cycle, and two of them lie in one block exactly when a chain of these
+    cycles, each sharing a bond with the next, joins them, so a union-find
+    over the cycles that share bonds gives the blocks.
+    """
+    ends = view.ends
+    up, rank, closures = _spanning_forest(view)
+    owner: dict[int, int] = {}  # ring bond -> a closure whose cycle holds it
+    parent: dict[int, int] = {}  # closure -> union-find parent
+    for c in closures:
+        parent[c] = c
+        path = [c]
+        u, v = ends[c]
+        # the atom of higher rank cannot be an ancestor of the other
+        while u != v:
+            if (u < v) if rank is None else (rank[u] < rank[v]):
+                u, v = v, u
+            bi = up[u]
+            path.append(bi)
+            a, b = ends[bi]
+            u = a if b == u else b
+        for bi in path:
+            o = owner.setdefault(bi, c)
+            if o != c:
+                while parent[o] != o:
+                    parent[o] = o = parent[parent[o]]
+                r = c
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+                parent[o] = r
+    blocks: dict[int, list[int]] = {}
+    for bi, c in owner.items():
+        while parent[c] != c:
+            c = parent[c]
+        if c in blocks:
+            blocks[c].append(bi)
+        else:
+            blocks[c] = [bi]
+    return list(blocks.values())
+
+
+def _walk_cycle(ends: list[tuple[int, int]], adj, block_of: list[int],
                 bond_index: int) -> tuple[int, ...]:
     """The cycle of a simple-cycle block, from the bond's first atom around
     to its second: what the shortest-cycle search through it returns."""
     block = block_of[bond_index]
-    bond = graph.bonds[bond_index]
-    a, end, came = bond.a, bond.b, bond_index
+    a, end = ends[bond_index]
+    came = bond_index
     cycle = [a]
     while a != end:
         for nb, bi in adj[a]:
@@ -144,49 +183,50 @@ def _walk_cycle(graph: MolecularGraph, adj, block_of: list[int],
 
 
 def _shortest_cycle_through(
-    graph: MolecularGraph,
+    ends: list[tuple[int, int]],
     adj: list[list[tuple[int, int]]],
     block_of: list[int],
     bond_index: int,
     max_size: int,
 ) -> tuple[int, ...] | None:
     """Smallest cycle containing the bond, searched within the bond's block,
-    or None if longer than max_size."""
+    or None if longer than max_size (breadth first, one level at a time)."""
     block = block_of[bond_index]
-    bond = graph.bonds[bond_index]
-    u, v = bond.a, bond.b
+    u, v = ends[bond_index]
     prev: dict[int, int] = {u: -1}
-    queue = deque([(u, 0)])
-    limit = max_size - 1
-    while queue:
-        a, depth = queue.popleft()
-        if depth >= limit:
-            continue
-        for nb, bi in adj[a]:
-            if bi == bond_index or block_of[bi] != block or nb in prev:
-                continue
-            prev[nb] = a
-            if nb == v:
-                path = [v]
-                while path[-1] != u:
-                    path.append(prev[path[-1]])
-                return tuple(reversed(path))
-            queue.append((nb, depth + 1))
+    level = [u]
+    for _ in range(max_size - 1):
+        nxt = []
+        for a in level:
+            for nb, bi in adj[a]:
+                if bi == bond_index or nb in prev or block_of[bi] != block:
+                    continue
+                prev[nb] = a
+                if nb == v:
+                    path = [v]
+                    while path[-1] != u:
+                        path.append(prev[path[-1]])
+                    return tuple(reversed(path))
+                nxt.append(nb)
+        level = nxt
     return None
 
 
 def ring_info(graph: MolecularGraph) -> RingInfo:
-    """Ring bonds, ring atoms and small rings; memoised on the graph's view."""
+    """Ring bonds, ring atoms and small rings; memoised on the graph's view.
+    A molecule without a cycle gets the empty result with no search."""
     view = graph.view()
     if view.rings is None:
-        view.rings = _perceive_rings(graph, view.adj)
+        view.rings = (_perceive_rings(view) if view.n_ring
+                      else RingInfo(frozenset(), frozenset(), [], 0))
     return view.rings
 
 
-def _perceive_rings(graph: MolecularGraph, adj) -> RingInfo:
-    blocks, components = _blocks(adj)
-    bonds = graph.bonds
-    block_of = [-1] * len(bonds)
+def _perceive_rings(view) -> RingInfo:
+    adj = view.adj
+    ends = view.ends
+    blocks = _blocks(view)
+    block_of = [-1] * len(ends)
     ring_bonds: list[int] = []
     ring_atoms: set[int] = set()
     found: list[tuple[int, tuple[int, ...]]] = []  # (producing bond, ring)
@@ -194,19 +234,19 @@ def _perceive_rings(graph: MolecularGraph, adj) -> RingInfo:
         atoms: set[int] = set()
         for bi in block:
             block_of[bi] = k
-            bond = bonds[bi]
-            atoms.add(bond.a)
-            atoms.add(bond.b)
+            a, b = ends[bi]
+            atoms.add(a)
+            atoms.add(b)
         ring_bonds.extend(block)
         ring_atoms |= atoms
         block.sort()
         if len(block) == len(atoms):
             if len(atoms) <= MAX_RING_SIZE:
-                found.append((block[0], _walk_cycle(graph, adj, block_of, block[0])))
+                found.append((block[0], _walk_cycle(ends, adj, block_of, block[0])))
             continue
         seen: set[frozenset[int]] = set()
         for bi in block:
-            cycle = _shortest_cycle_through(graph, adj, block_of, bi, MAX_RING_SIZE)
+            cycle = _shortest_cycle_through(ends, adj, block_of, bi, MAX_RING_SIZE)
             if cycle is None:
                 continue
             key = frozenset(cycle)
@@ -214,9 +254,8 @@ def _perceive_rings(graph: MolecularGraph, adj) -> RingInfo:
                 seen.add(key)
                 found.append((bi, cycle))
     found.sort(key=lambda item: item[0])
-    n_ring = len(bonds) - len(graph.atoms) + components
     return RingInfo(frozenset(ring_atoms), frozenset(ring_bonds),
-                    [cycle for _, cycle in found], n_ring)
+                    [cycle for _, cycle in found], view.n_ring)
 
 
 def cycle_bonds(adj: list[list[tuple[int, int]]],
@@ -242,14 +281,15 @@ def perceive_aromaticity(
     ring qualifies.  Such a ring holds three double bonds between C/N atoms,
     so a molecule with fewer is returned at once, without running
     ``ring_info``.  A new graph shares the input's view topology and ring
-    perception, since only bond orders and aromatic flags change.
+    perception, since only bond orders, aromatic flags and the valence sums
+    they give change.
     """
     view = graph.view()
     elements = view.elements
     orders = view.orders
     if orders.count(DOUBLE) < 3 or sum(
-        1 for bond, order in zip(graph.bonds, orders)
-        if order == DOUBLE and elements[bond.a] in _CN and elements[bond.b] in _CN
+        1 for (a, b), order in zip(view.ends, orders)
+        if order == DOUBLE and elements[a] in _CN and elements[b] in _CN
     ) < 3:
         return graph
     if rings is None:
@@ -270,26 +310,20 @@ def perceive_aromaticity(
             flip_bonds.update(bond_ids)
     if not flip_atoms:
         return graph
-    new_atoms = []
-    for atom in graph.atoms:
-        if atom.index in flip_atoms and not atom.aromatic:
-            new_atoms.append(
-                type(atom)(
-                    atom.element, True, atom.formal_charge, atom.explicit_h,
-                    atom.chirality, atom.isotope, atom.index,
-                )
-            )
-        else:
-            new_atoms.append(atom)
-    new_bonds = []
-    for bi, bond in enumerate(graph.bonds):
-        if bi in flip_bonds and bond.order != AROMATIC:
-            new_bonds.append(type(bond)(bond.a, bond.b, AROMATIC, bond.stereo))
-        else:
-            new_bonds.append(bond)
-    perceived = MolecularGraph(new_atoms, new_bonds, graph.source)
-    perceived._view = view.with_flags(perceived)
-    return perceived
+    # a flipped bond is single or double; as aromatic it counts one
+    new_orders = list(orders)
+    valence = list(view.valence)
+    ends = view.ends
+    for bi in flip_bonds:
+        if orders[bi] == DOUBLE:
+            a, b = ends[bi]
+            valence[a] -= 1
+            valence[b] -= 1
+        new_orders[bi] = AROMATIC
+    aromatic = list(view.aromatic)
+    for a in flip_atoms:
+        aromatic[a] = True
+    return graph.with_flags(new_orders, aromatic, valence)
 
 
 def murcko_scaffold(
@@ -329,75 +363,31 @@ def murcko_scaffold(
                 queue.append(nb)
     core = {i for i in range(len(elements)) if not removed[i]}
     kept = set(core)
-    for bond, order in zip(graph.bonds, view.orders):
+    for (a, b), order in zip(view.ends, view.orders):
         if order == DOUBLE:
-            if bond.a in core and elements[bond.b] != "H":
-                kept.add(bond.b)
-            elif bond.b in core and elements[bond.a] != "H":
-                kept.add(bond.a)
+            if a in core and elements[b] != "H":
+                kept.add(b)
+            elif b in core and elements[a] != "H":
+                kept.add(a)
     return ScaffoldResult(frozenset(kept), len(kept), not kept)
 
 
-def conjugated_components(graph: MolecularGraph) -> list[frozenset[int]]:
-    """Connected atom sets of the subgraph induced by conjugated bonds.
-
-    A bond is conjugated when it is aromatic/double/triple, or when it is a
-    single bond whose two endpoints each carry some multiple bond.
-    """
-    n = len(graph.atoms)
-    pi = [False] * n
-    for bond in graph.bonds:
-        if bond.order in (DOUBLE, TRIPLE, AROMATIC):
-            pi[bond.a] = True
-            pi[bond.b] = True
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    members: set[int] = set()
-    for bond in graph.bonds:
-        conj = bond.order in (DOUBLE, TRIPLE, AROMATIC) or (
-            bond.order == SINGLE and pi[bond.a] and pi[bond.b]
-        )
-        if conj:
-            members.add(bond.a)
-            members.add(bond.b)
-            ra, rb = find(bond.a), find(bond.b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for a in members:
-        groups.setdefault(find(a), set()).add(a)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
-
-
 def structural_counts(graph: MolecularGraph) -> StructuralCounts:
-    if not graph.atoms:
-        raise EmptyMolecule("no atoms")
     view = graph.view()
+    if not view.elements:
+        raise EmptyMolecule("no atoms")
     n_ha = view.n_heavy
     n_het = n_ha - len(view.element_sites.get("C", ()))
-    n_sc = 0
-    for atom in graph.atoms:
-        if atom.chirality != CHI_NONE:
-            n_sc += 1
+    n_sc = view.n_chiral
     # cis/trans marks: a double bond flanked by direction marks on both ends
     # (direction marks live on the adjacent single bonds, never on the double
     # bond itself)
-    marked = [False] * len(graph.atoms)
-    any_marked = False
-    for bond in graph.bonds:
-        if bond.stereo != STEREO_NONE:
-            marked[bond.a] = True
-            marked[bond.b] = True
-            any_marked = True
-    if any_marked:
-        for bond in graph.bonds:
-            if bond.order == DOUBLE and marked[bond.a] and marked[bond.b]:
+    if view.stereo:
+        ends = view.ends
+        marked = set()
+        for bi in view.stereo:
+            marked.update(ends[bi])
+        for (a, b), order in zip(ends, view.orders):
+            if order == DOUBLE and a in marked and b in marked:
                 n_sc += 1
-    n_ring = ring_info(graph).n_ring
-    return StructuralCounts(n_ha, n_het, n_ring, n_sc, molecular_weight(graph))
+    return StructuralCounts(n_ha, n_het, view.n_ring, n_sc, molecular_weight(graph))

@@ -303,9 +303,11 @@ def load_prevalence(path: str | Path) -> PrevalenceTable:
     """The table ``write_prevalence`` wrote.  Raises MalformedLine, naming
     the line, for a row that is not ``name<TAB>prevalence`` with a
     prevalence in [0, 1], a row whose name an earlier row has, or a
-    ``corpus_size`` that is not a count."""
+    ``corpus_size`` that is not a count.  A table with no rows, the one
+    fitted with an empty library, must have its ``corpus_size`` line:
+    without either, the file is no table (EmptyCorpus)."""
     prevalence: dict[str, float] = {}
-    corpus_size = 0
+    corpus_size = None
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             line = line.strip()
@@ -324,8 +326,10 @@ def load_prevalence(path: str | Path) -> PrevalenceTable:
             except ValueError:
                 raise MalformedLine(f"{path}:{n}: {line!r} is not name<TAB>prevalence"
                                     " in [0, 1] or # corpus_size=<count>") from None
-    if not prevalence:
-        raise EmptyCorpus(f"no prevalence rows in {path}")
+    if corpus_size is None:
+        if not prevalence:
+            raise EmptyCorpus(f"no prevalence rows or corpus_size line in {path}")
+        corpus_size = 0
     return PrevalenceTable(prevalence, corpus_size)
 
 

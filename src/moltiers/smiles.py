@@ -8,15 +8,19 @@ wildcards, atom classes, and quadruple bonds are rejected.
 
 Parsing is total: every input string either yields a ``MolecularGraph`` or
 raises a ``SmilesError`` subclass carrying the byte offset of the problem.
-The parser fills the graph's ``MolView`` arrays in the loop that reads the
-atoms and bonds; ``MolView(graph)`` builds the same view for a graph built
-by hand.  The package writes no SMILES: a record carries its input
-string as read.
+The parser fills only the graph's ``MolView`` arrays, in the one loop that
+reads the atoms and bonds: bond endpoints and orders, valence sums, bracket
+hydrogens, chiral atoms, stereo marks and the ring count.  It builds an
+``Atom`` only for a bracket atom and no ``Bond``; a parsed graph's
+``atoms`` and ``bonds`` lists are built from the view on first access.
+``MolView(graph)`` builds the same view for a graph built by hand.  The
+package writes no SMILES: a record carries its input string as read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import gt
 from typing import Iterable
 
 from .elements import (
@@ -57,11 +61,28 @@ STEREO_DOWN = 2  # '\'
 _BOND_CHAR_ORDER = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
                     "/": SINGLE, "\\": SINGLE}
 _BOND_CHAR_STEREO = {"/": STEREO_UP, "\\": STEREO_DOWN}
-# unbracketed atoms: first letter -> (element, aromatic); "Cl" and "Br" take
-# the second letter that follows their first
-_ORGANIC_ATOM = {c: (c, False) for c in "BCNOPSFI"}
-_ORGANIC_ATOM.update((c, (c.upper(), True)) for c in "bcnops")
-_SECOND_LETTER = {"C": "l", "B": "r"}
+# what a bond of each order adds to its atoms' valence sums: aromatic bonds
+# count one
+_VALENCE_UNITS = (0, SINGLE, DOUBLE, TRIPLE, 1)
+
+
+def _organic(element: str, aromatic: bool,
+             second: str = "") -> tuple[str, bool, int, str]:
+    """An unbracketed atom: element, aromatic flag, the largest valence sum
+    it may have (one unit more for the delocalised bond when aromatic), and
+    the letter that makes it a two-letter element."""
+    return element, aromatic, VALENCES[element][-1] + aromatic, second
+
+
+# unbracketed atoms by first letter; "Cl" and "Br" by both
+_ORGANIC_ATOM = {c: _organic(c, False, {"C": "l", "B": "r"}.get(c, ""))
+                 for c in "BCNOPSFI"}
+_ORGANIC_ATOM.update((c, _organic(c.upper(), True)) for c in "bcnops")
+_ORGANIC_ATOM.update((el, _organic(el, False)) for el in ("Cl", "Br"))
+# bracket atoms carry explicit hydrogen counts and charges, which shift
+# valence in ways the neutral table cannot capture: they are accepted as
+# written
+_UNCHECKED = 1 << 30
 
 
 @dataclass(slots=True)
@@ -109,31 +130,62 @@ def feature_mask(element_counts: dict[str, int], orders: Iterable[int]) -> int:
     return mask
 
 
+def _count_components(n_atoms: int, ends: list[tuple[int, int]]) -> int:
+    """Connected components of the graph on ``n_atoms`` atoms with these
+    bond endpoints (union-find)."""
+    parent = list(range(n_atoms))
+    count = n_atoms
+    for a, b in ends:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
+
+
 class MolView:
-    """Per-molecule indices, built once per graph and shared by every analysis.
+    """Per-molecule arrays, built once per graph and shared by every analysis.
 
     ``adj[i]`` lists ``(neighbor_index, bond_index)`` pairs in bond order;
-    ``orders`` holds each bond's order; ``degree`` counts heavy neighbours;
-    ``element_sites`` maps each element to its atom indices, in index order;
-    ``features`` is the molecule's ``feature_mask``.  ``rings`` is filled in
-    by the graph module's ring perception the first time it runs.
+    ``ends`` holds each bond's ``(a, b)`` and ``orders`` its order;
+    ``valence`` is each atom's bond-order sum, aromatic bonds counting one;
+    ``explicit_h`` maps each bracket atom to its hydrogen count; ``n_chiral``
+    counts atoms with a chirality mark and ``stereo`` maps each bond with a
+    direction mark to it; ``n_ring`` is the cyclomatic number, bonds - atoms
+    + components.  ``degree`` counts heavy neighbours; ``element_sites`` maps
+    each element to its atom indices, in index order; ``features`` is the
+    molecule's ``feature_mask``.  ``rings`` is filled in by the graph
+    module's ring perception the first time it runs.
 
     ``parse_smiles`` fills the arrays as it reads the atoms and bonds and
     sets the graph's view itself; ``MolView(graph)`` walks a graph built by
     hand.  Both derive the rest in ``_fill``.
     """
 
-    __slots__ = ("adj", "orders", "elements", "aromatic", "degree",
+    __slots__ = ("adj", "ends", "orders", "elements", "aromatic", "valence",
+                 "explicit_h", "n_chiral", "stereo", "n_ring", "degree",
                  "element_sites", "n_heavy", "features", "rings")
 
     def __init__(self, graph: MolecularGraph):
         atoms = graph.atoms
         adj: list[list[tuple[int, int]]] = [[] for _ in atoms]
+        ends = []
         orders = []
+        valence = [0] * len(atoms)
+        stereo = {}
         for bi, bond in enumerate(graph.bonds):
-            adj[bond.a].append((bond.b, bi))
-            adj[bond.b].append((bond.a, bi))
-            orders.append(bond.order)
+            a, b, order = bond.a, bond.b, bond.order
+            adj[a].append((b, bi))
+            adj[b].append((a, bi))
+            ends.append((a, b))
+            orders.append(order)
+            valence[a] += _VALENCE_UNITS[order]
+            valence[b] += _VALENCE_UNITS[order]
+            if bond.stereo != STEREO_NONE:
+                stereo[bi] = bond.stereo
         elements = [a.element for a in atoms]
         sites: dict[str, list[int]] = {}
         for i, el in enumerate(elements):
@@ -141,9 +193,15 @@ class MolView:
                 sites[el].append(i)
             else:
                 sites[el] = [i]
-        self._fill(adj, orders, elements, [a.aromatic for a in atoms], sites)
+        self._fill(adj, ends, orders, elements, [a.aromatic for a in atoms],
+                   sites, valence,
+                   {i: a.explicit_h for i, a in enumerate(atoms)
+                    if a.explicit_h is not None},
+                   sum(a.chirality != CHI_NONE for a in atoms), stereo,
+                   len(ends) - len(atoms) + _count_components(len(atoms), ends))
 
-    def _fill(self, adj, orders, elements, aromatic, element_sites,
+    def _fill(self, adj, ends, orders, elements, aromatic, element_sites,
+              valence, explicit_h, n_chiral, stereo, n_ring,
               rings=None) -> MolView:
         """Set the arrays and derive heavy degrees, ``n_heavy`` and
         ``features`` from them: the one place those are computed."""
@@ -153,9 +211,15 @@ class MolView:
             for nb, _ in adj[h]:
                 degree[nb] -= 1
         self.adj = adj
+        self.ends = ends
         self.orders = orders
         self.elements = elements
         self.aromatic = aromatic
+        self.valence = valence
+        self.explicit_h = explicit_h
+        self.n_chiral = n_chiral
+        self.stereo = stereo
+        self.n_ring = n_ring
         self.degree = degree
         self.element_sites = element_sites
         self.n_heavy = len(elements) - len(hydrogens)
@@ -164,51 +228,110 @@ class MolView:
         self.rings = rings
         return self
 
-    def with_flags(self, graph: MolecularGraph) -> MolView:
-        """The view of ``graph``, a copy of this view's molecule that differs
-        only in bond orders and aromatic flags: topology, element sites and
+    def with_flags(self, orders: list[int], aromatic: list[bool],
+                   valence: list[int]) -> MolView:
+        """The view of this molecule with other bond orders, aromatic flags
+        and the valence sums they give: topology, element sites, marks and
         rings are shared."""
         return MolView.__new__(MolView)._fill(
-            self.adj, [bond.order for bond in graph.bonds], self.elements,
-            [atom.aromatic for atom in graph.atoms], self.element_sites,
-            self.rings)
+            self.adj, self.ends, orders, self.elements, aromatic,
+            self.element_sites, valence, self.explicit_h, self.n_chiral,
+            self.stereo, self.n_ring, self.rings)
 
 
-@dataclass(slots=True)
 class MolecularGraph:
     """Immutable-by-convention molecular graph.
 
     ``atoms`` are stored in input order; treat graphs as frozen after
-    construction so they can be shared freely across worker processes.
+    construction so they can be shared freely across worker processes.  A
+    graph from ``parse_smiles`` or ``perceive_aromaticity`` holds its view
+    and builds ``atoms`` and ``bonds`` from it on first access.
     """
 
-    atoms: list[Atom] = field(default_factory=list)
-    bonds: list[Bond] = field(default_factory=list)
-    source: str = ""
-    _view: MolView | None = field(default=None, repr=False, compare=False)
-    _valences: list[int] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("_atoms", "_bonds", "source", "_view", "_brackets")
+
+    def __init__(self, atoms: list[Atom] | None = None,
+                 bonds: list[Bond] | None = None, source: str = ""):
+        self._atoms = [] if atoms is None else atoms
+        self._bonds = [] if bonds is None else bonds
+        self.source = source
+        self._view: MolView | None = None
+        # the Atom of each bracket atom, by index, for a graph that builds
+        # its atoms from its view
+        self._brackets: dict[int, Atom] | None = None
+
+    @classmethod
+    def _of_view(cls, view: MolView, brackets: dict[int, Atom],
+                 source: str) -> MolecularGraph:
+        graph = cls.__new__(cls)
+        graph._atoms = graph._bonds = None
+        graph.source = source
+        graph._view = view
+        graph._brackets = brackets
+        return graph
+
+    @property
+    def atoms(self) -> list[Atom]:
+        if self._atoms is None:
+            view = self._view
+            brackets = self._brackets
+            atoms = []
+            for i, (element, aromatic) in enumerate(zip(view.elements, view.aromatic)):
+                b = brackets.get(i)
+                atoms.append(
+                    Atom(element, aromatic, 0, None, CHI_NONE, 0, i) if b is None
+                    else Atom(element, aromatic, b.formal_charge, b.explicit_h,
+                              b.chirality, b.isotope, i))
+            self._atoms = atoms
+        return self._atoms
+
+    @property
+    def bonds(self) -> list[Bond]:
+        if self._bonds is None:
+            view = self._view
+            stereo = view.stereo
+            self._bonds = [
+                Bond(a, b, order, stereo.get(bi, STEREO_NONE))
+                for bi, ((a, b), order) in enumerate(zip(view.ends, view.orders))
+            ]
+        return self._bonds
 
     def view(self) -> MolView:
-        """The per-molecule indices: set by ``parse_smiles``, built on first
+        """The per-molecule arrays: set by ``parse_smiles``, built on first
         use for any other graph and memoised; safe because graphs never
         change after construction."""
         if self._view is None:
             self._view = MolView(self)
         return self._view
 
-    def valences(self) -> list[int]:
-        """Per-atom bond-order sums, aromatic bonds counting one; memoised,
-        so the parser's valence check and the hydrogen count share them."""
-        if self._valences is None:
-            self._valences = _explicit_valences(self)
-        return self._valences
+    def with_flags(self, orders: list[int], aromatic: list[bool],
+                   valence: list[int]) -> MolecularGraph:
+        """This molecule with other bond orders and aromatic flags, as a
+        graph that builds its atoms and bonds from the new view."""
+        brackets = self._brackets
+        if brackets is None:
+            brackets = dict(enumerate(self._atoms))
+        return MolecularGraph._of_view(
+            self.view().with_flags(orders, aromatic, valence), brackets,
+            self.source)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MolecularGraph):
+            return NotImplemented
+        return ((self.atoms, self.bonds, self.source)
+                == (other.atoms, other.bonds, other.source))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"MolecularGraph(atoms={self.atoms!r}, bonds={self.bonds!r}, "
+                f"source={self.source!r})")
 
 
 def parse_smiles(text: str) -> MolecularGraph:
     """Parse ``text`` into a MolecularGraph or raise a SmilesError.
 
-    The graph's ``MolView`` arrays (adjacency, bond orders, elements,
-    aromatic flags, element sites) are filled in the same loop that reads
+    The graph's ``MolView`` arrays are filled in the same loop that reads
     the atoms and bonds, so no later pass walks them again.
     """
     if not text:
@@ -218,14 +341,21 @@ def parse_smiles(text: str) -> MolecularGraph:
             if ord(ch) > 127:
                 raise UnknownElement(f"non-ASCII byte {ch!r}", off)
 
-    atoms: list[Atom] = []
-    bonds: list[Bond] = []
     atom_offsets: list[int] = []
+    limits: list[int] = []
     elements: list[str] = []
     aromatic: list[bool] = []
+    valence = [0] * len(text)  # no more atoms than characters; cut at the end
     adj: list[list[tuple[int, int]]] = []
+    ends: list[tuple[int, int]] = []
     orders: list[int] = []
     sites: dict[str, list[int]] = {}
+    brackets: dict[int, Atom] = {}
+    explicit_h: dict[int, int] = {}
+    stereo_marks: dict[int, int] = {}
+    n_chiral = 0
+    fragments = 0       # atoms that start a new tree: no bond to an earlier atom
+    closures = 0
     # open ring closures: digit -> (atom index, pending order, pending stereo, offset)
     open_rings: dict[int, tuple[int, int, int, int]] = {}
     stack: list[int] = []
@@ -244,21 +374,25 @@ def parse_smiles(text: str) -> MolecularGraph:
         token = _ORGANIC_ATOM.get(c)
         if token is not None or c == "[":
             offset = i
+            b = len(elements)
             if token is not None:
-                element, arom = token
+                element, arom, limit, second = token
                 i += 1
-                if i < n and text[i] == _SECOND_LETTER.get(c):
-                    element = c + text[i]
+                if second and i < n and text[i] == second:
+                    element, arom, limit, _ = _ORGANIC_ATOM[c + second]
                     i += 1
-                atom = Atom(element, arom, 0, None, CHI_NONE, 0, len(atoms))
             else:
                 atom, i = _parse_bracket(text, i)
-                atom.index = len(atoms)
+                atom.index = b
                 element = atom.element
                 arom = atom.aromatic
-            b = atom.index
-            atoms.append(atom)
+                limit = _UNCHECKED
+                brackets[b] = atom
+                explicit_h[b] = atom.explicit_h
+                if atom.chirality != CHI_NONE:
+                    n_chiral += 1
             atom_offsets.append(offset)
+            limits.append(limit)
             elements.append(element)
             aromatic.append(arom)
             adj.append([])
@@ -275,6 +409,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             if a < 0:
                 if order:
                     raise DanglingBond("bond symbol with no preceding atom", pend_offset)
+                fragments += 1
                 continue
         elif c == "(":
             if pend_order:
@@ -331,6 +466,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             for nb, _ in adj[a]:
                 if nb == b:
                     raise UnmatchedRingClosure("duplicate bond between atom pair", i)
+            closures += 1
             pend_order = 0
             pend_stereo = STEREO_NONE
             i += width
@@ -347,9 +483,14 @@ def parse_smiles(text: str) -> MolecularGraph:
             order = AROMATIC if aromatic[a] and aromatic[b] else SINGLE
         elif order == AROMATIC and not (aromatic[a] and aromatic[b]):
             raise AromaticBondError("aromatic bond on non-aromatic atom", offset)
-        bi = len(bonds)
-        bonds.append(Bond(a, b, order, stereo))
+        bi = len(orders)
+        ends.append((a, b))
         orders.append(order)
+        units = _VALENCE_UNITS[order]
+        valence[a] += units
+        valence[b] += units
+        if stereo:
+            stereo_marks[bi] = stereo
         adj[a].append((b, bi))
         adj[b].append((a, bi))
 
@@ -360,14 +501,30 @@ def parse_smiles(text: str) -> MolecularGraph:
     if open_rings:
         off = min(v[3] for v in open_rings.values())
         raise UnmatchedRingClosure("unclosed ring bond", off)
-    if not atoms:
+    if not elements:
         raise EmptyInput("no atoms in SMILES", 0)
+    del valence[len(elements):]
+    if any(map(gt, valence, limits)):
+        k = next(k for k, (v, limit) in enumerate(zip(valence, limits)) if v > limit)
+        raise ValenceError(
+            f"{elements[k]} with valence {valence[k]} exceeds {limits[k]}",
+            atom_offsets[k],
+        )
 
-    graph = MolecularGraph(atoms, bonds, text,
-                           MolView.__new__(MolView)._fill(
-                               adj, orders, elements, aromatic, sites))
-    _check_valences(graph, atom_offsets)
-    return graph
+    # without closures the graph is a forest of ``fragments`` trees; in one
+    # fragment every closure closes a ring; only a closure between fragments
+    # may join two trees instead
+    if not closures:
+        n_ring = 0
+    elif fragments == 1:
+        n_ring = closures
+    else:
+        n_ring = len(ends) - len(elements) + _count_components(len(elements), ends)
+    return MolecularGraph._of_view(
+        MolView.__new__(MolView)._fill(
+            adj, ends, orders, elements, aromatic, sites, valence, explicit_h,
+            n_chiral, stereo_marks, n_ring),
+        brackets, text)
 
 
 def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
@@ -453,35 +610,19 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
     )
 
 
-def _explicit_valences(graph: MolecularGraph) -> list[int]:
-    """Sum of bond orders per atom, counting aromatic bonds as one."""
-    val = [0] * len(graph.atoms)
-    for bond in graph.bonds:
-        o = bond.order if bond.order != AROMATIC else 1
-        val[bond.a] += o
-        val[bond.b] += o
-    return val
+def _implicit_h(element: str, aromatic: bool, valence: int) -> int:
+    """Implicit H count of an unbracketed atom with this valence sum."""
+    for v in VALENCES[element]:
+        if valence <= v:
+            # one hydrogen is withheld for an aromatic atom's delocalised
+            # electron
+            return v - valence - 1 if aromatic and v > valence else v - valence
+    return 0
 
 
-def _check_valences(graph: MolecularGraph, offsets: list[int]) -> None:
-    """Reject unbracketed atoms whose bonds exceed the valence table.
-
-    Bracket atoms carry explicit hydrogen counts and charges, which shift
-    valence in ways the neutral table cannot capture, so they are accepted
-    as written.  Aromatic atoms are granted one extra unit to cover the
-    delocalised bond.
-    """
-    val = graph.valences()
-    for atom in graph.atoms:
-        if atom.explicit_h is not None:
-            continue
-        allowed = VALENCES[atom.element]
-        limit = allowed[-1] + (1 if atom.aromatic else 0)
-        if val[atom.index] > limit:
-            raise ValenceError(
-                f"{atom.element} with valence {val[atom.index]} exceeds {limit}",
-                offsets[atom.index],
-            )
+# mass of an unbracketed atom with its implicit hydrogens, by (element,
+# aromatic flag, valence sum); filled as keys are met
+_UNBRACKETED_MASS: dict[tuple[str, bool, int], float] = {}
 
 
 def implicit_hydrogens(graph: MolecularGraph) -> list[int]:
@@ -491,28 +632,24 @@ def implicit_hydrogens(graph: MolecularGraph) -> list[int]:
     bonds count one each and one hydrogen is withheld for the delocalised
     electron, which reproduces the usual counts (benzene CH, pyridine N).
     """
-    val = graph.valences()
-    out = [0] * len(graph.atoms)
-    for atom in graph.atoms:
-        if atom.explicit_h is not None:
-            out[atom.index] = atom.explicit_h
-            continue
-        ev = val[atom.index]
-        h = 0
-        for v in VALENCES[atom.element]:
-            if ev <= v:
-                h = v - ev
-                break
-        if atom.aromatic and h > 0:
-            h -= 1
-        out[atom.index] = h
-    return out
+    view = graph.view()
+    explicit = view.explicit_h
+    return [explicit[i] if i in explicit else _implicit_h(*key)
+            for i, key in enumerate(zip(view.elements, view.aromatic, view.valence))]
 
 
 def molecular_weight(graph: MolecularGraph) -> float:
     """Molecular weight in Da, implicit hydrogens included."""
-    hs = implicit_hydrogens(graph)
+    view = graph.view()
+    explicit = view.explicit_h
+    masses = _UNBRACKETED_MASS
     mass = 0.0
-    for atom in graph.atoms:
-        mass += ATOMIC_MASS[atom.element] + HYDROGEN_MASS * hs[atom.index]
+    for i, key in enumerate(zip(view.elements, view.aromatic, view.valence)):
+        if i in explicit:
+            mass += ATOMIC_MASS[key[0]] + HYDROGEN_MASS * explicit[i]
+            continue
+        m = masses.get(key)
+        if m is None:
+            m = masses[key] = ATOMIC_MASS[key[0]] + HYDROGEN_MASS * _implicit_h(*key)
+        mass += m
     return mass

@@ -7,7 +7,10 @@ are recomputed from first principles.  ``reference_ring_info`` keeps the
 earlier whole-graph ring perception as a differential reference, and
 ``reference_perceive_aromaticity`` the aromaticity perception that searched
 rings in every molecule, and ``reference_parse_smiles`` the parser that
-left the molecule view to ``MolView(graph)``.  ``reference_sample_epoch`` draws every mixed-regime
+built ``Atom`` and ``Bond`` objects and left the molecule view to
+``MolView(graph)``, with its valence check (``check_valences``) summing the
+bond orders again.  ``conjugated_components`` is the union-find that built
+every conjugated atom set before ``conjugation_extent`` kept only sizes.  ``reference_sample_epoch`` draws every mixed-regime
 id with the public ``uniform_draw``, and ``reference_manifest_text`` writes
 each manifest line with its own ``json.dumps``.  ``reference_records``
 and ``reference_stats_report`` read annotated records with ``json.loads``
@@ -27,6 +30,7 @@ import random
 from collections import Counter, deque
 
 import moltiers.smiles as smiles_module
+from moltiers.elements import VALENCES
 from moltiers.errors import (
     AromaticBondError,
     DanglingBond,
@@ -34,6 +38,7 @@ from moltiers.errors import (
     UnbalancedParenthesis,
     UnknownElement,
     UnmatchedRingClosure,
+    ValenceError,
 )
 from moltiers.scheduler import (
     active_tiers,
@@ -227,8 +232,39 @@ def reference_parse_smiles(text: str) -> MolecularGraph:
         raise EmptyInput("no atoms in SMILES", 0)
 
     graph = MolecularGraph(atoms, bonds, text)
-    smiles_module._check_valences(graph, atom_offsets)
+    check_valences(graph, atom_offsets)
     return graph
+
+
+def explicit_valences(graph: MolecularGraph) -> list[int]:
+    """Sum of bond orders per atom, counting aromatic bonds as one."""
+    val = [0] * len(graph.atoms)
+    for bond in graph.bonds:
+        o = bond.order if bond.order != AROMATIC else 1
+        val[bond.a] += o
+        val[bond.b] += o
+    return val
+
+
+def check_valences(graph: MolecularGraph, offsets: list[int]) -> None:
+    """Reject unbracketed atoms whose bonds exceed the valence table.
+
+    Bracket atoms carry explicit hydrogen counts and charges, which shift
+    valence in ways the neutral table cannot capture, so they are accepted
+    as written.  Aromatic atoms are granted one extra unit to cover the
+    delocalised bond.
+    """
+    val = explicit_valences(graph)
+    for atom in graph.atoms:
+        if atom.explicit_h is not None:
+            continue
+        allowed = VALENCES[atom.element]
+        limit = allowed[-1] + (1 if atom.aromatic else 0)
+        if val[atom.index] > limit:
+            raise ValenceError(
+                f"{atom.element} with valence {val[atom.index]} exceeds {limit}",
+                offsets[atom.index],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +527,44 @@ def brute_aromatic_substitution(graph: MolecularGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# conjugation oracle
+# conjugation oracles
+
+
+def conjugated_components(graph: MolecularGraph) -> list[frozenset[int]]:
+    """Connected atom sets of the subgraph induced by conjugated bonds.
+
+    A bond is conjugated when it is aromatic/double/triple, or when it is a
+    single bond whose two endpoints each carry some multiple bond.
+    """
+    n = len(graph.atoms)
+    pi = [False] * n
+    for bond in graph.bonds:
+        if bond.order in (DOUBLE, TRIPLE, AROMATIC):
+            pi[bond.a] = True
+            pi[bond.b] = True
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    members: set[int] = set()
+    for bond in graph.bonds:
+        conj = bond.order in (DOUBLE, TRIPLE, AROMATIC) or (
+            bond.order == SINGLE and pi[bond.a] and pi[bond.b]
+        )
+        if conj:
+            members.add(bond.a)
+            members.add(bond.b)
+            ra, rb = find(bond.a), find(bond.b)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[int, set[int]] = {}
+    for a in members:
+        groups.setdefault(find(a), set()).add(a)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
 def brute_conjugation_extent(graph: MolecularGraph) -> int:

@@ -12,7 +12,9 @@ import moltiers.cli as cli_module
 import moltiers.fgroups as fgroups_module
 import moltiers.pipeline as pipeline_module
 from moltiers.cli import main
+from moltiers.errors import EmptyCorpus
 from moltiers.featurizer import ComplexityAnnotator
+from moltiers.fgroups import PrevalenceTable
 from moltiers.pipeline import (
     iter_input,
     load_prevalence,
@@ -99,6 +101,26 @@ class TestPrevalenceIO:
         table = load_prevalence(path)
         assert table.corpus_size == 3
         assert table.prevalence == annotator.prevalence_.prevalence
+
+    def test_table_without_rows_needs_its_corpus_size(self, smi_file, tmp_path,
+                                                     caplog):
+        # the table an empty library fits: read back, but a data error for
+        # a library with groups; a file with neither part is no table
+        table = tmp_path / "rows_none.tsv"
+        table.write_text("# corpus_size=5\n")
+        assert load_prevalence(table) == PrevalenceTable({}, 5)
+        out = tmp_path / "out" / "annotated.jsonl"
+        assert main(["annotate", "--input", str(smi_file), "--output", str(out),
+                     "--prevalence", str(table)]) == 2
+        assert "lacks 31 library group(s)" in caplog.text
+        assert not out.parent.exists()
+        blank = tmp_path / "blank.tsv"
+        blank.write_text("# fitted elsewhere\n\n")
+        with pytest.raises(EmptyCorpus):
+            load_prevalence(blank)
+        assert main(["annotate", "--input", str(smi_file), "--output", str(out),
+                     "--prevalence", str(blank)]) == 2
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("line", [
         "hydroxyl\tnan", "hydroxyl\tinf", "hydroxyl\t1.5", "hydroxyl\t-0.25",

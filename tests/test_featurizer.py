@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ import moltiers.smiles as smiles_module
 from moltiers.errors import NotFitted
 from moltiers.featurizer import RECORD_FIELDS, ComplexityAnnotator, record_to_dict
 from moltiers.fgroups import FGLibrary, default_library, top_k_groups
+from moltiers.graph import perceive_aromaticity
 from moltiers.pipeline import run_annotate
 from moltiers.synth import generate_corpus
 from moltiers.tiering import TierConfig
@@ -124,32 +126,57 @@ class TestTransform:
 
 class TestDescribeWork:
     @pytest.fixture
-    def valence_sums(self, monkeypatch):
-        """The source of each graph whose per-atom valences were summed."""
-        calls = []
-        real = smiles_module._explicit_valences
+    def built(self, monkeypatch):
+        """What describe builds besides the parser's arrays: every Atom and
+        Bond constructed, and every view that walks a graph's objects, which
+        would sum its valences a second time."""
+        built = Counter()
+        for name in ("Atom", "Bond"):
+            real = getattr(smiles_module, name)
 
-        def counting(graph):
-            calls.append(graph.source)
-            return real(graph)
+            def counting(*args, _real=real, _name=name, **kwargs):
+                built[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(smiles_module, "_explicit_valences", counting)
-        return calls
+            monkeypatch.setattr(smiles_module, name, counting)
+        real_init = smiles_module.MolView.__init__
 
-    def test_valences_summed_once_per_molecule(self, valence_sums):
-        # the parser's valence check and the molecular weight share one sum
+        def walking(view, graph):
+            built["MolView(graph)"] += 1
+            real_init(view, graph)
+
+        monkeypatch.setattr(smiles_module.MolView, "__init__", walking)
+        return built
+
+    def test_valences_summed_once_per_molecule(self, built):
+        # the parse loop sums the valences into the view that the valence
+        # check, the hydrogen count and every descriptor read: no object of
+        # an organic-subset atom or of a bond is built, and no view is
+        # rebuilt from objects; a bracket atom is the one Atom
         annotator = ComplexityAnnotator()
-        for smiles in generate_corpus(60, seed=3):
-            valence_sums.clear()
+        organic = 0
+        for smiles in generate_corpus(200, seed=3):
+            built.clear()
             annotator.describe(smiles)
-            assert valence_sums == [smiles]
+            assert built == Counter({"Atom": smiles.count("[")}), smiles
+            organic += "[" not in smiles
+        assert organic > 100
 
-    def test_promoted_ring_sums_its_aromatic_bonds_again(self, valence_sums):
-        # aromaticity perception rebuilds the graph, and its aromatic bonds
-        # count one where the Kekulé double bonds counted two
+    def test_promoted_ring_sums_its_aromatic_bonds_again(self, built):
+        # aromaticity perception gives the Kekulé ring new orders and
+        # valence sums in which its aromatic bonds count one where the
+        # double bonds counted two, without building any objects
+        graph = smiles_module.parse_smiles("C1=CC=CC=C1O")
+        written = smiles_module.parse_smiles("c1ccccc1O")
+        assert graph.view().valence == [3, 3, 3, 3, 3, 4, 1]
+        perceived = perceive_aromaticity(graph)
+        assert perceived.view().valence == written.view().valence == [2] * 5 + [3, 1]
+        assert perceived.view().aromatic == written.view().aromatic
+        assert perceived.view().orders == written.view().orders
         core = ComplexityAnnotator().describe("C1=CC=CC=C1O")
-        assert valence_sums == ["C1=CC=CC=C1O", "C1=CC=CC=C1O"]
         assert core.counts == ComplexityAnnotator().describe("c1ccccc1O").counts
+        assert core == ComplexityAnnotator().describe("c1ccccc1O")
+        assert built == Counter()
 
 
 def uncached(annotator: ComplexityAnnotator, smiles: list[str]) -> list[dict]:

@@ -20,7 +20,7 @@ from moltiers.fgroups import (
     top_k_groups,
 )
 from moltiers.graph import perceive_aromaticity
-from moltiers.smiles import parse_smiles
+from moltiers.smiles import DOUBLE, SINGLE, Atom, Bond, MolecularGraph, parse_smiles
 from moltiers.synth import generate_corpus
 
 from oracles import brute_present, heavy_degree
@@ -305,3 +305,70 @@ class TestCompiledPlans:
                                for k, j, orders in step_bonds) == bonds
                     for atom_of in itertools.permutations(range(len(steps)))
                 ), pattern.name
+
+
+# Patterns whose non-root step admits only a non-aromatic atom, each with a
+# bond order that an aromatic neighbour also has, so only the step's
+# aromatic flag keeps that neighbour out: a two-atom pattern (the pair
+# path), the flag on the first step of a three-atom one and on its last.
+NON_AROMATIC_STEPS = FGLibrary.from_dict({"patterns": [
+    {"name": "n_alkyl",
+     "atoms": [{"elements": ["N"]}, {"elements": ["C"], "aromatic": False}],
+     "bonds": [{"a": 0, "b": 1, "orders": ["single", "aromatic"]}]},
+    {"name": "n_acyl",
+     "atoms": [{"elements": ["N"]}, {"elements": ["C"], "aromatic": False},
+               {"elements": ["O"], "max_deg": 1}],
+     "bonds": [{"a": 0, "b": 1, "orders": ["single", "aromatic"]},
+               {"a": 1, "b": 2, "orders": ["double"]}]},
+    {"name": "ether_ethyl",
+     "atoms": [{"elements": ["O"]}, {"elements": ["C"]},
+               {"elements": ["C"], "aromatic": False}],
+     "bonds": [{"a": 0, "b": 1, "orders": ["single"]},
+               {"a": 1, "b": 2, "orders": ["single", "aromatic"]}]},
+]})
+
+
+def hand_built(elements_aromatic, bonds):
+    """A graph from (element, aromatic) atoms and (a, b, order) bonds."""
+    return MolecularGraph(
+        [Atom(el, aromatic=arom, index=i)
+         for i, (el, arom) in enumerate(elements_aromatic)],
+        [Bond(a, b, order) for a, b, order in bonds])
+
+
+class TestNonRootAromaticFlag:
+    """A non-root step's aromatic flag decides presence when the step's
+    atom would otherwise be an aromatic neighbour."""
+
+    def test_plans_take_the_paths_named(self):
+        pair, n_acyl, ether = (p._plan for p in NON_AROMATIC_STEPS.patterns)
+        assert pair[3] and pair[4][1][3] is False
+        assert not n_acyl[3] and n_acyl[4][1][3] is False
+        assert not ether[3] and ether[4][2][3] is False and ether[4][0][2] == {"O"}
+
+    @pytest.mark.parametrize("smiles, expected", [
+        ("c1ccccc1N", set()),                    # N on an aromatic C only
+        ("CNc1ccccc1", {"n_alkyl"}),
+        ("O=c1cccc[nH]1", set()),                # the C=O carbon is aromatic
+        ("CC(=O)Nc1ccccc1", {"n_alkyl", "n_acyl"}),
+        ("COc1ccccc1", set()),                   # O-C-C only through the ring
+        ("CCOc1ccccc1", {"ether_ethyl"}),
+        ("C1=CC=CC=C1N", set()),                 # aromatic once perceived
+    ])
+    def test_written_molecules(self, mol, smiles, expected):
+        graph = mol(smiles)
+        assert present_groups(graph, NON_AROMATIC_STEPS) == expected
+        assert brute_present(graph, NON_AROMATIC_STEPS) == expected
+
+    @pytest.mark.parametrize("aromatic", [False, True])
+    def test_hand_built_twins(self, aromatic):
+        # the same graphs, with the flagged atom aromatic or not
+        amide = hand_built([("N", False), ("C", aromatic), ("O", False)],
+                           [(0, 1, SINGLE), (1, 2, DOUBLE)])
+        ether = hand_built([("C", True), ("O", False), ("C", False), ("C", aromatic)],
+                           [(0, 1, SINGLE), (1, 2, SINGLE), (2, 3, SINGLE)])
+        expected = ({"n_alkyl", "n_acyl"} if not aromatic else set(),
+                    {"ether_ethyl"} if not aromatic else set())
+        for graph, want in zip((amide, ether), expected):
+            assert present_groups(graph, NON_AROMATIC_STEPS) == want
+            assert brute_present(graph, NON_AROMATIC_STEPS) == want

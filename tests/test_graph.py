@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import moltiers.graph as graph_module
 from moltiers.errors import EmptyMolecule, SmilesError
+from moltiers.descriptors import conjugation_extent
 from moltiers.graph import (
     AROMATIC,
-    conjugated_components,
     murcko_scaffold,
     perceive_aromaticity,
     ring_info,
@@ -25,6 +25,7 @@ from moltiers.synth import generate_corpus
 from oracles import (
     brute_conjugation_extent,
     brute_scaffold,
+    conjugated_components,
     connected_components,
     reference_perceive_aromaticity,
     reference_ring_info,
@@ -197,6 +198,8 @@ HAND_RINGS = {
     "adamantane": "C1C2CC3CC1CC(C2)C3",
     "norbornane": "C1CC2CCC1C2",
     "steroid core": "C1CCC2C(C1)CCC1C2CCC2CCCC12",
+    "ring closed across dot-separated parts": "C12.C1CC2",
+    "parts joined by a ring closure": "C1.CC1C2CC2",
 }
 
 # Isolated rings only: every ring bond lies in a simple-cycle block.
@@ -272,6 +275,18 @@ class TestRingPerceptionMatchesReference:
     @given(st.text(alphabet="CcNOS1234()=#.[]H@", max_size=40))
     def test_generated_strings(self, text):
         assert_same_rings_if_parsed(text)
+
+    @pytest.mark.parametrize("text, written", [
+        ("c1ccc2ccccc2c1C1CC1", True), ("C1CC2CCC1CC2", True),
+        ("C12.C1CC2", True), ("C1.CC1C2CC2", False)])
+    def test_forest_of_written_bonds_or_breadth_first(self, text, written):
+        # the bonds a SMILES chain and its branches wrote span the molecule
+        # unless a ring closure joins two dot-separated parts into one
+        graph = parse_smiles(text)
+        up, rank, closures = graph_module._spanning_forest(graph.view())
+        assert (rank is None) == written
+        assert len(closures) == graph.view().n_ring == structural_counts(graph).n_ring
+        assert_same_rings(graph)
 
     def test_hand_case_ring_counts(self):
         counts = {name: len(ring_info(parse_smiles(s)).rings)
@@ -461,6 +476,25 @@ class TestConjugation:
             comps = conjugated_components(g)
             largest = max((len(c) for c in comps), default=0)
             assert largest == brute_conjugation_extent(g)
+            assert conjugation_extent(g) == largest
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="CcNnOo=#()123[]H+-.", max_size=40))
+    def test_extent_matches_oracle_on_generated_strings(self, text):
+        # parsed as written and after aromaticity perception
+        try:
+            graph = parse_smiles(text)
+        except SmilesError:
+            return
+        for g in (graph, perceive_aromaticity(graph)):
+            assert conjugation_extent(g) == brute_conjugation_extent(g), text
+
+    def test_extent_matches_oracle_on_random_graphs(self):
+        rng = random.Random(41)
+        for graph in random_ring_graphs(43, 400):
+            for bond in graph.bonds:
+                bond.order = rng.choice((1, 1, 2, 3, 4))
+            assert conjugation_extent(graph) == brute_conjugation_extent(graph)
 
 
 def test_empty_graph_counts_raise():

@@ -129,6 +129,15 @@ class TestEquivalence:
                      str(prev_dir), "--library", str(empty_library)]) == 0
         assert (prev_dir / "prevalence.tsv").read_text() == "# corpus_size=700\n"
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_empty_library_table_reads_back(self, corpus, empty_library,
+                                           tmp_path, workers):
+        # the table of an empty library has no rows, only its corpus size
+        one_pass, fixed = annotate_both_ways(corpus, tmp_path, "--workers", workers,
+                                             library=empty_library)
+        assert one_pass == fixed
+        assert one_pass.count(b"\n") == 700
+
     def test_worker_counts_and_chunk_sizes_agree(self, corpus):
         pairs = list(iter_input(corpus))
         outputs = set()

@@ -36,7 +36,12 @@ from moltiers.smiles import (
 )
 from moltiers.synth import generate_corpus
 
-from oracles import assert_isomorphic, heavy_degree, reference_parse_smiles
+from oracles import (
+    assert_isomorphic,
+    explicit_valences,
+    heavy_degree,
+    reference_parse_smiles,
+)
 from smiles_writer import write_smiles, write_smiles_mapped
 
 
@@ -200,12 +205,12 @@ class TestImplicitHydrogens:
 
     def test_accepted_valences_within_table(self):
         from moltiers.elements import VALENCES
-        from moltiers.smiles import _explicit_valences
 
         for smiles in generate_corpus(300, seed=61):
             g = parse_smiles(smiles)
             hs = implicit_hydrogens(g)
-            ev = _explicit_valences(g)
+            ev = g.view().valence
+            assert ev == explicit_valences(g), smiles
             for atom in g.atoms:
                 if atom.explicit_h is not None:
                     continue  # bracket atoms carry their own H/charge state
