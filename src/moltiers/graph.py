@@ -9,14 +9,13 @@ The ring *count* is always the cyclomatic number, bonds - atoms +
 components, which the view holds.  A molecule whose count is 0 has no cycle,
 so ``ring_info`` returns an empty result for it without any search: every
 cycle of a parsed graph holds a ring-closure bond, so that is each molecule
-written without one.  Otherwise ring perception works from a spanning
-forest.  For a parsed graph the forest is the bonds the SMILES chains and
-branches wrote, read off the adjacency, and each ring closure closes one
-cycle through it; any other graph gets a breadth-first forest.  The cycles
-that share a bond make up one biconnected block, and every ring bond lies
-on one of them.  A block with as many bonds as atoms is a simple cycle,
-walked directly from its lowest-index bond (or dropped when it has more
-than MAX_RING_SIZE atoms).  Only fused or bridged blocks run the capped
+written without one.
+
+Ring perception is otherwise block-based.  One iterative lowlink DFS splits
+the bonds into biconnected blocks; single-bond blocks are bridges, every
+other bond is a ring bond.  A block with as many bonds as atoms is a simple
+cycle, walked directly from its lowest-index bond (or dropped when it has
+more than MAX_RING_SIZE atoms).  Only fused or bridged blocks run the capped
 shortest-cycle BFS, once per bond and over the block's own bonds: every
 simple path between two atoms of a block stays inside it, so the search
 finds the same cycle it would over the whole graph.  Rings are reported in
@@ -81,88 +80,52 @@ class StructuralCounts:
         return (StructuralCounts, (self.n_ha, self.n_het, self.n_ring, self.n_sc, self.mw))
 
 
-def _spanning_forest(view) -> tuple[list[int], list[int] | None, list[int]]:
-    """A spanning forest of the molecule: each atom's bond to its parent (-1
-    for a root), a rank that grows from parent to child, and the bonds
-    outside the forest, one per independent cycle.
-
-    Each atom takes its first bond when that bond leads to a lower index,
-    and the rank is the index itself (returned as None): for a parsed graph
-    those are the bonds its chains and branches wrote, and the bonds left
-    over are its ring closures.  When that is not a spanning forest (a ring
-    closure between dot-separated parts, or a graph built by hand), a
-    breadth-first search builds one, ranked by depth.
-    """
-    adj = view.adj
-    up = [nbrs[0][1] if nbrs and nbrs[0][0] < b else -1
-          for b, nbrs in enumerate(adj)]
-    rank = None
-    # a forest leaves bonds - atoms + roots bonds out; a spanning one leaves
-    # as many as there are independent cycles
-    if len(view.ends) - len(adj) + up.count(-1) != view.n_ring:
-        up = [-1] * len(adj)
-        rank = [-1] * len(adj)
-        for root in range(len(adj)):
-            if rank[root] >= 0:
-                continue
-            rank[root] = 0
-            level = [root]
-            while level:
-                nxt = []
-                for a in level:
-                    for nb, bi in adj[a]:
-                        if rank[nb] < 0:
-                            rank[nb] = rank[a] + 1
-                            up[nb] = bi
-                            nxt.append(nb)
-                level = nxt
-    tree = set(up)
-    return up, rank, [bi for bi in range(len(view.ends)) if bi not in tree]
-
-
-def _blocks(view) -> list[list[int]]:
-    """The ring bonds, split into biconnected blocks, as bond-index lists.
-
-    Each bond outside a spanning forest closes one cycle: that bond and
-    the forest path between its atoms.  Every ring bond lies on such a
-    cycle, and two of them lie in one block exactly when a chain of these
-    cycles, each sharing a bond with the next, joins them, so a union-find
-    over the cycles that share bonds gives the blocks.
-    """
-    ends = view.ends
-    up, rank, closures = _spanning_forest(view)
-    owner: dict[int, int] = {}  # ring bond -> a closure whose cycle holds it
-    parent: dict[int, int] = {}  # closure -> union-find parent
-    for c in closures:
-        parent[c] = c
-        path = [c]
-        u, v = ends[c]
-        # the atom of higher rank cannot be an ancestor of the other
-        while u != v:
-            if (u < v) if rank is None else (rank[u] < rank[v]):
-                u, v = v, u
-            bi = up[u]
-            path.append(bi)
-            a, b = ends[bi]
-            u = a if b == u else b
-        for bi in path:
-            o = owner.setdefault(bi, c)
-            if o != c:
-                while parent[o] != o:
-                    parent[o] = o = parent[parent[o]]
-                r = c
-                while parent[r] != r:
-                    parent[r] = r = parent[parent[r]]
-                parent[o] = r
-    blocks: dict[int, list[int]] = {}
-    for bi, c in owner.items():
-        while parent[c] != c:
-            c = parent[c]
-        if c in blocks:
-            blocks[c].append(bi)
-        else:
-            blocks[c] = [bi]
-    return list(blocks.values())
+def _blocks(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Biconnected blocks of more than one bond, as bond-index lists
+    (iterative lowlink DFS that keeps the bonds it has seen on a stack and
+    cuts a block off at each articulation)."""
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    edges: list[int] = []
+    blocks: list[list[int]] = []
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        # atom, bond it was entered by, edge-stack height below that bond,
+        # remaining neighbours
+        stack = [(root, -1, 0, iter(adj[root]))]
+        while stack:
+            a, in_bond, mark, rest = stack[-1]
+            for nb, bi in rest:
+                if bi == in_bond:
+                    continue
+                d = disc[nb]
+                if d == -1:
+                    disc[nb] = low[nb] = timer
+                    timer += 1
+                    stack.append((nb, bi, len(edges), iter(adj[nb])))
+                    edges.append(bi)
+                    break
+                if d < disc[a]:  # back edge to an ancestor
+                    edges.append(bi)
+                    if d < low[a]:
+                        low[a] = d
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                parent = stack[-1][0]
+                if low[a] < low[parent]:
+                    low[parent] = low[a]
+                if low[a] >= disc[parent]:
+                    if len(edges) - mark > 1:
+                        blocks.append(edges[mark:])
+                    del edges[mark:]
+    return blocks
 
 
 def _walk_cycle(ends: list[tuple[int, int]], adj, block_of: list[int],
@@ -190,25 +153,26 @@ def _shortest_cycle_through(
     max_size: int,
 ) -> tuple[int, ...] | None:
     """Smallest cycle containing the bond, searched within the bond's block,
-    or None if longer than max_size (breadth first, one level at a time)."""
+    or None if longer than max_size."""
     block = block_of[bond_index]
     u, v = ends[bond_index]
     prev: dict[int, int] = {u: -1}
-    level = [u]
-    for _ in range(max_size - 1):
-        nxt = []
-        for a in level:
-            for nb, bi in adj[a]:
-                if bi == bond_index or nb in prev or block_of[bi] != block:
-                    continue
-                prev[nb] = a
-                if nb == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                nxt.append(nb)
-        level = nxt
+    queue = deque([(u, 0)])
+    limit = max_size - 1
+    while queue:
+        a, depth = queue.popleft()
+        if depth >= limit:
+            continue
+        for nb, bi in adj[a]:
+            if bi == bond_index or block_of[bi] != block or nb in prev:
+                continue
+            prev[nb] = a
+            if nb == v:
+                path = [v]
+                while path[-1] != u:
+                    path.append(prev[path[-1]])
+                return tuple(reversed(path))
+            queue.append((nb, depth + 1))
     return None
 
 
@@ -225,7 +189,7 @@ def ring_info(graph: MolecularGraph) -> RingInfo:
 def _perceive_rings(view) -> RingInfo:
     adj = view.adj
     ends = view.ends
-    blocks = _blocks(view)
+    blocks = _blocks(adj)
     block_of = [-1] * len(ends)
     ring_bonds: list[int] = []
     ring_atoms: set[int] = set()

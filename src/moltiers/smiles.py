@@ -354,8 +354,6 @@ def parse_smiles(text: str) -> MolecularGraph:
     explicit_h: dict[int, int] = {}
     stereo_marks: dict[int, int] = {}
     n_chiral = 0
-    fragments = 0       # atoms that start a new tree: no bond to an earlier atom
-    closures = 0
     # open ring closures: digit -> (atom index, pending order, pending stereo, offset)
     open_rings: dict[int, tuple[int, int, int, int]] = {}
     stack: list[int] = []
@@ -409,7 +407,6 @@ def parse_smiles(text: str) -> MolecularGraph:
             if a < 0:
                 if order:
                     raise DanglingBond("bond symbol with no preceding atom", pend_offset)
-                fragments += 1
                 continue
         elif c == "(":
             if pend_order:
@@ -466,7 +463,6 @@ def parse_smiles(text: str) -> MolecularGraph:
             for nb, _ in adj[a]:
                 if nb == b:
                     raise UnmatchedRingClosure("duplicate bond between atom pair", i)
-            closures += 1
             pend_order = 0
             pend_stereo = STEREO_NONE
             i += width
@@ -511,15 +507,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             atom_offsets[k],
         )
 
-    # without closures the graph is a forest of ``fragments`` trees; in one
-    # fragment every closure closes a ring; only a closure between fragments
-    # may join two trees instead
-    if not closures:
-        n_ring = 0
-    elif fragments == 1:
-        n_ring = closures
-    else:
-        n_ring = len(ends) - len(elements) + _count_components(len(elements), ends)
+    n_ring = len(ends) - len(elements) + _count_components(len(elements), ends)
     return MolecularGraph._of_view(
         MolView.__new__(MolView)._fill(
             adj, ends, orders, elements, aromatic, sites, valence, explicit_h,

@@ -276,17 +276,20 @@ class TestRingPerceptionMatchesReference:
     def test_generated_strings(self, text):
         assert_same_rings_if_parsed(text)
 
-    @pytest.mark.parametrize("text, written", [
-        ("c1ccc2ccccc2c1C1CC1", True), ("C1CC2CCC1CC2", True),
-        ("C12.C1CC2", True), ("C1.CC1C2CC2", False)])
-    def test_forest_of_written_bonds_or_breadth_first(self, text, written):
-        # the bonds a SMILES chain and its branches wrote span the molecule
-        # unless a ring closure joins two dot-separated parts into one
+    @pytest.mark.parametrize("text, cycles", [
+        ("CCO", 0), ("CC(C)(C)C.O", 0), ("C1.C1", 0), ("C12.C1.C2", 0),
+        ("C1CC1", 1), ("C12.C1CC2", 1), ("C1.CC1C2CC2", 1)])
+    def test_block_search_only_with_a_cycle(self, text, cycles, monkeypatch):
+        # a ring closure between dot-separated parts joins them and makes no
+        # cycle, so the count, not the closure, decides whether to search
+        calls = []
+        blocks = graph_module._blocks
+        monkeypatch.setattr(graph_module, "_blocks",
+                            lambda adj: calls.append(adj) or blocks(adj))
         graph = parse_smiles(text)
-        up, rank, closures = graph_module._spanning_forest(graph.view())
-        assert (rank is None) == written
-        assert len(closures) == graph.view().n_ring == structural_counts(graph).n_ring
+        assert graph.view().n_ring == structural_counts(graph).n_ring == cycles
         assert_same_rings(graph)
+        assert len(calls) == (1 if cycles else 0)
 
     def test_hand_case_ring_counts(self):
         counts = {name: len(ring_info(parse_smiles(s)).rings)
