@@ -9,16 +9,22 @@ search utilities without this package depending on sklearn.
 ``annotate_one``, ``transform`` and ``predict`` keep one entry per molecule
 in a ``functools.lru_cache`` of up to ``DESCRIBE_CACHE_SIZE`` stripped
 SMILES, one per annotator and library, least recently used out first.  An
-entry holds the molecule's ``DescriptorCore``, its group names in order,
-and its finished part: rarity, tier, and the fitted state it was finished
-under.  That state is the ``(prevalence_, top_groups_, config_)`` tuple that
-``fit``, ``set_prevalence`` and ``set_params`` replace whole, so a request
-whose entry was finished under the current state (by identity) only builds
-its row; otherwise the entry is finished again and holds the new result.
-Each call reads the state once, so under a concurrent ``set_prevalence`` it
-answers wholly under the old state or wholly under the new one.  Equal
-group-name sets are interned with their sorted names, and each row gets a
-fresh list of them.  An entry takes about 605 bytes; an entry not
+entry holds the molecule's group-name set and its finished part: the
+fitted state it was finished under, its record row under that state (the
+``RECORD_FIELDS`` dict, with no id and its group names as a sorted tuple)
+and its tier label.  That state is the ``(prevalence_, top_groups_,
+config_)`` tuple that ``fit``, ``set_prevalence`` and ``set_params``
+replace whole.  A request whose entry was finished under the current state
+(by identity) is served from the row: ``transform`` copies it and sets the
+id and a fresh ``fg_names`` list, ``predict`` reads the label, and
+``annotate_one`` rebuilds the record from the row.  Otherwise the entry is
+finished again from the core its row describes and holds the new row.  The
+row is the entry's one copy of the descriptors: no ``DescriptorCore`` is
+kept beside it.  Each call reads the state once, so under a concurrent
+``set_prevalence`` it answers wholly under the old state or wholly under
+the new one.  Equal group-name sets are interned with their sorted names.
+An entry takes about 910 bytes (``tracemalloc`` over 5,000 distinct
+generated molecules, Python 3.11), ~465 of them the row; an entry not
 requested since an older state keeps that state's table alive until it is
 finished again or evicted.  The cache is rebuilt empty when ``library``
 changes, never holds unannotatable input (``lru_cache`` stores no
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .descriptors import (
     DescriptorCore,
@@ -47,7 +53,7 @@ from .fgroups import (
     default_library,
     top_k_groups,
 )
-from .graph import perceive_aromaticity
+from .graph import StructuralCounts, perceive_aromaticity
 from .records import RECORD_FIELDS  # noqa: F401  (re-exported)
 from .smiles import parse_smiles
 from .tiering import TierConfig, TierLabel, assign_tier
@@ -60,8 +66,8 @@ UNANNOTATABLE = (SmilesError, EmptyMolecule)
 DESCRIBE_CACHE_SIZE = 8192
 
 
-def _row(mol_id: int, smiles: str, core: DescriptorCore | DescriptorRecord,
-         rarity: float, fg_names: list[str], tier: str) -> dict:
+def _row(mol_id: int | None, smiles: str, core: DescriptorCore | DescriptorRecord,
+         rarity: float | None, fg_names: Sequence[str], tier: str | None) -> dict:
     """The fixed JSONL schema (field order matters)."""
     counts = core.counts
     return {
@@ -111,29 +117,38 @@ def _finish(core: DescriptorCore, state: _Fitted) -> tuple[DescriptorRecord, Tie
     return record, assign_tier(record, state.top_groups, state.config)
 
 
-# an entry's finished part before its first finish: no state is None
-_UNFINISHED = (None, 0.0, None)
+def _core(row: dict, groups: frozenset[str]) -> DescriptorCore:
+    """The core a cached row was built from, ``groups`` its group names."""
+    return DescriptorCore(
+        row["d_scaf"], row["conjugation"], row["arom_sub"], row["bertz_ct"],
+        StructuralCounts(row["n_ha"], row["n_het"], row["n_ring"], row["n_sc"],
+                         row["mw"]),
+        row["n_fg"], groups)
 
 
 class _Entry:
-    """A cached molecule: its core, its group names in order, and its
-    finished part ``(state, rarity, label)``, one tuple in one slot, so a
-    thread reads either the old tuple or the new one."""
+    """A cached molecule: its group-name set and its finished part
+    ``(state, row, label)``, one tuple in one slot, so a thread reads either
+    the old tuple or the new one.  ``row`` is the record under ``state``
+    with no id and its group names as a tuple; it is never changed, only
+    copied.  Before the first finish the state, rarity and tier are None."""
 
-    __slots__ = ("core", "names", "finished")
+    __slots__ = ("groups", "finished")
 
-    def __init__(self, core: DescriptorCore, names: tuple[str, ...]):
-        self.core = core
-        self.names = names
-        self.finished = _UNFINISHED
+    def __init__(self, groups: frozenset[str], row: dict):
+        self.groups = groups
+        self.finished = (None, row, None)
 
 
 def _finished(entry: _Entry, state: _Fitted) -> tuple:
-    """``entry``'s ``(state, rarity, label)``, finished once per state."""
+    """``entry``'s ``(state, row, label)``, finished once per state."""
     finished = entry.finished
     if finished[0] is not state:
-        record, label = _finish(entry.core, state)
-        finished = entry.finished = (state, record.rarity, label)
+        row = finished[1]
+        record, label = _finish(_core(row, entry.groups), state)
+        row = _row(None, row["smiles"], record, record.rarity, row["fg_names"],
+                   label.tier)
+        finished = entry.finished = (state, row, label)
     return finished
 
 
@@ -150,9 +165,9 @@ def _describe_cache(library: FGLibrary | None) -> Callable[[str], _Entry]:
         core = descriptor_core(parse_smiles(smiles), library)
         if len(names) >= DESCRIBE_CACHE_SIZE:
             names.clear()
-        core.fg_names, ordered = names.setdefault(
+        groups, ordered = names.setdefault(
             core.fg_names, (core.fg_names, tuple(sorted(core.fg_names))))
-        return _Entry(core, ordered)
+        return _Entry(groups, _row(None, smiles, core, None, ordered, None))
 
     entry.library = library
     return entry
@@ -312,8 +327,8 @@ class ComplexityAnnotator:
     def annotate_one(self, smiles: str) -> tuple[DescriptorRecord, TierLabel]:
         state = self._state()
         entry = self._entries()(smiles.strip())
-        _, rarity, label = _finished(entry, state)
-        return with_rarity(entry.core, rarity), label
+        _, row, label = _finished(entry, state)
+        return with_rarity(_core(row, entry.groups), row["rarity"]), label
 
     def transform(self, X: Iterable[str]) -> list[dict]:
         """One record dict per parseable input, in input order."""
@@ -330,8 +345,10 @@ class ComplexityAnnotator:
             finished = entry.finished
             if finished[0] is not state:
                 finished = _finished(entry, state)
-            out.append(_row(i, smiles, entry.core, finished[1],
-                            list(entry.names), finished[2].tier))
+            row = finished[1].copy()
+            row["id"] = i
+            row["fg_names"] = list(row["fg_names"])
+            out.append(row)
         return out
 
     def fit_transform(self, X, y=None) -> list[dict]:

@@ -599,8 +599,9 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
 
 
 def _implicit_h(element: str, aromatic: bool, valence: int) -> int:
-    """Implicit H count of an unbracketed atom with this valence sum."""
-    for v in VALENCES[element]:
+    """Implicit H count of an unbracketed atom with this valence sum; none
+    for an element outside the valence model, such as a hand-built H."""
+    for v in VALENCES.get(element, ()):
         if valence <= v:
             # one hydrogen is withheld for an aromatic atom's delocalised
             # electron

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -437,12 +438,40 @@ class TestFinishedEntries:
             row["fg_names"].sort(reverse=True)
             row["tier"] = "T9"
             row["rarity"] = -1.0
+            del row["mw"]
+            row["extra"] = 1
+            row["id"] = -1
+            row["smiles"] = "zz"
         for text in requests:
             record, _ = annotator.annotate_one(text)
             record.rarity = -1.0
             record.fg_names = frozenset({"zz_extra"})
         assert annotator.transform(requests) == expected
         assert_answers_uncached(annotator, requests)
+
+    def test_bytes_per_entry_stay_bounded(self):
+        # an entry holds its record row and little else: on Python 3.11 a
+        # row takes 464 B and an entry ~950 B over these molecules (~910 B
+        # over 5,000, as the interned group-name sets spread over more
+        # entries), and the DescriptorCore kept beside the row would make
+        # it ~1,300 B; the bound counts the row at the interpreter's own
+        # dict size, which is larger on 3.10
+        molecules = list(dict.fromkeys(generate_corpus(3000, seed=21)))[:2000]
+        assert len(molecules) == 2000
+        annotator = ComplexityAnnotator().fit(molecules[:200])
+        row_bytes = sys.getsizeof(annotator.transform(molecules[:1])[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            annotator.transform(molecules)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        added = cache_size(annotator) - 1
+        assert added == len(molecules) - 1
+        assert (after - before) / added <= row_bytes + 540
 
     def test_threads_see_one_whole_state_per_call(self):
         # one thread switches between two tables while eight serve requests:

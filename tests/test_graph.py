@@ -19,7 +19,14 @@ from moltiers.graph import (
     ring_info,
     structural_counts,
 )
-from moltiers.smiles import Atom, Bond, MolecularGraph, parse_smiles
+from moltiers.smiles import (
+    Atom,
+    Bond,
+    MolecularGraph,
+    implicit_hydrogens,
+    molecular_weight,
+    parse_smiles,
+)
 from moltiers.synth import generate_corpus
 
 from oracles import (
@@ -53,8 +60,7 @@ class TestStructuralCounts:
         assert structural_counts(mol("F/C=C/F")).n_sc == 1
 
     def test_counts_are_frozen(self, mol):
-        # one counts object is shared by every record the annotator's
-        # describe cache serves for the same SMILES
+        # counts are a value: frozen, and pickled as their fields
         counts = structural_counts(mol("CCO"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             counts.n_ha = 0
@@ -88,6 +94,15 @@ class TestStructuralCounts:
         c = structural_counts(mol("[H]C([H])([H])[H]"))
         assert c.n_ha == 1
         assert c.mw == pytest.approx(16.04, abs=5e-3)
+
+    def test_hand_built_hydrogen_gets_no_implicit_hydrogens(self):
+        # an unbracketed H is outside the valence model: like a bracket H
+        # with no H count, it carries no hydrogens of its own
+        built = MolecularGraph([Atom("C", index=0), Atom("H", index=1)], [Bond(0, 1)])
+        parsed = parse_smiles("C[H]")
+        assert implicit_hydrogens(built) == implicit_hydrogens(parsed) == [3, 0]
+        assert molecular_weight(built) == molecular_weight(parsed)
+        assert structural_counts(built) == structural_counts(parsed)
 
 
 class TestAromaticityPerception:
