@@ -5,13 +5,22 @@ All kernels operate on dense float64 row-major matrices and never normalize
 inputs themselves; callers own normalization.  Pass ``check_normalized=True``
 to assert unit rows (debug mode; finite-difference probes perturb rows off
 the sphere, so checks stay off by default).  Inputs are never written: a
-float64 input is used as given, and every in-place step works on a matrix
-the kernel allocated.  ``nt_xent`` and ``siglip_loss`` take one exponential
-per pair and build no label or mask matrix.
+float64 input is used as given, and every in-place step works on an array
+that the kernel, or a kernel it calls, allocated, or on the calling thread's
+workspace.  ``nt_xent`` and ``siglip_loss`` take one exponential per pair
+and build no label or mask matrix.
+
+The workspace holds the n x n float64 matrices of ``nt_xent`` and
+``siglip_loss``: four per thread, 4 * n^2 * 8 bytes at the last n (2 MB at
+n = 256), kept while n stays the same and replaced when it changes, so a
+training loop at a fixed batch size allocates no n x n matrix after its first
+step.  Returned arrays are always fresh, never views of the workspace, and no
+kernel holds a workspace matrix across a call to another kernel.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +36,8 @@ class LossParams:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        # `not value >= 0` rejects NaN, which every comparison fails
+        if not self.alpha >= 0 or not self.beta >= 0:
             raise ValueError("loss weights must be >= 0")
 
 
@@ -54,6 +64,19 @@ def _as_matrix(m, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"{name} must be a non-empty 2-D matrix")
     return m
+
+
+_local = threading.local()
+
+
+def _workspace(n: int) -> np.ndarray:
+    """This thread's four n x n float64 scratch matrices, as one (4, n, n)
+    array, kept while n stays the same."""
+    work = getattr(_local, "work", None)
+    if work is None or work.shape[1] != n:
+        _local.work = None  # free the old matrices before the new ones
+        work = _local.work = np.empty((4, n, n))
+    return work
 
 
 def _require_normalized(m: np.ndarray, name: str) -> None:
@@ -94,7 +117,7 @@ def nt_xent(
     if check_normalized:
         _require_normalized(v1, "v1")
         _require_normalized(v2, "v2")
-    sim = v1 @ v2.T
+    sim = np.matmul(v1, v2.T, out=_workspace(n)[0])
     sim /= temperature
     idx = np.arange(n)
     positive = sim[idx, idx]
@@ -144,9 +167,10 @@ def siglip_loss(
         _require_normalized(v, "v")
         _require_normalized(t, "t")
     n = v.shape[0]
-    sim = v @ t.T
+    sim, m, scratch, q = _workspace(n)
+    np.matmul(v, t.T, out=sim)
     # m = -z: the label is +1 on the diagonal and -1 elsewhere
-    m = scale * sim
+    np.multiply(scale, sim, out=m)
     if signed_bias:
         m += bias
     idx = np.arange(n)
@@ -154,12 +178,21 @@ def siglip_loss(
     if not signed_bias:
         m -= bias
     inv_n2 = 1.0 / (n * n)
-    e = np.exp(-np.abs(m))
-    loss = float(np.sum(np.log1p(e) + np.maximum(m, 0.0)) * inv_n2)  # softplus(m)
+    nonneg = m >= 0.0
+    np.maximum(m, 0.0, out=scratch)
+    # m is not read again: it becomes e = exp(-|m|) in place
+    e = np.abs(m, out=m)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=q)
+    q += scratch  # softplus(m) = log1p(e) + max(m, 0)
+    loss = float(np.sum(q) * inv_n2)
 
     # q = sigmoid(m) / N^2 = -dloss/dz; with its diagonal negated it is
-    # labels * dloss/dz, i.e. dloss/d(scale * sim)
-    q = np.where(m >= 0.0, 1.0, e)
+    # labels * dloss/dz, i.e. dloss/d(scale * sim).  Its numerator is
+    # where(m >= 0, 1, e).
+    np.copyto(q, e)
+    np.copyto(q, 1.0, where=nonneg)
     e += 1.0
     q /= e
     q *= inv_n2
@@ -168,7 +201,7 @@ def siglip_loss(
     q[idx, idx] = -q[idx, idx]
     if signed_bias:
         grad_bias = float(np.sum(q))
-    grad_scale = float(np.sum(q * sim))
+    grad_scale = float(np.sum(np.multiply(q, sim, out=scratch)))
     q *= scale
     return SiglipResult(loss, q @ t, q.T @ v, grad_scale, grad_bias)
 
@@ -215,32 +248,46 @@ def hybrid_loss(
     if check_normalized:
         _require_normalized(v, "v")
 
-    u = proj(g)                          # (n, d) unnormalised teacher rows
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    u = g @ proj.weight.T                # (n, d) unnormalised teacher rows,
+    u += proj.bias                       # proj(g) without a second array
+    # the row norms as np.linalg.norm takes them; its u * u is kept as the
+    # n x d scratch of the steps below
+    work = u * u
+    norms = np.sqrt(work.sum(axis=1, keepdims=True))
     if np.any(norms == 0.0):
         raise ValueError("projected teacher row has zero norm")
     t = u / norms
 
     sig = siglip_loss(v, t, params.scale, params.bias)
-    diff = u - v
-    align = float(np.sum(diff * diff))
+    diff = u  # u becomes u - v in place
+    diff -= v
+    align = float(np.sum(np.multiply(diff, diff, out=work)))
     pred = (v @ head.weight.T + head.bias)[:, 0]
     resid = pred - y
     target = float(np.sum(resid * resid))
     loss = sig.loss + params.alpha * align + params.beta * target
 
-    # alignment and head terms
-    grad_v = sig.grad_v - 2.0 * params.alpha * diff
-    grad_v += 2.0 * params.beta * resid[:, None] * head.weight
-    grad_head_w = (2.0 * params.beta * resid @ v).reshape(1, d)
-    grad_head_b = np.array([2.0 * params.beta * float(resid.sum())])
+    # diff becomes 2 * alpha * diff, the alignment gradient w.r.t. u
+    diff *= 2.0 * params.alpha
 
-    # chain the siglip gradient through row normalization of u
-    gt = sig.grad_t
-    gu = (gt - t * np.sum(gt * t, axis=1, keepdims=True)) / norms
-    gu = gu + 2.0 * params.alpha * diff
+    # chain the siglip gradient through row normalization of u; t is not
+    # read again, so it takes t * dots in place and is dropped
+    gu = sig.grad_t
+    dots = np.multiply(gu, t, out=work).sum(axis=1, keepdims=True)
+    gu -= np.multiply(t, dots, out=t)
+    del t
+    gu /= norms
+    gu += diff
     grad_proj_w = gu.T @ g
     grad_proj_b = gu.sum(axis=0)
+
+    # alignment and head terms on the fresh siglip gradient
+    grad_v = sig.grad_v
+    grad_v -= diff
+    grad_v += np.multiply(2.0 * params.beta * resid[:, None], head.weight,
+                          out=work)
+    grad_head_w = (2.0 * params.beta * resid @ v).reshape(1, d)
+    grad_head_b = np.array([2.0 * params.beta * float(resid.sum())])
     return HybridResult(
         loss, sig.loss, align, target,
         grad_v, grad_proj_w, grad_proj_b, grad_head_w, grad_head_b,
@@ -251,14 +298,13 @@ def rank_average(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    # a run of ties starts where a sorted value differs from the one before
+    # it: each NaN starts its own run, and -0.0 ties with 0.0
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    ends = np.append(starts[1:], len(values)) - 1
     ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

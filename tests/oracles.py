@@ -660,6 +660,24 @@ def brute_ranks(values) -> list[float]:
     return ranks
 
 
+def reference_rank_average(values):
+    """``losses.rank_average`` as a loop over the sorted order: 1-based
+    ranks, ties sharing their average rank."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def brute_pearson(x, y) -> float:
     n = len(x)
     mx = sum(x) / n

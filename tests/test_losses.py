@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from oracles import (
     finite_difference,
     max_rel_error,
     reference_nt_xent,
+    reference_rank_average,
     reference_siglip_loss,
 )
 
@@ -216,6 +220,14 @@ class TestHybrid:
         with pytest.raises(ShapeMismatch):
             hybrid_loss(v, g, LinearMap(np.zeros((3, 3)), np.zeros(3)), head, y)
 
+    def test_weights_must_be_nonnegative_numbers(self):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="loss weights must be >= 0"):
+                LossParams(alpha=bad)
+            with pytest.raises(ValueError, match="loss weights must be >= 0"):
+                LossParams(beta=bad)
+        assert LossParams(alpha=0.0, beta=float("inf")).beta == float("inf")
+
 
 def read_only(*arrays):
     """float64 copies that raise on any write, so a kernel that writes its
@@ -309,6 +321,14 @@ class TestKernelsMatchReference:
         assert_hybrid_matches(v, g, LinearMap(w, pb), LinearMap(hw, hb), y,
                               LossParams(bias=-0.4, scale=2.5))
 
+    def test_pair_kernels_at_step_shape(self):
+        rng = np.random.default_rng(12)
+        v, t = read_only(rand_unit(rng, 256, 128), rand_unit(rng, 256, 128))
+        assert_siglip_matches(v, t, 2.5, -0.4, True)
+        assert_siglip_matches(v, t, 2.5, -0.4, False)
+        assert_nt_xent_matches(v, t, 0.07, False)
+        assert_nt_xent_matches(v, t, 0.07, True)
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(2, 12),
@@ -340,10 +360,137 @@ class TestKernelsMatchReference:
                                          beta=beta))
 
 
+def hybrid_inputs(rng, n, d):
+    """Read-only hybrid_loss inputs: unit student rows, teacher rows one
+    wider, both maps and the targets."""
+    v, g, y, w, pb, hw, hb = read_only(
+        rand_unit(rng, n, d), rng.normal(size=(n, d + 3)), rng.normal(size=n),
+        rng.normal(size=(d, d + 3)), rng.normal(size=d),
+        rng.normal(size=(1, d)), rng.normal(size=1))
+    return v, g, LinearMap(w, pb), LinearMap(hw, hb), y
+
+
+def kernel_results(n, d, seed, calls=6, before_each=lambda: None):
+    """Results of ``calls`` rounds of the three kernels on seeded inputs;
+    ``before_each`` runs before every kernel call."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(calls):
+        v, t = read_only(rand_unit(rng, n, d), rand_unit(rng, n, d))
+        before_each()
+        out.append(siglip_loss(v, t, 1.5, -0.2))
+        before_each()
+        out.append(nt_xent(v, t, 0.1))
+        v, g, proj, head, y = hybrid_inputs(rng, n, d)
+        before_each()
+        out.append(hybrid_loss(v, g, proj, head, y, LossParams(bias=0.3)))
+    return out
+
+
+def result_bits(res):
+    """Every field of a kernel result as bytes, so NaN compares too."""
+    return tuple(np.asarray(value).tobytes() for value in vars(res).values())
+
+
+class TestWorkspace:
+    """The pair kernels keep their n x n matrices in a per-thread workspace;
+    no result may share it, and no thread may see another's."""
+
+    def test_results_unchanged_by_later_calls(self):
+        first = kernel_results(24, 5, seed=1, calls=1)
+        saved = [result_bits(res) for res in first]
+        kernel_results(24, 5, seed=2)   # same n: the same workspace
+        kernel_results(9, 5, seed=3)    # another n: a new workspace
+        kernel_results(24, 5, seed=4)
+        assert [result_bits(res) for res in first] == saved
+
+    def test_threads_match_serial_calls(self):
+        # two threads per batch size: a workspace shared between threads
+        # would be written by both at once
+        jobs = [(8, 3, 10, 20), (13, 4, 11, 20), (8, 3, 12, 20), (13, 4, 13, 20)]
+        serial = [[result_bits(r) for r in kernel_results(*job)] for job in jobs]
+        barrier = threading.Barrier(len(jobs), timeout=30)
+        got: list = [None] * len(jobs)
+
+        def work(k, job):
+            # every thread enters each kernel call together
+            got[k] = [result_bits(r)
+                      for r in kernel_results(*job, before_each=barrier.wait)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k, job))
+                       for k, job in enumerate(jobs)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == serial
+
+    def test_batch_size_changes_match_reference(self):
+        rng = np.random.default_rng(14)
+        for n in (256, 40, 256):
+            v, t = read_only(rand_unit(rng, n, 128), rand_unit(rng, n, 128))
+            assert_siglip_matches(v, t, 1.7, 0.3, True)
+            assert_nt_xent_matches(v, t, 0.07, False)
+            v, g, proj, head, y = hybrid_inputs(rng, n, 128)
+            assert_hybrid_matches(v, g, proj, head, y, LossParams(bias=0.3))
+
+
+class TestAllocations:
+    """After a warm-up call, a kernel allocates less than one n x n float64
+    matrix: tracemalloc sees numpy's array data, so this counts bytes
+    instead of timing them."""
+
+    N, D = 128, 16
+    PAIR_MATRIX_BYTES = N * N * 8
+
+    @pytest.mark.parametrize("kernel", ["nt_xent", "siglip_loss", "hybrid_loss"])
+    def test_second_call_allocates_no_pair_matrix(self, kernel):
+        rng = np.random.default_rng(15)
+        v, g, proj, head, y = hybrid_inputs(rng, self.N, self.D)
+        t = rand_unit(rng, self.N, self.D)
+        call = {
+            "nt_xent": lambda: nt_xent(v, t),
+            "siglip_loss": lambda: siglip_loss(v, t),
+            "hybrid_loss": lambda: hybrid_loss(v, g, proj, head, y),
+        }[kernel]
+        tracemalloc.start()
+        try:
+            call()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < self.PAIR_MATRIX_BYTES
+
+
 class TestRanksAndCorrelation:
     def test_rank_ties_average(self):
         ranks = rank_average(np.array([1.0, 2.0, 2.0, 3.0]))
         assert list(ranks) == [1.0, 2.5, 2.5, 4.0]
+        # each NaN ranks alone, after every number; -0.0 ties with 0.0
+        nan = float("nan")
+        ranks = rank_average(np.array([nan, 0.0, -0.0, nan, -1.0]))
+        assert list(ranks) == [4.0, 2.5, 2.5, 5.0, 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, float("nan"),
+                                   float("inf"), -float("inf")]),
+                  st.floats(allow_nan=True)),
+        max_size=60,
+    ))
+    def test_rank_average_matches_reference_loop(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert (rank_average(values).tobytes()
+                == reference_rank_average(values).tobytes())
 
     def test_five_point_oracle(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
