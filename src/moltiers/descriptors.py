@@ -1,7 +1,8 @@
 """The five structural-complexity descriptors and the per-molecule record.
 
 All descriptors are pure functions of the (aromaticity-perceived) graph and
-invariant under atom re-indexing; records are safe to compute in parallel
+invariant under atom re-indexing, and reads only the graph's arrays, never
+its ``Atom`` and ``Bond`` objects; records are safe to compute in parallel
 across molecules.  Only ``rarity`` depends on the corpus, so a record is
 built in two steps: ``descriptor_core`` holds everything else, and
 ``finish_record`` adds rarity from a prevalence table.
@@ -58,7 +59,7 @@ def scaffold_decoration(
     graph: MolecularGraph, rings: RingInfo | None = None
 ) -> float:
     """1 - n_scaffold / heavy atoms, clamped to [0, 1]; 1 when acyclic."""
-    n_ha = graph.view().n_heavy
+    n_ha = graph.n_heavy
     if n_ha == 0:
         raise EmptyMolecule("scaffold decoration needs a heavy atom")
     scaffold = murcko_scaffold(graph, rings)
@@ -94,12 +95,11 @@ def conjugation_extent(graph: MolecularGraph) -> int:
     single bond whose two endpoints each carry some multiple bond.  The
     conjugated bonds are joined by union-find, keeping each set's size.
     """
-    view = graph.view()
-    if not view.features & _PI_ORDERS:
+    if not graph.features & _PI_ORDERS:
         return 0
-    ends = view.ends
-    orders = view.orders
-    n = len(view.elements)
+    ends = graph.ends
+    orders = graph.orders
+    n = len(graph.elements)
     pi = [False] * n
     for (a, b), order in zip(ends, orders):
         if order != SINGLE:
@@ -156,10 +156,9 @@ def aromatic_substitution_complexity(
         rings = ring_info(graph)
     if not rings.rings:
         return 0
-    view = graph.view()
-    adj = view.adj
-    orders = view.orders
-    elements = view.elements
+    adj = graph.adj
+    orders = graph.orders
+    elements = graph.elements
     patterns: set[tuple[int, ...]] = set()
     total_subs = 0
     for cycle in rings.rings:
@@ -188,12 +187,11 @@ def bertz_ct(graph: MolecularGraph) -> float:
     (element, aromatic flag, heavy degree) together with the bond order.
     Returns 0 for bond-free graphs.
     """
-    view = graph.view()
-    if not view.ends:
+    if not graph.ends:
         return 0.0
-    atom_env = list(zip(view.elements, view.aromatic, view.degree))
+    atom_env = list(zip(graph.elements, graph.aromatic, graph.degree))
     hist: dict[tuple, int] = {}
-    for (a, b), order in zip(view.ends, view.orders):
+    for (a, b), order in zip(graph.ends, graph.orders):
         da = atom_env[a]
         db = atom_env[b]
         env = (da, db, order) if da <= db else (db, da, order)

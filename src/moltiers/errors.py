@@ -93,7 +93,9 @@ class MalformedLine(MoltiersError):
 
 
 class MissingTierField(MoltiersError):
-    """Annotated record lacks the tier (or id) field needed for scheduling."""
+    """An input file lacks its SMILES column: the header of a delimited
+    file that ``iter_input`` reads names no ``smiles_column`` (``smiles``
+    by default)."""
 
 
 class WorkerDied(MoltiersError):

@@ -250,7 +250,7 @@ class ComplexityAnnotator:
                 except SmilesError:
                     skipped += 1
                     continue
-                if graph.view().n_heavy:
+                if graph.n_heavy:
                     yield graph
                 else:
                     skipped += 1

@@ -8,7 +8,7 @@ logic operators -- but it is enough to express the default 31-group library.
 Each pattern is compiled once into a flat plan (``_compile``): one step per
 pattern atom, its constraint fields unpacked, rooted on the most selective
 atom.  ``present_groups`` runs the plans through one iterative search
-(``_search``) over the molecule's ``MolView``, which stops each plan at its
+(``_search``) over the molecule graph's arrays, which stops each plan at its
 first embedding, with inline checks in place of ``AtomConstraint.admits``;
 ``admits`` stays the definition the brute-force oracle tests the search
 against.
@@ -28,7 +28,6 @@ from .smiles import (
     SINGLE,
     TRIPLE,
     MolecularGraph,
-    MolView,
     feature_mask,
 )
 
@@ -104,7 +103,7 @@ def _compile(pattern: FunctionalGroupPattern) -> tuple:
 
     The plan is ``(name, features, root_site, pair, steps)``: ``features``
     is the ``feature_mask`` of the required elements and orders, so a
-    molecule whose ``view.features`` lacks any of its bits cannot match;
+    molecule whose ``graph.features`` lacks any of its bits cannot match;
     ``root_site`` is the root atom's element when it allows only one (its
     candidates are then that element's sites) and None otherwise; ``pair``
     is True for a two-atom pattern the root loop finishes.  Step ``k`` is ``(anchor, anchor_orders, elements, aromatic, min_deg,
@@ -230,7 +229,7 @@ def default_library() -> FGLibrary:
     return _DEFAULT
 
 
-def _search(view: MolView, plans: tuple) -> list[str]:
+def _search(graph: MolecularGraph, plans: tuple) -> list[str]:
     """Names of the compiled plans with an embedding in the molecule.
 
     A plan is tried only when the molecule has its features, and stops at
@@ -238,13 +237,13 @@ def _search(view: MolView, plans: tuple) -> list[str]:
     anchor atom's neighbour list, and an atom is free when it is not in
     ``assign``: no recursion, generator or set.
     """
-    adj = view.adj
-    orders = view.orders
-    elements = view.elements
-    aromatic = view.aromatic
-    degree = view.degree
-    sites = view.element_sites
-    features = view.features
+    adj = graph.adj
+    orders = graph.orders
+    elements = graph.elements
+    aromatic = graph.aromatic
+    degree = graph.degree
+    sites = graph.element_sites
+    features = graph.features
     names = []
     for name, required, root_site, pair, steps in plans:
         if features & required != required:
@@ -323,7 +322,7 @@ def present_groups(
 ) -> frozenset[str]:
     """Names of the library patterns with at least one embedding."""
     library = default_library() if library is None else library
-    return frozenset(_search(graph.view(), library._plans))
+    return frozenset(_search(graph, library._plans))
 
 
 def corpus_prevalence(

@@ -1,12 +1,12 @@
 """Graph algorithms over MolecularGraph.
 
-Every analysis reads only the graph's ``MolView`` arrays (adjacency, bond
-endpoints and orders, heavy degrees, element sites, valence sums and marks),
-never its ``Atom`` and ``Bond`` objects, so a parsed molecule's arrays are
+Every analysis reads only the graph's arrays (adjacency, bond endpoints and
+orders, heavy degrees, element sites, valence sums and marks), never its
+``Atom`` and ``Bond`` objects, so a parsed molecule's arrays are
 built once, in the parser's loop, however many descriptors they feed.
 
 The ring *count* is always the cyclomatic number, bonds - atoms +
-components, which the view holds.  A molecule whose count is 0 has no cycle,
+components, which the graph holds.  A molecule whose count is 0 has no cycle,
 so ``ring_info`` returns an empty result for it without any search: every
 cycle of a parsed graph holds a ring-closure bond, so that is each molecule
 written without one.
@@ -26,8 +26,8 @@ Aromaticity perception promotes Kekulé-written 6-rings of C/N atoms with
 alternating single and double bonds.  Such a ring holds three double bonds
 between C/N atoms, so a molecule with fewer, such as one written with
 aromatic atoms, is returned unchanged before any ring search.  A promoted
-molecule is a new graph whose view has new bond orders, aromatic flags and
-valence sums, and shares everything else with the input's view.
+molecule is a new graph with new bond orders, aromatic flags and valence
+sums, which shares every other array with the input.
 """
 
 from __future__ import annotations
@@ -177,18 +177,17 @@ def _shortest_cycle_through(
 
 
 def ring_info(graph: MolecularGraph) -> RingInfo:
-    """Ring bonds, ring atoms and small rings; memoised on the graph's view.
+    """Ring bonds, ring atoms and small rings; memoised on the graph.
     A molecule without a cycle gets the empty result with no search."""
-    view = graph.view()
-    if view.rings is None:
-        view.rings = (_perceive_rings(view) if view.n_ring
-                      else RingInfo(frozenset(), frozenset(), [], 0))
-    return view.rings
+    if graph.rings is None:
+        graph.rings = (_perceive_rings(graph) if graph.n_ring
+                       else RingInfo(frozenset(), frozenset(), [], 0))
+    return graph.rings
 
 
-def _perceive_rings(view) -> RingInfo:
-    adj = view.adj
-    ends = view.ends
+def _perceive_rings(graph: MolecularGraph) -> RingInfo:
+    adj = graph.adj
+    ends = graph.ends
     blocks = _blocks(adj)
     block_of = [-1] * len(ends)
     ring_bonds: list[int] = []
@@ -219,7 +218,7 @@ def _perceive_rings(view) -> RingInfo:
                 found.append((bi, cycle))
     found.sort(key=lambda item: item[0])
     return RingInfo(frozenset(ring_atoms), frozenset(ring_bonds),
-                    [cycle for _, cycle in found], view.n_ring)
+                    [cycle for _, cycle in found], graph.n_ring)
 
 
 def cycle_bonds(adj: list[list[tuple[int, int]]],
@@ -244,15 +243,15 @@ def perceive_aromaticity(
     idempotent and never removes a flag.  Returns the input object when no
     ring qualifies.  Such a ring holds three double bonds between C/N atoms,
     so a molecule with fewer is returned at once, without running
-    ``ring_info``.  A new graph shares the input's view topology and ring
+    ``ring_info``.  A new graph shares the input's topology and ring
     perception, since only bond orders, aromatic flags and the valence sums
     they give change.
     """
-    view = graph.view()
-    elements = view.elements
-    orders = view.orders
+    elements = graph.elements
+    orders = graph.orders
+    ends = graph.ends
     if orders.count(DOUBLE) < 3 or sum(
-        1 for (a, b), order in zip(view.ends, orders)
+        1 for (a, b), order in zip(ends, orders)
         if order == DOUBLE and elements[a] in _CN and elements[b] in _CN
     ) < 3:
         return graph
@@ -265,7 +264,7 @@ def perceive_aromaticity(
             continue
         if any(elements[a] not in _CN for a in cycle):
             continue
-        bond_ids = cycle_bonds(view.adj, cycle)
+        bond_ids = cycle_bonds(graph.adj, cycle)
         ring_orders = [orders[bi] for bi in bond_ids]
         if any(order not in (SINGLE, DOUBLE) for order in ring_orders):
             continue
@@ -276,15 +275,14 @@ def perceive_aromaticity(
         return graph
     # a flipped bond is single or double; as aromatic it counts one
     new_orders = list(orders)
-    valence = list(view.valence)
-    ends = view.ends
+    valence = list(graph.valence)
     for bi in flip_bonds:
         if orders[bi] == DOUBLE:
             a, b = ends[bi]
             valence[a] -= 1
             valence[b] -= 1
         new_orders[bi] = AROMATIC
-    aromatic = list(view.aromatic)
+    aromatic = list(graph.aromatic)
     for a in flip_atoms:
         aromatic[a] = True
     return graph.with_flags(new_orders, aromatic, valence)
@@ -304,10 +302,9 @@ def murcko_scaffold(
     ring_atoms = rings.ring_atoms
     if not ring_atoms:
         return ScaffoldResult(frozenset(), 0, True)
-    view = graph.view()
-    adj = view.adj
-    elements = view.elements
-    deg = list(view.degree)
+    adj = graph.adj
+    elements = graph.elements
+    deg = list(graph.degree)
     # hydrogens count as removed from the start
     removed = [el == "H" for el in elements]
     queue = deque(
@@ -327,7 +324,7 @@ def murcko_scaffold(
                 queue.append(nb)
     core = {i for i in range(len(elements)) if not removed[i]}
     kept = set(core)
-    for (a, b), order in zip(view.ends, view.orders):
+    for (a, b), order in zip(graph.ends, graph.orders):
         if order == DOUBLE:
             if a in core and elements[b] != "H":
                 kept.add(b)
@@ -337,21 +334,20 @@ def murcko_scaffold(
 
 
 def structural_counts(graph: MolecularGraph) -> StructuralCounts:
-    view = graph.view()
-    if not view.elements:
+    if not graph.elements:
         raise EmptyMolecule("no atoms")
-    n_ha = view.n_heavy
-    n_het = n_ha - len(view.element_sites.get("C", ()))
-    n_sc = view.n_chiral
+    n_ha = graph.n_heavy
+    n_het = n_ha - len(graph.element_sites.get("C", ()))
+    n_sc = graph.n_chiral
     # cis/trans marks: a double bond flanked by direction marks on both ends
     # (direction marks live on the adjacent single bonds, never on the double
     # bond itself)
-    if view.stereo:
-        ends = view.ends
+    if graph.stereo:
+        ends = graph.ends
         marked = set()
-        for bi in view.stereo:
+        for bi in graph.stereo:
             marked.update(ends[bi])
-        for (a, b), order in zip(ends, view.orders):
+        for (a, b), order in zip(ends, graph.orders):
             if order == DOUBLE and a in marked and b in marked:
                 n_sc += 1
-    return StructuralCounts(n_ha, n_het, view.n_ring, n_sc, molecular_weight(graph))
+    return StructuralCounts(n_ha, n_het, graph.n_ring, n_sc, molecular_weight(graph))

@@ -302,8 +302,8 @@ def write_prevalence(table: PrevalenceTable, out: TextIO) -> None:
 def load_prevalence(path: str | Path) -> PrevalenceTable:
     """The table ``write_prevalence`` wrote.  Raises MalformedLine, naming
     the line, for a row that is not ``name<TAB>prevalence`` with a
-    prevalence in [0, 1], a row whose name an earlier row has, or a
-    ``corpus_size`` that is not a count.  A table with no rows, the one
+    prevalence in [0, 1], a row whose name an earlier row has, a
+    ``corpus_size`` that is not a count, or a second ``corpus_size`` line.  A table with no rows, the one
     fitted with an empty library, must have its ``corpus_size`` line:
     without either, the file is no table (EmptyCorpus)."""
     prevalence: dict[str, float] = {}
@@ -313,6 +313,8 @@ def load_prevalence(path: str | Path) -> PrevalenceTable:
             line = line.strip()
             try:
                 if line.startswith("#") and "corpus_size=" in line:
+                    if corpus_size is not None:
+                        raise MalformedLine(f"{path}:{n}: a second corpus_size line")
                     corpus_size = int(line.split("corpus_size=")[1])
                     if corpus_size < 0:
                         raise ValueError

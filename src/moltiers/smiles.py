@@ -8,13 +8,14 @@ wildcards, atom classes, and quadruple bonds are rejected.
 
 Parsing is total: every input string either yields a ``MolecularGraph`` or
 raises a ``SmilesError`` subclass carrying the byte offset of the problem.
-The parser fills only the graph's ``MolView`` arrays, in the one loop that
-reads the atoms and bonds: bond endpoints and orders, valence sums, bracket
+The parser fills only the graph's arrays, in the one loop that reads the
+atoms and bonds: bond endpoints and orders, valence sums, bracket
 hydrogens, chiral atoms, stereo marks and the ring count.  It builds an
 ``Atom`` only for a bracket atom and no ``Bond``; a parsed graph's
-``atoms`` and ``bonds`` lists are built from the view on first access.
-``MolView(graph)`` builds the same view for a graph built by hand.  The
-package writes no SMILES: a record carries its input string as read.
+``atoms`` and ``bonds`` lists are built from the arrays on first access.
+``MolecularGraph(atoms, bonds)`` builds the same arrays for a graph built
+by hand.  The package writes no SMILES: a record carries its input string
+as read.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ def _count_components(n_atoms: int, ends: list[tuple[int, int]]) -> int:
     return count
 
 
-class MolView:
-    """Per-molecule arrays, built once per graph and shared by every analysis.
+class MolecularGraph:
+    """Immutable-by-convention molecular graph: the per-molecule arrays that
+    every analysis reads.
 
     ``adj[i]`` lists ``(neighbor_index, bond_index)`` pairs in bond order;
     ``ends`` holds each bond's ``(a, b)`` and ``orders`` its order;
@@ -160,23 +162,29 @@ class MolView:
     molecule's ``feature_mask``.  ``rings`` is filled in by the graph
     module's ring perception the first time it runs.
 
-    ``parse_smiles`` fills the arrays as it reads the atoms and bonds and
-    sets the graph's view itself; ``MolView(graph)`` walks a graph built by
-    hand.  Both derive the rest in ``_fill``.
+    ``parse_smiles`` fills the arrays as it reads the atoms and bonds, and
+    a graph from it or from ``with_flags`` builds ``atoms`` and ``bonds``
+    from them on first access.  ``MolecularGraph(atoms, bonds)`` walks a
+    graph built by hand once, at construction.  All derive the rest in
+    ``_fill``.  Treat graphs as frozen after construction so they can be
+    shared freely across worker processes.
     """
 
     __slots__ = ("adj", "ends", "orders", "elements", "aromatic", "valence",
                  "explicit_h", "n_chiral", "stereo", "n_ring", "degree",
-                 "element_sites", "n_heavy", "features", "rings")
+                 "element_sites", "n_heavy", "features", "rings",
+                 "source", "_atoms", "_bonds", "_brackets")
 
-    def __init__(self, graph: MolecularGraph):
-        atoms = graph.atoms
+    def __init__(self, atoms: list[Atom] | None = None,
+                 bonds: list[Bond] | None = None, source: str = ""):
+        atoms = [] if atoms is None else atoms
+        bonds = [] if bonds is None else bonds
         adj: list[list[tuple[int, int]]] = [[] for _ in atoms]
         ends = []
         orders = []
         valence = [0] * len(atoms)
         stereo = {}
-        for bi, bond in enumerate(graph.bonds):
+        for bi, bond in enumerate(bonds):
             a, b, order = bond.a, bond.b, bond.order
             adj[a].append((b, bi))
             adj[b].append((a, bi))
@@ -193,18 +201,23 @@ class MolView:
                 sites[el].append(i)
             else:
                 sites[el] = [i]
-        self._fill(adj, ends, orders, elements, [a.aromatic for a in atoms],
-                   sites, valence,
+        # every atom stands as its own bracket, so ``with_flags`` keeps its
+        # charge, hydrogens, chirality and isotope
+        self._fill(source, dict(enumerate(atoms)), adj, ends, orders, elements,
+                   [a.aromatic for a in atoms], sites, valence,
                    {i: a.explicit_h for i, a in enumerate(atoms)
                     if a.explicit_h is not None},
                    sum(a.chirality != CHI_NONE for a in atoms), stereo,
                    len(ends) - len(atoms) + _count_components(len(atoms), ends))
+        self._atoms = atoms
+        self._bonds = bonds
 
-    def _fill(self, adj, ends, orders, elements, aromatic, element_sites,
-              valence, explicit_h, n_chiral, stereo, n_ring,
-              rings=None) -> MolView:
+    def _fill(self, source, brackets, adj, ends, orders, elements, aromatic,
+              element_sites, valence, explicit_h, n_chiral, stereo, n_ring,
+              rings=None) -> MolecularGraph:
         """Set the arrays and derive heavy degrees, ``n_heavy`` and
-        ``features`` from them: the one place those are computed."""
+        ``features`` from them: the one place those are computed.
+        ``brackets`` holds the ``Atom`` of each bracket atom, by index."""
         degree = [len(nbrs) for nbrs in adj]
         hydrogens = element_sites.get("H", ())
         for h in hydrogens:
@@ -226,57 +239,17 @@ class MolView:
         self.features = feature_mask(
             {el: len(sites) for el, sites in element_sites.items()}, set(orders))
         self.rings = rings
-        return self
-
-    def with_flags(self, orders: list[int], aromatic: list[bool],
-                   valence: list[int]) -> MolView:
-        """The view of this molecule with other bond orders, aromatic flags
-        and the valence sums they give: topology, element sites, marks and
-        rings are shared."""
-        return MolView.__new__(MolView)._fill(
-            self.adj, self.ends, orders, self.elements, aromatic,
-            self.element_sites, valence, self.explicit_h, self.n_chiral,
-            self.stereo, self.n_ring, self.rings)
-
-
-class MolecularGraph:
-    """Immutable-by-convention molecular graph.
-
-    ``atoms`` are stored in input order; treat graphs as frozen after
-    construction so they can be shared freely across worker processes.  A
-    graph from ``parse_smiles`` or ``perceive_aromaticity`` holds its view
-    and builds ``atoms`` and ``bonds`` from it on first access.
-    """
-
-    __slots__ = ("_atoms", "_bonds", "source", "_view", "_brackets")
-
-    def __init__(self, atoms: list[Atom] | None = None,
-                 bonds: list[Bond] | None = None, source: str = ""):
-        self._atoms = [] if atoms is None else atoms
-        self._bonds = [] if bonds is None else bonds
         self.source = source
-        self._view: MolView | None = None
-        # the Atom of each bracket atom, by index, for a graph that builds
-        # its atoms from its view
-        self._brackets: dict[int, Atom] | None = None
-
-    @classmethod
-    def _of_view(cls, view: MolView, brackets: dict[int, Atom],
-                 source: str) -> MolecularGraph:
-        graph = cls.__new__(cls)
-        graph._atoms = graph._bonds = None
-        graph.source = source
-        graph._view = view
-        graph._brackets = brackets
-        return graph
+        self._brackets = brackets
+        self._atoms = self._bonds = None
+        return self
 
     @property
     def atoms(self) -> list[Atom]:
         if self._atoms is None:
-            view = self._view
             brackets = self._brackets
             atoms = []
-            for i, (element, aromatic) in enumerate(zip(view.elements, view.aromatic)):
+            for i, (element, aromatic) in enumerate(zip(self.elements, self.aromatic)):
                 b = brackets.get(i)
                 atoms.append(
                     Atom(element, aromatic, 0, None, CHI_NONE, 0, i) if b is None
@@ -288,32 +261,23 @@ class MolecularGraph:
     @property
     def bonds(self) -> list[Bond]:
         if self._bonds is None:
-            view = self._view
-            stereo = view.stereo
+            stereo = self.stereo
             self._bonds = [
                 Bond(a, b, order, stereo.get(bi, STEREO_NONE))
-                for bi, ((a, b), order) in enumerate(zip(view.ends, view.orders))
+                for bi, ((a, b), order) in enumerate(zip(self.ends, self.orders))
             ]
         return self._bonds
 
-    def view(self) -> MolView:
-        """The per-molecule arrays: set by ``parse_smiles``, built on first
-        use for any other graph and memoised; safe because graphs never
-        change after construction."""
-        if self._view is None:
-            self._view = MolView(self)
-        return self._view
-
     def with_flags(self, orders: list[int], aromatic: list[bool],
                    valence: list[int]) -> MolecularGraph:
-        """This molecule with other bond orders and aromatic flags, as a
-        graph that builds its atoms and bonds from the new view."""
-        brackets = self._brackets
-        if brackets is None:
-            brackets = dict(enumerate(self._atoms))
-        return MolecularGraph._of_view(
-            self.view().with_flags(orders, aromatic, valence), brackets,
-            self.source)
+        """This molecule with other bond orders, aromatic flags and the
+        valence sums they give: topology, element sites, marks and rings are
+        shared, and the new graph builds its atoms and bonds from its
+        arrays."""
+        return MolecularGraph.__new__(MolecularGraph)._fill(
+            self.source, self._brackets, self.adj, self.ends, orders,
+            self.elements, aromatic, self.element_sites, valence,
+            self.explicit_h, self.n_chiral, self.stereo, self.n_ring, self.rings)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MolecularGraph):
@@ -331,7 +295,7 @@ class MolecularGraph:
 def parse_smiles(text: str) -> MolecularGraph:
     """Parse ``text`` into a MolecularGraph or raise a SmilesError.
 
-    The graph's ``MolView`` arrays are filled in the same loop that reads
+    The graph's arrays are filled in the same loop that reads
     the atoms and bonds, so no later pass walks them again.
     """
     if not text:
@@ -508,11 +472,9 @@ def parse_smiles(text: str) -> MolecularGraph:
         )
 
     n_ring = len(ends) - len(elements) + _count_components(len(elements), ends)
-    return MolecularGraph._of_view(
-        MolView.__new__(MolView)._fill(
-            adj, ends, orders, elements, aromatic, sites, valence, explicit_h,
-            n_chiral, stereo_marks, n_ring),
-        brackets, text)
+    return MolecularGraph.__new__(MolecularGraph)._fill(
+        text, brackets, adj, ends, orders, elements, aromatic, sites, valence,
+        explicit_h, n_chiral, stereo_marks, n_ring)
 
 
 def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
@@ -621,19 +583,17 @@ def implicit_hydrogens(graph: MolecularGraph) -> list[int]:
     bonds count one each and one hydrogen is withheld for the delocalised
     electron, which reproduces the usual counts (benzene CH, pyridine N).
     """
-    view = graph.view()
-    explicit = view.explicit_h
+    explicit = graph.explicit_h
     return [explicit[i] if i in explicit else _implicit_h(*key)
-            for i, key in enumerate(zip(view.elements, view.aromatic, view.valence))]
+            for i, key in enumerate(zip(graph.elements, graph.aromatic, graph.valence))]
 
 
 def molecular_weight(graph: MolecularGraph) -> float:
     """Molecular weight in Da, implicit hydrogens included."""
-    view = graph.view()
-    explicit = view.explicit_h
+    explicit = graph.explicit_h
     masses = _UNBRACKETED_MASS
     mass = 0.0
-    for i, key in enumerate(zip(view.elements, view.aromatic, view.valence)):
+    for i, key in enumerate(zip(graph.elements, graph.aromatic, graph.valence)):
         if i in explicit:
             mass += ATOMIC_MASS[key[0]] + HYDROGEN_MASS * explicit[i]
             continue

@@ -7,8 +7,8 @@ are recomputed from first principles.  ``reference_ring_info`` keeps the
 earlier whole-graph ring perception as a differential reference, and
 ``reference_perceive_aromaticity`` the aromaticity perception that searched
 rings in every molecule, and ``reference_parse_smiles`` the parser that
-built ``Atom`` and ``Bond`` objects and left the molecule view to
-``MolView(graph)``, with its valence check (``check_valences``) summing the
+built ``Atom`` and ``Bond`` objects and left the molecule's arrays to
+``MolecularGraph(atoms, bonds)``, with its valence check (``check_valences``) summing the
 bond orders again.  ``conjugated_components`` is the union-find that built
 every conjugated atom set before ``conjugation_extent`` kept only sizes.  ``reference_sample_epoch`` draws every mixed-regime
 id with the public ``uniform_draw``, and ``reference_manifest_text`` writes
@@ -81,7 +81,7 @@ def heavy_degree(graph: MolecularGraph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the parser before it filled the view
+# the parser before it filled the arrays
 
 _BOND_CHAR_ORDER = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
                     "/": SINGLE, "\\": SINGLE}
@@ -89,9 +89,9 @@ _BOND_CHAR_STEREO = {"/": STEREO_UP, "\\": STEREO_DOWN}
 
 
 def reference_parse_smiles(text: str) -> MolecularGraph:
-    """The parser as it was before it filled the molecule view: Atom and
-    Bond objects only, a bond-pair set for duplicates, and no view, so
-    ``graph.view()`` builds one with ``MolView(graph)``."""
+    """The parser as it was before it filled the molecule's arrays: Atom
+    and Bond objects only and a bond-pair set for duplicates, from which
+    ``MolecularGraph(atoms, bonds)`` builds the arrays."""
     if not text:
         raise EmptyInput("empty SMILES", 0)
     if not text.isascii():

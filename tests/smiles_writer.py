@@ -88,7 +88,7 @@ def write_smiles_mapped(graph: MolecularGraph) -> tuple[str, list[int]]:
     """
     if not graph.atoms:
         raise EmptyMolecule("cannot write an empty graph")
-    adj = graph.view().adj
+    adj = graph.adj
     natoms = len(graph.atoms)
     visited = [False] * natoms
     order: list[int] = []

@@ -12,7 +12,7 @@ import moltiers.cli as cli_module
 import moltiers.fgroups as fgroups_module
 import moltiers.pipeline as pipeline_module
 from moltiers.cli import main
-from moltiers.errors import EmptyCorpus
+from moltiers.errors import EmptyCorpus, MalformedLine, MissingTierField
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.fgroups import PrevalenceTable
 from moltiers.pipeline import (
@@ -88,8 +88,20 @@ class TestInputReaders:
     def test_missing_column(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(Exception):
+        with pytest.raises(MissingTierField, match="no 'smiles' column"):
             list(iter_input(path))
+
+    @pytest.mark.parametrize("name, fmt", [("empty.csv", "auto"),
+                                           ("empty.tsv", "delimited")])
+    def test_empty_delimited_file_yields_nothing(self, tmp_path, name, fmt):
+        # no header, so no column to look for and no row
+        path = tmp_path / name
+        path.write_text("")
+        assert list(iter_input(path, fmt)) == []
+
+    def test_unknown_format_rejected(self, smi_file):
+        with pytest.raises(ValueError, match="unknown input format 'sdf'"):
+            list(iter_input(smi_file, "sdf"))
 
 
 class TestPrevalenceIO:
@@ -157,6 +169,25 @@ class TestPrevalenceIO:
         assert main(["annotate", "--input", str(smi_file), "--output", str(out),
                      "--prevalence", str(table)]) == 2
         assert f"{table}:{n}: group 'hydroxyl' appears twice" in caplog.text
+        assert not out.parent.exists()
+
+    def test_second_corpus_size_line_is_data_error_before_output(
+            self, smi_file, tmp_path, caplog):
+        # a second corpus_size line would silently replace the first
+        two = tmp_path / "two.tsv"
+        two.write_text("# corpus_size=10\n# corpus_size=99\n")
+        with pytest.raises(MalformedLine, match=f"{two}:2: a second corpus_size line"):
+            load_prevalence(two)
+        assert main(["prevalence", "--input", str(smi_file), "--output-dir",
+                     str(tmp_path / "p")]) == 0
+        table = tmp_path / "p" / "prevalence.tsv"
+        rows = table.read_text().splitlines()
+        assert len(rows) == 32
+        table.write_text("\n".join(rows + ["# corpus_size=3"]) + "\n")
+        out = tmp_path / "out" / "annotated.jsonl"
+        assert main(["annotate", "--input", str(smi_file), "--output", str(out),
+                     "--prevalence", str(table)]) == 2
+        assert f"{table}:33: a second corpus_size line" in caplog.text
         assert not out.parent.exists()
 
     def test_group_outside_library_is_data_error_before_output(self, tmp_path,

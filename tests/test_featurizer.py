@@ -129,8 +129,8 @@ class TestDescribeWork:
     @pytest.fixture
     def built(self, monkeypatch):
         """What describe builds besides the parser's arrays: every Atom and
-        Bond constructed, and every view that walks a graph's objects, which
-        would sum its valences a second time."""
+        Bond constructed, and every graph built from objects, whose arrays
+        would sum the valences a second time."""
         built = Counter()
         for name in ("Atom", "Bond"):
             real = getattr(smiles_module, name)
@@ -140,20 +140,20 @@ class TestDescribeWork:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(smiles_module, name, counting)
-        real_init = smiles_module.MolView.__init__
+        real_init = smiles_module.MolecularGraph.__init__
 
-        def walking(view, graph):
-            built["MolView(graph)"] += 1
-            real_init(view, graph)
+        def walking(graph, *args, **kwargs):
+            built["MolecularGraph(atoms, bonds)"] += 1
+            real_init(graph, *args, **kwargs)
 
-        monkeypatch.setattr(smiles_module.MolView, "__init__", walking)
+        monkeypatch.setattr(smiles_module.MolecularGraph, "__init__", walking)
         return built
 
     def test_valences_summed_once_per_molecule(self, built):
-        # the parse loop sums the valences into the view that the valence
+        # the parse loop sums the valences into the arrays that the valence
         # check, the hydrogen count and every descriptor read: no object of
-        # an organic-subset atom or of a bond is built, and no view is
-        # rebuilt from objects; a bracket atom is the one Atom
+        # an organic-subset atom or of a bond is built, and no graph is
+        # built from objects; a bracket atom is the one Atom
         annotator = ComplexityAnnotator()
         organic = 0
         for smiles in generate_corpus(200, seed=3):
@@ -169,11 +169,11 @@ class TestDescribeWork:
         # double bonds counted two, without building any objects
         graph = smiles_module.parse_smiles("C1=CC=CC=C1O")
         written = smiles_module.parse_smiles("c1ccccc1O")
-        assert graph.view().valence == [3, 3, 3, 3, 3, 4, 1]
+        assert graph.valence == [3, 3, 3, 3, 3, 4, 1]
         perceived = perceive_aromaticity(graph)
-        assert perceived.view().valence == written.view().valence == [2] * 5 + [3, 1]
-        assert perceived.view().aromatic == written.view().aromatic
-        assert perceived.view().orders == written.view().orders
+        assert perceived.valence == written.valence == [2] * 5 + [3, 1]
+        assert perceived.aromatic == written.aromatic
+        assert perceived.orders == written.orders
         core = ComplexityAnnotator().describe("C1=CC=CC=C1O")
         assert core.counts == ComplexityAnnotator().describe("c1ccccc1O").counts
         assert core == ComplexityAnnotator().describe("c1ccccc1O")

@@ -98,7 +98,7 @@ class TestPresence:
 
 def test_describe_leaves_no_cyclic_garbage(mol):
     """Matching and describing free everything by reference counting: a
-    reference cycle would keep each molecule's view alive until the cyclic
+    reference cycle would keep each molecule's arrays alive until the cyclic
     collector ran."""
     corpus = list(generate_corpus(200, seed=3))
     annotator = ComplexityAnnotator()

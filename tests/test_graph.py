@@ -157,7 +157,7 @@ class TestAromaticityPerception:
                        "O=C1C=CC(=O)C=C1", "CCO"):
             graph = parse_smiles(smiles)
             assert perceive_aromaticity(graph) is graph
-            assert graph.view().rings is None
+            assert graph.rings is None
 
     def test_kekule_naphthalene(self, mol):
         # both rings written with alternating bonds (fusion bond double)
@@ -169,6 +169,53 @@ class TestAromaticityPerception:
         # promotes just that ring (full Hueckel perception is a non-goal)
         g = mol("C1=CC2=CC=CC=C2C=C1")
         assert sum(a.aromatic for a in g.atoms) == 6
+
+
+class TestHandBuiltGraph:
+    """A graph built from ``Atom`` and ``Bond`` objects rather than parsed."""
+
+    @staticmethod
+    def labelled_kekule_benzene():
+        # ring C 0 is carbon-13; ring C 3 carries an exocyclic [15NH3+]
+        atoms = [Atom("C", index=i) for i in range(6)]
+        atoms[0].isotope = 13
+        atoms.append(Atom("N", formal_charge=1, explicit_h=3, isotope=15, index=6))
+        bonds = [Bond(k, (k + 1) % 6, 2 if k % 2 == 0 else 1) for k in range(6)]
+        bonds.append(Bond(3, 6))
+        return MolecularGraph(atoms, bonds, "hand-built")
+
+    def test_perceived_ring_keeps_atom_labels(self):
+        graph = self.labelled_kekule_benzene()
+        perceived = perceive_aromaticity(graph)
+        assert perceived is not graph
+        assert [a.aromatic for a in perceived.atoms] == [True] * 6 + [False]
+        assert [b.order for b in perceived.bonds] == [AROMATIC] * 6 + [1]
+        assert [(a.isotope, a.formal_charge, a.explicit_h) for a in perceived.atoms] \
+            == [(13, 0, None)] + [(0, 0, None)] * 5 + [(15, 1, 3)]
+        assert [a.index for a in perceived.atoms] == list(range(7))
+        assert implicit_hydrogens(perceived) == [1, 1, 1, 0, 1, 1, 3]
+        assert perceived.source == "hand-built"
+        # the input graph is left as it was built
+        assert not any(a.aromatic for a in graph.atoms)
+        assert [b.order for b in graph.bonds] == [2, 1, 2, 1, 2, 1, 1]
+
+    def test_compares_equal_only_to_a_graph(self):
+        graph = self.labelled_kekule_benzene()
+        assert graph == self.labelled_kekule_benzene()
+        assert graph.__eq__(1) is NotImplemented
+        assert (graph == 1) is False
+        assert graph != 1
+
+    def test_repr_names_atoms_bonds_and_source(self):
+        graph = MolecularGraph([Atom("C", index=0), Atom("O", index=1)],
+                               [Bond(0, 1)], "CO")
+        assert repr(graph) == (
+            "MolecularGraph(atoms=[Atom(element='C', aromatic=False, "
+            "formal_charge=0, explicit_h=None, chirality=0, isotope=0, index=0), "
+            "Atom(element='O', aromatic=False, formal_charge=0, explicit_h=None, "
+            "chirality=0, isotope=0, index=1)], bonds=[Bond(a=0, b=1, order=1, "
+            "stereo=0)], source='CO')")
+        assert repr(parse_smiles("CO")) == repr(graph)
 
 
 class TestRingInfo:
@@ -302,7 +349,7 @@ class TestRingPerceptionMatchesReference:
         monkeypatch.setattr(graph_module, "_blocks",
                             lambda adj: calls.append(adj) or blocks(adj))
         graph = parse_smiles(text)
-        assert graph.view().n_ring == structural_counts(graph).n_ring == cycles
+        assert graph.n_ring == structural_counts(graph).n_ring == cycles
         assert_same_rings(graph)
         assert len(calls) == (1 if cycles else 0)
 
@@ -382,7 +429,7 @@ class TestAromaticityMatchesReference:
             a.aromatic for a in expected.atoms]
         assert [b.order for b in perceived.bonds] == [
             b.order for b in expected.bonds]
-        assert perceived.view().orders == [b.order for b in expected.bonds]
+        assert perceived.orders == [b.order for b in expected.bonds]
         return perceived is not graph
 
     def test_kekule_cases(self):
@@ -508,10 +555,13 @@ class TestConjugation:
             assert conjugation_extent(g) == brute_conjugation_extent(g), text
 
     def test_extent_matches_oracle_on_random_graphs(self):
+        # the orders are drawn before the graph that reads them is built
         rng = random.Random(41)
-        for graph in random_ring_graphs(43, 400):
-            for bond in graph.bonds:
-                bond.order = rng.choice((1, 1, 2, 3, 4))
+        for drawn in random_ring_graphs(43, 400):
+            graph = MolecularGraph(
+                drawn.atoms,
+                [Bond(b.a, b.b, rng.choice((1, 1, 2, 3, 4)), b.stereo)
+                 for b in drawn.bonds])
             assert conjugation_extent(graph) == brute_conjugation_extent(graph)
 
 

@@ -229,6 +229,86 @@ class TestHybrid:
         assert LossParams(alpha=0.0, beta=float("inf")).beta == float("inf")
 
 
+def _text_without_header(tmp_path):
+    path = tmp_path / "no_header.txt"
+    path.write_text("1 2 3\n4 5 6\n")
+    return path
+
+
+_UNIT = np.eye(3)
+_UNIT_2 = np.eye(2)
+_HYBRID = TestHybrid().make(4)
+
+# (call, error, message): the input checks of the kernels, the
+# correlations and the embedding reader that no other test reaches
+INPUT_CHECKS = {
+    "nt_xent-v2-not-unit": (
+        lambda tmp: nt_xent(_UNIT, 2.0 * _UNIT, check_normalized=True),
+        NotNormalized, "v2 rows are not unit-norm"),
+    "siglip-v-not-unit": (
+        lambda tmp: siglip_loss(2.0 * _UNIT, _UNIT, check_normalized=True),
+        NotNormalized, "v rows are not unit-norm"),
+    "siglip-t-not-unit": (
+        lambda tmp: siglip_loss(_UNIT, 2.0 * _UNIT, check_normalized=True),
+        NotNormalized, "t rows are not unit-norm"),
+    "hybrid-v-not-unit": (
+        lambda tmp: hybrid_loss(2.0 * _HYBRID[0], *_HYBRID[1:],
+                                check_normalized=True),
+        NotNormalized, "v rows are not unit-norm"),
+    "siglip-shapes": (
+        lambda tmp: siglip_loss(_UNIT, _UNIT_2),
+        ShapeMismatch, r"shape mismatch \(3, 3\) vs \(2, 2\)"),
+    "hybrid-head-shape": (
+        lambda tmp: hybrid_loss(*_HYBRID[:3], LinearMap(np.ones((2, 8)), np.ones(2)),
+                                _HYBRID[4]),
+        ShapeMismatch, "head map has wrong shape"),
+    "hybrid-zero-teacher-row": (
+        lambda tmp: hybrid_loss(_HYBRID[0], _HYBRID[1],
+                                LinearMap(np.zeros((8, 16)), np.zeros(8)),
+                                *_HYBRID[3:]),
+        ValueError, "projected teacher row has zero norm"),
+    "kernel-1d-input": (
+        lambda tmp: nt_xent(np.ones(3), np.ones(3)),
+        ShapeMismatch, "v1 must be a non-empty 2-D matrix"),
+    "normalize-zero-row": (
+        lambda tmp: l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]])),
+        ValueError, "cannot normalize a zero row"),
+    "pearson-constant": (
+        lambda tmp: pearson(np.ones(4), np.arange(4.0)),
+        DegenerateVariance, "constant input to correlation"),
+    "correlation-row-counts": (
+        lambda tmp: pairwise_distance_correlation(_UNIT, _UNIT_2, 10),
+        ShapeMismatch, "row counts differ"),
+    "correlation-one-row": (
+        lambda tmp: pairwise_distance_correlation(_UNIT[:1], _UNIT[:1], 10),
+        ShapeMismatch, "need at least two rows"),
+    "correlation-one-pair": (
+        lambda tmp: pairwise_distance_correlation(_UNIT, _UNIT, 1),
+        ValueError, "n_pairs must be >= 2"),
+    "embeddings-no-header": (
+        lambda tmp: load_embeddings(_text_without_header(tmp)),
+        ValueError, "expected 'N d' header line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case, tmp_path):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
+def test_unit_rows_pass_check_normalized():
+    rng = np.random.default_rng(5)
+    v, t = rand_unit(rng, 6, 4), rand_unit(rng, 6, 4)
+    for checked, unchecked in (
+        (nt_xent(v, t, check_normalized=True), nt_xent(v, t)),
+        (siglip_loss(v, t, check_normalized=True), siglip_loss(v, t)),
+        (hybrid_loss(*_HYBRID, check_normalized=True), hybrid_loss(*_HYBRID)),
+    ):
+        assert result_bits(checked) == result_bits(unchecked)
+
+
 def read_only(*arrays):
     """float64 copies that raise on any write, so a kernel that writes its
     inputs fails, and ``_as_matrix`` hands the kernel these very arrays."""

@@ -28,7 +28,6 @@ from moltiers.smiles import (
     Atom,
     Bond,
     MolecularGraph,
-    MolView,
     feature_mask,
     implicit_hydrogens,
     molecular_weight,
@@ -209,7 +208,7 @@ class TestImplicitHydrogens:
         for smiles in generate_corpus(300, seed=61):
             g = parse_smiles(smiles)
             hs = implicit_hydrogens(g)
-            ev = g.view().valence
+            ev = g.valence
             assert ev == explicit_valences(g), smiles
             for atom in g.atoms:
                 if atom.explicit_h is not None:
@@ -349,13 +348,16 @@ def parse_outcome(parse, text):
         return type(err), err.offset, err.args
 
 
-def view_fields(view) -> dict:
-    return {name: getattr(view, name) for name in MolView.__slots__}
+def view_fields(graph) -> dict:
+    """The graph's array slots: every slot but the source and the objects."""
+    return {name: getattr(graph, name) for name in MolecularGraph.__slots__
+            if name != "source" and not name.startswith("_")}
 
 
 def assert_parses_as_reference(text):
     """The parser gives the graph or error the parser before it gave, and
-    the view it fills is the one ``MolView(graph)`` builds, field by field."""
+    the arrays it fills are the ones ``MolecularGraph(atoms, bonds)`` builds
+    from the reference graph's objects, field by field."""
     got = parse_outcome(parse_smiles, text)
     want = parse_outcome(reference_parse_smiles, text)
     if isinstance(want, tuple):
@@ -363,9 +365,8 @@ def assert_parses_as_reference(text):
         return
     assert isinstance(got, MolecularGraph), (text, got)
     assert (got.atoms, got.bonds, got.source) == (want.atoms, want.bonds, want.source)
-    assert got._view is not None, text
-    assert view_fields(got._view) == view_fields(MolView(want)), text
-    assert got.view().degree == heavy_degree(want), text
+    assert view_fields(got) == view_fields(MolecularGraph(want.atoms, want.bonds)), text
+    assert got.degree == heavy_degree(want), text
 
 
 class TestViewFilledByParser:
@@ -392,14 +393,13 @@ class TestViewFilledByParser:
         assert_parses_as_reference(text)
 
     def test_hand_built_graph_view(self):
-        # a graph built by hand gets its view from MolView(graph), with
+        # a graph built by hand gets its arrays at construction, with
         # hydrogens left out of the heavy degrees
         graph = MolecularGraph(
             [Atom("C", index=0), Atom("H", index=1), Atom("O", index=2)],
             [Bond(0, 1), Bond(0, 2, DOUBLE)])
-        view = graph.view()
-        assert view.degree == [1, 1, 1]
-        assert view.element_sites == {"C": [0], "H": [1], "O": [2]}
-        assert (view.n_heavy, view.orders) == (2, [SINGLE, DOUBLE])
-        assert view.features == feature_mask({"C": 1, "H": 1, "O": 1},
-                                             {SINGLE, DOUBLE})
+        assert graph.degree == [1, 1, 1]
+        assert graph.element_sites == {"C": [0], "H": [1], "O": [2]}
+        assert (graph.n_heavy, graph.orders) == (2, [SINGLE, DOUBLE])
+        assert graph.features == feature_mask({"C": 1, "H": 1, "O": 1},
+                                              {SINGLE, DOUBLE})
