@@ -8,9 +8,11 @@ chosen subcommand's value-taking options, and argv is parsed again over
 them, so options resolve as flag > config file > built-in default and a
 file value is converted, or rejected as a usage error, by the option's type
 and its choices.  ``annotate`` is one ``pipeline.run_annotate`` call, with
-or without a ``--prevalence`` table.  The commands that read SMILES import
-the SMILES, descriptor and pool modules when they run, so ``schedule`` and
-``stats`` load only the record reader and the scheduler.
+or without a ``--prevalence`` table.  Each command imports what only it
+needs when it runs: the commands that read SMILES load the SMILES,
+descriptor and pool modules, so ``schedule`` and ``stats`` load only the
+record reader and, for ``schedule``, the scheduler; ``annotate`` and
+``prevalence`` load no scheduler (nor its ``fractions`` arithmetic).
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -30,18 +32,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import EmptyCorpus, MoltiersError
 from .records import STAT_FIELDS, read_stat_columns, read_tier_ids
-from .scheduler import (
-    REGIMES,
-    ScheduleSpec,
-    TierIndex,
-    active_tiers,
-    baseline_budget,
-    epoch_views,
-    sample_epoch,
-    tier_weights_mixed,
-    write_manifest,
-)
-from .tiering import TIERS, TierConfig
+from .tiering import REGIMES, TIERS, TierConfig
 
 if TYPE_CHECKING:
     from .featurizer import ComplexityAnnotator
@@ -145,6 +136,17 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    from .scheduler import (
+        ScheduleSpec,
+        TierIndex,
+        active_tiers,
+        baseline_budget,
+        epoch_views,
+        sample_epoch,
+        tier_weights_mixed,
+        write_manifest,
+    )
+
     if not args.annotated and not args.tier_counts:
         log.error("schedule: give --annotated or --tier-counts")
         return 1

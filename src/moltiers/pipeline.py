@@ -1,24 +1,27 @@
 """Corpus ingestion and the fan-out/fan-in parallel annotation pipeline.
 
 ``run_annotate`` is the one annotate run.  It cuts the record stream into
-chunks and hands them to one mapper, ``_chunk_mapper``, which runs a chunk
-function in-process for one worker, or otherwise from one pool that lives
-for the whole run.  Pool workers are forked from the caller and inherit its
-annotator, library and fitted table included; a task carries only the chunk
-function and the chunk, and results come back in input order, so output is
-byte-identical for any worker count or chunk size.
+chunks and hands them to one mapper, ``_chunk_mapper``: ``workers``
+processes, the caller included, share the chunks.  With one worker the
+caller runs every chunk; with N it runs every N-th chunk itself, beside a
+pool of N - 1 processes that lives for the whole run.  Pool workers are
+forked from the caller and inherit its annotator, library and fitted table
+included; a task carries only the chunk function and the chunk, and
+results come back in input order, so output is byte-identical for any
+worker count or chunk size.
 
 * With a prevalence table, each chunk is described and finished in one task
   (``annotate_chunk``).
 * Without one, the run fits the table in the same pass: each molecule is
-  parsed and described once (``describe_chunk``), the parent spills the
+  parsed and described once (``describe_chunk``), the caller spills the
   pickled chunks to an anonymous temp file while it sums their group counts
-  into the table, and the spilled chunks then go back through the same pool
-  to be finished (``finish_chunk``, given the table the workers were forked
-  without).  The output is byte-identical to ``fit`` then a fitted run.
+  into the table, and the spilled chunks then go back through the same
+  mapper to be finished (``finish_chunk``, given the table the workers were
+  forked without).  The output is byte-identical to ``fit`` then a fitted
+  run.
 
-The parent only routes chunks and writes lines.  A worker that dies ends
-the run with WorkerDied.
+Besides its share of the chunks, the caller routes the rest and writes
+every line.  A pool worker that dies ends the run with WorkerDied.
 """
 
 from __future__ import annotations
@@ -51,11 +54,13 @@ def iter_input(
     delimiter: str | None = None,
 ) -> Iterator[tuple[int, str]]:
     """Yield (row id, smiles) pairs; blank rows are skipped silently.  The
-    ``auto`` format reads .csv and .tsv files as delimited, others as smi."""
+    ``auto`` format reads .csv and .tsv files as delimited, others as smi.
+    A leading UTF-8 byte-order mark, as spreadsheet programs write, is
+    dropped."""
     if fmt == "auto":
         fmt = "delimited" if Path(path).suffix.lower() in (".csv", ".tsv") else "smi"
     if fmt == "smi":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for i, line in enumerate(fh):
                 token = line.split(None, 1)[0] if line.strip() else ""
                 if token:
@@ -64,7 +69,7 @@ def iter_input(
     if fmt != "delimited":
         raise ValueError(f"unknown input format {fmt!r}")
     delim = delimiter or ("\t" if str(path).endswith(".tsv") else ",")
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         header = next(reader, None)
         if header is None:
@@ -108,9 +113,18 @@ def _chunk_mapper(
     annotator: ComplexityAnnotator, workers: int
 ) -> Iterator[Callable[[ChunkFn, Iterable], Iterator]]:
     """A ``map_chunks(fn, chunks)`` yielding ``fn(chunk, annotator)`` per
-    chunk, in input order: in-process for one worker, otherwise from one
-    pool, alive for the whole block, of workers that inherit ``annotator``
-    as it is at the first submit."""
+    chunk, in input order, from ``workers`` processes, the caller included.
+
+    One worker runs every chunk in-process.  Otherwise one pool of
+    ``workers - 1`` processes, alive for the whole block, inherits
+    ``annotator`` as it is at the first submit, and the caller runs chunk k
+    itself when ``k % workers == workers - 1``.  The share is fixed: a
+    caller that took a chunk only when the pool was full would leave the
+    pool a longer queue to drain at the end of the input while it waited.
+    The caller runs its chunk once the pool holds the next round of chunks
+    too, so each pool process has a chunk queued behind the one it runs.
+    At most ``2 * workers`` chunks are read but not yet yielded, so each
+    pool process has at most two chunks in flight."""
     if workers <= 1:
         yield lambda fn, chunks: (fn(chunk, annotator) for chunk in chunks)
         return
@@ -119,25 +133,37 @@ def _chunk_mapper(
     # at 2 workers)
     annotator._lib()
     # imported here, so commands that start no pool do not load it
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
     # fork: spawn cost about 0.2 s more per 2,500-molecule command at 2
     # workers, and with fork the executor starts every worker before its
     # manager thread, so no thread is running when the process forks; the
     # forked workers share the caller's annotator instead of unpickling it
-    pool = ProcessPoolExecutor(workers, mp.get_context("fork"),
+    pool = ProcessPoolExecutor(workers - 1, mp.get_context("fork"),
                                _init_worker, (annotator,))
 
     def map_chunks(fn: ChunkFn, chunks: Iterable) -> Iterator:
-        # at most two chunks in flight per worker
-        pending: deque = deque()
+        # per chunk read and not yet yielded, a future of its result
+        pending: deque[Future] = deque()
+        mine = None  # the caller's chunk read but not yet run, and its future
         done = 0
         try:
-            for chunk in chunks:
-                pending.append(pool.submit(_worker_chunk, fn, chunk))
+            for k, chunk in enumerate(chunks):
+                if k % workers == workers - 1:
+                    mine = Future(), chunk
+                    pending.append(mine[0])
+                else:
+                    pending.append(pool.submit(_worker_chunk, fn, chunk))
+                    if mine and k % workers == workers - 2:
+                        future, held = mine
+                        future.set_result(fn(held, annotator))
+                        mine = None
                 if len(pending) >= 2 * workers:
                     yield pending.popleft().result()
                     done += 1
+            if mine:
+                future, held = mine
+                future.set_result(fn(held, annotator))
             while pending:
                 yield pending.popleft().result()
                 done += 1

@@ -21,8 +21,7 @@ from itertools import chain, compress
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import EpochOutOfRange, Staged10RequiresTenEpochs
-
-REGIMES = ("additive", "staged10", "mixed", "standard", "anti")
+from .tiering import REGIMES
 
 N_TIERS = 5
 

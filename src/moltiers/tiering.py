@@ -11,6 +11,10 @@ if TYPE_CHECKING:  # only annotations name it, so tiering loads no descriptor co
 
 TIERS = ("T0", "T1", "T2", "T3", "T4")
 
+# the curriculum regimes a schedule can run; here, not in the scheduler, so
+# the CLI offers them without loading the schedule arithmetic
+REGIMES = ("additive", "staged10", "mixed", "standard", "anti")
+
 
 @dataclass(frozen=True)
 class TierConfig:

@@ -85,6 +85,16 @@ class TestInputReaders:
         path.write_text("smiles\tname\nCCO\tethanol\n")
         assert list(iter_input(path)) == [(0, "CCO")]
 
+    def test_smi_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.smi"
+        path.write_text("\ufeffCCO\nCCN\n", encoding="utf-8")
+        assert list(iter_input(path)) == [(0, "CCO"), (1, "CCN")]
+
+    def test_csv_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffsmiles,name\nCCO,ethanol\n", encoding="utf-8")
+        assert list(iter_input(path)) == [(0, "CCO")]
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")

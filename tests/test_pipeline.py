@@ -24,7 +24,7 @@ from moltiers.cli import main
 from moltiers.errors import EmptyCorpus, MoltiersError, PrevalenceMismatch
 from moltiers.featurizer import ComplexityAnnotator
 from moltiers.fgroups import FGLibrary
-from moltiers.pipeline import iter_input, run_annotate
+from moltiers.pipeline import _chunk_mapper, chunked, iter_input, run_annotate
 from moltiers.synth import generate_corpus
 
 MALFORMED = ["((bad", "C1CC", "Xx", "[H][H]", "C[C@@H"]
@@ -326,10 +326,11 @@ class TestMismatchedTable:
 
 
 @pytest.mark.parametrize("with_table", [False, True])
-def test_parent_never_finishes_at_two_workers(corpus, tmp_path, monkeypatch,
-                                              with_table):
-    """With a pool, every record is finished in a worker, never in the
-    parent, and the bytes are those of an in-process run."""
+def test_caller_runs_every_third_chunk_at_three_workers(corpus, tmp_path,
+                                                        monkeypatch, with_table):
+    """At three workers the caller describes and finishes exactly the
+    molecules of chunks k = 2 (mod 3), the forked workers all others, and
+    the bytes are those of an in-process run."""
     table = []
     if with_table:
         assert main(["prevalence", "--input", str(corpus), "--output-dir",
@@ -338,18 +339,69 @@ def test_parent_never_finishes_at_two_workers(corpus, tmp_path, monkeypatch,
     expected = tmp_path / "expected.jsonl"
     assert main(["annotate", "--input", str(corpus), "--output", str(expected),
                  "--workers", "1", *table]) == 0
+    caller_ids = {mol_id for k, chunk in enumerate(chunked(iter_input(corpus), 64))
+                  if k % 3 == 2 for mol_id, _ in chunk}
+    written = [json.loads(line)["id"] for line in expected.read_text().splitlines()]
+    caller_records = sum(mol_id in caller_ids for mol_id in written)
     parent = os.getpid()
-    finish = ComplexityAnnotator.finish
+    calls = {"describe": 0, "finish": 0}
 
-    def workers_only(self, core):
-        assert os.getpid() != parent, "finish called in the parent process"
-        return finish(self, core)
+    def counted(name):
+        real = getattr(ComplexityAnnotator, name)
 
-    monkeypatch.setattr(ComplexityAnnotator, "finish", workers_only)
+        def wrapper(self, arg):
+            if os.getpid() == parent:
+                calls[name] += 1
+            return real(self, arg)
+        monkeypatch.setattr(ComplexityAnnotator, name, wrapper)
+
+    counted("describe")
+    counted("finish")
     out = tmp_path / "out.jsonl"
     assert main(["annotate", "--input", str(corpus), "--output", str(out),
-                 "--workers", "2", "--chunk-size", "64", *table]) == 0
+                 "--workers", "3", "--chunk-size", "64", *table]) == 0
     assert out.read_bytes() == expected.read_bytes()
+    assert calls == {"describe": len(caller_ids), "finish": caller_records}
+    assert 0 < caller_records < len(written) / 2
+
+
+# chunks the input iterator of the mapper test has handed out so far
+_READ: list[int] = []
+
+
+def _chunk_pid_and_read(chunk, annotator):
+    return chunk, os.getpid(), len(_READ)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_chunk_mapper_order_process_and_read_ahead(workers):
+    """Results come back in chunk order; chunk k runs in the caller exactly
+    when k % workers == workers - 1, once the pool holds the next round of
+    chunks too, and the rest in at most workers - 1 forked processes; the
+    input is read at most 2 * workers chunks ahead of the last yielded
+    result."""
+    n = 20
+    _READ.clear()
+
+    def chunks():
+        for k in range(n):
+            _READ.append(k)
+            yield k
+
+    yielded, pool_pids, ahead = [], set(), []
+    with _chunk_mapper(ComplexityAnnotator(), workers) as map_chunks:
+        for k, pid, read in map_chunks(_chunk_pid_and_read, chunks()):
+            ahead.append(len(_READ) - len(yielded))
+            yielded.append(k)
+            if k % workers == workers - 1:
+                assert pid == os.getpid(), k
+                assert read == min(k + workers, n), k
+            else:
+                assert pid != os.getpid(), k
+                pool_pids.add(pid)
+    assert yielded == list(range(n))
+    assert 1 <= len(pool_pids) <= workers - 1
+    assert max(ahead) == 2 * workers
 
 
 # Runs `moltiers` with ComplexityAnnotator.describe patched so that each
@@ -409,7 +461,9 @@ class TestDeadWorker:
         return proc.returncode, err
 
     @pytest.mark.parametrize("with_table", [False, True])
-    def test_exits_2_and_leaves_destination(self, tmp_path, with_table):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_exits_2_and_leaves_destination(self, tmp_path, workers,
+                                            with_table):
         corpus = tmp_path / "corpus.smi"
         corpus.write_text("\n".join(generate_corpus(3000, seed=12)) + "\n")
         table = []
@@ -419,7 +473,7 @@ class TestDeadWorker:
             table = ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
         out = tmp_path / "out.jsonl"
         argv = ["annotate", "--input", str(corpus), "--output", str(out),
-                "--workers", "2", *table]
+                "--workers", str(workers), *table]
         code, err = self.annotate(argv)
         assert code == 2, err
         assert "worker process died" in err
@@ -491,6 +545,18 @@ def test_cli_import_loads_no_smiles_or_descriptor_module():
             "'moltiers.descriptors', 'moltiers.featurizer', 'moltiers.pipeline') "
             "if m in sys.modules); "
             "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+
+
+def test_annotate_imports_load_no_scheduler():
+    # annotate and prevalence run on what these imports load
+    code = ("import sys, moltiers.cli, moltiers.pipeline; "
+            "loaded = sorted(m for m in ('moltiers.scheduler', 'fractions') "
+            "if m in sys.modules); "
+            "assert not loaded, loaded; "
+            "from moltiers.scheduler import REGIMES; "
+            "from moltiers.tiering import REGIMES as named; "
+            "assert REGIMES is named")
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
 
 
