@@ -3,12 +3,13 @@
 ``run_annotate`` is the one annotate run.  It cuts the record stream into
 chunks and hands them to one mapper, ``_chunk_mapper``: ``workers``
 processes, the caller included, share the chunks.  With one worker the
-caller runs every chunk; with N it runs every N-th chunk itself, beside a
-pool of N - 1 processes that lives for the whole run.  Pool workers are
-forked from the caller and inherit its annotator, library and fitted table
-included; a task carries only the chunk function and the chunk, and
-results come back in input order, so output is byte-identical for any
-worker count or chunk size.
+caller runs every chunk; with N it forks N - 1 worker processes that live
+for the whole run and runs every N-th chunk itself.  The workers inherit
+the caller's annotator, library and fitted table included.  Each worker has
+two pipes: the caller writes length-prefixed pickled ``(fn, chunk)`` tasks
+to one and reads an ``("ok", result)`` or ``("err", exception)`` frame per
+task from the other.  Results come back in input order, so output is
+byte-identical for any worker count or chunk size.
 
 * With a prevalence table, each chunk is described and finished in one task
   (``annotate_chunk``).
@@ -21,17 +22,18 @@ worker count or chunk size.
   run.
 
 Besides its share of the chunks, the caller routes the rest and writes
-every line.  A pool worker that dies ends the run with WorkerDied.
+every line.  A worker that dies ends the run with WorkerDied; an exception
+raised in a worker's chunk is raised again in the caller.
 """
 
 from __future__ import annotations
 
 import csv
-import multiprocessing as mp
+import os
 import pickle
+import select
 import tempfile
 from collections import Counter, deque
-from concurrent.futures import BrokenExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -96,16 +98,131 @@ def chunked(items: Iterable, size: int) -> Iterator[list]:
         yield chunk
 
 
-_WORKER: ComplexityAnnotator | None = None
+_HEADER = 8  # bytes of the big-endian length before each pickled frame
+_READ_SIZE = 1 << 16  # bytes asked of a result pipe per read
 
 
-def _init_worker(annotator: ComplexityAnnotator) -> None:
-    global _WORKER
-    _WORKER = annotator
+def _frame(obj) -> bytes:
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(_HEADER, "big") + data
 
 
-def _worker_chunk(fn: ChunkFn, chunk):
-    return fn(chunk, _WORKER)
+def _error_frame(exc: Exception) -> bytes:
+    """``("err", exc)``, or ``("err", RuntimeError(repr(exc)))`` when
+    ``exc`` does not survive a pickle round trip."""
+    try:
+        frame = _frame(("err", exc))
+        pickle.loads(frame[_HEADER:])
+    except Exception:
+        frame = _frame(("err", RuntimeError(repr(exc))))
+    return frame
+
+
+def _serve(tasks: int, results: int, annotator: ComplexityAnnotator) -> None:
+    """A forked worker's loop: for each ``(fn, chunk)`` task read from
+    ``tasks``, write ``("ok", fn(chunk, annotator))`` or ``("err",
+    exception)`` to ``results``, until ``tasks`` reaches EOF."""
+    with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
+        while header := inbox.read(_HEADER):
+            fn, chunk = pickle.loads(inbox.read(int.from_bytes(header, "big")))
+            try:
+                reply = _frame(("ok", fn(chunk, annotator)))
+            except Exception as exc:
+                reply = _error_frame(exc)
+            outbox.write(reply)
+            outbox.flush()
+
+
+class _Worker:
+    """A process forked to run ``_serve``, with the caller's ends of its two
+    pipes: ``tasks`` (non-blocking) and ``results``.  ``inbox`` holds result
+    bytes read but not yet taken, ``sent`` the (function name, chunk
+    number) of each task without a taken result, in order."""
+
+    __slots__ = ("pid", "tasks", "results", "inbox", "sent", "eof")
+
+    def __init__(self, annotator: ComplexityAnnotator, others: list[_Worker]):
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            task_r, self.tasks, self.results, result_w = fds
+            self.pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                # another child holding a task pipe's write end would keep
+                # that worker from seeing EOF
+                for fd in (self.tasks, self.results,
+                           *(fd for w in others for fd in (w.tasks, w.results))):
+                    os.close(fd)
+                _serve(task_r, result_w, annotator)
+                code = 0
+            finally:
+                # never the caller's exit path: no flush of its buffers, no
+                # finally block of its stack
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        os.set_blocking(self.tasks, False)
+        self.inbox = bytearray()
+        self.sent: deque[tuple[str, int]] = deque()
+        self.eof = False
+
+    def died(self) -> WorkerDied:
+        name, k = self.sent[0]
+        return WorkerDied(f"a worker process died; {name} lost chunk {k} "
+                          "(counting from 0)")
+
+    def drain(self) -> None:
+        data = os.read(self.results, _READ_SIZE)
+        if data:
+            self.inbox += data
+        else:
+            self.eof = True
+
+    def send(self, frame: bytes, task: tuple[str, int], pool: list[_Worker]) -> None:
+        """Write one task frame.  While the task pipe is full, read every
+        worker's result pipe, so that the caller never waits on a worker
+        that waits for the caller to read its result."""
+        self.sent.append(task)
+        view = memoryview(frame)
+        while view:
+            try:
+                view = view[os.write(self.tasks, view):]
+            except BlockingIOError:
+                waiting = select.poll()
+                waiting.register(self.tasks, select.POLLOUT)
+                readers = {w.results: w for w in pool if not w.eof}
+                for fd in readers:
+                    waiting.register(fd, select.POLLIN)
+                for fd, _ in waiting.poll():
+                    if fd in readers:
+                        readers[fd].drain()
+            except BrokenPipeError:
+                raise self.died() from None
+
+    def receive(self) -> object:
+        """The result of the oldest task without one; the exception its
+        chunk raised is raised here."""
+        while True:
+            if len(self.inbox) >= _HEADER:
+                end = _HEADER + int.from_bytes(self.inbox[:_HEADER], "big")
+                if len(self.inbox) >= end:
+                    break
+            if self.eof:
+                raise self.died()
+            self.drain()
+        status, value = pickle.loads(self.inbox[_HEADER:end])
+        del self.inbox[:end]
+        self.sent.popleft()
+        if status == "err":
+            raise value
+        return value
 
 
 @contextmanager
@@ -115,67 +232,67 @@ def _chunk_mapper(
     """A ``map_chunks(fn, chunks)`` yielding ``fn(chunk, annotator)`` per
     chunk, in input order, from ``workers`` processes, the caller included.
 
-    One worker runs every chunk in-process.  Otherwise one pool of
-    ``workers - 1`` processes, alive for the whole block, inherits
-    ``annotator`` as it is at the first submit, and the caller runs chunk k
-    itself when ``k % workers == workers - 1``.  The share is fixed: a
-    caller that took a chunk only when the pool was full would leave the
-    pool a longer queue to drain at the end of the input while it waited.
-    The caller runs its chunk once the pool holds the next round of chunks
-    too, so each pool process has a chunk queued behind the one it runs.
-    At most ``2 * workers`` chunks are read but not yet yielded, so each
-    pool process has at most two chunks in flight."""
+    One worker runs every chunk in-process.  Otherwise the caller forks
+    ``workers - 1`` processes on entry, alive for the whole block, which
+    inherit ``annotator`` as it is then.  Each has two pipes: the caller
+    writes length-prefixed pickled ``(fn, chunk)`` tasks to one, and the
+    worker writes an ``("ok", result)`` or ``("err", exception)`` frame per
+    task to the other.  The caller runs chunk k itself when ``k % workers
+    == workers - 1`` and sends the rest to worker ``k % workers``.  The
+    share is fixed: a caller that took a chunk only when the workers were
+    busy would leave them a longer queue to drain at the end of the input
+    while it waited.  The caller runs its chunk once the next round of
+    chunks is sent too, so each worker has a chunk queued behind the one it
+    runs.  At most ``2 * workers`` chunks are read but not yet yielded, so
+    each worker has at most two chunks in flight.
+
+    A worker's exception is raised in the caller as itself, or as a
+    RuntimeError carrying its repr when it cannot be pickled.  EOF or a
+    broken pipe from a worker is WorkerDied, naming the chunk it lost.  On
+    every exit the pipes are closed, which ends each worker's loop, and
+    every worker is reaped."""
     if workers <= 1:
         yield lambda fn, chunks: (fn(chunk, annotator) for chunk in chunks)
         return
-    # loaded before the pool forks, so workers inherit the default library
+    # loaded before the fork, so workers inherit the default library
     # instead of each building a private copy (about 1 MB less summed RSS
     # at 2 workers)
     annotator._lib()
-    # imported here, so commands that start no pool do not load it
-    from concurrent.futures import Future, ProcessPoolExecutor
-
-    # fork: spawn cost about 0.2 s more per 2,500-molecule command at 2
-    # workers, and with fork the executor starts every worker before its
-    # manager thread, so no thread is running when the process forks; the
-    # forked workers share the caller's annotator instead of unpickling it
-    pool = ProcessPoolExecutor(workers - 1, mp.get_context("fork"),
-                               _init_worker, (annotator,))
+    pool: list[_Worker] = []
 
     def map_chunks(fn: ChunkFn, chunks: Iterable) -> Iterator:
-        # per chunk read and not yet yielded, a future of its result
-        pending: deque[Future] = deque()
-        mine = None  # the caller's chunk read but not yet run, and its future
-        done = 0
-        try:
-            for k, chunk in enumerate(chunks):
-                if k % workers == workers - 1:
-                    mine = Future(), chunk
-                    pending.append(mine[0])
-                else:
-                    pending.append(pool.submit(_worker_chunk, fn, chunk))
-                    if mine and k % workers == workers - 2:
-                        future, held = mine
-                        future.set_result(fn(held, annotator))
-                        mine = None
-                if len(pending) >= 2 * workers:
-                    yield pending.popleft().result()
-                    done += 1
-            if mine:
-                future, held = mine
-                future.set_result(fn(held, annotator))
-            while pending:
-                yield pending.popleft().result()
-                done += 1
-        except BrokenExecutor as exc:
-            name = getattr(fn, "func", fn).__name__
-            raise WorkerDied(f"a worker process died; {name} lost chunk "
-                             f"{done} (counting from 0)") from exc
+        name = getattr(fn, "func", fn).__name__
+        # per chunk read and not yet yielded, a call returning its result
+        pending: deque[Callable[[], object]] = deque()
+        held = None  # the caller's chunk read but not yet run, and its box
+        for k, chunk in enumerate(chunks):
+            if k % workers == workers - 1:
+                held = chunk, []
+                pending.append(held[1].pop)
+            else:
+                worker = pool[k % workers]
+                worker.send(_frame((fn, chunk)), (name, k), pool)
+                pending.append(worker.receive)
+                if held and k % workers == workers - 2:
+                    held[1].append(fn(held[0], annotator))
+                    held = None
+            if len(pending) >= 2 * workers:
+                yield pending.popleft()()
+        if held:
+            held[1].append(fn(held[0], annotator))
+        while pending:
+            yield pending.popleft()()
 
     try:
+        for _ in range(workers - 1):
+            pool.append(_Worker(annotator, pool))
         yield map_chunks
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in pool:
+            os.close(worker.tasks)
+            os.close(worker.results)
+        for worker in pool:
+            os.waitpid(worker.pid, 0)
 
 
 Described = list[tuple[int, str, DescriptorCore]]

@@ -404,14 +404,52 @@ def test_chunk_mapper_order_process_and_read_ahead(workers):
     assert max(ahead) == 2 * workers
 
 
+def _pid_or_raise(chunk, annotator):
+    k, raised = chunk
+    if raised == "ValueError":
+        raise ValueError(f"chunk {k}")
+    if raised == "unpicklable":
+        raise ValueError(lambda: k)
+    return os.getpid()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("where, raised, expected", [
+    ("worker", "ValueError", ValueError),
+    ("worker", "unpicklable", RuntimeError),
+    ("caller", "ValueError", ValueError),
+])
+def test_chunk_mapper_raises_a_chunks_exception_and_reaps(workers, where, raised,
+                                                          expected):
+    """An exception raised in a chunk reaches the caller as itself, or as a
+    RuntimeError carrying its repr when it cannot be pickled, and no forked
+    worker outlives the block."""
+    bad = 2 * workers + (workers - 1 if where == "caller" else 0)
+    chunks = [(k, raised if k == bad else None) for k in range(4 * workers)]
+    pids = set()
+    with pytest.raises(expected) as info:
+        with _chunk_mapper(ComplexityAnnotator(), workers) as map_chunks:
+            for pid in map_chunks(_pid_or_raise, chunks):
+                pids.add(pid)
+    assert (f"chunk {bad}" if raised == "ValueError"
+            else "ValueError(<function") in str(info.value)
+    forked = pids - {os.getpid()}
+    assert len(forked) == workers - 1
+    for pid in forked:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 # Runs `moltiers` with ComplexityAnnotator.describe patched so that each
-# pool worker exits at its 300th call; forked workers inherit the patch.
+# pool worker exits at its n-th call, n the first argument; forked workers
+# inherit the patch.
 DYING_WORKER = """
 import os, sys
 from moltiers.cli import main
 from moltiers.featurizer import ComplexityAnnotator
 
 parent = os.getpid()
+die_at = int(sys.argv[1])
 describe = ComplexityAnnotator.describe
 calls = 0
 
@@ -419,12 +457,12 @@ def dying(self, smiles):
     global calls
     if os.getpid() != parent:
         calls += 1
-        if calls == 300:
+        if calls == die_at:
             os._exit(9)
     return describe(self, smiles)
 
 ComplexityAnnotator.describe = dying
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
@@ -437,8 +475,64 @@ def child_env() -> dict[str, str]:
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
+def run_in_session(argv: list[str], timeout_s: float) -> tuple[int, str]:
+    """(exit code, stderr) of ``python argv`` run in a session of its own;
+    a run still going after ``timeout_s`` fails the test, and so does any
+    process left in the session once the run has exited."""
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=child_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"annotate still running after {timeout_s} s")
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return proc.returncode, err
+    os.killpg(proc.pid, signal.SIGKILL)
+    pytest.fail("a process outlived annotate in its session")
+
+
+@pytest.fixture(scope="module")
+def large_corpus(tmp_path_factory):
+    """12,000 molecules, their prevalence table and their --workers 1
+    output; a chunk of 3,000 of them pickles to more than a pipe holds."""
+    root = tmp_path_factory.mktemp("large")
+    corpus = root / "corpus.smi"
+    corpus.write_text("\n".join(generate_corpus(12000, seed=3)) + "\n")
+    assert main(["prevalence", "--input", str(corpus), "--output-dir",
+                 str(root / "p")]) == 0
+    assert main(["annotate", "--input", str(corpus), "--output",
+                 str(root / "w1.jsonl"), "--workers", "1"]) == 0
+    return corpus, root / "p" / "prevalence.tsv", (root / "w1.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("with_table", [False, True])
+@pytest.mark.parametrize("workers, chunk_size", [(2, 3000), (3, 5000)])
+def test_large_chunks_do_not_deadlock(large_corpus, tmp_path, workers,
+                                      chunk_size, with_table):
+    """Task and result frames larger than a pipe holds: the caller must not
+    block on a full task pipe while the worker blocks on a full result
+    pipe.  Run in a child interpreter, so a deadlock fails by timing out."""
+    corpus, table, expected = large_corpus
+    out = tmp_path / "out.jsonl"
+    argv = ["-m", "moltiers.cli", "annotate", "--input", str(corpus),
+            "--output", str(out), "--workers", str(workers),
+            "--chunk-size", str(chunk_size)]
+    if with_table:
+        argv += ["--prevalence", str(table)]
+    code, err = run_in_session(argv, timeout_s=120)
+    assert code == 0, err
+    assert out.read_bytes() == expected
+
+
 class TestDeadWorker:
-    """A pool worker that dies ends the run with exit 2 and no output.
+    """A pool worker that dies ends the run with exit 2 and no output, and
+    leaves no process behind.
 
     The run happens in a child interpreter, so a pool that waits forever
     fails the test by timing out instead of hanging the suite.
@@ -446,19 +540,9 @@ class TestDeadWorker:
 
     TIMEOUT_S = 60
 
-    def annotate(self, argv: list[str]) -> tuple[int, str]:
-        proc = subprocess.Popen(
-            [sys.executable, "-c", DYING_WORKER, *argv], env=child_env(),
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,
-        )
-        try:
-            _, err = proc.communicate(timeout=self.TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail(f"annotate still running after {self.TIMEOUT_S} s")
-        return proc.returncode, err
+    def annotate(self, die_at: int, argv: list[str]) -> tuple[int, str]:
+        return run_in_session(["-c", DYING_WORKER, str(die_at), *argv],
+                              self.TIMEOUT_S)
 
     @pytest.mark.parametrize("with_table", [False, True])
     @pytest.mark.parametrize("workers", [2, 3])
@@ -474,15 +558,34 @@ class TestDeadWorker:
         out = tmp_path / "out.jsonl"
         argv = ["annotate", "--input", str(corpus), "--output", str(out),
                 "--workers", str(workers), *table]
-        code, err = self.annotate(argv)
+        code, err = self.annotate(300, argv)
         assert code == 2, err
         assert "worker process died" in err
         assert not out.exists()
         out.write_text("earlier output\n")
-        assert self.annotate(argv)[0] == 2
+        assert self.annotate(300, argv)[0] == 2
         assert out.read_text() == "earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["corpus.smi", "out.jsonl"] + (["p"] if with_table else []))
+
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_task_write_to_dead_worker(self, large_corpus, tmp_path,
+                                       with_table):
+        """The worker dies at its first describe call, inside chunk 0, so
+        the caller's write of chunk 2, larger than a pipe holds, meets a
+        broken pipe."""
+        corpus, table, _ = large_corpus
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier output\n")
+        argv = ["annotate", "--input", str(corpus), "--output", str(out),
+                "--workers", "2", "--chunk-size", "3000"]
+        if with_table:
+            argv += ["--prevalence", str(table)]
+        code, err = self.annotate(1, argv)
+        assert code == 2, err
+        assert "lost chunk 0 " in err
+        assert out.read_text() == "earlier output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 class TestNoPartialOutput:
@@ -558,6 +661,18 @@ def test_annotate_imports_load_no_scheduler():
             "from moltiers.tiering import REGIMES as named; "
             "assert REGIMES is named")
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+
+
+def test_annotate_with_workers_loads_no_multiprocessing(corpus, tmp_path):
+    # the forked workers leave through os._exit, so only the caller asserts
+    code = ("import sys; from moltiers.cli import main; "
+            "assert main(sys.argv[1:]) == 0; "
+            "loaded = sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code, "annotate", "--input", str(corpus),
+                    "--output", str(tmp_path / "out.jsonl"), "--workers", "2"],
+                   check=True, env=child_env())
 
 
 def test_every_public_name_resolves():
