@@ -10,12 +10,18 @@ that the kernel, or a kernel it calls, allocated, or on the calling thread's
 workspace.  ``nt_xent`` and ``siglip_loss`` take one exponential per pair
 and build no label or mask matrix.
 
-The workspace holds the n x n float64 matrices of ``nt_xent`` and
-``siglip_loss``: four per thread, 4 * n^2 * 8 bytes at the last n (2 MB at
-n = 256), kept while n stays the same and replaced when it changes, so a
-training loop at a fixed batch size allocates no n x n matrix after its first
-step.  Returned arrays are always fresh, never views of the workspace, and no
-kernel holds a workspace matrix across a call to another kernel.
+``nt_xent`` and ``siglip_loss`` (and so ``hybrid_loss``) take their rows in
+blocks of at most ``ROW_BLOCK``: each block's softmax or sigmoid terms are
+computed in full, and the loss sums, the scale and bias gradients and the
+transposed gradient products are summed block by block.  A batch of at most
+``ROW_BLOCK`` rows is one block and runs the unblocked operations in their
+order.  The workspace holds a block's four float64 matrices, each
+min(n, ROW_BLOCK) x n: 4 * min(n, ROW_BLOCK) * n * 8 bytes per thread at the
+last n (2 MB at n = 256, 256 MB at n = 16,384), kept while n stays the same
+and replaced when it changes, so a training loop at a fixed batch size
+allocates no pair matrix after its first step.  Returned arrays are always
+fresh, never views of the workspace, and no kernel holds a workspace matrix
+across a call to another kernel.
 """
 
 from __future__ import annotations
@@ -66,17 +72,37 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return m
 
 
+# rows of the pair matrices per block: bounds the workspace to
+# 4 * ROW_BLOCK * n float64 (64 MB at n = 4,096) where the whole matrices
+# would take 4 * n^2
+ROW_BLOCK = 512
+
+# index pairs per block of pairwise_distance_correlation: bounds its gathered
+# rows and their differences to PAIR_BLOCK x d float64 (512 KB at d = 128)
+# whatever n_pairs is
+PAIR_BLOCK = 512
+
 _local = threading.local()
 
 
 def _workspace(n: int) -> np.ndarray:
-    """This thread's four n x n float64 scratch matrices, as one (4, n, n)
-    array, kept while n stays the same."""
+    """This thread's four min(n, ROW_BLOCK) x n float64 scratch matrices,
+    as one array, kept while n stays the same."""
+    shape = (4, min(n, ROW_BLOCK), n)
     work = getattr(_local, "work", None)
-    if work is None or work.shape[1] != n:
+    if work is None or work.shape != shape:
         _local.work = None  # free the old matrices before the new ones
-        work = _local.work = np.empty((4, n, n))
+        work = _local.work = np.empty(shape)
     return work
+
+
+def _blocks(n: int):
+    """(start, stop, diagonal row indices, diagonal column indices) of each
+    block of at most ROW_BLOCK rows."""
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        rows = np.arange(stop - start)
+        yield start, stop, rows, rows + start
 
 
 def _require_normalized(m: np.ndarray, name: str) -> None:
@@ -117,23 +143,34 @@ def nt_xent(
     if check_normalized:
         _require_normalized(v1, "v1")
         _require_normalized(v2, "v2")
-    sim = np.matmul(v1, v2.T, out=_workspace(n)[0])
-    sim /= temperature
-    idx = np.arange(n)
-    positive = sim[idx, idx]
-    if not include_positive_in_denominator:
-        sim[idx, idx] = -np.inf
-    # sim becomes the masked softmax, then the gradient w.r.t. the scaled
-    # similarities; an excluded diagonal is exp(-inf) = 0 before the -1
-    row_max = sim.max(axis=1, keepdims=True)
-    sim -= row_max
-    np.exp(sim, out=sim)
-    denom = sim.sum(axis=1)
-    loss = float(np.sum(row_max[:, 0] + np.log(denom) - positive))
-    sim /= denom[:, None]
-    sim[idx, idx] -= 1.0
-    sim /= temperature
-    return NtXentResult(loss, sim @ v2, sim.T @ v1)
+    work = _workspace(n)[0]
+    grad_v1 = np.empty(v1.shape)
+    for start, stop, rows, cols in _blocks(n):
+        block = v1[start:stop]
+        sim = np.matmul(block, v2.T, out=work[:stop - start])
+        sim /= temperature
+        positive = sim[rows, cols]
+        if not include_positive_in_denominator:
+            sim[rows, cols] = -np.inf
+        # sim becomes the masked softmax, then the gradient w.r.t. the
+        # scaled similarities; an excluded diagonal is exp(-inf) = 0 before
+        # the -1
+        row_max = sim.max(axis=1, keepdims=True)
+        sim -= row_max
+        np.exp(sim, out=sim)
+        denom = sim.sum(axis=1)
+        part = float(np.sum(row_max[:, 0] + np.log(denom) - positive))
+        sim /= denom[:, None]
+        sim[rows, cols] -= 1.0
+        sim /= temperature
+        np.matmul(sim, v2, out=grad_v1[start:stop])
+        # the first block assigns: 0.0 + -0.0 would turn a -0.0 into +0.0
+        if start == 0:
+            loss, grad_v2 = part, sim.T @ block
+        else:
+            loss += part
+            grad_v2 += sim.T @ block
+    return NtXentResult(loss, grad_v1, grad_v2)
 
 
 @dataclass(frozen=True)
@@ -167,43 +204,57 @@ def siglip_loss(
         _require_normalized(v, "v")
         _require_normalized(t, "t")
     n = v.shape[0]
-    sim, m, scratch, q = _workspace(n)
-    np.matmul(v, t.T, out=sim)
-    # m = -z: the label is +1 on the diagonal and -1 elsewhere
-    np.multiply(scale, sim, out=m)
-    if signed_bias:
-        m += bias
-    idx = np.arange(n)
-    m[idx, idx] = -m[idx, idx]
-    if not signed_bias:
-        m -= bias
+    work = _workspace(n)
     inv_n2 = 1.0 / (n * n)
-    nonneg = m >= 0.0
-    np.maximum(m, 0.0, out=scratch)
-    # m is not read again: it becomes e = exp(-|m|) in place
-    e = np.abs(m, out=m)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.log1p(e, out=q)
-    q += scratch  # softplus(m) = log1p(e) + max(m, 0)
-    loss = float(np.sum(q) * inv_n2)
+    grad_v = np.empty(v.shape)
+    for start, stop, rows, cols in _blocks(n):
+        block = v[start:stop]
+        sim, m, scratch, q = work[:, :stop - start]
+        np.matmul(block, t.T, out=sim)
+        # m = -z: the label is +1 on the diagonal and -1 elsewhere
+        np.multiply(scale, sim, out=m)
+        if signed_bias:
+            m += bias
+        m[rows, cols] = -m[rows, cols]
+        if not signed_bias:
+            m -= bias
+        np.maximum(m, 0.0, out=scratch)
+        # m is not read again: it becomes e = exp(-|m|) in place
+        e = np.abs(m, out=m)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.log1p(e, out=q)
+        q += scratch  # softplus(m) = log1p(e) + max(m, 0)
+        loss_sum = np.sum(q)
 
-    # q = sigmoid(m) / N^2 = -dloss/dz; with its diagonal negated it is
-    # labels * dloss/dz, i.e. dloss/d(scale * sim).  Its numerator is
-    # where(m >= 0, 1, e).
-    np.copyto(q, e)
-    np.copyto(q, 1.0, where=nonneg)
-    e += 1.0
-    q /= e
-    q *= inv_n2
-    if not signed_bias:
-        grad_bias = -float(np.sum(q))
-    q[idx, idx] = -q[idx, idx]
-    if signed_bias:
-        grad_bias = float(np.sum(q))
-    grad_scale = float(np.sum(np.multiply(q, sim, out=scratch)))
-    q *= scale
-    return SiglipResult(loss, q @ t, q.T @ v, grad_scale, grad_bias)
+        # q = sigmoid(m) / N^2 = -dloss/dz; with its diagonal negated it is
+        # labels * dloss/dz, i.e. dloss/d(scale * sim).  Its numerator is
+        # where(m >= 0, 1, e): sign(max(m, 0)) is 1 where m > 0, 0 where
+        # m <= 0 and NaN where m is, and e lies in [0, 1] with e = 1 at m = 0
+        np.sign(scratch, out=q)
+        np.maximum(e, q, out=q)
+        e += 1.0
+        q /= e
+        q *= inv_n2
+        if not signed_bias:
+            bias_sum = np.sum(q)
+        q[rows, cols] = -q[rows, cols]
+        if signed_bias:
+            bias_sum = np.sum(q)
+        scale_sum = np.sum(np.multiply(q, sim, out=scratch))
+        q *= scale
+        np.matmul(q, t, out=grad_v[start:stop])
+        part = np.array([loss_sum, bias_sum, scale_sum])
+        # the first block assigns: 0.0 + -0.0 would turn a -0.0 into +0.0
+        if start == 0:
+            sums, grad_t = part, q.T @ block
+        else:
+            sums += part
+            grad_t += q.T @ block
+    loss_sum, bias_sum, scale_sum = sums
+    grad_bias = float(bias_sum) if signed_bias else -float(bias_sum)
+    return SiglipResult(float(loss_sum * inv_n2), grad_v, grad_t,
+                        float(scale_sum), grad_bias)
 
 
 @dataclass(frozen=True)
@@ -324,6 +375,18 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return pearson(rank_average(x), rank_average(y))
 
 
+def _pair_distances(m: np.ndarray, left: np.ndarray,
+                    right: np.ndarray) -> np.ndarray:
+    """||m[left[k]] - m[right[k]]|| for each k, PAIR_BLOCK pairs at a time;
+    each row's norm is taken on its own, so the blocks give the bits of
+    one call over all pairs."""
+    out = np.empty(len(left))
+    for start in range(0, len(left), PAIR_BLOCK):
+        pick = slice(start, start + PAIR_BLOCK)
+        out[pick] = np.linalg.norm(m[left[pick]] - m[right[pick]], axis=1)
+    return out
+
+
 def pairwise_distance_correlation(
     a, b, n_pairs: int, seed: int = 0
 ) -> tuple[float, float]:
@@ -349,8 +412,8 @@ def pairwise_distance_correlation(
     while np.any(clash):
         right[clash] = rng.integers(0, n, size=int(clash.sum()))
         clash = left == right
-    da = np.linalg.norm(a[left] - a[right], axis=1)
-    db = np.linalg.norm(b[left] - b[right], axis=1)
+    da = _pair_distances(a, left, right)
+    db = _pair_distances(b, left, right)
     if np.ptp(da) == 0.0 or np.ptp(db) == 0.0:
         raise DegenerateVariance("all sampled distances are equal")
     return spearman(da, db), pearson(da, db)

@@ -359,6 +359,35 @@ def assert_hybrid_matches(v, g, proj, head, y, params):
         assert np.array_equal(getattr(res, name), getattr(ref, name)), name
 
 
+# the inputs of the kernel property tests
+KERNEL_CASE = dict(
+    n=st.integers(2, 12),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    unit=st.booleans(),
+    scale=st.floats(0.0, 2000.0),
+    bias=st.floats(-900.0, 900.0),
+    signed_bias=st.booleans(),
+    temperature=st.floats(1e-4, 10.0),
+    include=st.booleans(),
+    alpha=st.floats(0.0, 20.0),
+    beta=st.floats(0.0, 5.0),
+)
+
+
+def case_inputs(n, d, seed, unit):
+    """Read-only seeded (v, t, g, proj, head, y) of a property case."""
+    rng = np.random.default_rng(seed)
+    v, t = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    if unit:
+        v, t = l2_normalize_rows(v), l2_normalize_rows(t)
+    g, y = rng.normal(size=(n, d + 1)), rng.normal(size=n)
+    w, pb = rng.normal(size=(d, d + 1)), rng.normal(size=d)
+    hw, hb = rng.normal(size=(1, d)), rng.normal(size=1)
+    v, t, g, y, w, pb, hw, hb = read_only(v, t, g, y, w, pb, hw, hb)
+    return v, t, g, LinearMap(w, pb), LinearMap(hw, hb), y
+
+
 class TestKernelsMatchReference:
     """The kernels return the exact bits of the label-matrix and
     softmax-copy versions kept in ``oracles``, and never write an input."""
@@ -410,32 +439,13 @@ class TestKernelsMatchReference:
         assert_nt_xent_matches(v, t, 0.07, True)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(2, 12),
-        d=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-        unit=st.booleans(),
-        scale=st.floats(0.0, 2000.0),
-        bias=st.floats(-900.0, 900.0),
-        signed_bias=st.booleans(),
-        temperature=st.floats(1e-4, 10.0),
-        include=st.booleans(),
-        alpha=st.floats(0.0, 20.0),
-        beta=st.floats(0.0, 5.0),
-    )
+    @given(**KERNEL_CASE)
     def test_property(self, n, d, seed, unit, scale, bias, signed_bias,
                       temperature, include, alpha, beta):
-        rng = np.random.default_rng(seed)
-        v, t = rng.normal(size=(n, d)), rng.normal(size=(n, d))
-        if unit:
-            v, t = l2_normalize_rows(v), l2_normalize_rows(t)
-        g, y = rng.normal(size=(n, d + 1)), rng.normal(size=n)
-        w, pb = rng.normal(size=(d, d + 1)), rng.normal(size=d)
-        hw, hb = rng.normal(size=(1, d)), rng.normal(size=1)
-        v, t, g, y, w, pb, hw, hb = read_only(v, t, g, y, w, pb, hw, hb)
+        v, t, g, proj, head, y = case_inputs(n, d, seed, unit)
         assert_siglip_matches(v, t, scale, bias, signed_bias)
         assert_nt_xent_matches(v, t, temperature, include)
-        assert_hybrid_matches(v, g, LinearMap(w, pb), LinearMap(hw, hb), y,
+        assert_hybrid_matches(v, g, proj, head, y,
                               LossParams(bias=bias, scale=scale, alpha=alpha,
                                          beta=beta))
 
@@ -487,7 +497,10 @@ class TestWorkspace:
     def test_threads_match_serial_calls(self):
         # two threads per batch size: a workspace shared between threads
         # would be written by both at once
-        jobs = [(8, 3, 10, 20), (13, 4, 11, 20), (8, 3, 12, 20), (13, 4, 13, 20)]
+        # the last two batches span two row blocks
+        many = moltiers.losses.ROW_BLOCK + 9
+        jobs = [(8, 3, 10, 20), (13, 4, 11, 20), (8, 3, 12, 20), (13, 4, 13, 20),
+                (many, 3, 14, 20), (many, 3, 15, 20)]
         serial = [[result_bits(r) for r in kernel_results(*job)] for job in jobs]
         barrier = threading.Barrier(len(jobs), timeout=30)
         got: list = [None] * len(jobs)
@@ -549,6 +562,169 @@ class TestAllocations:
         finally:
             tracemalloc.stop()
         assert peak - before < self.PAIR_MATRIX_BYTES
+
+
+def row_norm_max(m) -> float:
+    return float(np.sqrt(np.sum(m * m, axis=1)).max())
+
+
+def assert_near(got, want, magnitude):
+    """Every element of ``got`` within 1e-12 * ``magnitude`` of ``want``.
+
+    ``magnitude`` bounds the summed absolute terms behind each element,
+    scaled by 1 + the largest logit, whose rounding the exponential
+    carries into every term; blocks sum those terms in another order."""
+    err = float(np.max(np.abs(np.asarray(got, float) - np.asarray(want, float))))
+    assert err <= 1e-12 * magnitude, (err, magnitude)
+
+
+def assert_nt_xent_near(v1, v2, temperature, include):
+    res = nt_xent(v1, v2, temperature, include)
+    loss, grad_v1, grad_v2 = reference_nt_xent(v1, v2, temperature, include)
+    n, r1, r2 = len(v1), row_norm_max(v1), row_norm_max(v2)
+    logit = 1.0 + r1 * r2 / temperature
+    assert_near(res.loss, loss, n * logit)
+    assert_near(res.grad_v1, grad_v1, logit * r2 / temperature)
+    assert_near(res.grad_v2, grad_v2, logit * n * r1 / temperature)
+
+
+def siglip_logit(v, t, scale, bias) -> float:
+    return 1.0 + abs(scale) * row_norm_max(v) * row_norm_max(t) + abs(bias)
+
+
+def assert_siglip_near(v, t, scale, bias, signed_bias):
+    res = siglip_loss(v, t, scale, bias, signed_bias)
+    loss, grad_v, grad_t, grad_scale, grad_bias = reference_siglip_loss(
+        v, t, scale, bias, signed_bias)
+    n, rv, rt = len(v), row_norm_max(v), row_norm_max(t)
+    logit = siglip_logit(v, t, scale, bias)
+    assert_near(res.loss, loss, logit)
+    assert_near(res.grad_v, grad_v, logit * abs(scale) * rt / n)
+    assert_near(res.grad_t, grad_t, logit * abs(scale) * rv / n)
+    assert_near(res.grad_scale, grad_scale, logit * rv * rt)
+    assert_near(res.grad_bias, grad_bias, logit)
+
+
+def assert_hybrid_near(v, g, proj, head, y, params):
+    """Only the inner sigmoid loss runs in blocks: the alignment and head
+    terms keep their bits, and the rest is within the sigmoid loss's
+    bound carried through the row normalization of proj(g)."""
+    res = hybrid_loss(v, g, proj, head, y, params)
+    ref = reference_hybrid(v, g, proj, head, y, params)
+    for name in ("align_term", "target_term", "grad_head_weight",
+                 "grad_head_bias"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    n, scale = len(v), params.scale
+    u = proj(g)
+    logit = siglip_logit(v, u / np.linalg.norm(u, axis=1, keepdims=True),
+                         scale, params.bias)
+    grad_t = logit * abs(scale) * row_norm_max(v) / n
+    grad_u = n * grad_t / float(np.linalg.norm(u, axis=1).min())
+    assert_near(res.siglip_term, ref.siglip_term, logit)
+    assert_near(res.loss, ref.loss, logit + abs(ref.loss))
+    assert_near(res.grad_v, ref.grad_v,
+                logit * abs(scale) / n + np.abs(ref.grad_v).max())
+    assert_near(res.grad_proj_weight, ref.grad_proj_weight,
+                grad_u * np.abs(g).max() + np.abs(ref.grad_proj_weight).max())
+    assert_near(res.grad_proj_bias, ref.grad_proj_bias,
+                grad_u + np.abs(ref.grad_proj_bias).max())
+
+
+class TestRowBlocks:
+    """Above ``ROW_BLOCK`` rows the pair kernels sum their blocks' terms;
+    the results stay within rounding of the whole-matrix oracles."""
+
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 0), (3, 7)])
+    def test_large_batches_match_reference(self, blocks):
+        n = blocks[0] * moltiers.losses.ROW_BLOCK + blocks[1]
+        rng = np.random.default_rng(n)
+        v, t = read_only(rand_unit(rng, n, 8), rand_unit(rng, n, 8))
+        for scale, bias in ((1.5, -0.2), (2000.0, -900.0), (800.0, 900.0)):
+            for signed_bias in (True, False):
+                assert_siglip_near(v, t, scale, bias, signed_bias)
+        for temperature in (0.07, 1e-4):
+            for include in (False, True):
+                assert_nt_xent_near(v, t, temperature, include)
+        v, g, proj, head, y = hybrid_inputs(rng, n, 8)
+        for scale, bias in ((2.5, -0.4), (1200.0, 900.0)):
+            assert_hybrid_near(v, g, proj, head, y,
+                               LossParams(bias=bias, scale=scale))
+
+    @settings(max_examples=200, deadline=None)
+    @given(**KERNEL_CASE)
+    def test_property_three_row_blocks(self, n, d, seed, unit, scale, bias,
+                                       signed_bias, temperature, include,
+                                       alpha, beta):
+        v, t, g, proj, head, y = case_inputs(n, d, seed, unit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moltiers.losses, "ROW_BLOCK", 3)
+            assert_siglip_near(v, t, scale, bias, signed_bias)
+            assert_nt_xent_near(v, t, temperature, include)
+            assert_hybrid_near(v, g, proj, head, y,
+                               LossParams(bias=bias, scale=scale, alpha=alpha,
+                                          beta=beta))
+
+    def test_gradients_match_fd_across_blocks(self, monkeypatch):
+        # seven rows in blocks of three: two full blocks and one of a row
+        monkeypatch.setattr(moltiers.losses, "ROW_BLOCK", 3)
+        rng = np.random.default_rng(16)
+        v, t = rand_unit(rng, 7, 4), rand_unit(rng, 7, 4)
+        res = nt_xent(v, t, 0.2)
+        assert max_rel_error(res.grad_v1, finite_difference(
+            lambda m: nt_xent(m, t, 0.2).loss, v)) < 1e-5
+        assert max_rel_error(res.grad_v2, finite_difference(
+            lambda m: nt_xent(v, m, 0.2).loss, t)) < 1e-5
+        s, b = 1.4, -0.2
+        res = siglip_loss(v, t, s, b)
+        numeric = [
+            finite_difference(lambda m: siglip_loss(m, t, s, b).loss, v),
+            finite_difference(lambda m: siglip_loss(v, m, s, b).loss, t),
+            finite_difference(lambda m: siglip_loss(v, t, float(m[0]), b).loss,
+                              np.array([s])),
+            finite_difference(lambda m: siglip_loss(v, t, s, float(m[0])).loss,
+                              np.array([b])),
+        ]
+        for analytic, fd in zip((res.grad_v, res.grad_t, [res.grad_scale],
+                                 [res.grad_bias]), numeric):
+            assert max_rel_error(analytic, fd) < 1e-5
+        v, g, proj, head, y = TestHybrid().make(17, n=7)
+        params = LossParams(bias=0.3, scale=1.7)
+        res = hybrid_loss(v, g, proj, head, y, params)
+        assert max_rel_error(res.grad_v, finite_difference(
+            lambda m: hybrid_loss(m, g, proj, head, y, params).loss, v)) < 1e-5
+        assert max_rel_error(res.grad_proj_weight, finite_difference(
+            lambda m: hybrid_loss(v, g, LinearMap(m, proj.bias), head, y,
+                                  params).loss, proj.weight)) < 1e-5
+
+    @pytest.mark.parametrize("kernel", ["nt_xent", "siglip_loss", "hybrid_loss"])
+    def test_memory_linear_in_batch_size(self, kernel):
+        """A first call's traced peak, workspace included, stays below four
+        ROW_BLOCK x n matrices and eight n x d ones; whole pair matrices
+        would take 4 * n^2 * 8 B, three times that at this n."""
+        block = moltiers.losses.ROW_BLOCK
+        n, d = 3 * block + 7, 8
+        rng = np.random.default_rng(18)
+        v, g, proj, head, y = hybrid_inputs(rng, n, d)
+        t = rand_unit(rng, n, d)
+        call = {
+            "nt_xent": lambda: nt_xent(v, t),
+            "siglip_loss": lambda: siglip_loss(v, t),
+            "hybrid_loss": lambda: hybrid_loss(v, g, proj, head, y),
+        }[kernel]
+        # a fresh thread has no workspace: its first call allocates one
+        # inside the traced window
+        results = []
+        worker = threading.Thread(target=lambda: results.append(call()))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            worker.start()
+            worker.join(timeout=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not worker.is_alive() and len(results) == 1
+        assert peak - before < 4 * block * n * 8 + 8 * n * d * 8
 
 
 class TestRanksAndCorrelation:
@@ -624,6 +800,25 @@ class TestRanksAndCorrelation:
         assert pairwise_distance_correlation(a, b, 100, seed=7) == (
             pairwise_distance_correlation(a, b, 100, seed=7)
         )
+
+    @pytest.mark.parametrize("blocks", [(1, -1), (1, 1), (3, 7)])
+    def test_pair_blocks_match_one_shot_distances(self, blocks):
+        n_pairs = blocks[0] * moltiers.losses.PAIR_BLOCK + blocks[1]
+        rng = np.random.default_rng(n_pairs)
+        a, b = rng.normal(size=(40, 7)), rng.normal(size=(40, 3))
+        # the sampling and the distances of the function, in one call each
+        rng = np.random.default_rng(5)
+        left = rng.integers(0, 40, size=n_pairs)
+        right = rng.integers(0, 40, size=n_pairs)
+        clash = left == right
+        while np.any(clash):
+            right[clash] = rng.integers(0, 40, size=int(clash.sum()))
+            clash = left == right
+        da = np.linalg.norm(a[left] - a[right], axis=1)
+        db = np.linalg.norm(b[left] - b[right], axis=1)
+        want = (spearman(da, db), pearson(da, db))
+        got = pairwise_distance_correlation(a, b, n_pairs, seed=5)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def save_embeddings(path, matrix) -> None:
