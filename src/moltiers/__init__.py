@@ -61,7 +61,7 @@ _EXPORTS = {
         "sample_epoch",
         "tier_weights_mixed",
     ),
-    "smiles": ("Atom", "Bond", "parse_smiles"),
+    "smiles": ("parse_smiles",),
     "synth": ("generate_corpus", "random_smiles"),
     "tiering": ("TierConfig", "TierLabel", "assign_tier"),
 }

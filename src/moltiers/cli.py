@@ -110,7 +110,7 @@ def _replace_on_success(path: Path):
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    from .pipeline import load_prevalence, run_annotate
+    from .pipeline import AnnotateStats, load_prevalence, run_annotate
 
     annotator = _annotator_from_args(args)
     if args.prevalence:
@@ -127,8 +127,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                                  include_trace=args.trace)
         except EmptyCorpus as exc:
             # raised before any record is written, so the output is empty
-            log.info("%s; wrote empty output", exc)
-            return 0
+            stats = AnnotateStats(skipped=exc.skipped)
     dt = time.perf_counter() - t0
     log.info("annotated %d molecules (skipped %d malformed) in %.2fs",
              stats.written, stats.skipped, dt)

@@ -1,9 +1,8 @@
 """The five structural-complexity descriptors and the per-molecule record.
 
 All descriptors are pure functions of the (aromaticity-perceived) graph and
-invariant under atom re-indexing, and reads only the graph's arrays, never
-its ``Atom`` and ``Bond`` objects; records are safe to compute in parallel
-across molecules.  Only ``rarity`` depends on the corpus, so a record is
+invariant under atom re-indexing, and reads only the graph's arrays;
+records are safe to compute in parallel across molecules.  Only ``rarity`` depends on the corpus, so a record is
 built in two steps: ``descriptor_core`` holds everything else, and
 ``finish_record`` adds rarity from a prevalence table.
 """

@@ -56,7 +56,12 @@ class EmptyMolecule(MoltiersError):
 
 
 class EmptyCorpus(MoltiersError):
-    """Operation requires a non-empty molecule corpus."""
+    """Operation requires a non-empty molecule corpus.  ``skipped`` counts
+    the entries read and found unusable on the way."""
+
+    def __init__(self, message: str, skipped: int = 0):
+        super().__init__(message)
+        self.skipped = skipped
 
 
 class PrevalenceMismatch(MoltiersError):

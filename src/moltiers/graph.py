@@ -1,9 +1,8 @@
 """Graph algorithms over MolecularGraph.
 
-Every analysis reads only the graph's arrays (adjacency, bond endpoints and
-orders, heavy degrees, element sites, valence sums and marks), never its
-``Atom`` and ``Bond`` objects, so a parsed molecule's arrays are
-built once, in the parser's loop, however many descriptors they feed.
+Every analysis reads the graph's arrays (adjacency, bond endpoints and
+orders, heavy degrees, element sites, valence sums and marks), which the
+parser builds once, in its loop, however many descriptors they feed.
 
 The ring *count* is always the cyclomatic number, bonds - atoms +
 components, which the graph holds.  A molecule whose count is 0 has no cycle,

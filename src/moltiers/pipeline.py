@@ -56,11 +56,13 @@ def iter_input(
     delimiter: str | None = None,
 ) -> Iterator[tuple[int, str]]:
     """Yield (row id, smiles) pairs; blank rows are skipped silently.  The
-    ``auto`` format reads .csv and .tsv files as delimited, others as smi.
+    ``auto`` format reads .csv and .tsv files, in any case, as delimited,
+    split on tabs for .tsv and on commas otherwise, and others as smi.
     A leading UTF-8 byte-order mark, as spreadsheet programs write, is
     dropped."""
+    suffix = Path(path).suffix.lower()
     if fmt == "auto":
-        fmt = "delimited" if Path(path).suffix.lower() in (".csv", ".tsv") else "smi"
+        fmt = "delimited" if suffix in (".csv", ".tsv") else "smi"
     if fmt == "smi":
         with open(path, encoding="utf-8-sig") as fh:
             for i, line in enumerate(fh):
@@ -70,7 +72,7 @@ def iter_input(
         return
     if fmt != "delimited":
         raise ValueError(f"unknown input format {fmt!r}")
-    delim = delimiter or ("\t" if str(path).endswith(".tsv") else ",")
+    delim = delimiter or ("\t" if suffix == ".tsv" else ",")
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         header = next(reader, None)
@@ -375,6 +377,8 @@ def _describe_and_fit(
         groups.update(chunk_groups)
         size += described
         skipped += chunk_skipped
+    if not size:
+        raise EmptyCorpus("prevalence requires at least one molecule", skipped)
     annotator.set_prevalence(
         prevalence_from_counts(groups, size, annotator._lib())
     )
@@ -405,7 +409,8 @@ def run_annotate(
     pass and leaves ``annotator`` fitted on the stream, with the output of
     ``fit`` followed by a fitted run.  Raises ValueError on invalid tier
     parameters before reading ``records``, and EmptyCorpus, before writing
-    anything, when an unfitted run finds nothing to annotate.
+    anything and with the count of skipped entries, when an unfitted run
+    finds nothing to annotate.
     """
     annotator.tier_config()
     stats = AnnotateStats()

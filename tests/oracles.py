@@ -7,9 +7,10 @@ are recomputed from first principles.  ``reference_ring_info`` keeps the
 earlier whole-graph ring perception as a differential reference, and
 ``reference_perceive_aromaticity`` the aromaticity perception that searched
 rings in every molecule, and ``reference_parse_smiles`` the parser that
-built ``Atom`` and ``Bond`` objects and left the molecule's arrays to
-``MolecularGraph(atoms, bonds)``, with its valence check (``check_valences``) summing the
-bond orders again.  ``conjugated_components`` is the union-find that built
+built ``Atom`` and ``Bond`` objects and left the molecule's arrays to the
+test builder's ``build_graph``, with its valence check (``check_valences``)
+summing the bond orders again.  The oracles read a graph through the
+builder's ``atoms_of`` and ``bonds_of``.  ``conjugated_components`` is the union-find that built
 every conjugated atom set before ``conjugation_extent`` kept only sizes.  ``reference_sample_epoch`` draws every mixed-regime
 id with the public ``uniform_draw``, and ``reference_manifest_text`` writes
 each manifest line with its own ``json.dumps``.  ``reference_records``
@@ -53,29 +54,30 @@ from moltiers.smiles import (
     STEREO_NONE,
     STEREO_UP,
     TRIPLE,
-    Atom,
-    Bond,
     MolecularGraph,
 )
+
+from builders import Atom, Bond, atoms_of, bonds_of, build_graph
 
 # ---------------------------------------------------------------------------
 # shared small helpers
 
 
 def plain_adjacency(graph: MolecularGraph) -> dict[int, dict[int, int]]:
-    adj: dict[int, dict[int, int]] = {i: {} for i in range(len(graph.atoms))}
-    for bond in graph.bonds:
+    adj: dict[int, dict[int, int]] = {i: {} for i in range(len(graph.elements))}
+    for bond in bonds_of(graph):
         adj[bond.a][bond.b] = bond.order
         adj[bond.b][bond.a] = bond.order
     return adj
 
 
 def heavy_degree(graph: MolecularGraph) -> list[int]:
-    deg = [0] * len(graph.atoms)
-    for bond in graph.bonds:
-        if graph.atoms[bond.b].element != "H":
+    atoms = atoms_of(graph)
+    deg = [0] * len(atoms)
+    for bond in bonds_of(graph):
+        if atoms[bond.b].element != "H":
             deg[bond.a] += 1
-        if graph.atoms[bond.a].element != "H":
+        if atoms[bond.a].element != "H":
             deg[bond.b] += 1
     return deg
 
@@ -91,7 +93,7 @@ _BOND_CHAR_STEREO = {"/": STEREO_UP, "\\": STEREO_DOWN}
 def reference_parse_smiles(text: str) -> MolecularGraph:
     """The parser as it was before it filled the molecule's arrays: Atom
     and Bond objects only and a bond-pair set for duplicates, from which
-    ``MolecularGraph(atoms, bonds)`` builds the arrays."""
+    ``build_graph`` builds the arrays."""
     if not text:
         raise EmptyInput("empty SMILES", 0)
     if not text.isascii():
@@ -215,8 +217,8 @@ def reference_parse_smiles(text: str) -> MolecularGraph:
             prev = -1
             i += 1
         elif c == "[":
-            atom, i2 = smiles_module._parse_bracket(text, i)
-            attach(atom, i)
+            element, aromatic, entry, i2 = smiles_module._parse_bracket(text, i)
+            attach(Atom(element, aromatic, *entry), i)
             i = i2
         else:
             raise UnknownElement(f"unexpected character {c!r}", i)
@@ -231,15 +233,15 @@ def reference_parse_smiles(text: str) -> MolecularGraph:
     if not atoms:
         raise EmptyInput("no atoms in SMILES", 0)
 
-    graph = MolecularGraph(atoms, bonds, text)
+    graph = build_graph(atoms, bonds, text)
     check_valences(graph, atom_offsets)
     return graph
 
 
 def explicit_valences(graph: MolecularGraph) -> list[int]:
     """Sum of bond orders per atom, counting aromatic bonds as one."""
-    val = [0] * len(graph.atoms)
-    for bond in graph.bonds:
+    val = [0] * len(graph.elements)
+    for bond in bonds_of(graph):
         o = bond.order if bond.order != AROMATIC else 1
         val[bond.a] += o
         val[bond.b] += o
@@ -255,7 +257,7 @@ def check_valences(graph: MolecularGraph, offsets: list[int]) -> None:
     delocalised bond.
     """
     val = explicit_valences(graph)
-    for atom in graph.atoms:
+    for atom in atoms_of(graph):
         if atom.explicit_h is not None:
             continue
         allowed = VALENCES[atom.element]
@@ -272,16 +274,18 @@ def check_valences(graph: MolecularGraph, offsets: list[int]) -> None:
 
 
 def brute_bertz_ct(graph: MolecularGraph) -> float:
-    if not graph.bonds:
+    bonds = bonds_of(graph)
+    if not bonds:
         return 0.0
+    atoms = atoms_of(graph)
     deg = heavy_degree(graph)
 
     def of(i: int) -> tuple:
-        atom = graph.atoms[i]
+        atom = atoms[i]
         return (atom.element, atom.aromatic, deg[i])
 
     envs = Counter()
-    for bond in graph.bonds:
+    for bond in bonds:
         pair = sorted([of(bond.a), of(bond.b)])
         envs[(pair[0], pair[1], bond.order)] += 1
     term = sum(n * math.log2(n) for n in envs.values())
@@ -297,13 +301,12 @@ def brute_matches(graph: MolecularGraph, pattern) -> set[tuple[int, ...]]:
     """Every injective atom tuple satisfying the pattern constraints."""
     adj = plain_adjacency(graph)
     deg = heavy_degree(graph)
+    atoms = atoms_of(graph)
     pools = []
     for constraint in pattern.atoms:
         pool = [
-            i for i in range(len(graph.atoms))
-            if constraint.admits(
-                graph.atoms[i].element, graph.atoms[i].aromatic, deg[i]
-            )
+            i for i in range(len(atoms))
+            if constraint.admits(atoms[i].element, atoms[i].aromatic, deg[i])
         ]
         pools.append(pool)
     found = set()
@@ -333,7 +336,7 @@ def brute_present(graph: MolecularGraph, library) -> frozenset[str]:
 
 def all_simple_cycles(graph: MolecularGraph, max_size: int = 8) -> list[tuple[int, ...]]:
     adj = plain_adjacency(graph)
-    n = len(graph.atoms)
+    n = len(graph.elements)
     cycles: dict[frozenset[int], tuple[int, ...]] = {}
 
     def dfs(start: int, current: int, path: list[int]) -> None:
@@ -359,9 +362,10 @@ def reference_ring_info(
     it became block-based: bridges by lowlink DFS, then one capped BFS per
     ring bond over the whole graph, in bond order, deduplicated by atom set.
     """
-    n = len(graph.atoms)
+    n = len(graph.elements)
+    bonds = bonds_of(graph)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bi, bond in enumerate(graph.bonds):
+    for bi, bond in enumerate(bonds):
         adj[bond.a].append((bond.b, bi))
         adj[bond.b].append((bond.a, bi))
 
@@ -388,7 +392,7 @@ def reference_ring_info(
                 elif disc[nb] < low[a]:
                     low[a] = disc[nb]
             elif in_bond != -1:
-                bond = graph.bonds[in_bond]
+                bond = bonds[in_bond]
                 parent = bond.b if a == bond.a else bond.a
                 if low[a] < low[parent]:
                     low[parent] = low[a]
@@ -396,7 +400,7 @@ def reference_ring_info(
                     bridges.add(in_bond)
 
     def shortest_cycle_through(bond_index: int):
-        bond = graph.bonds[bond_index]
+        bond = bonds[bond_index]
         u, v = bond.a, bond.b
         prev = {u: -1}
         queue = deque([(u, 0)])
@@ -416,11 +420,11 @@ def reference_ring_info(
                 queue.append((nb, depth + 1))
         return None
 
-    ring_bonds = frozenset(b for b in range(len(graph.bonds)) if b not in bridges)
+    ring_bonds = frozenset(b for b in range(len(bonds)) if b not in bridges)
     ring_atoms = set()
     for bi in ring_bonds:
-        ring_atoms.add(graph.bonds[bi].a)
-        ring_atoms.add(graph.bonds[bi].b)
+        ring_atoms.add(bonds[bi].a)
+        ring_atoms.add(bonds[bi].b)
     rings = []
     seen = set()
     for bi in sorted(ring_bonds):
@@ -439,15 +443,17 @@ def reference_perceive_aromaticity(graph: MolecularGraph) -> MolecularGraph:
     no 6-ring of C/N atoms alternates single and double bonds.
     """
     adj = plain_adjacency(graph)
+    atoms = atoms_of(graph)
+    bonds = bonds_of(graph)
     bond_index = {}
-    for bi, bond in enumerate(graph.bonds):
+    for bi, bond in enumerate(bonds):
         bond_index[frozenset((bond.a, bond.b))] = bi
     flip_atoms: set[int] = set()
     flip_bonds: set[int] = set()
     for cycle in reference_ring_info(graph)[2]:
         if len(cycle) != 6:
             continue
-        if any(graph.atoms[a].element not in ("C", "N") for a in cycle):
+        if any(atoms[a].element not in ("C", "N") for a in cycle):
             continue
         pairs = [(cycle[k], cycle[(k + 1) % 6]) for k in range(6)]
         ring_orders = [adj[a][b] for a, b in pairs]
@@ -461,13 +467,13 @@ def reference_perceive_aromaticity(graph: MolecularGraph) -> MolecularGraph:
     atoms = [
         dataclasses.replace(atom, aromatic=True) if atom.index in flip_atoms
         else atom
-        for atom in graph.atoms
+        for atom in atoms
     ]
     bonds = [
         dataclasses.replace(bond, order=AROMATIC) if bi in flip_bonds else bond
-        for bi, bond in enumerate(graph.bonds)
+        for bi, bond in enumerate(bonds)
     ]
-    return MolecularGraph(atoms, bonds, graph.source)
+    return build_graph(atoms, bonds, graph.source)
 
 
 def connected_components(graph: MolecularGraph) -> list[set[int]]:
@@ -490,8 +496,9 @@ def connected_components(graph: MolecularGraph) -> list[set[int]]:
 def brute_aromatic_substitution(graph: MolecularGraph) -> int:
     """Independent recomputation of the ring-substitution descriptor."""
     adj = plain_adjacency(graph)
+    atoms = atoms_of(graph)
     aromatic_pairs = {
-        frozenset((b.a, b.b)) for b in graph.bonds if b.order == AROMATIC
+        frozenset((b.a, b.b)) for b in bonds_of(graph) if b.order == AROMATIC
     }
     patterns = set()
     total = 0
@@ -507,7 +514,7 @@ def brute_aromatic_substitution(graph: MolecularGraph) -> int:
         for pos, atom in enumerate(cycle):
             ext = sum(
                 1 for nb in adj[atom]
-                if nb not in cset and graph.atoms[nb].element != "H"
+                if nb not in cset and atoms[nb].element != "H"
             )
             if ext:
                 positions.append(pos)
@@ -536,9 +543,10 @@ def conjugated_components(graph: MolecularGraph) -> list[frozenset[int]]:
     A bond is conjugated when it is aromatic/double/triple, or when it is a
     single bond whose two endpoints each carry some multiple bond.
     """
-    n = len(graph.atoms)
+    n = len(graph.elements)
+    bonds = bonds_of(graph)
     pi = [False] * n
-    for bond in graph.bonds:
+    for bond in bonds:
         if bond.order in (DOUBLE, TRIPLE, AROMATIC):
             pi[bond.a] = True
             pi[bond.b] = True
@@ -551,7 +559,7 @@ def conjugated_components(graph: MolecularGraph) -> list[frozenset[int]]:
         return x
 
     members: set[int] = set()
-    for bond in graph.bonds:
+    for bond in bonds:
         conj = bond.order in (DOUBLE, TRIPLE, AROMATIC) or (
             bond.order == SINGLE and pi[bond.a] and pi[bond.b]
         )
@@ -569,13 +577,14 @@ def conjugated_components(graph: MolecularGraph) -> list[frozenset[int]]:
 
 def brute_conjugation_extent(graph: MolecularGraph) -> int:
     multi = {DOUBLE, TRIPLE, AROMATIC}
+    bonds = bonds_of(graph)
     pi_atoms = set()
-    for bond in graph.bonds:
+    for bond in bonds:
         if bond.order in multi:
             pi_atoms.add(bond.a)
             pi_atoms.add(bond.b)
     edges = []
-    for bond in graph.bonds:
+    for bond in bonds:
         if bond.order in multi or (
             bond.order == SINGLE and bond.a in pi_atoms and bond.b in pi_atoms
         ):
@@ -610,7 +619,7 @@ def brute_conjugation_extent(graph: MolecularGraph) -> int:
 
 def ring_atoms_exhaustive(graph: MolecularGraph) -> set[int]:
     out: set[int] = set()
-    for cycle in all_simple_cycles(graph, max_size=len(graph.atoms)):
+    for cycle in all_simple_cycles(graph, max_size=len(graph.elements)):
         out.update(cycle)
     return out
 
@@ -619,7 +628,7 @@ def brute_scaffold(graph: MolecularGraph, rng: random.Random) -> set[int]:
     ring = ring_atoms_exhaustive(graph)
     if not ring:
         return set()
-    heavy = {i for i, a in enumerate(graph.atoms) if a.element != "H"}
+    heavy = {i for i, a in enumerate(atoms_of(graph)) if a.element != "H"}
     adj = plain_adjacency(graph)
     alive = set(heavy)
     while True:
@@ -632,7 +641,7 @@ def brute_scaffold(graph: MolecularGraph, rng: random.Random) -> set[int]:
             break
         alive.discard(rng.choice(candidates))
     kept = set(alive)
-    for bond in graph.bonds:
+    for bond in bonds_of(graph):
         if bond.order == DOUBLE:
             if bond.a in alive and bond.b in heavy:
                 kept.add(bond.b)
@@ -729,11 +738,13 @@ def max_rel_error(analytic, numeric) -> float:
 def assert_isomorphic(original: MolecularGraph, reparsed: MolecularGraph,
                       order: list[int]) -> None:
     """order[k] = original atom index emitted at output position k."""
-    assert len(original.atoms) == len(reparsed.atoms) == len(order)
-    assert len(original.bonds) == len(reparsed.bonds)
+    original_atoms = atoms_of(original)
+    reparsed_atoms = atoms_of(reparsed)
+    assert len(original_atoms) == len(reparsed_atoms) == len(order)
+    assert len(bonds_of(original)) == len(bonds_of(reparsed))
     for new_idx, old_idx in enumerate(order):
-        a = original.atoms[old_idx]
-        b = reparsed.atoms[new_idx]
+        a = original_atoms[old_idx]
+        b = reparsed_atoms[new_idx]
         assert a.element == b.element, (a, b)
         assert a.aromatic == b.aromatic, (a, b)
         assert a.formal_charge == b.formal_charge, (a, b)
@@ -744,7 +755,7 @@ def assert_isomorphic(original: MolecularGraph, reparsed: MolecularGraph,
 
     def edge_set(graph, relabel=None):
         out = set()
-        for bond in graph.bonds:
+        for bond in bonds_of(graph):
             a, b = bond.a, bond.b
             if relabel:
                 a, b = relabel[a], relabel[b]

@@ -18,10 +18,10 @@ from moltiers.smiles import (
     STEREO_DOWN,
     STEREO_UP,
     TRIPLE,
-    Atom,
-    Bond,
     MolecularGraph,
 )
+
+from builders import Atom, Bond, atoms_of, bonds_of
 
 # Atoms writable without brackets.
 ORGANIC_SUBSET = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
@@ -86,10 +86,12 @@ def write_smiles_mapped(graph: MolecularGraph) -> tuple[str, list[int]]:
     round-trip tests an explicit isomorphism instead of a graph-matching
     search.
     """
-    if not graph.atoms:
+    atoms = atoms_of(graph)
+    bonds = bonds_of(graph)
+    if not atoms:
         raise EmptyMolecule("cannot write an empty graph")
     adj = graph.adj
-    natoms = len(graph.atoms)
+    natoms = len(atoms)
     visited = [False] * natoms
     order: list[int] = []
     pieces: list[str] = []
@@ -119,7 +121,7 @@ def write_smiles_mapped(graph: MolecularGraph) -> tuple[str, list[int]]:
                     children.append((nb, bi))
                     stack.append(nb)
                 else:
-                    bond = graph.bonds[bi]
+                    bond = bonds[bi]
                     back_edges_at.setdefault(bond.a, []).append(bi)
                     back_edges_at.setdefault(bond.b, []).append(bi)
             tree_children[a] = children
@@ -133,18 +135,16 @@ def write_smiles_mapped(graph: MolecularGraph) -> tuple[str, list[int]]:
                 pieces.append(")" if a else "(")
                 continue
             if bi >= 0:
-                bond = graph.bonds[bi]
-                both = graph.atoms[bond.a].aromatic and graph.atoms[bond.b].aromatic
+                bond = bonds[bi]
+                both = atoms[bond.a].aromatic and atoms[bond.b].aromatic
                 src = bond.a if a == bond.b else bond.b
                 pieces.append(_bond_token(bond, src, both))
-            pieces.append(_atom_token(graph.atoms[a]))
+            pieces.append(_atom_token(atoms[a]))
             order.append(a)
             for rbi in back_edges_at.get(a, ()):
-                rbond = graph.bonds[rbi]
+                rbond = bonds[rbi]
                 if rbi not in opened_digit:
-                    both = (
-                        graph.atoms[rbond.a].aromatic and graph.atoms[rbond.b].aromatic
-                    )
+                    both = atoms[rbond.a].aromatic and atoms[rbond.b].aromatic
                     digit = digit_free.pop()
                     opened_digit[rbi] = digit
                     pieces.append(_bond_token(rbond, a, both))

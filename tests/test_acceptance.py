@@ -37,6 +37,7 @@ from moltiers.smiles import parse_smiles
 from moltiers.synth import generate_corpus
 from moltiers.tiering import assign_tier
 
+from builders import atoms_of
 from oracles import (
     assert_isomorphic,
     brute_aromatic_substitution,
@@ -115,7 +116,7 @@ def test_criterion_3_descriptor_oracles():
         from moltiers.graph import perceive_aromaticity
 
         perceived = perceive_aromaticity(graph)
-        n_ha = sum(1 for a in perceived.atoms if a.element != "H")
+        n_ha = sum(1 for a in atoms_of(perceived) if a.element != "H")
         scaffold = brute_scaffold(perceived, rng)
         d_scaf = min(1.0, max(0.0, 1.0 - len(scaffold) / n_ha))
         groups = brute_present(perceived, LIB)

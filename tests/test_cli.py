@@ -85,6 +85,19 @@ class TestInputReaders:
         path.write_text("smiles\tname\nCCO\tethanol\n")
         assert list(iter_input(path)) == [(0, "CCO")]
 
+    @pytest.mark.parametrize("name, delimiter", [("corpus.TSV", "\t"),
+                                                 ("corpus.Tsv", "\t"),
+                                                 ("corpus.CSV", ",")])
+    def test_upper_case_suffix_picks_its_delimiter(self, tmp_path, name,
+                                                    delimiter):
+        # the suffix, in any case, decides both the format and the
+        # delimiter; the other delimiter appears inside a field
+        other = "," if delimiter == "\t" else "\t"
+        path = tmp_path / name
+        path.write_text(f"name{delimiter}smiles\n"
+                        f"ethanol{other} absolute{delimiter}CCO\n")
+        assert list(iter_input(path)) == [(0, "CCO")]
+
     def test_smi_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "bom.smi"
         path.write_text("\ufeffCCO\nCCN\n", encoding="utf-8")

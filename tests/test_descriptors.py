@@ -17,9 +17,10 @@ from moltiers.descriptors import (
 from moltiers.errors import EmptyMolecule
 from moltiers.fgroups import PrevalenceTable, default_library, present_groups
 from moltiers.graph import ring_info, structural_counts
-from moltiers.smiles import Atom, Bond, MolecularGraph, parse_smiles
+from moltiers.smiles import MolecularGraph, parse_smiles
 from moltiers.synth import generate_corpus
 
+from builders import Atom, Bond, atoms_of, bonds_of, build_graph
 from oracles import brute_aromatic_substitution, brute_bertz_ct
 from smiles_writer import write_smiles
 
@@ -32,18 +33,18 @@ ANCHOR_TABLE = PrevalenceTable(
 
 
 def permuted(graph: MolecularGraph, rng: random.Random) -> MolecularGraph:
-    n = len(graph.atoms)
+    n = len(atoms_of(graph))
     perm = list(range(n))
     rng.shuffle(perm)  # perm[old] = new
     atoms = [None] * n
-    for old, atom in enumerate(graph.atoms):
+    for old, atom in enumerate(atoms_of(graph)):
         atoms[perm[old]] = Atom(
             atom.element, atom.aromatic, atom.formal_charge, atom.explicit_h,
             atom.chirality, atom.isotope, perm[old],
         )
-    bonds = [Bond(perm[b.a], perm[b.b], b.order, b.stereo) for b in graph.bonds]
+    bonds = [Bond(perm[b.a], perm[b.b], b.order, b.stereo) for b in bonds_of(graph)]
     rng.shuffle(bonds)
-    return MolecularGraph(atoms, bonds, graph.source)
+    return build_graph(atoms, bonds, graph.source)
 
 
 class TestScaffoldDecoration:
@@ -74,7 +75,7 @@ class TestScaffoldDecoration:
 
     def test_empty_molecule(self):
         with pytest.raises(EmptyMolecule):
-            scaffold_decoration(MolecularGraph([], [], ""))
+            scaffold_decoration(build_graph([], [], ""))
 
 
 class TestRarity:

@@ -128,45 +128,41 @@ class TestTransform:
 class TestDescribeWork:
     @pytest.fixture
     def built(self, monkeypatch):
-        """What describe builds besides the parser's arrays: every Atom and
-        Bond constructed, and every graph built from objects, whose arrays
-        would sum the valences a second time."""
+        """Every graph constructed.  ``MolecularGraph.__init__`` takes the
+        arrays it is handed and sums no valence: only the parser's loop and
+        an aromaticity promotion fill them."""
         built = Counter()
-        for name in ("Atom", "Bond"):
-            real = getattr(smiles_module, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                built[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(smiles_module, name, counting)
         real_init = smiles_module.MolecularGraph.__init__
 
-        def walking(graph, *args, **kwargs):
-            built["MolecularGraph(atoms, bonds)"] += 1
+        def counting(graph, *args, **kwargs):
+            built["MolecularGraph"] += 1
             real_init(graph, *args, **kwargs)
 
-        monkeypatch.setattr(smiles_module.MolecularGraph, "__init__", walking)
+        monkeypatch.setattr(smiles_module.MolecularGraph, "__init__", counting)
         return built
 
     def test_valences_summed_once_per_molecule(self, built):
         # the parse loop sums the valences into the arrays that the valence
-        # check, the hydrogen count and every descriptor read: no object of
-        # an organic-subset atom or of a bond is built, and no graph is
-        # built from objects; a bracket atom is the one Atom
+        # check, the hydrogen count and every descriptor read: describe
+        # builds the parser's graph, and a second one only for a promoted
+        # Kekulé ring; the package holds no atom or bond class
+        assert not hasattr(smiles_module, "Atom")
+        assert not hasattr(smiles_module, "Bond")
         annotator = ComplexityAnnotator()
         organic = 0
         for smiles in generate_corpus(200, seed=3):
+            parsed = smiles_module.parse_smiles(smiles)
+            promoted = perceive_aromaticity(parsed) is not parsed
             built.clear()
             annotator.describe(smiles)
-            assert built == Counter({"Atom": smiles.count("[")}), smiles
+            assert built == Counter({"MolecularGraph": 1 + promoted}), smiles
             organic += "[" not in smiles
         assert organic > 100
 
     def test_promoted_ring_sums_its_aromatic_bonds_again(self, built):
         # aromaticity perception gives the Kekulé ring new orders and
         # valence sums in which its aromatic bonds count one where the
-        # double bonds counted two, without building any objects
+        # double bonds counted two, in the one graph the promotion builds
         graph = smiles_module.parse_smiles("C1=CC=CC=C1O")
         written = smiles_module.parse_smiles("c1ccccc1O")
         assert graph.valence == [3, 3, 3, 3, 3, 4, 1]
@@ -174,10 +170,11 @@ class TestDescribeWork:
         assert perceived.valence == written.valence == [2] * 5 + [3, 1]
         assert perceived.aromatic == written.aromatic
         assert perceived.orders == written.orders
+        built.clear()
         core = ComplexityAnnotator().describe("C1=CC=CC=C1O")
+        assert built == Counter({"MolecularGraph": 2})
         assert core.counts == ComplexityAnnotator().describe("c1ccccc1O").counts
         assert core == ComplexityAnnotator().describe("c1ccccc1O")
-        assert built == Counter()
 
 
 def uncached(annotator: ComplexityAnnotator, smiles: list[str]) -> list[dict]:

@@ -20,9 +20,10 @@ from moltiers.fgroups import (
     top_k_groups,
 )
 from moltiers.graph import perceive_aromaticity
-from moltiers.smiles import DOUBLE, SINGLE, Atom, Bond, MolecularGraph, parse_smiles
+from moltiers.smiles import DOUBLE, SINGLE, parse_smiles
 from moltiers.synth import generate_corpus
 
+from builders import Atom, Bond, atoms_of, build_graph
 from oracles import brute_present, heavy_degree
 
 LIB = default_library()
@@ -239,7 +240,7 @@ def brute_cost(graph, library) -> int:
     for pattern in library.patterns:
         product = 1
         for c in pattern.atoms:
-            product *= sum(1 for i, atom in enumerate(graph.atoms)
+            product *= sum(1 for i, atom in enumerate(atoms_of(graph))
                            if c.admits(atom.element, atom.aromatic, deg[i]))
         total += product
     return total
@@ -330,7 +331,7 @@ NON_AROMATIC_STEPS = FGLibrary.from_dict({"patterns": [
 
 def hand_built(elements_aromatic, bonds):
     """A graph from (element, aromatic) atoms and (a, b, order) bonds."""
-    return MolecularGraph(
+    return build_graph(
         [Atom(el, aromatic=arom, index=i)
          for i, (el, arom) in enumerate(elements_aromatic)],
         [Bond(a, b, order) for a, b, order in bonds])

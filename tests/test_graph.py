@@ -20,8 +20,6 @@ from moltiers.graph import (
     structural_counts,
 )
 from moltiers.smiles import (
-    Atom,
-    Bond,
     MolecularGraph,
     implicit_hydrogens,
     molecular_weight,
@@ -29,6 +27,7 @@ from moltiers.smiles import (
 )
 from moltiers.synth import generate_corpus
 
+from builders import Atom, Bond, atoms_of, bonds_of, build_graph
 from oracles import (
     brute_conjugation_extent,
     brute_scaffold,
@@ -87,7 +86,7 @@ class TestStructuralCounts:
         for smiles in generate_corpus(150, seed=5):
             g = mol(smiles)
             assert structural_counts(g).n_ring == (
-                len(g.bonds) - len(g.atoms) + len(connected_components(g))
+                len(bonds_of(g)) - len(atoms_of(g)) + len(connected_components(g))
             )
 
     def test_explicit_h_not_heavy(self, mol):
@@ -98,7 +97,7 @@ class TestStructuralCounts:
     def test_hand_built_hydrogen_gets_no_implicit_hydrogens(self):
         # an unbracketed H is outside the valence model: like a bracket H
         # with no H count, it carries no hydrogens of its own
-        built = MolecularGraph([Atom("C", index=0), Atom("H", index=1)], [Bond(0, 1)])
+        built = build_graph([Atom("C", index=0), Atom("H", index=1)], [Bond(0, 1)])
         parsed = parse_smiles("C[H]")
         assert implicit_hydrogens(built) == implicit_hydrogens(parsed) == [3, 0]
         assert molecular_weight(built) == molecular_weight(parsed)
@@ -108,33 +107,33 @@ class TestStructuralCounts:
 class TestAromaticityPerception:
     def test_already_aromatic_kept(self, mol):
         g = mol("c1ccccc1")
-        assert all(a.aromatic for a in g.atoms)
+        assert all(a.aromatic for a in atoms_of(g))
 
     def test_kekule_benzene(self, mol):
         g = mol("C1=CC=CC=C1")
-        assert all(a.aromatic for a in g.atoms)
-        assert all(b.order == AROMATIC for b in g.bonds)
+        assert all(a.aromatic for a in atoms_of(g))
+        assert all(b.order == AROMATIC for b in bonds_of(g))
 
     def test_kekule_pyridine(self, mol):
         g = mol("C1=CC=CC=N1")
-        assert all(a.aromatic for a in g.atoms)
+        assert all(a.aromatic for a in atoms_of(g))
 
     def test_cyclohexane_untouched(self, mol):
         g = mol("C1CCCCC1")
-        assert not any(a.aromatic for a in g.atoms)
+        assert not any(a.aromatic for a in atoms_of(g))
 
     def test_cyclohexene_untouched(self, mol):
         g = mol("C1=CCCCC1")
-        assert not any(a.aromatic for a in g.atoms)
+        assert not any(a.aromatic for a in atoms_of(g))
 
     def test_seven_ring_untouched(self, mol):
         g = mol("C1=CC=CC=CC1")
-        assert not any(a.aromatic for a in g.atoms)
+        assert not any(a.aromatic for a in atoms_of(g))
 
     def test_hetero_ring_with_o_untouched(self, mol):
         # only C/N six-rings qualify for Kekule promotion
         g = mol("O1C=CC=CC1")
-        assert not any(a.aromatic for a in g.atoms)
+        assert not any(a.aromatic for a in atoms_of(g))
 
     def test_idempotent_and_object_identity(self):
         g = parse_smiles("C1=CC=CC=C1")
@@ -145,9 +144,9 @@ class TestAromaticityPerception:
     def test_monotone(self):
         for smiles in generate_corpus(120, seed=8):
             g = parse_smiles(smiles)
-            before = [a.aromatic for a in g.atoms]
+            before = [a.aromatic for a in atoms_of(g)]
             after = perceive_aromaticity(g)
-            for b, a in zip(before, after.atoms):
+            for b, a in zip(before, atoms_of(after)):
                 assert a.aromatic >= b
 
     def test_no_ring_search_below_three_cn_double_bonds(self):
@@ -162,13 +161,13 @@ class TestAromaticityPerception:
     def test_kekule_naphthalene(self, mol):
         # both rings written with alternating bonds (fusion bond double)
         g = mol("C1=CC=CC2=C1C=CC=C2")
-        assert sum(a.aromatic for a in g.atoms) == 10
+        assert sum(a.aromatic for a in atoms_of(g)) == 10
 
     def test_kekule_partial_ring_only(self, mol):
         # this resonance form alternates only in one ring; per-ring rule
         # promotes just that ring (full Hueckel perception is a non-goal)
         g = mol("C1=CC2=CC=CC=C2C=C1")
-        assert sum(a.aromatic for a in g.atoms) == 6
+        assert sum(a.aromatic for a in atoms_of(g)) == 6
 
 
 class TestHandBuiltGraph:
@@ -182,39 +181,46 @@ class TestHandBuiltGraph:
         atoms.append(Atom("N", formal_charge=1, explicit_h=3, isotope=15, index=6))
         bonds = [Bond(k, (k + 1) % 6, 2 if k % 2 == 0 else 1) for k in range(6)]
         bonds.append(Bond(3, 6))
-        return MolecularGraph(atoms, bonds, "hand-built")
+        return build_graph(atoms, bonds, "hand-built")
 
     def test_perceived_ring_keeps_atom_labels(self):
         graph = self.labelled_kekule_benzene()
         perceived = perceive_aromaticity(graph)
         assert perceived is not graph
-        assert [a.aromatic for a in perceived.atoms] == [True] * 6 + [False]
-        assert [b.order for b in perceived.bonds] == [AROMATIC] * 6 + [1]
-        assert [(a.isotope, a.formal_charge, a.explicit_h) for a in perceived.atoms] \
+        assert [a.aromatic for a in atoms_of(perceived)] == [True] * 6 + [False]
+        assert [b.order for b in bonds_of(perceived)] == [AROMATIC] * 6 + [1]
+        assert [(a.isotope, a.formal_charge, a.explicit_h) for a in atoms_of(perceived)] \
             == [(13, 0, None)] + [(0, 0, None)] * 5 + [(15, 1, 3)]
-        assert [a.index for a in perceived.atoms] == list(range(7))
+        assert [a.index for a in atoms_of(perceived)] == list(range(7))
         assert implicit_hydrogens(perceived) == [1, 1, 1, 0, 1, 1, 3]
         assert perceived.source == "hand-built"
         # the input graph is left as it was built
-        assert not any(a.aromatic for a in graph.atoms)
-        assert [b.order for b in graph.bonds] == [2, 1, 2, 1, 2, 1, 1]
+        assert not any(a.aromatic for a in atoms_of(graph))
+        assert [b.order for b in bonds_of(graph)] == [2, 1, 2, 1, 2, 1, 1]
 
     def test_compares_equal_only_to_a_graph(self):
         graph = self.labelled_kekule_benzene()
         assert graph == self.labelled_kekule_benzene()
+        # a bracket entry, a stereo mark, a bond direction or the source
+        # alone tells two graphs apart
+        atoms = atoms_of(graph)
+        atoms[6].isotope = 0
+        assert graph != build_graph(atoms, bonds_of(graph), graph.source)
+        bonds = bonds_of(graph)
+        bonds[6].stereo = 1
+        assert graph != build_graph(atoms_of(graph), bonds, graph.source)
+        bonds = bonds_of(graph)
+        bonds[6] = Bond(6, 3)
+        assert graph != build_graph(atoms_of(graph), bonds, graph.source)
+        assert graph != build_graph(atoms_of(graph), bonds_of(graph), "other")
         assert graph.__eq__(1) is NotImplemented
         assert (graph == 1) is False
         assert graph != 1
 
     def test_repr_names_atoms_bonds_and_source(self):
-        graph = MolecularGraph([Atom("C", index=0), Atom("O", index=1)],
-                               [Bond(0, 1)], "CO")
-        assert repr(graph) == (
-            "MolecularGraph(atoms=[Atom(element='C', aromatic=False, "
-            "formal_charge=0, explicit_h=None, chirality=0, isotope=0, index=0), "
-            "Atom(element='O', aromatic=False, formal_charge=0, explicit_h=None, "
-            "chirality=0, isotope=0, index=1)], bonds=[Bond(a=0, b=1, order=1, "
-            "stereo=0)], source='CO')")
+        graph = build_graph([Atom("C", index=0), Atom("O", index=1)],
+                            [Bond(0, 1)], "CO")
+        assert repr(graph) == "MolecularGraph(source='CO', atoms=2, bonds=1)"
         assert repr(parse_smiles("CO")) == repr(graph)
 
 
@@ -291,7 +297,7 @@ def random_ring_graphs(seed: int, count: int) -> list[MolecularGraph]:
         bonds = [Bond(a, b) if rng.random() < 0.5 else Bond(b, a)
                  for a, b in pairs]
         rng.shuffle(bonds)
-        graphs.append(MolecularGraph([Atom("C", index=i) for i in range(n)], bonds))
+        graphs.append(build_graph([Atom("C", index=i) for i in range(n)], bonds))
     return graphs
 
 
@@ -425,11 +431,11 @@ class TestAromaticityMatchesReference:
         perceived = perceive_aromaticity(graph)
         expected = reference_perceive_aromaticity(graph)
         assert (perceived is graph) == (expected is graph)
-        assert [a.aromatic for a in perceived.atoms] == [
-            a.aromatic for a in expected.atoms]
-        assert [b.order for b in perceived.bonds] == [
-            b.order for b in expected.bonds]
-        assert perceived.orders == [b.order for b in expected.bonds]
+        assert [a.aromatic for a in atoms_of(perceived)] == [
+            a.aromatic for a in atoms_of(expected)]
+        assert [b.order for b in bonds_of(perceived)] == [
+            b.order for b in bonds_of(expected)]
+        assert perceived.orders == [b.order for b in bonds_of(expected)]
         return perceived is not graph
 
     def test_kekule_cases(self):
@@ -558,15 +564,13 @@ class TestConjugation:
         # the orders are drawn before the graph that reads them is built
         rng = random.Random(41)
         for drawn in random_ring_graphs(43, 400):
-            graph = MolecularGraph(
-                drawn.atoms,
+            graph = build_graph(
+                atoms_of(drawn),
                 [Bond(b.a, b.b, rng.choice((1, 1, 2, 3, 4)), b.stereo)
-                 for b in drawn.bonds])
+                 for b in bonds_of(drawn)])
             assert conjugation_extent(graph) == brute_conjugation_extent(graph)
 
 
 def test_empty_graph_counts_raise():
-    from moltiers.smiles import MolecularGraph
-
     with pytest.raises(EmptyMolecule):
-        structural_counts(MolecularGraph([], [], ""))
+        structural_counts(build_graph([], [], ""))

@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -240,9 +241,10 @@ class TestDerivedTable:
 
     def test_nothing_annotatable_raises_before_writing(self):
         sink = io.StringIO()
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(EmptyCorpus) as raised:
             run_annotate(iter(enumerate(MALFORMED)), ComplexityAnnotator(), sink)
         assert sink.getvalue() == ""
+        assert raised.value.skipped == len(MALFORMED)
 
 
 class TestCli:
@@ -261,6 +263,26 @@ class TestCli:
         out.write_text("earlier output\n")
         assert main(["annotate", "--input", str(bad), "--output", str(out)]) == 0
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fixed_table", [False, True])
+    def test_only_malformed_reports_its_skips(self, corpus, tmp_path, caplog,
+                                              workers, fixed_table):
+        # with a table or fitting one, a file with nothing to annotate
+        # succeeds with an empty output and the usual line, skips counted
+        bad = tmp_path / "bad.smi"
+        bad.write_text("C1CC\nX\n")
+        flags = ["--workers", workers]
+        if fixed_table:
+            assert main(["prevalence", "--input", str(corpus),
+                         "--output-dir", str(tmp_path / "p")]) == 0
+            flags += ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level("INFO", logger="moltiers"):
+            assert main(["annotate", "--input", str(bad), "--output", str(out),
+                         *flags]) == 0
+        assert out.read_text() == ""
+        assert "annotated 0 molecules (skipped 2 malformed)" in caplog.text
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("fixed_table", [False, True])
@@ -730,6 +752,49 @@ def test_every_name_perfbench_imports_resolves():
         missing += [f"{where}: {module}.{name}.{attr}" for attr in sorted(attributes)
                     if not hasattr(value, attr)]
     assert not missing, missing
+
+
+def test_graph_counts_perfbench_reads_allocate_nothing():
+    """perfbench's traced probe counts ``len(graph.atoms)`` and
+    ``len(graph.bonds)`` on each graph the annotator describes: they are
+    the graph's own per-atom and per-bond lists, read without building
+    anything, on parsed and on aromaticity-promoted graphs alike."""
+    import moltiers
+    from moltiers.graph import perceive_aromaticity
+    from moltiers.smiles import parse_smiles
+
+    assert "Atom" not in moltiers.__all__
+    assert "Bond" not in moltiers.__all__
+
+    def shim(g):
+        return len(g.atoms), len(g.bonds)
+
+    def arrays(g):
+        return len(g.elements), len(g.ends)
+
+    def grown(read, graphs):
+        """Bytes held after, and at most during, ``read`` of each graph,
+        beyond what the same loop over the arrays holds."""
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        for g in graphs:
+            read(g)
+        current, peak = tracemalloc.get_traced_memory()
+        return current - before, peak - before
+
+    texts = ["[H]", "CC(=O)[O-].[Na+]", "C1=CC=CC=C1O", "[nH]1cccc1"]
+    shim(parse_smiles("C")), arrays(parse_smiles("C"))  # first calls
+    tracemalloc.start()
+    try:
+        parsed = [parse_smiles(text) for text in texts]
+        graphs = parsed + [perceive_aromaticity(g) for g in parsed]
+        assert graphs[6] is not parsed[2]  # the Kekulé ring was promoted
+        # the first read of each graph: nothing is built on first access
+        assert grown(shim, graphs) == grown(arrays, graphs)
+    finally:
+        tracemalloc.stop()
+    assert [shim(g) for g in graphs] == [arrays(g) for g in graphs]
+    assert [shim(g) for g in parsed] == [(1, 0), (5, 3), (7, 7), (5, 5)]
 
 
 @pytest.fixture()

@@ -25,8 +25,6 @@ from moltiers.smiles import (
     SINGLE,
     STEREO_UP,
     TRIPLE,
-    Atom,
-    Bond,
     MolecularGraph,
     feature_mask,
     implicit_hydrogens,
@@ -35,6 +33,7 @@ from moltiers.smiles import (
 )
 from moltiers.synth import generate_corpus
 
+from builders import Atom, Bond, atoms_of, bonds_of, build_graph
 from oracles import (
     assert_isomorphic,
     explicit_valences,
@@ -45,85 +44,85 @@ from smiles_writer import write_smiles, write_smiles_mapped
 
 
 def bond_set(graph):
-    return {(min(b.a, b.b), max(b.a, b.b), b.order) for b in graph.bonds}
+    return {(min(b.a, b.b), max(b.a, b.b), b.order) for b in bonds_of(graph)}
 
 
 class TestParsing:
     def test_single_atom(self):
         g = parse_smiles("C")
-        assert len(g.atoms) == 1
-        assert not g.bonds
-        assert g.atoms[0].element == "C"
+        assert len(atoms_of(g)) == 1
+        assert not bonds_of(g)
+        assert atoms_of(g)[0].element == "C"
 
     def test_benzene(self):
         g = parse_smiles("c1ccccc1")
-        assert len(g.atoms) == 6
-        assert len(g.bonds) == 6
-        assert all(a.aromatic for a in g.atoms)
-        assert all(b.order == AROMATIC for b in g.bonds)
+        assert len(atoms_of(g)) == 6
+        assert len(bonds_of(g)) == 6
+        assert all(a.aromatic for a in atoms_of(g))
+        assert all(b.order == AROMATIC for b in bonds_of(g))
 
     def test_acetic_acid(self):
         g = parse_smiles("CC(=O)O")
-        assert len(g.atoms) == 4
+        assert len(atoms_of(g)) == 4
         assert bond_set(g) == {(0, 1, SINGLE), (1, 2, DOUBLE), (1, 3, SINGLE)}
 
     def test_branches_and_rings(self):
         g = parse_smiles("CC1CC(C)CC1")
-        assert len(g.atoms) == 7
-        assert len(g.bonds) == 7
+        assert len(atoms_of(g)) == 7
+        assert len(bonds_of(g)) == 7
 
     def test_two_letter_elements(self):
         g = parse_smiles("ClCCBr")
-        assert [a.element for a in g.atoms] == ["Cl", "C", "C", "Br"]
+        assert [a.element for a in atoms_of(g)] == ["Cl", "C", "C", "Br"]
 
     def test_percent_ring_closure(self):
         g = parse_smiles("C%12CCCCC%12")
-        assert len(g.bonds) == 6
+        assert len(bonds_of(g)) == 6
 
     def test_dot_components(self):
         g = parse_smiles("CC.O")
-        assert len(g.atoms) == 3
-        assert len(g.bonds) == 1
+        assert len(atoms_of(g)) == 3
+        assert len(bonds_of(g)) == 1
 
     def test_bond_symbols(self):
         g = parse_smiles("C=C-C#C")
-        orders = [b.order for b in g.bonds]
+        orders = [b.order for b in bonds_of(g)]
         assert orders == [DOUBLE, SINGLE, TRIPLE]
 
     def test_stereo_bond_marks(self):
         g = parse_smiles("F/C=C/F")
-        marks = [b.stereo for b in g.bonds]
+        marks = [b.stereo for b in bonds_of(g)]
         assert marks.count(STEREO_UP) == 2
 
     def test_bracket_atom(self):
         g = parse_smiles("[13C@H2+2]")
-        atom = g.atoms[0]
+        atom = atoms_of(g)[0]
         assert atom.isotope == 13
         assert atom.chirality == CHI_AT
         assert atom.explicit_h == 2
         assert atom.formal_charge == 2
 
     def test_bracket_charge_forms(self):
-        assert parse_smiles("[O-]").atoms[0].formal_charge == -1
-        assert parse_smiles("[Fe++]").atoms[0].formal_charge == 2
-        assert parse_smiles("[N+3]").atoms[0].formal_charge == 3
-        assert parse_smiles("[C@@H](N)(C)O").atoms[0].chirality == CHI_AT_AT
+        assert atoms_of(parse_smiles("[O-]"))[0].formal_charge == -1
+        assert atoms_of(parse_smiles("[Fe++]"))[0].formal_charge == 2
+        assert atoms_of(parse_smiles("[N+3]"))[0].formal_charge == 3
+        assert atoms_of(parse_smiles("[C@@H](N)(C)O"))[0].chirality == CHI_AT_AT
 
     def test_aromatic_bracket(self):
         g = parse_smiles("c1cc[nH]c1")
-        assert g.atoms[3].element == "N"
-        assert g.atoms[3].aromatic
-        assert g.atoms[3].explicit_h == 1
+        assert atoms_of(g)[3].element == "N"
+        assert atoms_of(g)[3].aromatic
+        assert atoms_of(g)[3].explicit_h == 1
 
     def test_ring_bond_order_on_either_side(self):
         for text in ("C=1CCCCC=1", "C=1CCCCC1", "C1CCCCC=1"):
             g = parse_smiles(text)
-            assert sum(b.order == DOUBLE for b in g.bonds) == 1
+            assert sum(b.order == DOUBLE for b in bonds_of(g)) == 1
 
     def test_index_in_input_order(self):
         g = parse_smiles("NC(=O)c1ccccc1")
-        assert [a.index for a in g.atoms] == list(range(9))
-        assert g.atoms[0].element == "N"
+        assert [a.index for a in atoms_of(g)] == list(range(9))
+        assert atoms_of(g)[0].element == "N"
 
 
 class TestErrors:
@@ -210,7 +209,7 @@ class TestImplicitHydrogens:
             hs = implicit_hydrogens(g)
             ev = g.valence
             assert ev == explicit_valences(g), smiles
-            for atom in g.atoms:
+            for atom in atoms_of(g):
                 if atom.explicit_h is not None:
                     continue  # bracket atoms carry their own H/charge state
                 total = ev[atom.index] + hs[atom.index]
@@ -280,7 +279,7 @@ class TestFuzz:
     def test_never_crashes(self, text):
         try:
             graph = parse_smiles(text)
-            assert graph.atoms
+            assert atoms_of(graph)
         except SmilesError:
             pass
 
@@ -349,23 +348,22 @@ def parse_outcome(parse, text):
 
 
 def view_fields(graph) -> dict:
-    """The graph's array slots: every slot but the source and the objects."""
-    return {name: getattr(graph, name) for name in MolecularGraph.__slots__
-            if name != "source" and not name.startswith("_")}
+    """The graph's slots, field by field."""
+    return {name: getattr(graph, name) for name in MolecularGraph.__slots__}
 
 
 def assert_parses_as_reference(text):
     """The parser gives the graph or error the parser before it gave, and
-    the arrays it fills are the ones ``MolecularGraph(atoms, bonds)`` builds
-    from the reference graph's objects, field by field."""
+    the arrays it fills are the ones ``build_graph`` builds from the
+    reference parser's objects, field by field."""
     got = parse_outcome(parse_smiles, text)
     want = parse_outcome(reference_parse_smiles, text)
     if isinstance(want, tuple):
         assert got == want, text
         return
     assert isinstance(got, MolecularGraph), (text, got)
-    assert (got.atoms, got.bonds, got.source) == (want.atoms, want.bonds, want.source)
-    assert view_fields(got) == view_fields(MolecularGraph(want.atoms, want.bonds)), text
+    assert (atoms_of(got), bonds_of(got)) == (atoms_of(want), bonds_of(want)), text
+    assert view_fields(got) == view_fields(want), text
     assert got.degree == heavy_degree(want), text
 
 
@@ -395,7 +393,7 @@ class TestViewFilledByParser:
     def test_hand_built_graph_view(self):
         # a graph built by hand gets its arrays at construction, with
         # hydrogens left out of the heavy degrees
-        graph = MolecularGraph(
+        graph = build_graph(
             [Atom("C", index=0), Atom("H", index=1), Atom("O", index=2)],
             [Bond(0, 1), Bond(0, 2, DOUBLE)])
         assert graph.degree == [1, 1, 1]
