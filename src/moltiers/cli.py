@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, fields
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -61,7 +60,7 @@ def _annotator_from_args(args: argparse.Namespace) -> ComplexityAnnotator:
     # built first, so invalid thresholds fail before any file is read
     config = TierConfig.from_attributes(args)
     library = FGLibrary.from_json(args.library) if args.library else None
-    return ComplexityAnnotator(**asdict(config), library=library)
+    return ComplexityAnnotator(**config._asdict(), library=library)
 
 
 def _input_records(args: argparse.Namespace):
@@ -373,9 +372,9 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
         p.add_argument("--library", help="functional-group library JSON")
 
     def add_tier_config(p):
-        for field in fields(TierConfig):
-            p.add_argument("--" + field.name.replace("_", "-"),
-                           type=type(field.default), default=field.default)
+        for name, default in TierConfig._field_defaults.items():
+            p.add_argument("--" + name.replace("_", "-"),
+                           type=type(default), default=default)
 
     p = sub.add_parser("prevalence", help="compute group prevalence P(f)")
     add_io(p)

@@ -1,16 +1,17 @@
 """The five structural-complexity descriptors and the per-molecule record.
 
-All descriptors are pure functions of the (aromaticity-perceived) graph and
-invariant under atom re-indexing, and reads only the graph's arrays;
-records are safe to compute in parallel across molecules.  Only ``rarity`` depends on the corpus, so a record is
-built in two steps: ``descriptor_core`` holds everything else, and
-``finish_record`` adds rarity from a prevalence table.
+All descriptors are pure functions of the (aromaticity-perceived) graph:
+each is invariant under atom re-indexing and reads only the graph's arrays,
+so records are safe to compute in parallel across molecules.  Only
+``rarity`` depends on the corpus, so a record is built in two steps:
+``descriptor_core`` holds everything else, and ``finish_record`` adds
+rarity from a prevalence table.  Both are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyMolecule
 from .fgroups import FGLibrary, PrevalenceTable, default_library, present_groups
@@ -29,8 +30,7 @@ from .smiles import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolecularGraph, feature_ma
 _PI_ORDERS = feature_mask({}, (DOUBLE, TRIPLE, AROMATIC))
 
 
-@dataclass(slots=True)
-class DescriptorCore:
+class DescriptorCore(NamedTuple):
     """Every record field except the corpus-dependent rarity."""
 
     d_scaf: float
@@ -42,8 +42,7 @@ class DescriptorCore:
     fg_names: frozenset[str]
 
 
-@dataclass(slots=True)
-class DescriptorRecord:
+class DescriptorRecord(NamedTuple):
     d_scaf: float
     rarity: float
     conjugation: int

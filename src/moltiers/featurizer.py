@@ -35,7 +35,6 @@ uncached: the annotate pipeline, whose input has no repeats, calls it.
 from __future__ import annotations
 
 import functools
-import inspect
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .descriptors import (
@@ -173,19 +172,24 @@ def _describe_cache(library: FGLibrary | None) -> Callable[[str], _Entry]:
     return entry
 
 
+# the tier parameters' defaults; on the named tuple, the field names are
+# accessors, not values
+_DEFAULTS = TierConfig._field_defaults
+
+
 class ComplexityAnnotator:
     """fit on a corpus, transform SMILES into descriptor/tier records."""
 
     def __init__(
         self,
-        rarity_threshold: float = TierConfig.rarity_threshold,
-        top_k: int = TierConfig.top_k,
-        s_threshold: int = TierConfig.s_threshold,
-        ct_per_ha_threshold: float = TierConfig.ct_per_ha_threshold,
-        min_rings_t3: int = TierConfig.min_rings_t3,
-        fg_low: int = TierConfig.fg_low,
-        fg_mid_lo: int = TierConfig.fg_mid_lo,
-        fg_mid_hi: int = TierConfig.fg_mid_hi,
+        rarity_threshold: float = _DEFAULTS["rarity_threshold"],
+        top_k: int = _DEFAULTS["top_k"],
+        s_threshold: int = _DEFAULTS["s_threshold"],
+        ct_per_ha_threshold: float = _DEFAULTS["ct_per_ha_threshold"],
+        min_rings_t3: int = _DEFAULTS["min_rings_t3"],
+        fg_low: int = _DEFAULTS["fg_low"],
+        fg_mid_lo: int = _DEFAULTS["fg_mid_lo"],
+        fg_mid_hi: int = _DEFAULTS["fg_mid_hi"],
         library: FGLibrary | None = None,
     ):
         self.rarity_threshold = rarity_threshold
@@ -201,8 +205,8 @@ class ComplexityAnnotator:
     # -- sklearn-style parameter plumbing ---------------------------------
     @classmethod
     def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
+        code = cls.__init__.__code__
+        return list(code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount])
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}

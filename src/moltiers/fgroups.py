@@ -17,9 +17,8 @@ against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyCorpus
 from .smiles import (
@@ -39,8 +38,7 @@ _ORDER_BY_NAME = {
 }
 
 
-@dataclass(frozen=True)
-class AtomConstraint:
+class AtomConstraint(NamedTuple):
     elements: frozenset[str]
     aromatic: bool | None = None
     min_deg: int = 0
@@ -58,25 +56,39 @@ class AtomConstraint:
         return True
 
 
-@dataclass(frozen=True)
-class BondConstraint:
+class BondConstraint(NamedTuple):
     a: int
     b: int
     orders: frozenset[int]
 
 
-@dataclass
 class FunctionalGroupPattern:
-    name: str
-    atoms: list[AtomConstraint]
-    bonds: list[BondConstraint]
-    # the compiled search plan, built once (see _compile)
-    _plan: tuple = field(default=(), repr=False)
+    """A named constraint graph of 1-6 atoms whose bonds each join two of
+    its atoms, compiled once into its search plan (see ``_compile``)."""
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.atoms) <= 6:
-            raise ValueError(f"pattern {self.name!r} must have 1-6 atoms")
+    def __init__(self, name: str, atoms: list[AtomConstraint],
+                 bonds: list[BondConstraint]):
+        if not 1 <= len(atoms) <= 6:
+            raise ValueError(f"pattern {name!r} must have 1-6 atoms")
+        for bond in bonds:
+            if bond.a == bond.b or not (0 <= bond.a < len(atoms)
+                                        and 0 <= bond.b < len(atoms)):
+                raise ValueError(f"pattern {name!r}: bond {bond.a}-{bond.b} does "
+                                 f"not join two of its {len(atoms)} atoms")
+        self.name = name
+        self.atoms = atoms
+        self.bonds = bonds
         self._plan = _compile(self)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FunctionalGroupPattern:
+            return NotImplemented
+        return ((self.name, self.atoms, self.bonds)
+                == (other.name, other.atoms, other.bonds))
+
+    def __repr__(self) -> str:
+        return (f"FunctionalGroupPattern(name={self.name!r}, atoms={self.atoms!r}, "
+                f"bonds={self.bonds!r})")
 
     def required_elements(self) -> dict[str, int]:
         """Lower bound on element counts a molecule needs to match."""
@@ -106,11 +118,12 @@ def _compile(pattern: FunctionalGroupPattern) -> tuple:
     molecule whose ``graph.features`` lacks any of its bits cannot match;
     ``root_site`` is the root atom's element when it allows only one (its
     candidates are then that element's sites) and None otherwise; ``pair``
-    is True for a two-atom pattern the root loop finishes.  Step ``k`` is ``(anchor, anchor_orders, elements, aromatic, min_deg,
-    max_deg, extras)``: the atom is a neighbour of step ``anchor``'s atom
-    through a bond of ``anchor_orders`` (-1 and None for the root), and
-    ``extras`` lists ``(earlier_step, allowed_orders)`` for its other bonds
-    to atoms already placed.
+    is True for a two-atom pattern the root loop finishes.  Step ``k`` is
+    ``(anchor, anchor_orders, elements, aromatic, min_deg, max_deg,
+    extras)``: the atom is a neighbour of step ``anchor``'s atom through a
+    bond of ``anchor_orders`` (-1 and None for the root), and ``extras``
+    lists ``(earlier_step, allowed_orders)`` for its other bonds to atoms
+    already placed.
     """
     n = len(pattern.atoms)
     adj: list[list[tuple[int, frozenset[int]]]] = [[] for _ in range(n)]
@@ -162,8 +175,7 @@ def _compile(pattern: FunctionalGroupPattern) -> tuple:
     return (pattern.name, features, root_site, pair, tuple(steps))
 
 
-@dataclass
-class PrevalenceTable:
+class PrevalenceTable(NamedTuple):
     prevalence: dict[str, float]
     corpus_size: int
 
@@ -172,9 +184,11 @@ class FGLibrary:
     """An immutable set of uniquely named patterns."""
 
     def __init__(self, patterns: list[FunctionalGroupPattern]):
-        names = [p.name for p in patterns]
-        if len(set(names)) != len(names):
-            raise ValueError("pattern names must be unique")
+        names: set[str] = set()
+        for p in patterns:
+            if p.name in names:
+                raise ValueError(f"pattern {p.name!r} appears twice")
+            names.add(p.name)
         self.patterns = list(patterns)
         self._plans = tuple(p._plan for p in self.patterns)
 
@@ -185,32 +199,71 @@ class FGLibrary:
         return [p.name for p in self.patterns]
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "FGLibrary":
-        patterns = []
-        for item in payload["patterns"]:
-            atoms = [
-                AtomConstraint(
-                    elements=frozenset(a["elements"]),
-                    aromatic=a.get("aromatic"),
-                    min_deg=a.get("min_deg", 0),
-                    max_deg=a.get("max_deg"),
-                )
-                for a in item["atoms"]
-            ]
-            bonds = [
-                BondConstraint(
-                    b["a"], b["b"],
-                    frozenset(_ORDER_BY_NAME[o] for o in b["orders"]),
-                )
-                for b in item["bonds"]
-            ]
-            patterns.append(FunctionalGroupPattern(item["name"], atoms, bonds))
-        return cls(patterns)
+    def from_dict(cls, payload: dict) -> FGLibrary:
+        """The library of a ``{"patterns": [...]}`` payload, the form of the
+        JSON file.  Raises ValueError, naming the pattern, for an entry that
+        is not a well-formed pattern."""
+        entries = payload.get("patterns") if isinstance(payload, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError('a library is a JSON object with a "patterns" list')
+        return cls([_pattern_from_dict(k, item) for k, item in enumerate(entries)])
 
     @classmethod
-    def from_json(cls, path) -> "FGLibrary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+    def from_json(cls, path) -> FGLibrary:
+        """``from_dict`` of a JSON file; a ValueError names the path."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+_ABSENT = object()
+
+
+def _get(entry: object, key: str, kinds: tuple[type, ...],
+         default: object = _ABSENT):
+    """``entry[key]``, whose type must be one of ``kinds`` (exactly, so a
+    JSON true or false is no count); ``default`` when absent."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{entry!r} is not a JSON object")
+    value = entry.get(key, default)
+    if value is _ABSENT:
+        raise ValueError(f'an entry lacks "{key}"')
+    if value is not default and type(value) not in kinds:
+        raise ValueError(f'"{key}" is {value!r}')
+    return value
+
+
+def _pattern_from_dict(k: int, item: object) -> FunctionalGroupPattern:
+    """Library entry ``k`` as a pattern; ValueError names it."""
+    name = item.get("name") if isinstance(item, dict) else None
+    try:
+        atoms = []
+        for a in _get(item, "atoms", (list,)):
+            elements = _get(a, "elements", (list,))
+            if not all(isinstance(el, str) for el in elements):
+                raise ValueError(f'"elements" is {elements!r}')
+            atoms.append(AtomConstraint(
+                frozenset(elements),
+                _get(a, "aromatic", (bool, type(None)), None),
+                _get(a, "min_deg", (int,), 0),
+                _get(a, "max_deg", (int, type(None)), None),
+            ))
+        bonds = []
+        for b in _get(item, "bonds", (list,)):
+            orders = set()
+            for order in _get(b, "orders", (list,)):
+                if not isinstance(order, str) or order not in _ORDER_BY_NAME:
+                    raise ValueError(f"unknown bond order {order!r}")
+                orders.add(_ORDER_BY_NAME[order])
+            bonds.append(BondConstraint(_get(b, "a", (int,)), _get(b, "b", (int,)),
+                                        frozenset(orders)))
+        name = _get(item, "name", (str,))
+    except ValueError as exc:
+        label = repr(name) if isinstance(name, str) else f"#{k}"
+        raise ValueError(f"pattern {label}: {exc}") from None
+    return FunctionalGroupPattern(name, atoms, bonds)
 
 
 _DEFAULT: FGLibrary | None = None
@@ -219,11 +272,10 @@ _DEFAULT: FGLibrary | None = None
 def default_library() -> FGLibrary:
     global _DEFAULT
     if _DEFAULT is None:
-        text = (
-            resources.files("moltiers.data")
-            .joinpath("functional_groups.json")
-            .read_text(encoding="utf-8")
-        )
+        # read beside this module: importlib.resources loads inspect on
+        # Python 3.12 and later, which no command needs otherwise
+        text = (Path(__file__).parent / "data" / "functional_groups.json"
+                ).read_text(encoding="utf-8")
         _DEFAULT = FGLibrary.from_dict(json.loads(text))
         assert len(_DEFAULT) == 31
     return _DEFAULT

@@ -32,7 +32,7 @@ sums, which shares every other array with the input.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyMolecule
 from .smiles import (
@@ -49,34 +49,25 @@ MAX_RING_SIZE = 8
 _CN = frozenset(("C", "N"))
 
 
-@dataclass(slots=True)
-class RingInfo:
+class RingInfo(NamedTuple):
     ring_atoms: frozenset[int]
     ring_bonds: frozenset[int]
     rings: list[tuple[int, ...]]  # ordered small cycles, deduplicated
     n_ring: int  # cyclomatic number
 
 
-@dataclass(slots=True)
-class ScaffoldResult:
+class ScaffoldResult(NamedTuple):
     scaffold_atoms: frozenset[int]
     n_scaffold: int
     is_empty: bool
 
 
-@dataclass(slots=True, frozen=True)
-class StructuralCounts:
+class StructuralCounts(NamedTuple):
     n_ha: int
     n_het: int
     n_ring: int
     n_sc: int
     mw: float
-
-    def __reduce__(self):
-        # pickled as constructor arguments: the state a frozen dataclass
-        # pickles by default takes about twice as long to load, and the
-        # one-pass annotate run spills and reloads every molecule's counts
-        return (StructuralCounts, (self.n_ha, self.n_het, self.n_ring, self.n_sc, self.mw))
 
 
 def _blocks(adj: list[list[tuple[int, int]]]) -> list[list[int]]:

@@ -35,7 +35,6 @@ import select
 import tempfile
 from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
@@ -387,10 +386,20 @@ def _describe_and_fit(
     return (spill.read(length) for length in lengths)
 
 
-@dataclass
 class AnnotateStats:
-    written: int = 0
-    skipped: int = 0
+    """Molecules written and entries skipped; a run counts into one."""
+
+    def __init__(self, written: int = 0, skipped: int = 0):
+        self.written = written
+        self.skipped = skipped
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not AnnotateStats:
+            return NotImplemented
+        return (self.written, self.skipped) == (other.written, other.skipped)
+
+    def __repr__(self) -> str:
+        return f"AnnotateStats(written={self.written}, skipped={self.skipped})"
 
 
 def run_annotate(
@@ -451,9 +460,10 @@ def load_prevalence(path: str | Path) -> PrevalenceTable:
     """The table ``write_prevalence`` wrote.  Raises MalformedLine, naming
     the line, for a row that is not ``name<TAB>prevalence`` with a
     prevalence in [0, 1], a row whose name an earlier row has, a
-    ``corpus_size`` that is not a count, or a second ``corpus_size`` line.  A table with no rows, the one
-    fitted with an empty library, must have its ``corpus_size`` line:
-    without either, the file is no table (EmptyCorpus)."""
+    ``corpus_size`` that is not a count, or a second ``corpus_size`` line.
+    A table with no rows, the one fitted with an empty library, must have
+    its ``corpus_size`` line: without either, the file is no table
+    (EmptyCorpus)."""
     prevalence: dict[str, float] = {}
     corpus_size = None
     with open(path, encoding="utf-8") as fh:

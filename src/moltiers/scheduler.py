@@ -14,11 +14,10 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EpochOutOfRange, Staged10RequiresTenEpochs
 from .tiering import REGIMES
@@ -43,24 +42,35 @@ _STAGED10 = (
 )
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
+class _ScheduleFields(NamedTuple):
     regime: str = "staged10"
     epochs: int = 10
     hard_start: float = 0.1
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class ScheduleSpec(_ScheduleFields):
+    """A schedule's regime, length, hard-start fraction and seed; every way
+    of building one, ``_replace`` and unpickling included, checks them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScheduleSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.hard_start <= 1.0:
             raise ValueError("hard_start must lie in [0, 1]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ScheduleSpec:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EpochManifest:
+class EpochManifest(NamedTuple):
     epoch: int
     regime: str
     sampled_ids: list[int]

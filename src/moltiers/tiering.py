@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # only annotations name it, so tiering loads no descriptor code
     from .descriptors import DescriptorRecord
@@ -16,8 +15,7 @@ TIERS = ("T0", "T1", "T2", "T3", "T4")
 REGIMES = ("additive", "staged10", "mixed", "standard", "anti")
 
 
-@dataclass(frozen=True)
-class TierConfig:
+class _TierFields(NamedTuple):
     rarity_threshold: float = 0.9
     top_k: int = 6
     s_threshold: int = 4
@@ -27,7 +25,23 @@ class TierConfig:
     fg_mid_lo: int = 3
     fg_mid_hi: int = 5
 
-    def __post_init__(self) -> None:
+
+class TierConfig(_TierFields):
+    """The tier rule thresholds; every way of building one, ``_replace``
+    and unpickling included, runs ``_validate``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> TierConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> TierConfig:
+        return cls(*iterable)
+
+    def _validate(self) -> None:
         if not (self.fg_low < self.fg_mid_lo <= self.fg_mid_hi):
             raise ValueError("require fg_low < fg_mid_lo <= fg_mid_hi")
         # `not value > 0` rejects NaN, which every comparison fails; inf
@@ -43,11 +57,10 @@ class TierConfig:
         return cls(*_field_values(obj))
 
 
-_field_values = attrgetter(*(f.name for f in fields(TierConfig)))
+_field_values = attrgetter(*TierConfig._fields)
 
 
-@dataclass(frozen=True)
-class TierLabel:
+class TierLabel(NamedTuple):
     tier: str
     rule_trace: str
 

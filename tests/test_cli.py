@@ -237,6 +237,61 @@ class TestPrevalenceIO:
         assert not out.parent.exists()
 
 
+def _pair_pattern(**bond) -> dict:
+    """A two-atom pattern named x with ``bond`` as its one bond."""
+    return {"patterns": [{"name": "x",
+                          "atoms": [{"elements": ["C"]}, {"elements": ["O"]}],
+                          "bonds": [{"a": 0, "b": 1, "orders": ["single"],
+                                     **bond}]}]}
+
+
+# a library file's text and what the data error says after its path
+MALFORMED_LIBRARIES = {
+    "no-patterns": ("{}", 'a library is a JSON object with a "patterns" list'),
+    "not-an-object": ("[1]", 'a library is a JSON object with a "patterns" list'),
+    "no-atoms": ('{"patterns": [{"name": "x"}]}',
+                 "pattern 'x': an entry lacks \"atoms\""),
+    "entry-not-object": ('{"patterns": [1]}', "pattern #0: 1 is not a JSON object"),
+    "elements-not-list": ('{"patterns": [{"name": "x", "atoms": [{"elements": 5}], '
+                          '"bonds": []}]}', "pattern 'x': \"elements\" is 5"),
+    "endpoint-outside": (json.dumps(_pair_pattern(b=2)),
+                         "pattern 'x': bond 0-2 does not join two of its 2 atoms"),
+    "self-bond": (json.dumps(_pair_pattern(b=0)),
+                  "pattern 'x': bond 0-0 does not join two of its 2 atoms"),
+    "unknown-order": (json.dumps(_pair_pattern(orders=["quadruple"])),
+                      "pattern 'x': unknown bond order 'quadruple'"),
+    "bool-endpoint": (json.dumps(_pair_pattern(a=True, b=0)),
+                      "pattern 'x': \"a\" is True"),
+    "name-twice": ('{"patterns": [{"name": "x", "atoms": [{"elements": ["C"]}], '
+                   '"bonds": []}, {"name": "x", "atoms": [{"elements": ["O"]}], '
+                   '"bonds": []}]}', "pattern 'x' appears twice"),
+    "not-json": ('{"patterns": [', "Expecting value"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_LIBRARIES)
+@pytest.mark.parametrize("command", ["annotate", "prevalence"])
+def test_malformed_library_is_data_error_before_output(command, case, smi_file,
+                                                       tmp_path):
+    import subprocess
+    import sys
+
+    text, message = MALFORMED_LIBRARIES[case]
+    library = tmp_path / "library.json"
+    library.write_text(text)
+    out = tmp_path / "out"
+    target = (["--output", str(out / "annotated.jsonl")] if command == "annotate"
+              else ["--output-dir", str(out)])
+    run = subprocess.run(
+        [sys.executable, "-m", "moltiers.cli", command, "--input", str(smi_file),
+         "--library", str(library), *target],
+        capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert f"{library}: {message}" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 class TestWorkerDeterminism:
     def test_fresh_interpreters_byte_identical(self, tmp_path):
         # separate processes get different string-hash seeds; output must not

@@ -54,14 +54,14 @@ class TestEstimatorSurface:
         rebuilt per molecule."""
         corpus = list(generate_corpus(100, seed=4))
         annotator = ComplexityAnnotator().fit(corpus)
-        post_init = TierConfig.__post_init__
+        validate = TierConfig._validate
         built = []
 
         def counting(config):
             built.append(config)
-            post_init(config)
+            validate(config)
 
-        monkeypatch.setattr(TierConfig, "__post_init__", counting)
+        monkeypatch.setattr(TierConfig, "_validate", counting)
         annotator.transform(corpus[:1])
         per_call = len(built)
         assert len(annotator.transform(corpus)) == 100
@@ -441,8 +441,10 @@ class TestFinishedEntries:
             row["smiles"] = "zz"
         for text in requests:
             record, _ = annotator.annotate_one(text)
-            record.rarity = -1.0
-            record.fg_names = frozenset({"zz_extra"})
+            with pytest.raises(AttributeError):
+                record.rarity = -1.0
+            with pytest.raises(AttributeError):
+                record.fg_names = frozenset({"zz_extra"})
         assert annotator.transform(requests) == expected
         assert_answers_uncached(annotator, requests)
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import random
 
@@ -59,9 +58,9 @@ class TestStructuralCounts:
         assert structural_counts(mol("F/C=C/F")).n_sc == 1
 
     def test_counts_are_frozen(self, mol):
-        # counts are a value: frozen, and pickled as their fields
+        # counts are a value: immutable, and pickled as their fields
         counts = structural_counts(mol("CCO"))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             counts.n_ha = 0
         assert counts.n_ha == 3
         assert pickle.loads(pickle.dumps(counts)) == counts

@@ -697,6 +697,33 @@ def test_annotate_with_workers_loads_no_multiprocessing(corpus, tmp_path):
                    check=True, env=child_env())
 
 
+@pytest.mark.parametrize("command", [
+    ["annotate", "--workers", "1"], ["annotate", "--workers", "2"],
+    ["prevalence"], ["schedule"]], ids=["annotate-1", "annotate-2",
+                                        "prevalence", "schedule"])
+def test_commands_load_no_dataclasses_or_inspect(command, corpus, tmp_path):
+    # records, results and configs are named tuples or plain classes:
+    # dataclasses would load inspect, ast, dis and tokenize at start-up
+    if command[0] == "annotate":
+        argv = [*command, "--input", str(corpus), "--output",
+                str(tmp_path / "out.jsonl")]
+    elif command[0] == "prevalence":
+        argv = ["prevalence", "--input", str(corpus), "--output-dir",
+                str(tmp_path / "p")]
+    else:
+        annotated = tmp_path / "annotated.jsonl"
+        annotated.write_text("".join(f'{{"id":{i},"tier":"T{i % 5}"}}\n'
+                                     for i in range(50)))
+        argv = ["schedule", "--annotated", str(annotated), "--regime", "mixed",
+                "--output-dir", str(tmp_path / "s")]
+    code = ("import sys; from moltiers.cli import main; "
+            "assert main(sys.argv[1:]) == 0; "
+            "loaded = sorted(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code, *argv], check=True, env=child_env())
+
+
 def test_every_public_name_resolves():
     import moltiers
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,10 +153,7 @@ class TestProperties:
             record = describe(smiles, suite_prevalence)
             if record.counts.n_het == 0:
                 continue
-            flipped = dataclasses.replace(
-                record,
-                counts=dataclasses.replace(record.counts, n_sc=1),
-            )
+            flipped = record._replace(counts=record.counts._replace(n_sc=1))
             assert assign_tier(flipped, TOP6).tier == "T4"
 
 
