@@ -13,6 +13,10 @@ needs when it runs: the commands that read SMILES load the SMILES,
 descriptor and pool modules, so ``schedule`` and ``stats`` load only the
 record reader and, for ``schedule``, the scheduler; ``annotate`` and
 ``prevalence`` load no scheduler (nor its ``fractions`` arithmetic).
+Messages go to the current ``sys.stderr`` as ``LEVEL moltiers: message``
+lines, written by ``log``, a small reporter: no command loads ``logging``,
+and none installs a handler.  Each ``main`` call sets the reporter's level,
+INFO, or DEBUG with ``-v``.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
@@ -36,7 +39,39 @@ from .tiering import REGIMES, TIERS, TierConfig
 if TYPE_CHECKING:
     from .featurizer import ComplexityAnnotator
 
-log = logging.getLogger("moltiers")
+DEBUG, INFO, ERROR = 10, 20, 40
+
+
+class _Reporter:
+    """``LEVEL moltiers: message`` lines on the current ``sys.stderr``, the
+    message ``%``-formatted with its args, for levels at or above ``level``.
+    A missing stderr (``None``) or one that fails to write loses the line,
+    not the run."""
+
+    def __init__(self) -> None:
+        self.level = INFO
+
+    def _write(self, level: int, name: str, msg: str, args: tuple) -> None:
+        stream = sys.stderr
+        if level < self.level or stream is None:
+            return
+        try:
+            stream.write(f"{name} moltiers: {msg % args if args else msg}\n")
+            stream.flush()
+        except OSError:
+            pass
+
+    def debug(self, msg: str, *args) -> None:
+        self._write(DEBUG, "DEBUG", msg, args)
+
+    def info(self, msg: str, *args) -> None:
+        self._write(INFO, "INFO", msg, args)
+
+    def error(self, msg: str, *args) -> None:
+        self._write(ERROR, "ERROR", msg, args)
+
+
+log = _Reporter()
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -109,13 +144,17 @@ def _replace_on_success(path: Path):
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    from .pipeline import AnnotateStats, load_prevalence, run_annotate
+    from .pipeline import AnnotateStats, input_format, load_prevalence, run_annotate
 
     annotator = _annotator_from_args(args)
     if args.prevalence:
         annotator.set_prevalence(load_prevalence(args.prevalence))
     else:
         log.info("no prevalence table given; fitting it in the annotate pass")
+    log.debug("annotate: %s read as %s, %d worker(s), chunks of %d, table %s",
+              args.input, input_format(args.input, args.format), args.workers,
+              args.chunk_size, f"read from {args.prevalence}" if args.prevalence
+              else "fitted in the pass")
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -167,8 +206,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         counts = args.tier_counts
         index = None
     else:
+        t0 = time.perf_counter()
         index = TierIndex(read_tier_ids(args.annotated))
         counts = index.counts()
+        log.debug("schedule: read %d records from %s in %.3fs", sum(counts),
+                  args.annotated, time.perf_counter() - t0)
 
     views = epoch_views(counts, spec)
     total = sum(views)
@@ -220,12 +262,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     # every file is renamed into place whole, and the summary comes last,
     # so a failed run into a fresh directory leaves no summary
     if index is not None and not args.no_manifests:
+        t0 = time.perf_counter()
         for e in range(spec.epochs):
             manifest = sample_epoch(index, spec, e)
             path = outdir / f"manifest_epoch_{e:03d}.jsonl"
             with _replace_on_success(path) as fh:
                 write_manifest(fh, manifest)
             log.info("epoch %d manifest: %d ids -> %s", e, manifest.size, path)
+        log.debug("schedule: wrote %d manifests to %s in %.3fs", spec.epochs,
+                  outdir, time.perf_counter() - t0)
     with _replace_on_success(outdir / "schedule_summary.json") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")
     return 0
@@ -441,11 +486,7 @@ def _check_choices(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-            stream=sys.stderr,
-        )
+        log.level = DEBUG if args.verbose else INFO
         if args.config:
             # the file's values are defaults, so a flag given in argv wins
             parser = build_parser(load_config(args.config))

@@ -28,7 +28,6 @@ raised in a worker's chunk is raised again in the caller.
 
 from __future__ import annotations
 
-import csv
 import os
 import pickle
 import select
@@ -48,6 +47,13 @@ from .records import dumps_record, scan_records
 ChunkFn = Callable[[object, ComplexityAnnotator], object]
 
 
+def input_format(path: str | Path, fmt: str = "auto") -> str:
+    """The format, ``smi`` or ``delimited``, ``iter_input`` reads as."""
+    if fmt != "auto":
+        return fmt
+    return "delimited" if Path(path).suffix.lower() in (".csv", ".tsv") else "smi"
+
+
 def iter_input(
     path: str | Path,
     fmt: str = "auto",
@@ -59,9 +65,7 @@ def iter_input(
     split on tabs for .tsv and on commas otherwise, and others as smi.
     A leading UTF-8 byte-order mark, as spreadsheet programs write, is
     dropped."""
-    suffix = Path(path).suffix.lower()
-    if fmt == "auto":
-        fmt = "delimited" if suffix in (".csv", ".tsv") else "smi"
+    fmt = input_format(path, fmt)
     if fmt == "smi":
         with open(path, encoding="utf-8-sig") as fh:
             for i, line in enumerate(fh):
@@ -71,7 +75,9 @@ def iter_input(
         return
     if fmt != "delimited":
         raise ValueError(f"unknown input format {fmt!r}")
-    delim = delimiter or ("\t" if suffix == ".tsv" else ",")
+    import csv  # only delimited input loads it
+
+    delim = delimiter or ("\t" if Path(path).suffix.lower() == ".tsv" else ",")
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         header = next(reader, None)

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,7 +141,7 @@ class TestPrevalenceIO:
         assert table.prevalence == annotator.prevalence_.prevalence
 
     def test_table_without_rows_needs_its_corpus_size(self, smi_file, tmp_path,
-                                                     caplog):
+                                                     capsys):
         # the table an empty library fits: read back, but a data error for
         # a library with groups; a file with neither part is no table
         table = tmp_path / "rows_none.tsv"
@@ -147,7 +150,7 @@ class TestPrevalenceIO:
         out = tmp_path / "out" / "annotated.jsonl"
         assert main(["annotate", "--input", str(smi_file), "--output", str(out),
                      "--prevalence", str(table)]) == 2
-        assert "lacks 31 library group(s)" in caplog.text
+        assert "lacks 31 library group(s)" in capsys.readouterr().err
         assert not out.parent.exists()
         blank = tmp_path / "blank.tsv"
         blank.write_text("# fitted elsewhere\n\n")
@@ -164,7 +167,7 @@ class TestPrevalenceIO:
     ], ids=["nan", "inf", "above-1", "negative", "no-tab", "three-fields",
             "corpus-size", "negative-corpus-size"])
     def test_corrupt_line_is_data_error_before_output(self, smi_file, tmp_path,
-                                                      caplog, line):
+                                                      capsys, line):
         assert main(["prevalence", "--input", str(smi_file), "--output-dir",
                      str(tmp_path / "p")]) == 0
         table = tmp_path / "p" / "prevalence.tsv"
@@ -177,11 +180,11 @@ class TestPrevalenceIO:
         assert main(["annotate", "--input", str(smi_file), "--output", str(out),
                      "--prevalence", str(table)]) == 2
         assert f"{table}:{at + 1}: {line!r} is not name<TAB>prevalence in " \
-            "[0, 1] or # corpus_size=<count>" in caplog.text
+            "[0, 1] or # corpus_size=<count>" in capsys.readouterr().err
         assert not out.parent.exists()
 
     def test_repeated_row_is_data_error_before_output(self, smi_file, tmp_path,
-                                                      caplog):
+                                                      capsys):
         assert main(["prevalence", "--input", str(smi_file), "--output-dir",
                      str(tmp_path / "p")]) == 0
         table = tmp_path / "p" / "prevalence.tsv"
@@ -191,11 +194,12 @@ class TestPrevalenceIO:
         out = tmp_path / "out" / "annotated.jsonl"
         assert main(["annotate", "--input", str(smi_file), "--output", str(out),
                      "--prevalence", str(table)]) == 2
-        assert f"{table}:{n}: group 'hydroxyl' appears twice" in caplog.text
+        assert (f"{table}:{n}: group 'hydroxyl' appears twice"
+                in capsys.readouterr().err)
         assert not out.parent.exists()
 
     def test_second_corpus_size_line_is_data_error_before_output(
-            self, smi_file, tmp_path, caplog):
+            self, smi_file, tmp_path, capsys):
         # a second corpus_size line would silently replace the first
         two = tmp_path / "two.tsv"
         two.write_text("# corpus_size=10\n# corpus_size=99\n")
@@ -210,11 +214,11 @@ class TestPrevalenceIO:
         out = tmp_path / "out" / "annotated.jsonl"
         assert main(["annotate", "--input", str(smi_file), "--output", str(out),
                      "--prevalence", str(table)]) == 2
-        assert f"{table}:33: a second corpus_size line" in caplog.text
+        assert f"{table}:33: a second corpus_size line" in capsys.readouterr().err
         assert not out.parent.exists()
 
     def test_group_outside_library_is_data_error_before_output(self, tmp_path,
-                                                               caplog):
+                                                               capsys):
         # a default-library table picks alkene and aniline into its top 6,
         # and the first 12 default patterns cannot match either
         corpus = tmp_path / "corpus.smi"
@@ -232,7 +236,7 @@ class TestPrevalenceIO:
                      "--library", str(library), "--prevalence",
                      str(tmp_path / "p" / "prevalence.tsv")]) == 2
         assert (f"prevalence table has {len(extra)} group(s) outside the "
-                "library: " + ", ".join(extra)) in caplog.text
+                "library: " + ", ".join(extra)) in capsys.readouterr().err
         assert {"alkene", "aniline"} <= set(extra)
         assert not out.parent.exists()
 
@@ -370,6 +374,60 @@ class TestCli:
                         "--output-dir", str(outdir), "--top-k", "2") == 2
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
+    def test_verbose_is_set_on_every_call(self, smi_file, csv_file, tmp_path,
+                                          capsys):
+        """-v adds DEBUG lines to the call it is given, and only to that one,
+        in one process."""
+        def debug_lines(*argv) -> list[str]:
+            assert self.run(*argv) == 0
+            return [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("DEBUG ")]
+
+        table = tmp_path / "prev" / "prevalence.tsv"
+        assert self.run("prevalence", "--input", str(smi_file),
+                        "--output-dir", str(table.parent)) == 0
+        out = tmp_path / "annotated.jsonl"
+        plain = ["annotate", "--input", str(smi_file), "--output", str(out)]
+        assert debug_lines(*plain) == []
+        assert debug_lines("-v", *plain) == [
+            f"DEBUG moltiers: annotate: {smi_file} read as smi, 1 worker(s), "
+            "chunks of 256, table fitted in the pass"]
+        assert debug_lines("-v", "annotate", "--input", str(csv_file),
+                           "--output", str(tmp_path / "csv.jsonl"),
+                           "--prevalence", str(table), "--workers", "2",
+                           "--chunk-size", "7") == [
+            f"DEBUG moltiers: annotate: {csv_file} read as delimited, "
+            f"2 worker(s), chunks of 7, table read from {table}"]
+        assert debug_lines(*plain) == []
+
+        sched = tmp_path / "sched"
+        schedule = ["schedule", "--annotated", str(out), "--output-dir", str(sched)]
+        assert debug_lines(*schedule) == []
+        read, wrote = debug_lines("-v", *schedule)
+        assert re.fullmatch(rf"DEBUG moltiers: schedule: read 4 records from "
+                            rf"{re.escape(str(out))} in \d+\.\d{{3}}s", read)
+        assert re.fullmatch(rf"DEBUG moltiers: schedule: wrote 10 manifests to "
+                            rf"{re.escape(str(sched))} in \d+\.\d{{3}}s", wrote)
+        assert debug_lines(*schedule) == []
+
+    def test_main_leaves_logging_alone(self, smi_file, tmp_path):
+        """main configures no logging: the root logger of the program that
+        calls it keeps its handlers and level.  Checked in a fresh
+        interpreter, since pytest's own root handlers would hide a
+        ``logging.basicConfig`` call here."""
+        from test_pipeline import child_env
+
+        code = ("import logging, sys; from moltiers.cli import main; "
+                "root = logging.getLogger(); "
+                "before = (list(root.handlers), root.level); "
+                "assert main(sys.argv[1:]) == 0; "
+                "assert main(['schedule', '--tier-counts', 'x']) == 1; "
+                "assert (list(root.handlers), root.level) == before; "
+                "assert logging.getLogger('moltiers').handlers == []")
+        subprocess.run([sys.executable, "-c", code, "-v", "annotate", "--input",
+                        str(smi_file), "--output", str(tmp_path / "out.jsonl")],
+                       check=True, env=child_env())
+
     def test_annotate_two_phase_and_trace(self, smi_file, tmp_path):
         out = tmp_path / "annotated.jsonl"
         assert self.run("annotate", "--input", str(smi_file),
@@ -458,8 +516,8 @@ class TestCli:
     ], ids=["not-json", "not-an-object", "no-mw", "no-bertz_ct", "no-n_ring",
             "no-tier", "tier-T9", "mw-string", "mw-null", "bertz_ct-true",
             "n_ring-list"])
-    def test_stats_bad_record_is_data_error(self, smi_file, tmp_path, caplog,
-                                            capsys, record, message):
+    def test_stats_bad_record_is_data_error(self, smi_file, tmp_path, capsys,
+                                            record, message):
         annotated = tmp_path / "ann.jsonl"
         self.run("annotate", "--input", str(smi_file), "--output", str(annotated))
         with open(annotated, "a") as fh:
@@ -467,8 +525,9 @@ class TestCli:
         report_path = tmp_path / "stats.json"
         assert self.run("stats", "--annotated", str(annotated),
                         "--json", str(report_path)) == 2
-        assert f"{annotated}:6: {message}" in caplog.text
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert f"{annotated}:6: {message}" in captured.err
+        assert captured.out == ""
         assert not report_path.exists()
 
     def test_loss_check_quick(self, capsys):
@@ -504,13 +563,14 @@ class TestCli:
 
     @pytest.mark.parametrize("given, missing", [("--matrix-a", "--matrix-b"),
                                                 ("--matrix-b", "--matrix-a")])
-    def test_loss_check_one_matrix_is_usage_error(self, tmp_path, capsys, caplog,
+    def test_loss_check_one_matrix_is_usage_error(self, tmp_path, capsys,
                                                   given, missing):
         # the named file does not exist; the usage error comes first
         assert self.run("loss-check", "--seeds", "2",
                         given, str(tmp_path / "absent.npy")) == 1
-        assert f"{missing} is missing" in caplog.text
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert f"{missing} is missing" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("n_pairs", ["1", "0", "-5"])
     def test_loss_check_n_pairs_below_two_is_usage_error(self, matrices, capsys,
@@ -523,17 +583,18 @@ class TestCli:
 
     @pytest.mark.parametrize("absent", ["--matrix-a", "--matrix-b"])
     def test_loss_check_absent_matrix_is_data_error_before_checks(
-            self, matrices, tmp_path, capsys, caplog, absent):
+            self, matrices, tmp_path, capsys, absent):
         argv = list(matrices)
         argv[argv.index(absent) + 1] = str(tmp_path / "absent.txt")
         assert self.run("loss-check", "--seeds", "2", *argv) == 2
-        assert "absent.txt" in caplog.text
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert "absent.txt" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("source", ["flags", "annotated-in-file",
                                         "counts-in-file"])
     def test_schedule_annotated_and_tier_counts_is_usage_error(
-            self, tmp_path, capsys, caplog, source):
+            self, tmp_path, capsys, source):
         annotated = tmp_path / "ann.jsonl"
         write_tier_records(annotated, n=50)
         config = tmp_path / "run.conf"
@@ -547,14 +608,15 @@ class TestCli:
                 argv += ["--" + key.replace("_", "-"), value]
         outdir = tmp_path / "sched"
         assert self.run(*argv, "--output-dir", str(outdir)) == 1
-        assert "--annotated and --tier-counts exclude each other" in caplog.text
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert "--annotated and --tier-counts exclude each other" in captured.err
+        assert captured.out == ""
         assert not outdir.exists()
 
     @pytest.mark.parametrize("regime, config", [("staged10", ""),
                                                 ("mixed", "epochs = 1\n")])
     def test_schedule_without_source_is_usage_error(
-            self, tmp_path, capsys, caplog, regime, config):
+            self, tmp_path, capsys, regime, config):
         """Checked first: the regime's epoch count is not reported, even
         when it is wrong too."""
         path = tmp_path / "run.conf"
@@ -562,9 +624,10 @@ class TestCli:
         outdir = tmp_path / "sched"
         assert self.run("--config", str(path), "schedule", "--regime", regime,
                         "--output-dir", str(outdir)) == 1
-        assert "give --annotated or --tier-counts" in caplog.text
-        assert "--epochs" not in caplog.text
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert "give --annotated or --tier-counts" in captured.err
+        assert "--epochs" not in captured.err
+        assert captured.out == ""
         assert not outdir.exists()
 
     @pytest.mark.parametrize("value", [
@@ -603,7 +666,7 @@ class TestCli:
     @pytest.mark.parametrize("source", ["flags", "config"])
     @pytest.mark.parametrize("molecules", ["annotated", "tier-counts"])
     def test_schedule_regime_epochs_mismatch_is_usage_error(
-            self, tmp_path, capsys, caplog, regime, epochs, message, source,
+            self, tmp_path, capsys, regime, epochs, message, source,
             molecules):
         """Found from the options alone: the --annotated file named here
         does not exist, so reading it first would exit 2."""
@@ -615,8 +678,9 @@ class TestCli:
                  if molecules == "annotated" else ["--tier-counts", "1,1,1,1,1"])
         outdir = tmp_path / "sched"
         assert self.run(*argv, "--output-dir", str(outdir)) == 1
-        assert message in caplog.text
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
         assert not outdir.exists()
 
     @pytest.mark.parametrize("option, value, message", [
@@ -732,12 +796,12 @@ class TestCli:
             ["corpus.csv"] + (["run.conf"] if source == "config" else []))
 
     @pytest.mark.parametrize("option", ["rarity-threshold", "ct-per-ha-threshold"])
-    def test_nan_threshold_is_data_error(self, smi_file, tmp_path, caplog, option):
+    def test_nan_threshold_is_data_error(self, smi_file, tmp_path, capsys, option):
         """NaN passes no threshold rule, so taking it would shift the tiers."""
         out = tmp_path / "out.jsonl"
         assert self.run("annotate", "--input", str(smi_file), "--output", str(out),
                         "--" + option, "nan") == 2
-        assert "thresholds must be positive" in caplog.text
+        assert "thresholds must be positive" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.smi"]
 
     @pytest.mark.parametrize("option, value", [
@@ -821,7 +885,7 @@ class TestScheduleOutput:
         ('{"id":0,"tier":"T3"}', "id 0 appears twice"),
     ], ids=["tier-T9", "string-id", "float-id", "not-json", "no-tier",
             "not-an-object", "repeated-id"])
-    def test_bad_annotated_record_is_data_error(self, tmp_path, capsys, caplog,
+    def test_bad_annotated_record_is_data_error(self, tmp_path, capsys,
                                                 record, message):
         annotated = tmp_path / "ann.jsonl"
         annotated.write_text('{"id":0,"tier":"T0"}\n\n{"id":1,"tier":"T2"}\n'
@@ -829,8 +893,9 @@ class TestScheduleOutput:
         outdir = tmp_path / "sched"
         assert main(["schedule", "--annotated", str(annotated),
                      "--output-dir", str(outdir)]) == 2
-        assert f"{annotated}:4: {message}" in caplog.text
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert f"{annotated}:4: {message}" in captured.err
+        assert captured.out == ""
         assert not outdir.exists()
 
     def test_mixed_manifest_digest(self, tmp_path):
@@ -844,7 +909,7 @@ class TestScheduleOutput:
             digest.update((outdir / f"manifest_epoch_{e:03d}.jsonl").read_bytes())
         assert digest.hexdigest() == MIXED_SEED3_MANIFEST_SHA256
 
-    def test_failed_manifest_write_leaves_whole_files_only(self, tmp_path, caplog,
+    def test_failed_manifest_write_leaves_whole_files_only(self, tmp_path, capsys,
                                                            monkeypatch):
         annotated = tmp_path / "ann.jsonl"
         write_tier_records(annotated, 500)
@@ -875,7 +940,7 @@ class TestScheduleOutput:
         outdir = tmp_path / "sched"
         assert main(["schedule", "--annotated", str(annotated),
                      "--output-dir", str(outdir)]) == 2
-        assert "No space left on device" in caplog.text
+        assert "No space left on device" in capsys.readouterr().err
         assert sorted(os.listdir(outdir)) == [
             f"manifest_epoch_{e:03d}.jsonl" for e in range(3)]
         for e in range(3):

@@ -266,7 +266,7 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("fixed_table", [False, True])
-    def test_only_malformed_reports_its_skips(self, corpus, tmp_path, caplog,
+    def test_only_malformed_reports_its_skips(self, corpus, tmp_path, capsys,
                                               workers, fixed_table):
         # with a table or fitting one, a file with nothing to annotate
         # succeeds with an empty output and the usual line, skips counted
@@ -278,15 +278,14 @@ class TestCli:
                          "--output-dir", str(tmp_path / "p")]) == 0
             flags += ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
         out = tmp_path / "out.jsonl"
-        with caplog.at_level("INFO", logger="moltiers"):
-            assert main(["annotate", "--input", str(bad), "--output", str(out),
-                         *flags]) == 0
+        assert main(["annotate", "--input", str(bad), "--output", str(out),
+                     *flags]) == 0
         assert out.read_text() == ""
-        assert "annotated 0 molecules (skipped 2 malformed)" in caplog.text
+        assert "annotated 0 molecules (skipped 2 malformed)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("fixed_table", [False, True])
-    def test_heavy_atom_free_line_is_skipped(self, tmp_path, caplog, workers,
+    def test_heavy_atom_free_line_is_skipped(self, tmp_path, capsys, workers,
                                              fixed_table):
         corpus = tmp_path / "h2.smi"
         corpus.write_text("CCO\n[H][H]\nc1ccccc1O\n")
@@ -298,12 +297,11 @@ class TestCli:
             assert table.startswith("# corpus_size=2\n")
             flags += ["--prevalence", str(tmp_path / "p" / "prevalence.tsv")]
         out = tmp_path / "out.jsonl"
-        with caplog.at_level("INFO", logger="moltiers"):
-            assert main(["annotate", "--input", str(corpus), "--output", str(out),
-                         *flags]) == 0
+        assert main(["annotate", "--input", str(corpus), "--output", str(out),
+                     *flags]) == 0
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["id"] for r in rows] == [0, 2]
-        assert "annotated 2 molecules (skipped 1 malformed)" in caplog.text
+        assert "annotated 2 molecules (skipped 1 malformed)" in capsys.readouterr().err
 
 
 class TestMismatchedTable:
@@ -320,7 +318,7 @@ class TestMismatchedTable:
         return path
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_cli_exits_2_without_output(self, corpus, tmp_path, caplog,
+    def test_cli_exits_2_without_output(self, corpus, tmp_path, capsys,
                                         table_without_amide, workers):
         out = tmp_path / "out.jsonl"
         assert main(["annotate", "--input", str(corpus), "--output", str(out),
@@ -328,7 +326,7 @@ class TestMismatchedTable:
                      "--workers", workers]) == 2
         assert not out.exists()
         assert list(tmp_path.glob(".out.jsonl*")) == []
-        assert "amide" in caplog.text
+        assert "amide" in capsys.readouterr().err
 
     def test_set_prevalence_names_missing_groups(self):
         table = ComplexityAnnotator().fit(["CC(=O)NC", "CCO"]).prevalence_
@@ -697,6 +695,37 @@ def test_annotate_with_workers_loads_no_multiprocessing(corpus, tmp_path):
                    check=True, env=child_env())
 
 
+def _command_argv(command: list[str], corpus: Path, tmp_path: Path) -> list[str]:
+    """``command`` with its input and output options: annotate and
+    prevalence read ``corpus``, schedule and stats a 50-record file."""
+    if command[0] == "annotate":
+        return [*command, "--input", str(corpus), "--output",
+                str(tmp_path / "out.jsonl")]
+    if command[0] == "prevalence":
+        return ["prevalence", "--input", str(corpus), "--output-dir",
+                str(tmp_path / "p")]
+    annotated = tmp_path / "annotated.jsonl"
+    annotated.write_text("".join(
+        f'{{"id":{i},"tier":"T{i % 5}","mw":{i}.5,"bertz_ct":{2 * i},"n_ring":1}}\n'
+        for i in range(50)))
+    if command[0] == "stats":
+        return ["stats", "--annotated", str(annotated)]
+    return ["schedule", "--annotated", str(annotated), "--regime", "mixed",
+            "--output-dir", str(tmp_path / "s")]
+
+
+def _assert_child_loads_none(argv: list[str], modules: tuple[str, ...]) -> None:
+    """Run ``main(argv)`` in a child interpreter, which fails unless it
+    returns 0 with none of ``modules`` imported."""
+    code = ("import sys; from moltiers.cli import main; "
+            "assert main(sys.argv[2:]) == 0; "
+            "loaded = sorted(m for m in sys.argv[1].split(',') "
+            "if m in sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code, ",".join(modules), *argv],
+                   check=True, env=child_env())
+
+
 @pytest.mark.parametrize("command", [
     ["annotate", "--workers", "1"], ["annotate", "--workers", "2"],
     ["prevalence"], ["schedule"]], ids=["annotate-1", "annotate-2",
@@ -704,24 +733,56 @@ def test_annotate_with_workers_loads_no_multiprocessing(corpus, tmp_path):
 def test_commands_load_no_dataclasses_or_inspect(command, corpus, tmp_path):
     # records, results and configs are named tuples or plain classes:
     # dataclasses would load inspect, ast, dis and tokenize at start-up
-    if command[0] == "annotate":
-        argv = [*command, "--input", str(corpus), "--output",
-                str(tmp_path / "out.jsonl")]
-    elif command[0] == "prevalence":
-        argv = ["prevalence", "--input", str(corpus), "--output-dir",
-                str(tmp_path / "p")]
+    _assert_child_loads_none(_command_argv(command, corpus, tmp_path),
+                             ("dataclasses", "inspect"))
+
+
+@pytest.mark.parametrize("command", [
+    ["annotate", "--workers", "1"], ["annotate", "--workers", "2"],
+    ["prevalence"], ["schedule"], ["stats"]],
+    ids=["annotate-1", "annotate-2", "prevalence", "schedule", "stats"])
+def test_commands_load_no_logging_or_csv(command, corpus, tmp_path):
+    # the CLI writes its own stderr lines: logging would load traceback,
+    # linecache, tokenize, textwrap and string; only delimited input
+    # loads csv
+    _assert_child_loads_none(_command_argv(command, corpus, tmp_path),
+                             ("logging", "csv"))
+
+
+def test_delimited_input_annotates_without_logging(corpus, tmp_path):
+    rows = corpus.read_text().split()
+    table = tmp_path / "corpus.csv"
+    table.write_text("smiles\n" + "".join(f"{row}\n" for row in rows))
+    argv = _command_argv(["annotate"], table, tmp_path)
+    _assert_child_loads_none(argv, ("logging",))
+    assert main(["annotate", "--input", str(corpus), "--output",
+                 str(tmp_path / "smi.jsonl")]) == 0
+    assert (tmp_path / "out.jsonl").read_bytes() == \
+        (tmp_path / "smi.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("stderr", ["closed", "broken-pipe"])
+def test_annotate_succeeds_without_a_working_stderr(corpus, tmp_path, stderr):
+    """Its INFO lines are lost, not the run: a closed fd 2 leaves
+    ``sys.stderr`` None, and a write to a pipe nobody reads fails with
+    EPIPE."""
+    assert main(["annotate", "--input", str(corpus), "--output",
+                 str(tmp_path / "expected.jsonl")]) == 0
+    out = tmp_path / "out.jsonl"
+    argv = [sys.executable, "-m", "moltiers.cli", "annotate", "--input",
+            str(corpus), "--output", str(out), "--workers", "2"]
+    if stderr == "closed":
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *argv],
+                              env=child_env())
     else:
-        annotated = tmp_path / "annotated.jsonl"
-        annotated.write_text("".join(f'{{"id":{i},"tier":"T{i % 5}"}}\n'
-                                     for i in range(50)))
-        argv = ["schedule", "--annotated", str(annotated), "--regime", "mixed",
-                "--output-dir", str(tmp_path / "s")]
-    code = ("import sys; from moltiers.cli import main; "
-            "assert main(sys.argv[1:]) == 0; "
-            "loaded = sorted(m for m in ('dataclasses', 'inspect') "
-            "if m in sys.modules); "
-            "assert not loaded, loaded")
-    subprocess.run([sys.executable, "-c", code, *argv], check=True, env=child_env())
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, env=child_env(), stderr=write_end)
+        finally:
+            os.close(write_end)
+    assert proc.returncode == 0
+    assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 def test_every_public_name_resolves():

@@ -400,3 +400,28 @@ class TestSpecValidation:
         index = TierIndex.from_pairs([(0, 0), (1, 0), (2, 3)])
         assert index.counts() == (2, 0, 0, 1, 0)
         assert sum(index.counts()) == 3
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 7.0, "7", None],
+                             ids=["true", "false", "float", "whole-float",
+                                  "string", "none"])
+    def test_tier_index_rejects_non_integer_id(self, bad):
+        # a bool would be written as "id":True, a float fails deep in _pack
+        with pytest.raises(TypeError, match=f"molecule id {bad!r} is not an integer"):
+            TierIndex.from_pairs([(5, 2), (bad, 2), (3, 0)])
+        with pytest.raises(TypeError, match=f"molecule id {bad!r}"):
+            TierIndex({4: [bad]})
+
+    def test_tier_index_stores_numpy_ids_as_ints(self):
+        import numpy as np
+
+        index = TierIndex.from_pairs([(np.int64(7), 2), (5, 2), (np.uint8(3), 0)])
+        assert index.ids_by_tier[2] == (5, 7)
+        assert {type(i) for ids in index.ids_by_tier.values() for i in ids} == {int}
+        out = io.StringIO()
+        write_manifest(out, sample_epoch(index, ScheduleSpec("mixed", 10, 0.5), 9))
+        assert out.getvalue() == "".join(
+            f'{{"epoch":9,"regime":"mixed","id":{i}}}\n' for i in (3, 5, 7))
+        # epoch 0 at a hard start of 0.5 packs the T2 ids for the draw
+        spec = ScheduleSpec("mixed", 10, 0.5, 4)
+        plain = TierIndex.from_pairs([(7, 2), (5, 2), (3, 0)])
+        assert sample_epoch(index, spec, 0) == sample_epoch(plain, spec, 0)
