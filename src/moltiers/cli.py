@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -40,6 +40,10 @@ if TYPE_CHECKING:
     from .featurizer import ComplexityAnnotator
 
 DEBUG, INFO, ERROR = 10, 20, 40
+
+# manifests a schedule writes in one pass over the ids, each an open file:
+# a long --epochs runs as several passes, far below any open-file limit
+OPEN_MANIFESTS = 64
 
 
 class _Reporter:
@@ -179,9 +183,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         active_tiers,
         baseline_budget,
         epoch_views,
-        sample_epoch,
         tier_weights_mixed,
-        write_manifest,
+        write_manifests,
     )
 
     if not args.annotated and not args.tier_counts:
@@ -207,7 +210,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         index = None
     else:
         t0 = time.perf_counter()
-        index = TierIndex(read_tier_ids(args.annotated))
+        index = TierIndex.from_ids(*read_tier_ids(args.annotated))
         counts = index.counts()
         log.debug("schedule: read %d records from %s in %.3fs", sum(counts),
                   args.annotated, time.perf_counter() - t0)
@@ -259,16 +262,20 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         return 0
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # every file is renamed into place whole, and the summary comes last,
-    # so a failed run into a fresh directory leaves no summary
+    # every file is renamed into place whole: the manifests of a pass after
+    # the pass, and the summary last, so a failed run into a fresh
+    # directory leaves no summary
     if index is not None and not args.no_manifests:
         t0 = time.perf_counter()
-        for e in range(spec.epochs):
-            manifest = sample_epoch(index, spec, e)
-            path = outdir / f"manifest_epoch_{e:03d}.jsonl"
-            with _replace_on_success(path) as fh:
-                write_manifest(fh, manifest)
-            log.info("epoch %d manifest: %d ids -> %s", e, manifest.size, path)
+        for first in range(0, spec.epochs, OPEN_MANIFESTS):
+            epochs = range(first, min(first + OPEN_MANIFESTS, spec.epochs))
+            paths = [outdir / f"manifest_epoch_{e:03d}.jsonl" for e in epochs]
+            with ExitStack() as stack:
+                outs = [stack.enter_context(_replace_on_success(path))
+                        for path in paths]
+                sizes = write_manifests(index, spec, epochs, outs)
+            for e, size, path in zip(epochs, sizes, paths):
+                log.info("epoch %d manifest: %d ids -> %s", e, size, path)
         log.debug("schedule: wrote %d manifests to %s in %.3fs", spec.epochs,
                   outdir, time.perf_counter() - t0)
     with _replace_on_success(outdir / "schedule_summary.json") as fh:

@@ -82,8 +82,13 @@ def group_rarity(groups: frozenset[str], table: PrevalenceTable) -> float:
     if not groups:
         return 0.0
     # sorted so the float sum is byte-identical across interpreter runs
-    # (set iteration order follows the per-process string hash seed)
-    return sum(1.0 - table.prevalence[name] for name in sorted(groups)) / len(groups)
+    # (set iteration order follows the per-process string hash seed), and
+    # added left to right: the builtin sum of floats is compensated from
+    # Python 3.12 on, which changes the last digit of some values
+    total = 0.0
+    for name in sorted(groups):
+        total += 1.0 - table.prevalence[name]
+    return total / len(groups)
 
 
 def conjugation_extent(graph: MolecularGraph) -> int:

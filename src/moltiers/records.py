@@ -2,22 +2,29 @@
 
 ``annotate`` writes one compact JSON object per molecule, its fields in
 ``RECORD_FIELDS`` order (``dumps_record``, plus ``rule_trace`` with
-``--trace``).  ``scan_records`` reads such a file back, one line at a time.
-It first matches each line against that exact layout with one pattern
-(``record_layout()``, compiled on first use), which accepts only text that
-``json.loads`` accepts and captures the values the readers need as the same
-text ``json.loads`` would convert.
-Any other non-blank line (spaced separators, reordered keys, escaped
-strings, ``NaN``, extra fields, or no record at all) goes through
-``json.loads``, so either path yields the same values and the same errors.
+``--trace``).  ``scan_records`` reads such a file back in blocks of whole
+lines, about ``READ_BLOCK`` characters (16 KB) each.  A reader matches a
+block with one ``findall`` of a multi-line form of that exact layout
+(``block_layout(captured)``), which captures only the values the reader
+needs.  The layout accepts only text that ``json.loads`` accepts, and
+captures each value as the same text ``json.loads`` would convert.  When
+the pattern matches every line of a block, the block needs no per-line
+work.  Otherwise that block alone goes line by line: a line the
+single-line layout (``record_layout()``) matches whole is read from its
+groups, and any other non-blank line (spaced separators, reordered keys,
+escaped strings, ``NaN``, extra fields, or no record at all) goes through
+``json.loads``.  So every path yields the same values, and the same errors
+with the same line numbers.  The patterns are compiled on first use.
 
 The readers built on it:
 
-* ``read_tier_ids`` for ``schedule``: the ids of each tier, checked for an
-  integer id, a tier T0-T4 and no repeated id;
+* ``read_tier_ids`` for ``schedule``: the ids in file order with one tier
+  byte per record, checked for an integer id, a tier T0-T4 and no repeated
+  id;
 * ``read_stat_columns`` for ``stats``: ``mw``, ``bertz_ct`` and ``n_ring``
   as float columns plus one tier byte per record;
-* ``pipeline.read_annotated``: every record as a dict.
+* ``pipeline.read_annotated``: every record as a dict, each line through
+  ``json.loads``.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from array import array
-from itertools import chain
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLine
 from .tiering import TIERS
@@ -42,6 +50,13 @@ RECORD_FIELDS = (
 # the fields read_stat_columns keeps, in the order it checks them
 STAT_FIELDS = ("mw", "bertz_ct", "n_ring")
 
+# characters of whole lines read and matched at once, ~60 records of ~270
+# characters: on 25,000 records, blocks of 16 to 64 KB read equally fast
+# and 1 MB blocks 5-10% slower; the heap a read leaves behind grows with
+# the block, and at 2M records `stats` peaked at 101.9 MB with 1 MB blocks,
+# 93.4 MB with 64 KB ones and 93.2 MB, as line by line, with 16 KB ones
+READ_BLOCK = 1 << 14
+
 
 def dumps_record(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
@@ -52,24 +67,37 @@ def dumps_record(payload: dict) -> str:
 # which JSON rejects.  A string holds no escape and no control character,
 # so its text is its value.  An integer part keeps at most 100 digits,
 # well inside any int() digit limit that json.loads would hit, and float()
-# of such an integer's text equals float() of json.loads' int.  A captured
-# "-0" is left to json.loads, whose int 0 is not float("-0").  An optional
-# part is written (?:...|), which the regex engine runs faster than
-# (?:...)?.  No possessive quantifier or atomic group: Python 3.10 has
-# neither.
+# of such an integer's text equals float() of json.loads' int.  A "-0"
+# bertz_ct, n_ring or mw is left to json.loads, whose int 0 is not
+# float("-0").  An optional part is written (?:...|), which the regex
+# engine runs faster than (?:...)?.  No possessive quantifier or atomic
+# group: Python 3.10 has neither.  No value holds a group of its own;
+# _layout adds one around each value a reader captures.
 _FRACTION_EXPONENT = r"(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
 _NUMBER = r"-?(?:0|[1-9][0-9]{0,99})" + _FRACTION_EXPONENT
 _STRING = r'"[^"\\\x00-\x1f]*"'
-_FLOAT = r"((?:-?(?:[1-9][0-9]{0,99}|0(?=[.eE]))|0)" + _FRACTION_EXPONENT + ")"
+_FLOAT = r"(?:-?(?:[1-9][0-9]{0,99}|0(?=[.eE]))|0)" + _FRACTION_EXPONENT
 _VALUES = {  # every other field is a _NUMBER
-    "id": r"(-?(?:0|[1-9][0-9]{0,99}))",
+    "id": r"-?(?:0|[1-9][0-9]{0,99})",
     "smiles": _STRING,
     "bertz_ct": _FLOAT,
     "n_ring": _FLOAT,
     "mw": _FLOAT,
     "fg_names": rf"\[(?:{_STRING}(?:,{_STRING})*|)\]",
-    "tier": '"(T[0-4])"',
+    "tier": '"T[0-4]"',
 }
+
+
+def _layout(captured: tuple[str, ...]) -> str:
+    """The compact record as a pattern, one group around the value of each
+    field in ``captured`` (a string's without its quotes), in record order."""
+    fields = []
+    for name in RECORD_FIELDS:
+        value = _VALUES.get(name, _NUMBER)
+        if name in captured:
+            value = f'"({value[1:-1]})"' if value[0] == '"' else f"({value})"
+        fields.append(f'"{name}":{value}')
+    return r"\{" + ",".join(fields) + f'(?:,"rule_trace":{_STRING}|)' + r"\}"
 
 
 @functools.cache
@@ -80,75 +108,167 @@ def record_layout() -> re.Pattern:
 
     Groups: 1 id, 2 bertz_ct, 3 n_ring, 4 mw, 5 tier.
     """
-    return re.compile(
-        r"\{"
-        + ",".join(f'"{name}":' + _VALUES.get(name, _NUMBER) for name in RECORD_FIELDS)
-        + f'(?:,"rule_trace":{_STRING}|)' + r"\}\n?"
-    )
+    return re.compile(_layout(("id", "bertz_ct", "n_ring", "mw", "tier")) + r"\n?")
+
+
+@functools.cache
+def block_layout(captured: tuple[str, ...]) -> re.Pattern:
+    """The record layout as a whole line of a block (``^...$`` in
+    ``re.MULTILINE``), capturing the fields in ``captured``.  No value spans
+    a newline, so each match is one whole line: a block's ``findall`` finds
+    as many matches as the block has lines exactly when the single-line
+    layout matches every line."""
+    return re.compile("^" + _layout(captured) + "$", re.MULTILINE)
 
 
 _TIER_INDEX = {tier: t for t, tier in enumerate(TIERS)}
+# the digit of each tier's name -> its index
+_TIER_DIGITS = bytes.maketrans(b"01234", bytes(range(len(TIERS))))
 
 
-def scan_records(path: str | Path, match_layout: bool = True
-                 ) -> Iterator[tuple[int, re.Match | None, object]]:
-    """(line number, match, None) for each line of ``path`` that the record
-    layout matches whole, and (line number, None, ``json.loads`` value, or
-    None for text that is not JSON) for every other non-blank line.  With
-    ``match_layout`` false, every non-blank line goes through ``json.loads``."""
-    match = record_layout().fullmatch if match_layout else _no_match
+def _tier_bytes(names: tuple[str, ...]) -> bytes:
+    """The tier index of each tier name T0-T4, one byte each."""
+    return "".join(names).encode()[1::2].translate(_TIER_DIGITS)
+
+
+# (line number, layout match or None, json.loads value or None)
+Row = tuple[int, "re.Match | None", object]
+
+
+def scan_records(path: str | Path, layout: re.Pattern | None = None
+                 ) -> Iterator[tuple[int, list | None, Iterable[Row]]]:
+    """Per block of whole lines of ``path``: (its first line number, the
+    ``layout.findall`` of the block, ()) when ``layout`` matches every line,
+    else (first line number, None, rows).  The rows are (line number,
+    match, None) for each line that ``record_layout()`` matches whole, and
+    (line number, None, ``json.loads`` value, or None for text that is not
+    JSON) for every other non-blank line.  Without ``layout``, every
+    non-blank line goes through ``json.loads``.
+
+    A byte that is not UTF-8 raises UnicodeDecodeError after the rows of
+    the lines before it, as reading one line at a time would."""
+    first = 1
+    match_layout = layout is not None
     with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            found = match(line)
-            if found is not None:
-                yield n, found, None
-            elif line.strip():
-                try:
-                    value = json.loads(line)
-                except ValueError:
-                    value = None
-                yield n, None, value
+        while True:
+            try:
+                lines = fh.readlines(READ_BLOCK)
+            except UnicodeDecodeError:
+                # the lines read before the bad byte are lost with the
+                # block: the rest of the file is read again one line at a
+                # time, whose rows end in the same error
+                yield first, None, _rows_from(path, first, match_layout)
+                return
+            if not lines:
+                return
+            if match_layout:
+                found = layout.findall("".join(lines))
+                if len(found) == len(lines):
+                    yield first, found, ()
+                    first += len(lines)
+                    continue
+            yield first, None, _rows(lines, first, match_layout)
+            first += len(lines)
+
+
+def _rows(lines: Iterable[str], first: int, match_layout: bool) -> Iterator[Row]:
+    # the single-line layout is compiled only when a block needs it
+    match = record_layout().fullmatch if match_layout else _no_match
+    for n, line in enumerate(lines, first):
+        found = match(line)
+        if found is not None:
+            yield n, found, None
+        elif line.strip():
+            try:
+                value = json.loads(line)
+            except ValueError:
+                value = None
+            yield n, None, value
+
+
+def _rows_from(path: str | Path, first: int, match_layout: bool) -> Iterator[Row]:
+    """The rows of ``path`` from line ``first`` on, its lines read one at a
+    time, so a decode error is raised where that reading raises it."""
+    with open(path, encoding="utf-8") as fh:
+        yield from _rows(islice(fh, first - 1, None), first, match_layout)
 
 
 def _no_match(line: str) -> None:
     return None
 
 
-def read_tier_ids(path: str | Path) -> dict[int, list[int]]:
-    """Tier index -> the ids of that tier, in file order.
+class TierIds(NamedTuple):
+    """A file's ids in file order, and one tier index per id."""
+
+    ids: list[int]
+    tiers: bytearray
+
+
+def read_tier_ids(path: str | Path) -> TierIds:
+    """The ids of ``path`` in file order, each with its tier index.
 
     Raises MalformedLine, naming the line, for a record without an integer
     id and a tier T0-T4, or with an earlier record's id.  ``annotate``
-    writes ids in rising order, so each id is only compared with the last
-    one until an id is not above it; from there a set of the ids read
-    holds the check.
+    writes ids in rising order, so while they rise, a block of ids is
+    only compared with itself and the id before it; from the first id that
+    is not above the one before, a set of the ids read holds the check.
     """
-    by_tier: dict[int, list[int]] = {t: [] for t in range(len(TIERS))}
-    append = {tier: ids.append for tier, ids in zip(TIERS, by_tier.values())}
+    ids: list[int] = []
+    tiers = bytearray()
     last = -math.inf
     seen: set[int] | None = None
-    for n, found, row in scan_records(path):
+    for first, found, rows in scan_records(path, block_layout(("id", "tier"))):
         if found is not None:
-            mol_id, tier = int(found[1]), found[5]
-        else:
-            try:
-                mol_id, tier = row["id"], row["tier"]
-            except (LookupError, TypeError):
-                mol_id = None
-            if type(mol_id) is not int or tier not in TIERS:
-                raise MalformedLine(f"{path}:{n}: not a JSON record with an "
-                                    "integer id and a tier T0-T4")
-        if seen is None:
-            if mol_id > last:
-                last = mol_id
-                append[tier](mol_id)
-                continue
-            seen = set(chain.from_iterable(by_tier.values()))
+            id_texts, tier_names = zip(*found)
+            block = list(map(int, id_texts))
+            if seen is None and block[0] > last and all(
+                    map(operator.lt, block, islice(block, 1, None))):
+                last = block[-1]
+            else:
+                if seen is None:
+                    seen = set(ids)
+                size = len(seen)
+                seen.update(block)
+                if len(seen) - size < len(block):
+                    _raise_repeat(path, ids, block, first)
+            ids += block
+            tiers += _tier_bytes(tier_names)
+            continue
+        for n, line_match, row in rows:
+            if line_match is not None:
+                mol_id, tier = int(line_match[1]), line_match[5]
+            else:
+                try:
+                    mol_id, tier = row["id"], row["tier"]
+                except (LookupError, TypeError):
+                    mol_id = None
+                if type(mol_id) is not int or tier not in TIERS:
+                    raise MalformedLine(f"{path}:{n}: not a JSON record with an "
+                                        "integer id and a tier T0-T4")
+            if seen is None:
+                if mol_id > last:
+                    last = mol_id
+                    ids.append(mol_id)
+                    tiers.append(_TIER_INDEX[tier])
+                    continue
+                seen = set(ids)
+            if mol_id in seen:
+                raise MalformedLine(f"{path}:{n}: id {mol_id} appears twice")
+            seen.add(mol_id)
+            ids.append(mol_id)
+            tiers.append(_TIER_INDEX[tier])
+    return TierIds(ids, tiers)
+
+
+def _raise_repeat(path: str | Path, earlier: list[int], block: list[int],
+                  first: int) -> None:
+    """Raise MalformedLine for the first id of ``block`` (lines ``first``
+    on) that an earlier record holds."""
+    seen = set(earlier)
+    for n, mol_id in enumerate(block, first):
         if mol_id in seen:
             raise MalformedLine(f"{path}:{n}: id {mol_id} appears twice")
         seen.add(mol_id)
-        append[tier](mol_id)
-    return by_tier
 
 
 class StatColumns(NamedTuple):
@@ -169,25 +289,35 @@ def read_stat_columns(path: str | Path) -> StatColumns:
     """
     columns = StatColumns(array("d"), array("d"), array("d"), bytearray())
     add_mw, add_ct, add_ring, add_tier = (column.append for column in columns)
-    for n, found, row in scan_records(path):
+    layout = block_layout(("bertz_ct", "n_ring", "mw", "tier"))
+    for _, found, rows in scan_records(path, layout):
         if found is not None:
-            add_ct(float(found[2]))
-            add_ring(float(found[3]))
-            add_mw(float(found[4]))
-            add_tier(_TIER_INDEX[found[5]])
+            bertz_ct, n_ring, mw, tier_names = zip(*found)
+            columns.bertz_ct.extend(map(float, bertz_ct))
+            columns.n_ring.extend(map(float, n_ring))
+            columns.mw.extend(map(float, mw))
+            columns.tiers.extend(_tier_bytes(tier_names))
             continue
-        if type(row) is not dict:
-            raise MalformedLine(f"{path}:{n}: not a JSON record")
-        missing = [f for f in (*STAT_FIELDS, "tier") if f not in row]
-        if missing:
-            raise MalformedLine(f"{path}:{n}: record lacks " + ", ".join(missing))
-        if row["tier"] not in TIERS:
-            raise MalformedLine(f"{path}:{n}: tier is not one of T0-T4")
-        mw, bertz_ct, n_ring = (_float(row[f], f"{path}:{n}: {f}") for f in STAT_FIELDS)
-        add_mw(mw)
-        add_ct(bertz_ct)
-        add_ring(n_ring)
-        add_tier(_TIER_INDEX[row["tier"]])
+        for n, line_match, row in rows:
+            if line_match is not None:
+                add_ct(float(line_match[2]))
+                add_ring(float(line_match[3]))
+                add_mw(float(line_match[4]))
+                add_tier(_TIER_INDEX[line_match[5]])
+                continue
+            if type(row) is not dict:
+                raise MalformedLine(f"{path}:{n}: not a JSON record")
+            missing = [f for f in (*STAT_FIELDS, "tier") if f not in row]
+            if missing:
+                raise MalformedLine(f"{path}:{n}: record lacks " + ", ".join(missing))
+            if row["tier"] not in TIERS:
+                raise MalformedLine(f"{path}:{n}: tier is not one of T0-T4")
+            mw, bertz_ct, n_ring = (_float(row[f], f"{path}:{n}: {f}")
+                                    for f in STAT_FIELDS)
+            add_mw(mw)
+            add_ct(bertz_ct)
+            add_ring(n_ring)
+            add_tier(_TIER_INDEX[row["tier"]])
     return columns
 
 

@@ -1,11 +1,17 @@
 """Curriculum schedules: active tier sets, mixed-regime weights, per-epoch
 manifests, and exact sample-budget arithmetic.
 
-Mixed-regime sampling uses a counter-style hash of (seed, molecule id,
-epoch), so manifests are reproducible and independent of worker count or
-iteration order.  ``uniform_draw`` defines a draw one id at a time;
-``sample_epoch`` takes the same bits for a block of ids at once, each id's
-64-bit hash state in its own 128-bit lane of one Python int.
+A ``TierIndex`` holds each molecule id once, as plain ints in ascending
+order, with one tier byte per id.  An epoch is a 0/1 mask over each block
+of ids (``_epoch_masks``).  A deterministic regime translates the tier
+bytes through its active tier set.  The mixed regime uses a counter-style
+hash of (seed, molecule id, epoch), so manifests are reproducible and
+independent of worker count or iteration order: ``uniform_draw`` defines a
+draw one id at a time, and the masks take the same bits for a block of ids
+at once, each id's 64-bit hash state in its own 128-bit lane of one Python
+int.  ``sample_epoch`` keeps the ids one epoch's masks select;
+``write_manifests`` writes several epochs in one ascending pass, making
+each id's text once per block.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress, islice
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EpochOutOfRange, Staged10RequiresTenEpochs
@@ -30,9 +37,10 @@ N_TIERS = 5
 # and 1M ids wrote 20% slower
 MANIFEST_BLOCK = 1 << 12
 
-# ids hashed per packed int, 16 bytes each: bounds the memory of the lane
-# arithmetic; at 1M ids, blocks of 1 << 12 to 1 << 14 sample equally fast
-# and larger ones hold more memory and run no faster
+# ids per mask block, and per packed int of the lane arithmetic at 16 bytes
+# each: bounds the memory of a block's hashes and id texts; at 1M ids,
+# blocks of 1 << 12 to 1 << 14 sample equally fast and larger ones hold
+# more memory and run no faster
 DRAW_BLOCK = 1 << 12
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -180,118 +188,214 @@ def _plain_id(mol_id) -> int:
     raise TypeError(f"molecule id {mol_id!r} is not an integer")
 
 
-def _sorted_ids(ids: Sequence[int]) -> tuple[int, ...]:
-    if set(map(type, ids)) <= {int}:  # the common case, checked in one pass
-        return tuple(sorted(ids))
-    return tuple(sorted(map(_plain_id, ids)))
+def _tier_table(tiers: Iterable[int]) -> bytes:
+    """A ``bytes.translate`` table: 1 for a tier index in ``tiers``, else 0."""
+    tiers = set(tiers)
+    return bytes(t in tiers for t in range(256))
+
+
+_SIMPLE = _tier_table((0, 1))  # the tiers every mixed-regime epoch keeps
 
 
 class TierIndex:
-    """Molecule ids grouped by tier, kept as sorted tuples of plain ints."""
+    """Molecule ids in ascending order, as plain ints (``ids``), with each
+    id's tier index in the byte at its position (``tiers``)."""
 
-    def __init__(self, ids_by_tier: Mapping[int, Sequence[int]]):
-        self.ids_by_tier: dict[int, tuple[int, ...]] = {
-            t: _sorted_ids(ids_by_tier.get(t, ())) for t in range(N_TIERS)
-        }
-        # tier -> (seed key, the ids hashed, their hashes); see _keyed_hashes
-        self._keyed: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
+    def __init__(self, ids_by_tier: Mapping[int, Iterable[int]]):
+        ids: list = []
+        tiers = bytearray()
+        for t in range(N_TIERS):
+            ids.extend(ids_by_tier.get(t, ()))
+            tiers += bytes([t]) * (len(ids) - len(tiers))
+        self._set(ids, tiers)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TierIndex":
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> TierIndex:
         """Build from (molecule id, tier index) pairs."""
-        by_tier: dict[int, list[int]] = {t: [] for t in range(N_TIERS)}
+        ids = []
+        tiers = bytearray()
         for mol_id, tier in pairs:
-            by_tier[tier].append(mol_id)
-        return cls(by_tier)
+            ids.append(mol_id)
+            tiers.append(tier)
+        if tiers and max(tiers) >= N_TIERS:
+            raise ValueError(f"tier index {max(tiers)} is not one of 0-{N_TIERS - 1}")
+        return cls.from_ids(ids, tiers)
+
+    @classmethod
+    def from_ids(cls, ids: Sequence[int], tiers: bytes | bytearray) -> TierIndex:
+        """Build from ids in any order and one tier index (0-4) per id, as
+        ``records.read_tier_ids`` gives them.  Ids that already ascend, as
+        ``annotate`` writes them, are kept as they are, without a sort."""
+        index = cls.__new__(cls)
+        index._set(ids, tiers)
+        return index
+
+    def _set(self, ids: Sequence[int], tiers: bytes | bytearray) -> None:
+        if len(ids) != len(tiers):
+            raise ValueError(f"{len(ids)} ids but {len(tiers)} tier indices")
+        if not set(map(type, ids)) <= {int}:  # checked in one pass
+            ids = list(map(_plain_id, ids))
+        if not all(map(operator.le, ids, islice(ids, 1, None))):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids = list(map(ids.__getitem__, order))
+            tiers = bytes(map(tiers.__getitem__, order))
+        self.ids: Sequence[int] = ids
+        self.tiers = bytes(tiers)
+        # (seed key, block size, hashes) for sample_epoch; see _keyed_hashes
+        self._keyed: tuple[int, int, list[int]] | None = None
+
+    @property
+    def ids_by_tier(self) -> Mapping[int, tuple[int, ...]]:
+        """Tier index -> its ids in ascending order: a read-only view, made
+        from ``ids`` and ``tiers`` on each access."""
+        return MappingProxyType({
+            t: tuple(compress(self.ids, self.tiers.translate(_tier_table((t,)))))
+            for t in range(N_TIERS)})
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(self.ids_by_tier[t]) for t in range(N_TIERS))
+        return tuple(self.tiers.count(t) for t in range(N_TIERS))
 
-    def _keyed_hashes(self, key: int, tier: int) -> list[int]:
-        """``_mix64(key ^ id)`` for each id of the tier, packed in lanes,
-        one int per ``DRAW_BLOCK`` ids in order: the part of a mixed-regime
-        draw that does not change with the epoch.  The last key's hashes are
-        kept per tier, so the epochs of one schedule hash each id once."""
-        ids = self.ids_by_tier[tier]
-        kept = self._keyed.get(tier)
-        if kept is None or kept[0] != key or kept[1] is not ids:
-            hashes = []
-            for start in range(0, len(ids), DRAW_BLOCK):
-                block = ids[start:start + DRAW_BLOCK]
-                n = len(block)
-                keys = _lane_constants(n)[0] * key
-                hashes.append(_mix64_lanes(_pack(block) ^ keys, n))
-            kept = (key, ids, hashes)
-            self._keyed[tier] = kept
-        return kept[2]
+    def _keyed_hashes(self, key: int, size: int) -> list[int]:
+        """``_keyed_block(key, block)`` for each block of ``size`` ids: the
+        part of a mixed-regime draw that does not change with the epoch.
+        The last key's hashes are kept, 16 bytes per id, so the epochs that
+        ``sample_epoch`` samples one call at a time hash each id once."""
+        if self._keyed is None or self._keyed[:2] != (key, size):
+            ids = self.ids
+            self._keyed = (key, size, [
+                _keyed_block(key, ids[start:start + size])
+                for start in range(0, len(ids), size)])
+        return self._keyed[2]
 
 
-def _drawn_below(index: TierIndex, key: int, tier: int, salt: int,
-                 limit: int) -> Iterator[bytes]:
-    """Per ``DRAW_BLOCK`` of the tier's ids, one byte per id: 1 when
-    ``_mix64(_mix64(key ^ id) ^ salt)`` is below ``limit`` (at most 2**64),
-    else 0.  ``2**64 + limit - 1 - drawn`` lies in [limit, 2**64 + limit),
-    so it borrows from no other lane, and its bit 64 is set exactly when
-    ``drawn < limit``."""
-    size = len(index.ids_by_tier[tier])
-    lanes: dict[int, tuple[int, int]] = {}  # lane count -> (salts, tops)
-    for start, h in zip(range(0, size, DRAW_BLOCK), index._keyed_hashes(key, tier)):
-        n = min(DRAW_BLOCK, size - start)
-        if n not in lanes:
-            ones = _lane_constants(n)[0]
-            lanes[n] = (ones * salt, ones * ((1 << 64) + limit - 1))
-        salts, tops = lanes[n]
-        drawn = _mix64_lanes(h ^ salts, n)
-        yield (tops - drawn).to_bytes(16 * n, "little")[8::16]
+def _keyed_block(key: int, block: Sequence[int]) -> int:
+    """``_mix64(key ^ id)`` of each id of the block, packed in lanes."""
+    n = len(block)
+    return _mix64_lanes(_pack(block) ^ _lane_constants(n)[0] * key, n)
+
+
+def _mixed_limit(spec: ScheduleSpec, epoch: int) -> int | None:
+    """The epoch's T2-T4 draw limit: a T2-T4 id is kept when
+    ``_mix64(_mix64(key ^ id) ^ (epoch + 1))`` is below it.  None when the
+    weight rho is 1 (every id kept) and 0 when it is 0 (no T2-T4 id kept).
+    The draw ``h >> 11`` is below 2**53 and ``rho * 2**53`` is exact, so
+    ``h >> 11 < rho * 2**53`` exactly when ``h < ceil(rho * 2**53) << 11``."""
+    rho = tier_weights_mixed(epoch, spec.epochs, spec.hard_start)[2]
+    if rho >= 1.0:
+        return None
+    if rho <= 0.0:
+        return 0
+    return math.ceil(rho * 2.0**53) << 11
+
+
+def _epoch_masks(index: TierIndex, spec: ScheduleSpec, epochs: Sequence[int],
+                 size: int, keep_hashes: bool = False
+                 ) -> Iterator[tuple[Sequence[int], list[bytes]]]:
+    """Per block of ``size`` of the index's ids, in order: the block, and
+    for each of ``epochs`` one byte per id of it, 1 when the epoch samples
+    the id and 0 when not.
+
+    A deterministic regime's mask is the ``translate`` of the block's tier
+    bytes.  A mixed-regime block hashes its ids with the seed once, then
+    each epoch hashes that with its salt in the same lanes: the T2-T4 ids
+    drawn below the epoch's limit are kept, as ``uniform_draw`` decides,
+    and T0-T1 ids always.  ``2**64 + limit - 1 - drawn`` lies in
+    [limit, 2**64 + limit), so it borrows from no other lane, and its bit
+    64 is set exactly when ``drawn < limit``; a T0-T1 id's byte is set by
+    an OR.  With ``keep_hashes``, the seed hashes are the index's
+    kept ones (``TierIndex._keyed_hashes``).
+    """
+    ids, tiers = index.ids, index.tiers
+    if spec.regime != "mixed":
+        tables = [_tier_table(active_tiers(spec.regime, e, spec.epochs))
+                  for e in epochs]
+        for start in range(0, len(ids), size):
+            block_tiers = tiers[start:start + size]
+            yield ids[start:start + size], [block_tiers.translate(table)
+                                            for table in tables]
+        return
+    limits = [_mixed_limit(spec, e) for e in epochs]
+    key = _mix64(spec.seed & _M64)
+    drawn = [(e + 1, limit) for e, limit in zip(epochs, limits) if limit]
+    hashes = index._keyed_hashes(key, size) if keep_hashes and drawn else None
+    lanes: dict[int, list[tuple[int, int]]] = {}  # n -> per draw (salts, tops)
+    for k, start in enumerate(range(0, len(ids), size)):
+        block = ids[start:start + size]
+        n = len(block)
+        simple = tiers[start:start + size].translate(_SIMPLE)
+        drawn_masks = []
+        if drawn:
+            if n not in lanes:
+                ones = _lane_constants(n)[0]
+                lanes[n] = [(ones * salt, ones * ((1 << 64) + limit - 1))
+                            for salt, limit in drawn]
+            h = hashes[k] if hashes is not None else _keyed_block(key, block)
+            always = int.from_bytes(simple, "little")
+            for salts, tops in lanes[n]:
+                below = (tops - _mix64_lanes(h ^ salts, n)).to_bytes(16 * n, "little")
+                drawn_masks.append((int.from_bytes(below[8::16], "little") | always)
+                                   .to_bytes(n, "little"))
+        next_drawn = iter(drawn_masks).__next__
+        yield block, [b"\x01" * n if limit is None else next_drawn() if limit
+                      else simple for limit in limits]
 
 
 def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManifest:
     """Molecule ids active at the epoch, in ascending id order.
 
     A mixed-regime molecule is kept when ``uniform_draw(seed, id, epoch)``
-    falls below its tier's weight rho, with the same bits: the seed's hash
-    is taken once per call, the id's hash once per seed
-    (``TierIndex._keyed_hashes``), and each epoch hashes a whole block of
-    ids in packed lanes.  The draw is compared in integer units: ``h >> 11``
-    is below 2**53 and ``rho * 2**53`` is exact, so ``h >> 11 < rho * 2**53``
-    exactly when ``h < ceil(rho * 2**53) << 11``.
+    falls below its tier's weight rho, with the same bits (``_epoch_masks``);
+    the seed's hash of each id is kept by the index between calls.
     """
+    # the lane arithmetic works in blocks; a translated mask takes all ids
+    size = DRAW_BLOCK if spec.regime == "mixed" else max(len(index.ids), 1)
     ids: list[int] = []
-    if spec.regime == "mixed":
-        weights = tier_weights_mixed(epoch, spec.epochs, spec.hard_start)
-        key = _mix64(spec.seed & _M64)
-        for tier in range(N_TIERS):
-            rho = weights[tier]
-            if rho >= 1.0:
-                ids.extend(index.ids_by_tier[tier])
-                continue
-            if rho <= 0.0:
-                continue
-            limit = math.ceil(rho * 2.0**53) << 11
-            flags = _drawn_below(index, key, tier, epoch + 1, limit)
-            ids.extend(compress(index.ids_by_tier[tier], chain.from_iterable(flags)))
-    else:
-        for tier in sorted(active_tiers(spec.regime, epoch, spec.epochs)):
-            ids.extend(index.ids_by_tier[tier])
-    ids.sort()
+    for block, (mask,) in _epoch_masks(index, spec, (epoch,), size,
+                                       keep_hashes=True):
+        ids += block if mask.count(1) == len(block) else compress(block, mask)
     return EpochManifest(epoch, spec.regime, ids)
+
+
+def _manifest_format(epoch: int, regime: str) -> tuple[str, str]:
+    """The text before an epoch's first id, and between two of its ids."""
+    prefix = '{"epoch":%d,"regime":%s,"id":' % (epoch, json.dumps(regime))
+    return prefix, "}\n" + prefix
+
+
+def _manifest_lines(form: tuple[str, str], texts: Iterable[str]) -> str:
+    """The manifest lines of id texts, at least one, in ``form``.  Every
+    line of an epoch shares its prefix, so the lines are formatted from it
+    rather than serialised one by one; ``str`` of an int is its JSON text."""
+    prefix, between = form
+    return prefix + between.join(texts) + "}\n"
 
 
 def write_manifest(fh: TextIO, manifest: EpochManifest) -> None:
     """Write the manifest as JSON lines ``{"epoch":e,"regime":r,"id":i}``,
-    one per sampled id, in the manifest's order.
-
-    Every line of an epoch shares its prefix, so the lines are formatted
-    from it rather than serialised one by one; ``str`` of an int is its
-    JSON text.
-    """
-    prefix = '{"epoch":%d,"regime":%s,"id":' % (manifest.epoch,
-                                                json.dumps(manifest.regime))
-    between = "}\n" + prefix
+    one per sampled id, in the manifest's order."""
+    form = _manifest_format(manifest.epoch, manifest.regime)
     ids = manifest.sampled_ids
     for start in range(0, len(ids), MANIFEST_BLOCK):
-        block = ids[start:start + MANIFEST_BLOCK]
-        fh.write(prefix + between.join(map(str, block)) + "}\n")
+        fh.write(_manifest_lines(form, map(str, ids[start:start + MANIFEST_BLOCK])))
+
+
+def write_manifests(index: TierIndex, spec: ScheduleSpec, epochs: Sequence[int],
+                    outs: Sequence[TextIO]) -> list[int]:
+    """Write the manifest of each of ``epochs`` to its file in ``outs``, in
+    one ascending pass over the index, and return their sizes.  Each block's
+    ids are turned into text once, and each epoch writes the texts its mask
+    keeps; the bytes equal ``write_manifest`` of each ``sample_epoch``."""
+    forms = [_manifest_format(e, spec.regime) for e in epochs]
+    sizes = [0] * len(forms)
+    for block, masks in _epoch_masks(index, spec, epochs, DRAW_BLOCK):
+        texts = list(map(str, block))
+        for k, (mask, fh, form) in enumerate(zip(masks, outs, forms)):
+            kept = mask.count(1)
+            if kept:
+                fh.write(_manifest_lines(
+                    form, texts if kept == len(texts) else compress(texts, mask)))
+                sizes[k] += kept
+    return sizes
 
 
 def epoch_views(

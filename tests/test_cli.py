@@ -938,15 +938,54 @@ class TestScheduleOutput:
 
         monkeypatch.setattr(cli_module, "open", failing_open, raising=False)
         outdir = tmp_path / "sched"
+        # all ten epochs are one pass, renamed into place only when it ends
+        assert main(["schedule", "--annotated", str(annotated),
+                     "--output-dir", str(outdir)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(outdir) == []
+        # in passes of two epochs, the pass of epochs 2 and 3 fails and the
+        # one before it is in place whole
+        monkeypatch.setattr(cli_module, "OPEN_MANIFESTS", 2)
         assert main(["schedule", "--annotated", str(annotated),
                      "--output-dir", str(outdir)]) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert sorted(os.listdir(outdir)) == [
-            f"manifest_epoch_{e:03d}.jsonl" for e in range(3)]
-        for e in range(3):
+            f"manifest_epoch_{e:03d}.jsonl" for e in range(2)]
+        for e in range(2):
             text = (outdir / f"manifest_epoch_{e:03d}.jsonl").read_text()
             assert text.endswith("}\n")
             assert all(json.loads(line)["epoch"] == e for line in text.splitlines())
+
+    @pytest.mark.parametrize("regime, epochs, cap", [
+        ("additive", 150, None), ("mixed", 7, 3), ("anti", 5, 1)])
+    def test_manifests_in_passes_equal_one_epoch_at_a_time(self, tmp_path, capsys,
+                                                           monkeypatch, regime,
+                                                           epochs, cap):
+        # more epochs than OPEN_MANIFESTS run as several passes over the ids
+        from moltiers.scheduler import ScheduleSpec, TierIndex, sample_epoch, write_manifest
+
+        if cap is not None:
+            monkeypatch.setattr(cli_module, "OPEN_MANIFESTS", cap)
+        annotated = tmp_path / "ann.jsonl"
+        write_tier_records(annotated, 400)
+        outdir = tmp_path / "sched"
+        assert main(["schedule", "--annotated", str(annotated), "--regime", regime,
+                     "--epochs", str(epochs), "--seed", "4",
+                     "--output-dir", str(outdir)]) == 0
+        err = capsys.readouterr().err
+        rows = [json.loads(line) for line in annotated.read_text().splitlines()]
+        index = TierIndex.from_pairs((r["id"], int(r["tier"][1])) for r in rows)
+        spec = ScheduleSpec(regime, epochs, 0.1, 4)
+        assert sorted(os.listdir(outdir)) == sorted(
+            [f"manifest_epoch_{e:03d}.jsonl" for e in range(epochs)]
+            + ["schedule_summary.json"])
+        for e in range(epochs):
+            out = io.StringIO()
+            manifest = sample_epoch(index, spec, e)
+            write_manifest(out, manifest)
+            path = outdir / f"manifest_epoch_{e:03d}.jsonl"
+            assert path.read_text() == out.getvalue(), e
+            assert f"epoch {e} manifest: {manifest.size} ids -> {path}\n" in err
 
     @pytest.mark.parametrize("regime", ["staged10", "mixed"])
     @pytest.mark.parametrize("source", ["annotated", "tier-counts"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from moltiers.descriptors import (
     descriptor_core,
     fg_rarity,
     finish_record,
+    group_rarity,
     scaffold_decoration,
 )
 from moltiers.errors import EmptyMolecule
@@ -89,6 +91,18 @@ class TestRarity:
     def test_carbonyl_plus_iodide(self, mol):
         value = fg_rarity(mol("IC=O"), ANCHOR_TABLE)
         assert value == pytest.approx((0.339 + 0.989) / 2, abs=1e-12)
+
+    def test_sums_left_to_right(self):
+        # the builtin sum of floats is compensated from Python 3.12 on; the
+        # rarity is the plain left-to-right sum over the sorted names, so a
+        # record's bytes do not depend on the Python version
+        table = PrevalenceTable({"c": 0.3, "a": 0.661, "b": 0.011}, corpus_size=10)
+        terms = [1.0 - 0.661, 1.0 - 0.011, 1.0 - 0.3]
+        folded = 0.0
+        for term in terms:
+            folded += term
+        assert math.fsum(terms) != folded  # the two sums differ on this set
+        assert group_rarity(frozenset("cab"), table) == folded / 3
 
     def test_bounds(self, mol, suite_prevalence):
         for smiles in generate_corpus(150, seed=42):

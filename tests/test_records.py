@@ -23,10 +23,12 @@ from moltiers.errors import MalformedLine
 from moltiers.pipeline import read_annotated
 from moltiers.records import (
     RECORD_FIELDS,
+    block_layout,
     dumps_record,
     read_stat_columns,
     read_tier_ids,
     record_layout,
+    scan_records,
 )
 from moltiers.tiering import TIERS
 
@@ -49,11 +51,20 @@ def write_lines(path: Path, lines: list[str]) -> Path:
     return path
 
 
+def tier_ids(path: Path) -> dict[int, list[int]]:
+    """``read_tier_ids`` as tier index -> the ids of that tier in file
+    order."""
+    ids, tiers = read_tier_ids(path)
+    assert len(tiers) == len(ids)
+    return {t: [m for m, tier in zip(ids, tiers) if tier == t]
+            for t in range(len(TIERS))}
+
+
 def assert_reads_like_json(path: Path) -> None:
     """Both readers give what json.loads of every line gives; floats are
     compared bit for bit, so -0.0 and 0.0 differ."""
     rows = [row for _, row in reference_records(path)]
-    assert read_tier_ids(path) == {
+    assert tier_ids(path) == {
         t: [r["id"] for r in rows if r["tier"] == tier] for t, tier in enumerate(TIERS)}
     columns = read_stat_columns(path)
     for key in ("mw", "bertz_ct", "n_ring"):
@@ -108,13 +119,13 @@ def test_integer_past_the_digit_limit_is_left_to_json(tmp_path):
         with pytest.raises(MalformedLine, match=NOT_A_TIER_RECORD):
             read_tier_ids(path)
     else:
-        assert read_tier_ids(path) == {0: [], 1: [7], 2: [], 3: [], 4: []}
+        assert tier_ids(path) == {0: [], 1: [7], 2: [], 3: [], 4: []}
 
 
 def test_blank_lines_are_skipped(tmp_path):
     path = write_lines(tmp_path / "ann.jsonl", [
         "", dumps_record(record(1)), "   ", "\t", dumps_record(record(2, tier="T3")), ""])
-    assert read_tier_ids(path) == {0: [], 1: [1], 2: [], 3: [2], 4: []}
+    assert tier_ids(path) == {0: [], 1: [1], 2: [], 3: [2], 4: []}
     assert len(read_stat_columns(path).tiers) == 2
     assert [r["id"] for r in read_annotated(path)] == [1, 2]
     assert_reads_like_json(path)
@@ -170,7 +181,7 @@ def test_ids_out_of_order_keep_file_order(tmp_path):
     ids = [5, 3, 9, -1, 4, 100, 6]
     path = write_lines(tmp_path / "ann.jsonl", [
         dumps_record(record(m, tier=TIERS[m % 2])) for m in ids])
-    assert read_tier_ids(path) == {
+    assert tier_ids(path) == {
         t: [m for m in ids if m % 2 == t] for t in range(len(TIERS))}
 
 
@@ -332,3 +343,140 @@ def test_layout_is_compiled_once():
     assert record_layout() is records_module.record_layout()
     with pytest.raises(AttributeError, match="NO_SUCH_NAME"):
         records_module.NO_SUCH_NAME
+
+
+# -- blocks of lines ------------------------------------------------------------
+
+def block_file(path: Path, ids: list[int], lines: dict[int, str] | None = None,
+               newline: str = "\n") -> Path:
+    """Compact records of ``ids`` (tiers by id), with the lines at the
+    given 0-based positions replaced."""
+    text = [dumps_record(record(m, tier=TIERS[m % 5])) for m in ids]
+    for at, line in (lines or {}).items():
+        text[at] = line
+    path.write_bytes("".join(line + newline for line in text).encode())
+    return path
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Blocks of two or three record lines."""
+    monkeypatch.setattr(records_module, "READ_BLOCK", 2 * len(dumps_record(record(0))))
+
+
+def test_a_block_spans_a_few_lines(tmp_path, small_blocks):
+    path = block_file(tmp_path / "ann.jsonl", list(range(10)))
+    firsts = [first for first, _, _ in scan_records(path, block_layout(("id", "tier")))]
+    assert len(firsts) >= 3 and firsts[0] == 1
+    assert_reads_like_json(path)
+
+
+@pytest.mark.parametrize("lines", [
+    {7: json.dumps(record(7, tier="T2"))},
+    {6: "", 7: "   "},
+    {8: dumps_record(dict(reversed(record(8, tier="T3").items())))},
+], ids=["spaced-line", "blank-lines", "reordered-keys"])
+def test_later_block_read_line_by_line(tmp_path, small_blocks, lines):
+    path = block_file(tmp_path / "ann.jsonl", list(range(12)), lines)
+    assert_reads_like_json(path)
+
+
+def test_crlf_endings(tmp_path, small_blocks):
+    path = block_file(tmp_path / "ann.jsonl", list(range(12)), newline="\r\n")
+    assert b"\r\n" in path.read_bytes()
+    assert tier_ids(path)[2] == [2, 7]
+    assert_reads_like_json(path)
+
+
+def test_repeated_id_across_blocks(tmp_path, small_blocks):
+    path = block_file(tmp_path / "ann.jsonl", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 3])
+    with pytest.raises(MalformedLine) as err:
+        read_tier_ids(path)
+    assert str(err.value) == f"{path}:12: id 3 appears twice"
+    # after the ids stopped rising, a repeat in a later block
+    path = block_file(tmp_path / "ann.jsonl", [0, 1, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1])
+    with pytest.raises(MalformedLine) as err:
+        read_tier_ids(path)
+    assert str(err.value) == f"{path}:11: id 2 appears twice"
+
+
+@pytest.mark.parametrize("stop", [2, 3, 4, 5])
+def test_ids_stop_rising_at_any_line(tmp_path, small_blocks, stop):
+    ids = list(range(10, 10 + stop)) + [3] + list(range(100, 106))
+    path = block_file(tmp_path / "ann.jsonl", ids)
+    assert tier_ids(path) == {t: [m for m in ids if m % 5 == t] for t in range(5)}
+    assert read_tier_ids(path).ids == ids
+
+
+def test_bad_tier_in_block_three(tmp_path, small_blocks):
+    bad = dumps_record(record(6)).replace('"T1"', '"T9"')
+    path = block_file(tmp_path / "ann.jsonl", list(range(10)), {6: bad})
+    assert [first for first, _, _ in scan_records(path, block_layout(("id", "tier")))
+            ][2] <= 7
+    with pytest.raises(MalformedLine) as err:
+        read_tier_ids(path)
+    assert str(err.value) == f"{path}:7: {NOT_A_TIER_RECORD}"
+    with pytest.raises(MalformedLine) as err:
+        read_stat_columns(path)
+    assert str(err.value) == f"{path}:7: tier is not one of T0-T4"
+
+
+def with_bad_byte(path: Path) -> Path:
+    """``path`` with a byte that is not UTF-8 in a SMILES three quarters in."""
+    data = path.read_bytes()
+    at = data.index(b'"CCO"', len(data) * 3 // 4)
+    path.write_bytes(data[:at + 2] + b"\xff" + data[at + 3:])
+    return path
+
+
+def line_by_line_error(path: Path) -> str:
+    """The decode error that reading ``path`` one line at a time raises."""
+    with pytest.raises(UnicodeDecodeError) as err:
+        with open(path, encoding="utf-8") as fh:
+            for _ in fh:
+                pass
+    return str(err.value)
+
+
+@pytest.mark.parametrize("block", [500, 1 << 20], ids=["small", "whole-file"])
+def test_invalid_utf8_in_a_later_block(tmp_path, monkeypatch, capsys, block):
+    monkeypatch.setattr(records_module, "READ_BLOCK", block)
+    path = with_bad_byte(block_file(tmp_path / "ann.jsonl", list(range(80))))
+    message = line_by_line_error(path)
+    assert "position" in message
+    for command in (["schedule", "--annotated", str(path)],
+                    ["stats", "--annotated", str(path)]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"ERROR moltiers: {message}"
+
+
+def test_repeat_before_an_invalid_byte_is_named_first(tmp_path, monkeypatch):
+    # one block holds both; a reader of one line at a time meets the
+    # repeated id before it decodes the bad byte
+    monkeypatch.setattr(records_module, "READ_BLOCK", 1 << 20)
+    path = with_bad_byte(block_file(tmp_path / "ann.jsonl", list(range(80)),
+                                    {5: dumps_record(record(2))}))
+    with pytest.raises(MalformedLine) as err:
+        read_tier_ids(path)
+    assert str(err.value) == f"{path}:6: id 2 appears twice"
+
+
+@given(records(), st.data())
+@settings(max_examples=500, deadline=None)
+def test_block_layout_accepts_what_the_line_layout_accepts(row, data):
+    line = dumps_record(row)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(line)))
+        char = data.draw(st.sampled_from(EDITS))
+        cut = data.draw(st.integers(0, 1))
+        line = line[:at] + char + line[at + cut:]
+    whole = record_layout().fullmatch(line + "\n")
+    for captured, groups in ((("id", "tier"), (1, 5)),
+                             (("bertz_ct", "n_ring", "mw", "tier"), (2, 3, 4, 5))):
+        pattern = block_layout(captured)
+        for text in (line, line + "\n"):
+            found = pattern.findall(text)
+            assert len(found) == (whole is not None)
+            if found:
+                assert found == [whole.group(*groups)]

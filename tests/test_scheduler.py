@@ -26,6 +26,7 @@ from moltiers.scheduler import (
     tier_weights_mixed,
     uniform_draw,
     write_manifest,
+    write_manifests,
 )
 from oracles import reference_manifest_text, reference_sample_epoch
 
@@ -187,15 +188,23 @@ class TestSamplingOracle:
         assert 0 < sum(m in ids for m in complex_ids) < len(complex_ids)
         assert any(m in ids for m in complex_ids if m < 0 or m >= 2**64)
 
-    def test_mixed_draws_follow_replaced_ids(self):
-        # the index keeps each id's seed hash between epochs; a tier whose
-        # ids are replaced must be hashed again
+    def test_mixed_draws_follow_replaced_ids(self, monkeypatch):
+        # the index keeps each id's seed hash between epochs; its tiers are a
+        # read-only view, so replaced ids make a new index, and the kept
+        # hashes follow the seed and the block size they were made with
         by_tier = _oracle_ids_by_tier()
         index = TierIndex(by_tier)
         spec = ScheduleSpec("mixed", 10, 0.1, 7)
         sample_epoch(index, spec, 1)
-        by_tier[3] = [m + 1 for m in by_tier[3]]
-        index.ids_by_tier[3] = tuple(sorted(by_tier[3]))
+        with pytest.raises(TypeError):
+            index.ids_by_tier[3] = ()
+        replaced = {**by_tier, 3: [m + 1 for m in by_tier[3]]}
+        assert sample_epoch(TierIndex(replaced), spec, 2).sampled_ids == \
+            reference_sample_epoch(replaced, spec, 2)
+        other = spec._replace(seed=8)
+        assert sample_epoch(index, other, 2).sampled_ids == \
+            reference_sample_epoch(by_tier, other, 2)
+        monkeypatch.setattr(scheduler_module, "DRAW_BLOCK", 7)
         assert sample_epoch(index, spec, 2).sampled_ids == \
             reference_sample_epoch(by_tier, spec, 2)
 
@@ -207,6 +216,48 @@ class TestSamplingOracle:
             out = io.StringIO()
             write_manifest(out, manifest)
             assert out.getvalue() == reference_manifest_text(4, "anti", ids)
+
+
+class TestManifestPass:
+    """write_manifests, in passes of at most 64 epochs as the CLI runs it,
+    against a per-id uniform_draw and a per-line json.dumps."""
+
+    @pytest.mark.parametrize("regime, epochs", [
+        (regime, epochs) for regime in REGIMES for epochs in (2, 10, 150)
+        if regime != "staged10" or epochs == 10])
+    def test_bytes_equal_reference(self, regime, epochs, monkeypatch):
+        by_tier = _oracle_ids_by_tier()
+        spec = ScheduleSpec(regime, epochs, 0.37, 2**64 + 5)
+        want = [reference_manifest_text(e, regime,
+                                        reference_sample_epoch(by_tier, spec, e))
+                for e in range(epochs)]
+        for block in (1, 2, 3):
+            monkeypatch.setattr(scheduler_module, "DRAW_BLOCK", block)
+            index = TierIndex(by_tier)
+            for first in range(0, epochs, 64):
+                epoch_range = range(first, min(first + 64, epochs))
+                outs = [io.StringIO() for _ in epoch_range]
+                sizes = write_manifests(index, spec, epoch_range, outs)
+                for e, out, size in zip(epoch_range, outs, sizes):
+                    assert out.getvalue() == want[e], (block, e)
+                    assert size == want[e].count("\n")
+
+    def test_pass_equals_sample_epoch_and_write_manifest(self):
+        index = TierIndex(_oracle_ids_by_tier())
+        for regime in REGIMES:
+            spec = ScheduleSpec(regime, 10, 0.0, 3)
+            outs = [io.StringIO() for _ in range(10)]
+            write_manifests(index, spec, range(10), outs)
+            for e, out in enumerate(outs):
+                one = io.StringIO()
+                write_manifest(one, sample_epoch(index, spec, e))
+                assert out.getvalue() == one.getvalue(), (regime, e)
+
+    def test_empty_index_writes_nothing(self):
+        outs = [io.StringIO(), io.StringIO()]
+        assert write_manifests(TierIndex({}), ScheduleSpec("mixed", 2), range(2),
+                               outs) == [0, 0]
+        assert [out.getvalue() for out in outs] == ["", ""]
 
 
 M64 = 2**64 - 1
@@ -410,6 +461,20 @@ class TestSpecValidation:
             TierIndex.from_pairs([(5, 2), (bad, 2), (3, 0)])
         with pytest.raises(TypeError, match=f"molecule id {bad!r}"):
             TierIndex({4: [bad]})
+
+    def test_tier_index_holds_ids_in_order_with_their_tiers(self):
+        index = TierIndex.from_pairs([(5, 2), (3, 0), (2**70, 1), (-1, 4)])
+        assert index.ids == [-1, 3, 5, 2**70]
+        assert index.tiers == bytes([4, 0, 2, 1])
+        assert index.ids_by_tier == {0: (3,), 1: (2**70,), 2: (5,), 3: (), 4: (-1,)}
+        assert TierIndex({2: [5], 0: [3], 1: [2**70], 4: [-1]}).ids == index.ids
+        # ids read in rising order are kept as they are
+        ids = [1, 4, 9]
+        assert TierIndex.from_ids(ids, bytearray([0, 0, 3])).ids is ids
+        with pytest.raises(ValueError, match="tier index 5 is not one of 0-4"):
+            TierIndex.from_pairs([(1, 0), (2, 5)])
+        with pytest.raises(ValueError, match="2 ids but 1 tier"):
+            TierIndex.from_ids([1, 2], b"\x00")
 
     def test_tier_index_stores_numpy_ids_as_ints(self):
         import numpy as np
