@@ -116,10 +116,10 @@ def cmd_prevalence(args: argparse.Namespace) -> int:
     stats = fit_prevalence_streaming(_input_records(args), annotator)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # both files are renamed into place only after both are written, so a
-    # failure leaves the earlier pair as it was
-    with (_replace_on_success(outdir / "prevalence.tsv") as table_out,
-          _replace_on_success(outdir / "top_groups.txt") as top_out):
+    # both files are renamed into place only after both are written and
+    # closed, so a failure leaves the earlier pair as it was
+    with _replace_all_on_success([outdir / "prevalence.tsv",
+                                  outdir / "top_groups.txt"]) as (table_out, top_out):
         write_prevalence(annotator.prevalence_, table_out)
         top = top_k_groups(annotator.prevalence_, args.top_k)
         top_out.writelines(name + "\n" for name in top)
@@ -131,20 +131,33 @@ def cmd_prevalence(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _replace_on_success(path: Path):
-    """A text file that replaces ``path`` only if the block completes.
+def _replace_all_on_success(paths: list[Path]):
+    """Text files, one per path, that replace ``paths`` only if the block
+    completes.
 
-    It is written next to ``path``, so the final rename is atomic; on any
-    failure it is removed and ``path`` is left as it was.
+    Each is written next to its path, so each rename is atomic.  Every file
+    is closed, and so flushed, before the first is renamed: on any failure,
+    a write or a close included, all of them are removed and ``paths`` are
+    left as they were.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            yield out
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w", encoding="utf-8"))
+                   for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _replace_on_success(path: Path):
+    """A text file that replaces ``path`` only if the block completes."""
+    with _replace_all_on_success([path]) as (out,):
+        yield out
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -262,17 +275,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         return 0
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # every file is renamed into place whole: the manifests of a pass after
-    # the pass, and the summary last, so a failed run into a fresh
-    # directory leaves no summary
+    # every file is renamed into place whole: the manifests of a pass once
+    # all of them are written and closed, and the summary last, so a failed
+    # run into a fresh directory leaves no summary
     if index is not None and not args.no_manifests:
         t0 = time.perf_counter()
         for first in range(0, spec.epochs, OPEN_MANIFESTS):
             epochs = range(first, min(first + OPEN_MANIFESTS, spec.epochs))
             paths = [outdir / f"manifest_epoch_{e:03d}.jsonl" for e in epochs]
-            with ExitStack() as stack:
-                outs = [stack.enter_context(_replace_on_success(path))
-                        for path in paths]
+            with _replace_all_on_success(paths) as outs:
                 sizes = write_manifests(index, spec, epochs, outs)
             for e, size, path in zip(epochs, sizes, paths):
                 log.info("epoch %d manifest: %d ids -> %s", e, size, path)

@@ -506,7 +506,7 @@ def read_annotated(path: str | Path) -> Iterator[dict]:
     JSON object.
     """
     for _, _, rows in scan_records(path):
-        for n, _, row in rows:
+        for n, row in rows:
             if type(row) is not dict:
                 raise MalformedLine(f"{path}:{n}: not a JSON record")
             yield row

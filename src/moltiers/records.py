@@ -9,12 +9,11 @@ block with one ``findall`` of a multi-line form of that exact layout
 needs.  The layout accepts only text that ``json.loads`` accepts, and
 captures each value as the same text ``json.loads`` would convert.  When
 the pattern matches every line of a block, the block needs no per-line
-work.  Otherwise that block alone goes line by line: a line the
-single-line layout (``record_layout()``) matches whole is read from its
-groups, and any other non-blank line (spaced separators, reordered keys,
-escaped strings, ``NaN``, extra fields, or no record at all) goes through
-``json.loads``.  So every path yields the same values, and the same errors
-with the same line numbers.  The patterns are compiled on first use.
+work.  Otherwise every non-blank line of that block (spaced separators,
+reordered keys, escaped strings, ``NaN``, extra fields, or no record at
+all) goes through ``json.loads``.  So both paths yield the same values,
+and the same errors with the same line numbers.  The patterns are
+compiled on first use.
 
 The readers built on it:
 
@@ -101,23 +100,14 @@ def _layout(captured: tuple[str, ...]) -> str:
 
 
 @functools.cache
-def record_layout() -> re.Pattern:
-    """The pattern a compact record line matches whole, compiled on first
-    use: the compile takes a few milliseconds, which every command that
-    imports this module but reads no record would otherwise pay.
-
-    Groups: 1 id, 2 bertz_ct, 3 n_ring, 4 mw, 5 tier.
-    """
-    return re.compile(_layout(("id", "bertz_ct", "n_ring", "mw", "tier")) + r"\n?")
-
-
-@functools.cache
 def block_layout(captured: tuple[str, ...]) -> re.Pattern:
-    """The record layout as a whole line of a block (``^...$`` in
-    ``re.MULTILINE``), capturing the fields in ``captured``.  No value spans
-    a newline, so each match is one whole line: a block's ``findall`` finds
-    as many matches as the block has lines exactly when the single-line
-    layout matches every line."""
+    """The compact record as a whole line of a block (``^...$`` in
+    ``re.MULTILINE``), capturing the fields in ``captured``, compiled on
+    first use: the compile takes a few milliseconds, which every command
+    that imports this module but reads no record would otherwise pay.  No
+    value spans a newline, so each match is one whole line, and a block's
+    ``findall`` finds as many matches as the block has lines exactly when
+    every line is a compact record."""
     return re.compile("^" + _layout(captured) + "$", re.MULTILINE)
 
 
@@ -131,24 +121,20 @@ def _tier_bytes(names: tuple[str, ...]) -> bytes:
     return "".join(names).encode()[1::2].translate(_TIER_DIGITS)
 
 
-# (line number, layout match or None, json.loads value or None)
-Row = tuple[int, "re.Match | None", object]
+# (line number, json.loads value, or None for text that is not JSON)
+Row = tuple[int, object]
 
 
 def scan_records(path: str | Path, layout: re.Pattern | None = None
                  ) -> Iterator[tuple[int, list | None, Iterable[Row]]]:
     """Per block of whole lines of ``path``: (its first line number, the
     ``layout.findall`` of the block, ()) when ``layout`` matches every line,
-    else (first line number, None, rows).  The rows are (line number,
-    match, None) for each line that ``record_layout()`` matches whole, and
-    (line number, None, ``json.loads`` value, or None for text that is not
-    JSON) for every other non-blank line.  Without ``layout``, every
-    non-blank line goes through ``json.loads``.
+    else (first line number, None, a row for each non-blank line).  Without
+    ``layout``, every block gives rows.
 
     A byte that is not UTF-8 raises UnicodeDecodeError after the rows of
     the lines before it, as reading one line at a time would."""
     first = 1
-    match_layout = layout is not None
     with open(path, encoding="utf-8") as fh:
         while True:
             try:
@@ -157,44 +143,35 @@ def scan_records(path: str | Path, layout: re.Pattern | None = None
                 # the lines read before the bad byte are lost with the
                 # block: the rest of the file is read again one line at a
                 # time, whose rows end in the same error
-                yield first, None, _rows_from(path, first, match_layout)
+                yield first, None, _rows_from(path, first)
                 return
             if not lines:
                 return
-            if match_layout:
+            if layout is not None:
                 found = layout.findall("".join(lines))
                 if len(found) == len(lines):
                     yield first, found, ()
                     first += len(lines)
                     continue
-            yield first, None, _rows(lines, first, match_layout)
+            yield first, None, _rows(lines, first)
             first += len(lines)
 
 
-def _rows(lines: Iterable[str], first: int, match_layout: bool) -> Iterator[Row]:
-    # the single-line layout is compiled only when a block needs it
-    match = record_layout().fullmatch if match_layout else _no_match
+def _rows(lines: Iterable[str], first: int) -> Iterator[Row]:
     for n, line in enumerate(lines, first):
-        found = match(line)
-        if found is not None:
-            yield n, found, None
-        elif line.strip():
+        if line.strip():
             try:
                 value = json.loads(line)
             except ValueError:
                 value = None
-            yield n, None, value
+            yield n, value
 
 
-def _rows_from(path: str | Path, first: int, match_layout: bool) -> Iterator[Row]:
+def _rows_from(path: str | Path, first: int) -> Iterator[Row]:
     """The rows of ``path`` from line ``first`` on, its lines read one at a
     time, so a decode error is raised where that reading raises it."""
     with open(path, encoding="utf-8") as fh:
-        yield from _rows(islice(fh, first - 1, None), first, match_layout)
-
-
-def _no_match(line: str) -> None:
-    return None
+        yield from _rows(islice(fh, first - 1, None), first)
 
 
 class TierIds(NamedTuple):
@@ -234,17 +211,14 @@ def read_tier_ids(path: str | Path) -> TierIds:
             ids += block
             tiers += _tier_bytes(tier_names)
             continue
-        for n, line_match, row in rows:
-            if line_match is not None:
-                mol_id, tier = int(line_match[1]), line_match[5]
-            else:
-                try:
-                    mol_id, tier = row["id"], row["tier"]
-                except (LookupError, TypeError):
-                    mol_id = None
-                if type(mol_id) is not int or tier not in TIERS:
-                    raise MalformedLine(f"{path}:{n}: not a JSON record with an "
-                                        "integer id and a tier T0-T4")
+        for n, row in rows:
+            try:
+                mol_id, tier = row["id"], row["tier"]
+            except (LookupError, TypeError):
+                mol_id = None
+            if type(mol_id) is not int or tier not in TIERS:
+                raise MalformedLine(f"{path}:{n}: not a JSON record with an "
+                                    "integer id and a tier T0-T4")
             if seen is None:
                 if mol_id > last:
                     last = mol_id
@@ -298,13 +272,7 @@ def read_stat_columns(path: str | Path) -> StatColumns:
             columns.mw.extend(map(float, mw))
             columns.tiers.extend(_tier_bytes(tier_names))
             continue
-        for n, line_match, row in rows:
-            if line_match is not None:
-                add_ct(float(line_match[2]))
-                add_ring(float(line_match[3]))
-                add_mw(float(line_match[4]))
-                add_tier(_TIER_INDEX[line_match[5]])
-                continue
+        for n, row in rows:
             if type(row) is not dict:
                 raise MalformedLine(f"{path}:{n}: not a JSON record")
             missing = [f for f in (*STAT_FIELDS, "tier") if f not in row]

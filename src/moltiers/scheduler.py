@@ -24,7 +24,6 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EpochOutOfRange, Staged10RequiresTenEpochs
@@ -190,11 +189,14 @@ def _plain_id(mol_id) -> int:
 
 def _tier_table(tiers: Iterable[int]) -> bytes:
     """A ``bytes.translate`` table: 1 for a tier index in ``tiers``, else 0."""
-    tiers = set(tiers)
-    return bytes(t in tiers for t in range(256))
+    table = bytearray(256)
+    for t in tiers:
+        table[t] = 1
+    return bytes(table)
 
 
 _SIMPLE = _tier_table((0, 1))  # the tiers every mixed-regime epoch keeps
+_TIER_INDICES = bytes(range(N_TIERS))  # the tier bytes TierIndex accepts
 
 
 class TierIndex:
@@ -217,8 +219,6 @@ class TierIndex:
         for mol_id, tier in pairs:
             ids.append(mol_id)
             tiers.append(tier)
-        if tiers and max(tiers) >= N_TIERS:
-            raise ValueError(f"tier index {max(tiers)} is not one of 0-{N_TIERS - 1}")
         return cls.from_ids(ids, tiers)
 
     @classmethod
@@ -233,6 +233,9 @@ class TierIndex:
     def _set(self, ids: Sequence[int], tiers: bytes | bytearray) -> None:
         if len(ids) != len(tiers):
             raise ValueError(f"{len(ids)} ids but {len(tiers)} tier indices")
+        bad = tiers.translate(None, _TIER_INDICES)
+        if bad:
+            raise ValueError(f"tier index {bad[0]} is not one of 0-{N_TIERS - 1}")
         if not set(map(type, ids)) <= {int}:  # checked in one pass
             ids = list(map(_plain_id, ids))
         if not all(map(operator.le, ids, islice(ids, 1, None))):
@@ -241,16 +244,9 @@ class TierIndex:
             tiers = bytes(map(tiers.__getitem__, order))
         self.ids: Sequence[int] = ids
         self.tiers = bytes(tiers)
-        # (seed key, block size, hashes) for sample_epoch; see _keyed_hashes
-        self._keyed: tuple[int, int, list[int]] | None = None
-
-    @property
-    def ids_by_tier(self) -> Mapping[int, tuple[int, ...]]:
-        """Tier index -> its ids in ascending order: a read-only view, made
-        from ``ids`` and ``tiers`` on each access."""
-        return MappingProxyType({
-            t: tuple(compress(self.ids, self.tiers.translate(_tier_table((t,)))))
-            for t in range(N_TIERS)})
+        # (ids hashed, seed key, block size, hashes) for sample_epoch; see
+        # _keyed_hashes
+        self._keyed: tuple[Sequence[int], int, int, list[int]] | None = None
 
     def counts(self) -> tuple[int, ...]:
         return tuple(self.tiers.count(t) for t in range(N_TIERS))
@@ -259,13 +255,15 @@ class TierIndex:
         """``_keyed_block(key, block)`` for each block of ``size`` ids: the
         part of a mixed-regime draw that does not change with the epoch.
         The last key's hashes are kept, 16 bytes per id, so the epochs that
-        ``sample_epoch`` samples one call at a time hash each id once."""
-        if self._keyed is None or self._keyed[:2] != (key, size):
-            ids = self.ids
-            self._keyed = (key, size, [
+        ``sample_epoch`` samples one call at a time hash each id once; ids
+        that replace ``ids`` are hashed again."""
+        ids = self.ids
+        kept = self._keyed
+        if kept is None or kept[0] is not ids or kept[1:3] != (key, size):
+            kept = self._keyed = (ids, key, size, [
                 _keyed_block(key, ids[start:start + size])
                 for start in range(0, len(ids), size)])
-        return self._keyed[2]
+        return kept[3]
 
 
 def _keyed_block(key: int, block: Sequence[int]) -> int:
@@ -343,16 +341,21 @@ def _epoch_masks(index: TierIndex, spec: ScheduleSpec, epochs: Sequence[int],
 def sample_epoch(index: TierIndex, spec: ScheduleSpec, epoch: int) -> EpochManifest:
     """Molecule ids active at the epoch, in ascending id order.
 
-    A mixed-regime molecule is kept when ``uniform_draw(seed, id, epoch)``
-    falls below its tier's weight rho, with the same bits (``_epoch_masks``);
-    the seed's hash of each id is kept by the index between calls.
+    A deterministic regime's ids are those whose tier byte its active tier
+    set translates to 1.  A mixed-regime molecule is kept when
+    ``uniform_draw(seed, id, epoch)`` falls below its tier's weight rho,
+    with the same bits (``_epoch_masks``); the seed's hash of each id is
+    kept by the index between calls.
     """
-    # the lane arithmetic works in blocks; a translated mask takes all ids
-    size = DRAW_BLOCK if spec.regime == "mixed" else max(len(index.ids), 1)
-    ids: list[int] = []
-    for block, (mask,) in _epoch_masks(index, spec, (epoch,), size,
+    if spec.regime != "mixed":
+        mask = index.tiers.translate(
+            _tier_table(active_tiers(spec.regime, epoch, spec.epochs)))
+        ids = list(compress(index.ids, mask) if 0 in mask else index.ids)
+        return EpochManifest(epoch, spec.regime, ids)
+    ids = []
+    for block, (mask,) in _epoch_masks(index, spec, (epoch,), DRAW_BLOCK,
                                        keep_hashes=True):
-        ids += block if mask.count(1) == len(block) else compress(block, mask)
+        ids += block if 0 not in mask else compress(block, mask)
     return EpochManifest(epoch, spec.regime, ids)
 
 

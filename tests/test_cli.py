@@ -53,6 +53,34 @@ def write_tier_records(path: Path, n: int = 3000) -> None:
     path.write_text("".join(line + "\n" for _, line in sorted(lines)))
 
 
+class FailsAtClose:
+    """A file that takes every write, then fails when it is closed, as a
+    full disk often shows first when a buffer is flushed at close."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.write = fh.write
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        raise OSError(28, "No space left on device")
+
+
+def fail_at_close(monkeypatch, name: str) -> None:
+    """Make each file the CLI opens whose path holds ``name`` fail when it
+    is closed."""
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FailsAtClose(fh) if name in str(path) else fh
+
+    monkeypatch.setattr(cli_module, "open", failing_open, raising=False)
+
+
 @pytest.fixture()
 def smi_file(tmp_path):
     path = tmp_path / "corpus.smi"
@@ -372,6 +400,20 @@ class TestCli:
         other.write_text("CCN\nCC#N\nCCS\n")
         assert self.run("prevalence", "--input", str(other),
                         "--output-dir", str(outdir), "--top-k", "2") == 2
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    def test_failed_prevalence_close_leaves_the_earlier_pair(self, smi_file, tmp_path,
+                                                             capsys, monkeypatch):
+        # the table fails when it is closed, after both files are written:
+        # neither replaces the earlier pair
+        outdir = tmp_path / "prev"
+        assert self.run("prevalence", "--input", str(smi_file),
+                        "--output-dir", str(outdir)) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        fail_at_close(monkeypatch, "prevalence.tsv")
+        assert self.run("prevalence", "--input", str(smi_file), "--top-k", "2",
+                        "--output-dir", str(outdir)) == 2
+        assert "No space left on device" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
     def test_verbose_is_set_on_every_call(self, smi_file, csv_file, tmp_path,
@@ -955,6 +997,18 @@ class TestScheduleOutput:
             text = (outdir / f"manifest_epoch_{e:03d}.jsonl").read_text()
             assert text.endswith("}\n")
             assert all(json.loads(line)["epoch"] == e for line in text.splitlines())
+
+    def test_failed_manifest_close_leaves_no_manifest_of_its_pass(self, tmp_path,
+                                                                 capsys, monkeypatch):
+        # the epochs closed before the failing one are not renamed either
+        annotated = tmp_path / "ann.jsonl"
+        write_tier_records(annotated, 500)
+        fail_at_close(monkeypatch, "manifest_epoch_003")
+        outdir = tmp_path / "sched"
+        assert main(["schedule", "--annotated", str(annotated),
+                     "--output-dir", str(outdir)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(outdir) == []
 
     @pytest.mark.parametrize("regime, epochs, cap", [
         ("additive", 150, None), ("mixed", 7, 3), ("anti", 5, 1)])

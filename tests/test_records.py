@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -27,7 +28,6 @@ from moltiers.records import (
     dumps_record,
     read_stat_columns,
     read_tier_ids,
-    record_layout,
     scan_records,
 )
 from moltiers.tiering import TIERS
@@ -35,6 +35,15 @@ from moltiers.tiering import TIERS
 from oracles import reference_records, reference_stats_report
 
 NOT_A_TIER_RECORD = "not a JSON record with an integer id and a tier T0-T4"
+
+# every field a reader captures, in record order
+ALL_CAPTURED = ("id", "bertz_ct", "n_ring", "mw", "tier")
+
+
+def layout_match(line: str) -> re.Match | None:
+    """The record pattern's match of one line without its newline; groups
+    1 id, 2 bertz_ct, 3 n_ring, 4 mw, 5 tier."""
+    return block_layout(ALL_CAPTURED).fullmatch(line)
 
 
 def record(mol_id: int = 0, **changes) -> dict:
@@ -103,7 +112,7 @@ JSON_LINES = {
 
 @pytest.mark.parametrize("line, matched", JSON_LINES.values(), ids=JSON_LINES)
 def test_line_reads_as_json_reads_it(tmp_path, line, matched):
-    assert (record_layout().fullmatch(line + "\n") is not None) == matched
+    assert (layout_match(line) is not None) == matched
     path = write_lines(tmp_path / "ann.jsonl", [
         dumps_record(record(3, tier="T0")), line, dumps_record(record(9, tier="T4"))])
     assert_reads_like_json(path)
@@ -111,7 +120,7 @@ def test_line_reads_as_json_reads_it(tmp_path, line, matched):
 
 def test_integer_past_the_digit_limit_is_left_to_json(tmp_path):
     line = dumps_record(record(7)).replace('"n_ha":3', '"n_ha":' + "9" * 5000)
-    assert record_layout().fullmatch(line) is None
+    assert layout_match(line) is None
     path = write_lines(tmp_path / "ann.jsonl", [line])
     try:
         json.loads(line)
@@ -273,8 +282,8 @@ def assert_groups_equal_json(found, line: str) -> None:
 @given(records())
 @settings(max_examples=300, deadline=None)
 def test_layout_match_equals_json(row):
-    line = dumps_record(row) + "\n"
-    found = record_layout().fullmatch(line)
+    line = dumps_record(row)
+    found = layout_match(line)
     assert (found is not None) == plain(row)
     if found is not None:
         assert_groups_equal_json(found, line)
@@ -303,7 +312,7 @@ def test_layout_accepts_only_json(row, data):
         char = data.draw(st.sampled_from(EDITS))
         cut = data.draw(st.integers(0, 1))
         line = line[:at] + char + line[at + cut:]
-    found = record_layout().fullmatch(line)
+    found = layout_match(line)
     if found is not None:
         assert_groups_equal_json(found, line)
 
@@ -323,8 +332,8 @@ re.compile = counting
 import moltiers.cli, moltiers.pipeline
 print(json.dumps(compiled))
 compiled.clear()
-from moltiers.records import record_layout
-record_layout()
+from moltiers.records import block_layout
+block_layout(("id", "tier"))
 print(json.dumps(compiled))
 """
 
@@ -334,13 +343,13 @@ def test_importing_the_pipeline_compiles_no_layout():
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          check=True, capture_output=True, text=True).stdout
     on_import, on_first_use = map(json.loads, out.splitlines())
-    layout = record_layout().pattern
+    layout = block_layout(("id", "tier")).pattern
     assert layout not in on_import
     assert on_first_use == [layout]
 
 
 def test_layout_is_compiled_once():
-    assert record_layout() is records_module.record_layout()
+    assert block_layout(("id", "tier")) is records_module.block_layout(("id", "tier"))
     with pytest.raises(AttributeError, match="NO_SUCH_NAME"):
         records_module.NO_SUCH_NAME
 
@@ -471,7 +480,8 @@ def test_block_layout_accepts_what_the_line_layout_accepts(row, data):
         char = data.draw(st.sampled_from(EDITS))
         cut = data.draw(st.integers(0, 1))
         line = line[:at] + char + line[at + cut:]
-    whole = record_layout().fullmatch(line + "\n")
+    # the layout as a single-line pattern, without ^, $ or MULTILINE
+    whole = re.fullmatch(records_module._layout(ALL_CAPTURED), line)
     for captured, groups in ((("id", "tier"), (1, 5)),
                              (("bertz_ct", "n_ring", "mw", "tier"), (2, 3, 4, 5))):
         pattern = block_layout(captured)

@@ -189,24 +189,25 @@ class TestSamplingOracle:
         assert any(m in ids for m in complex_ids if m < 0 or m >= 2**64)
 
     def test_mixed_draws_follow_replaced_ids(self, monkeypatch):
-        # the index keeps each id's seed hash between epochs; its tiers are a
-        # read-only view, so replaced ids make a new index, and the kept
-        # hashes follow the seed and the block size they were made with
+        # the index keeps each id's seed hash between epochs; ids that
+        # replace the index's must be hashed again, and the kept hashes
+        # follow the seed and the block size they were made with
         by_tier = _oracle_ids_by_tier()
         index = TierIndex(by_tier)
         spec = ScheduleSpec("mixed", 10, 0.1, 7)
         sample_epoch(index, spec, 1)
-        with pytest.raises(TypeError):
-            index.ids_by_tier[3] = ()
         replaced = {**by_tier, 3: [m + 1 for m in by_tier[3]]}
-        assert sample_epoch(TierIndex(replaced), spec, 2).sampled_ids == \
+        new = TierIndex(replaced)
+        assert len(new.ids) == len(index.ids)
+        index.ids, index.tiers = new.ids, new.tiers
+        assert sample_epoch(index, spec, 2).sampled_ids == \
             reference_sample_epoch(replaced, spec, 2)
         other = spec._replace(seed=8)
         assert sample_epoch(index, other, 2).sampled_ids == \
-            reference_sample_epoch(by_tier, other, 2)
+            reference_sample_epoch(replaced, other, 2)
         monkeypatch.setattr(scheduler_module, "DRAW_BLOCK", 7)
-        assert sample_epoch(index, spec, 2).sampled_ids == \
-            reference_sample_epoch(by_tier, spec, 2)
+        assert sample_epoch(index, other, 2).sampled_ids == \
+            reference_sample_epoch(replaced, other, 2)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
     def test_manifest_blocks_join_to_the_same_bytes(self, block, monkeypatch):
@@ -466,13 +467,17 @@ class TestSpecValidation:
         index = TierIndex.from_pairs([(5, 2), (3, 0), (2**70, 1), (-1, 4)])
         assert index.ids == [-1, 3, 5, 2**70]
         assert index.tiers == bytes([4, 0, 2, 1])
-        assert index.ids_by_tier == {0: (3,), 1: (2**70,), 2: (5,), 3: (), 4: (-1,)}
         assert TierIndex({2: [5], 0: [3], 1: [2**70], 4: [-1]}).ids == index.ids
         # ids read in rising order are kept as they are
         ids = [1, 4, 9]
         assert TierIndex.from_ids(ids, bytearray([0, 0, 3])).ids is ids
         with pytest.raises(ValueError, match="tier index 5 is not one of 0-4"):
             TierIndex.from_pairs([(1, 0), (2, 5)])
+        # the CLI's constructor checks the tier bytes too: a byte of 5 or
+        # more would be left out of every manifest and of counts()
+        for tiers in (b"\x00\x05", bytearray([9, 1])):
+            with pytest.raises(ValueError, match="is not one of 0-4"):
+                TierIndex.from_ids([1, 2], tiers)
         with pytest.raises(ValueError, match="2 ids but 1 tier"):
             TierIndex.from_ids([1, 2], b"\x00")
 
@@ -480,8 +485,9 @@ class TestSpecValidation:
         import numpy as np
 
         index = TierIndex.from_pairs([(np.int64(7), 2), (5, 2), (np.uint8(3), 0)])
-        assert index.ids_by_tier[2] == (5, 7)
-        assert {type(i) for ids in index.ids_by_tier.values() for i in ids} == {int}
+        assert index.ids == [3, 5, 7]
+        assert index.tiers == bytes([0, 2, 2])
+        assert {type(i) for i in index.ids} == {int}
         out = io.StringIO()
         write_manifest(out, sample_epoch(index, ScheduleSpec("mixed", 10, 0.5), 9))
         assert out.getvalue() == "".join(
