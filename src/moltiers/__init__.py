@@ -46,7 +46,6 @@ _EXPORTS = {
         "LossParams",
         "hybrid_loss",
         "l2_normalize_rows",
-        "load_embeddings",
         "nt_xent",
         "pairwise_distance_correlation",
         "siglip_loss",

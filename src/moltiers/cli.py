@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: prevalence, annotate, schedule, stats, loss-check.
+Subcommands: prevalence, annotate, schedule, stats.
 Each option declares its default once, on its ``add_argument``; the tier
 options are generated from ``TierConfig``'s fields.  A ``--config`` file
 (plain ``key = value`` lines with ``#`` comments) supplies defaults for the
@@ -30,7 +30,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import EmptyCorpus, MoltiersError
 from .records import STAT_FIELDS, read_stat_columns, read_tier_ids
@@ -340,54 +340,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_loss_check(args: argparse.Namespace) -> int:
-    # numpy is imported only by the commands that use it
-    from .check import run_gradient_suite, run_property_suite
-    from .losses import load_embeddings, pairwise_distance_correlation
-
-    if (args.matrix_a is None) != (args.matrix_b is None):
-        missing = "--matrix-b" if args.matrix_b is None else "--matrix-a"
-        log.error("loss-check: %s is missing; give both matrices or neither",
-                  missing)
-        return 1
-    # a bad matrix file is reported before the checks spend any time
-    if args.matrix_a is not None:
-        rho, r = pairwise_distance_correlation(load_embeddings(args.matrix_a),
-                                               load_embeddings(args.matrix_b),
-                                               args.n_pairs, args.seed)
-    results = run_gradient_suite(args.seeds) + run_property_suite()
-    failed = 0
-    for result in results:
-        print(result.line())
-        failed += not result.passed
-    if args.matrix_a is not None:
-        print(f"pairwise-distance correlation: spearman={rho:.4f} pearson={r:.4f} "
-              f"({args.n_pairs} pairs, seed {args.seed})")
-    if failed:
-        raise MoltiersError(f"{failed} loss checks failed")
-    return 0
-
-
 def _one_char(text: str) -> str:
     if len(text) > 1:  # csv's limit; an empty delimiter means the default
         raise argparse.ArgumentTypeError(f"{text!r} is not one character")
     return text
 
 
-def _int_at_least(low: int, name: str) -> Callable[[str], int]:
-    """An argparse type for integers of at least ``low``, ``name`` in errors."""
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not {name}")
-        return value
-    return convert
-
-
-_positive_int = _int_at_least(1, "a positive integer")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _parse_tier_counts(text: str) -> tuple[int, ...]:
@@ -419,8 +385,8 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     subcommands' value-taking options, and other keys are ignored."""
     parser = argparse.ArgumentParser(
         prog="moltiers",
-        description="Molecular complexity descriptors, curriculum tiers, "
-                    "schedules, and loss kernels.",
+        description="Molecular complexity descriptors, curriculum tiers "
+                    "and schedules.",
     )
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -473,14 +439,6 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--annotated", required=True)
     p.add_argument("--json", help="also write the report as JSON")
     p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("loss-check", help="gradient and invariant self-checks")
-    p.add_argument("--seeds", type=_positive_int, default=100)
-    p.add_argument("--matrix-a")
-    p.add_argument("--matrix-b")
-    p.add_argument("--n-pairs", type=_int_at_least(2, "at least 2"), default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_loss_check)
 
     for p in sub.choices.values():
         takes_value = {a.dest for a in p._actions if a.option_strings and a.nargs != 0}

@@ -417,21 +417,3 @@ def pairwise_distance_correlation(
     if np.ptp(da) == 0.0 or np.ptp(db) == 0.0:
         raise DegenerateVariance("all sampled distances are equal")
     return spearman(da, db), pearson(da, db)
-
-
-def load_embeddings(path) -> np.ndarray:
-    """Read a matrix from .npy or from text with an ``N d`` header line."""
-    path = str(path)
-    if path.endswith(".npy"):
-        m = np.load(path)
-        return _as_matrix(m, path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().replace(",", " ").split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected 'N d' header line")
-        n, d = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, delimiter=None, ndmin=2)
-    if data.shape != (n, d):
-        raise ShapeMismatch(f"{path}: header says {(n, d)}, data is {data.shape}")
-    return data
-

@@ -21,7 +21,7 @@ The readers built on it:
   byte per record, checked for an integer id, a tier T0-T4 and no repeated
   id;
 * ``read_stat_columns`` for ``stats``: ``mw``, ``bertz_ct`` and ``n_ring``
-  as float columns plus one tier byte per record;
+  as float columns, checked finite, plus one tier byte per record;
 * ``pipeline.read_annotated``: every record as a dict, each line through
   ``json.loads``.
 """
@@ -259,17 +259,24 @@ def read_stat_columns(path: str | Path) -> StatColumns:
 
     Raises MalformedLine, naming the line, for a line that is not a JSON
     object, or a record that lacks a ``STAT_FIELDS`` field or the tier, has
-    a tier outside T0-T4, or a ``STAT_FIELDS`` value that is not a number.
+    a tier outside T0-T4, or a ``STAT_FIELDS`` value that is not a finite
+    number.
     """
     columns = StatColumns(array("d"), array("d"), array("d"), bytearray())
     add_mw, add_ct, add_ring, add_tier = (column.append for column in columns)
     layout = block_layout(("bertz_ct", "n_ring", "mw", "tier"))
-    for _, found, rows in scan_records(path, layout):
+    for first, found, rows in scan_records(path, layout):
         if found is not None:
             bertz_ct, n_ring, mw, tier_names = zip(*found)
             columns.bertz_ct.extend(map(float, bertz_ct))
             columns.n_ring.extend(map(float, n_ring))
             columns.mw.extend(map(float, mw))
+            # an exponent past a float's range reads as inf, so the block's
+            # sum is inf or NaN; finite values whose sum overflows are
+            # looked at one by one and pass
+            block = [column[-len(found):] for column in columns[:3]]
+            if not math.isfinite(sum(map(sum, block))):
+                _check_finite(path, first, block)
             columns.tiers.extend(_tier_bytes(tier_names))
             continue
         for n, row in rows:
@@ -294,6 +301,17 @@ def _float(value: object, where: str) -> float:
     if type(value) not in (int, float):
         raise MalformedLine(f"{where} is not a number")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise MalformedLine(f"{where} is too large for a float") from None
+    if not math.isfinite(value):  # NaN, Infinity, or an exponent like 1e999
+        raise MalformedLine(f"{where} is not a finite number")
+    return value
+
+
+def _check_finite(path: str | Path, first: int, block: list[array]) -> None:
+    """Raise MalformedLine for the first value of ``block`` (the
+    ``STAT_FIELDS`` columns of lines ``first`` on) that is not finite."""
+    for n, values in enumerate(zip(*block), first):
+        for name, value in zip(STAT_FIELDS, values):
+            _float(value, f"{path}:{n}: {name}")

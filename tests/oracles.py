@@ -702,7 +702,7 @@ def brute_spearman(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite differences (independent of moltiers.check)
+# finite differences (independent of the kernels' own arithmetic)
 
 
 def finite_difference(f, x, eps: float = 1e-5):

@@ -555,9 +555,18 @@ class TestCli:
          "bertz_ct is not a number"),
         ('{"id":2,"tier":"T1","mw":16.0,"bertz_ct":1.5,"n_ring":[0]}',
          "n_ring is not a number"),
+        ('{"id":2,"tier":"T1","mw":16.0,"bertz_ct":1e999,"n_ring":0}',
+         "bertz_ct is not a finite number"),
+        ('{"id":2,"tier":"T1","mw":-1e999,"bertz_ct":1.5,"n_ring":0}',
+         "mw is not a finite number"),
+        ('{"id":2,"tier":"T1","mw":16.0,"bertz_ct":1.5,"n_ring":NaN}',
+         "n_ring is not a finite number"),
+        ('{"id":2,"tier":"T1","mw":Infinity,"bertz_ct":1.5,"n_ring":0}',
+         "mw is not a finite number"),
     ], ids=["not-json", "not-an-object", "no-mw", "no-bertz_ct", "no-n_ring",
             "no-tier", "tier-T9", "mw-string", "mw-null", "bertz_ct-true",
-            "n_ring-list"])
+            "n_ring-list", "bertz_ct-1e999", "mw--1e999", "n_ring-NaN",
+            "mw-Infinity"])
     def test_stats_bad_record_is_data_error(self, smi_file, tmp_path, capsys,
                                             record, message):
         annotated = tmp_path / "ann.jsonl"
@@ -571,67 +580,6 @@ class TestCli:
         assert f"{annotated}:6: {message}" in captured.err
         assert captured.out == ""
         assert not report_path.exists()
-
-    def test_loss_check_quick(self, capsys):
-        assert self.run("loss-check", "--seeds", "3") == 0
-        out = capsys.readouterr().out
-        assert "nt_xent" in out and "FAIL" not in out
-
-    @pytest.fixture()
-    def matrices(self, tmp_path):
-        """--matrix-a/--matrix-b flags naming two text matrices whose
-        pairwise distances correlate perfectly."""
-        import numpy as np
-
-        from test_losses import save_embeddings
-
-        a = np.random.default_rng(0).normal(size=(20, 4))
-        save_embeddings(tmp_path / "a.txt", a)
-        save_embeddings(tmp_path / "b.txt", a * 2.0)
-        return ["--matrix-a", str(tmp_path / "a.txt"),
-                "--matrix-b", str(tmp_path / "b.txt")]
-
-    def test_loss_check_with_matrices(self, matrices, capsys):
-        assert self.run("loss-check", "--seeds", "2", *matrices,
-                        "--n-pairs", "50") == 0
-        assert "spearman=1.0000" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("seeds", ["0", "-3"])
-    def test_loss_check_seeds_below_one_is_usage_error(self, capsys, seeds):
-        assert self.run("loss-check", "--seeds", seeds) == 1
-        captured = capsys.readouterr()
-        assert f"argument --seeds: '{seeds}' is not a positive integer" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("given, missing", [("--matrix-a", "--matrix-b"),
-                                                ("--matrix-b", "--matrix-a")])
-    def test_loss_check_one_matrix_is_usage_error(self, tmp_path, capsys,
-                                                  given, missing):
-        # the named file does not exist; the usage error comes first
-        assert self.run("loss-check", "--seeds", "2",
-                        given, str(tmp_path / "absent.npy")) == 1
-        captured = capsys.readouterr()
-        assert f"{missing} is missing" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("n_pairs", ["1", "0", "-5"])
-    def test_loss_check_n_pairs_below_two_is_usage_error(self, matrices, capsys,
-                                                        n_pairs):
-        assert self.run("loss-check", "--seeds", "2", *matrices,
-                        "--n-pairs", n_pairs) == 1
-        captured = capsys.readouterr()
-        assert f"argument --n-pairs: '{n_pairs}' is not at least 2" in captured.err
-        assert "[ok ]" not in captured.out
-
-    @pytest.mark.parametrize("absent", ["--matrix-a", "--matrix-b"])
-    def test_loss_check_absent_matrix_is_data_error_before_checks(
-            self, matrices, tmp_path, capsys, absent):
-        argv = list(matrices)
-        argv[argv.index(absent) + 1] = str(tmp_path / "absent.txt")
-        assert self.run("loss-check", "--seeds", "2", *argv) == 2
-        captured = capsys.readouterr()
-        assert "absent.txt" in captured.err
-        assert captured.out == ""
 
     @pytest.mark.parametrize("source", ["flags", "annotated-in-file",
                                         "counts-in-file"])
@@ -866,9 +814,21 @@ class TestCli:
             capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
 
-    def test_usage_error_exit_1(self):
+    def test_usage_error_exit_1(self, capsys):
         assert self.run("schedule", "--bogus-flag") == 1
         assert self.run() == 1
+        capsys.readouterr()
+        # the loss kernels are checked by the test suite, not by a command
+        assert self.run("loss-check") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'loss-check'" in captured.err
+
+    def test_help_lists_the_four_commands(self, capsys):
+        assert self.run("--help") == 0
+        usage = capsys.readouterr().out
+        assert re.search(r"\{(.*?)\}", usage).group(1).split(",") == [
+            "prevalence", "annotate", "schedule", "stats"]
 
     def test_data_error_exit_2(self, tmp_path):
         assert self.run("annotate", "--input", str(tmp_path / "missing.smi"),

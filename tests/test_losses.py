@@ -17,7 +17,6 @@ from moltiers.losses import (
     LossParams,
     hybrid_loss,
     l2_normalize_rows,
-    load_embeddings,
     nt_xent,
     pairwise_distance_correlation,
     pearson,
@@ -229,73 +228,64 @@ class TestHybrid:
         assert LossParams(alpha=0.0, beta=float("inf")).beta == float("inf")
 
 
-def _text_without_header(tmp_path):
-    path = tmp_path / "no_header.txt"
-    path.write_text("1 2 3\n4 5 6\n")
-    return path
-
-
 _UNIT = np.eye(3)
 _UNIT_2 = np.eye(2)
 _HYBRID = TestHybrid().make(4)
 
-# (call, error, message): the input checks of the kernels, the
-# correlations and the embedding reader that no other test reaches
+# (call, error, message): the input checks of the kernels and the
+# correlations that no other test reaches
 INPUT_CHECKS = {
     "nt_xent-v2-not-unit": (
-        lambda tmp: nt_xent(_UNIT, 2.0 * _UNIT, check_normalized=True),
+        lambda: nt_xent(_UNIT, 2.0 * _UNIT, check_normalized=True),
         NotNormalized, "v2 rows are not unit-norm"),
     "siglip-v-not-unit": (
-        lambda tmp: siglip_loss(2.0 * _UNIT, _UNIT, check_normalized=True),
+        lambda: siglip_loss(2.0 * _UNIT, _UNIT, check_normalized=True),
         NotNormalized, "v rows are not unit-norm"),
     "siglip-t-not-unit": (
-        lambda tmp: siglip_loss(_UNIT, 2.0 * _UNIT, check_normalized=True),
+        lambda: siglip_loss(_UNIT, 2.0 * _UNIT, check_normalized=True),
         NotNormalized, "t rows are not unit-norm"),
     "hybrid-v-not-unit": (
-        lambda tmp: hybrid_loss(2.0 * _HYBRID[0], *_HYBRID[1:],
-                                check_normalized=True),
+        lambda: hybrid_loss(2.0 * _HYBRID[0], *_HYBRID[1:],
+                            check_normalized=True),
         NotNormalized, "v rows are not unit-norm"),
     "siglip-shapes": (
-        lambda tmp: siglip_loss(_UNIT, _UNIT_2),
+        lambda: siglip_loss(_UNIT, _UNIT_2),
         ShapeMismatch, r"shape mismatch \(3, 3\) vs \(2, 2\)"),
     "hybrid-head-shape": (
-        lambda tmp: hybrid_loss(*_HYBRID[:3], LinearMap(np.ones((2, 8)), np.ones(2)),
-                                _HYBRID[4]),
+        lambda: hybrid_loss(*_HYBRID[:3], LinearMap(np.ones((2, 8)), np.ones(2)),
+                            _HYBRID[4]),
         ShapeMismatch, "head map has wrong shape"),
     "hybrid-zero-teacher-row": (
-        lambda tmp: hybrid_loss(_HYBRID[0], _HYBRID[1],
-                                LinearMap(np.zeros((8, 16)), np.zeros(8)),
-                                *_HYBRID[3:]),
+        lambda: hybrid_loss(_HYBRID[0], _HYBRID[1],
+                            LinearMap(np.zeros((8, 16)), np.zeros(8)),
+                            *_HYBRID[3:]),
         ValueError, "projected teacher row has zero norm"),
     "kernel-1d-input": (
-        lambda tmp: nt_xent(np.ones(3), np.ones(3)),
+        lambda: nt_xent(np.ones(3), np.ones(3)),
         ShapeMismatch, "v1 must be a non-empty 2-D matrix"),
     "normalize-zero-row": (
-        lambda tmp: l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]])),
+        lambda: l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]])),
         ValueError, "cannot normalize a zero row"),
     "pearson-constant": (
-        lambda tmp: pearson(np.ones(4), np.arange(4.0)),
+        lambda: pearson(np.ones(4), np.arange(4.0)),
         DegenerateVariance, "constant input to correlation"),
     "correlation-row-counts": (
-        lambda tmp: pairwise_distance_correlation(_UNIT, _UNIT_2, 10),
+        lambda: pairwise_distance_correlation(_UNIT, _UNIT_2, 10),
         ShapeMismatch, "row counts differ"),
     "correlation-one-row": (
-        lambda tmp: pairwise_distance_correlation(_UNIT[:1], _UNIT[:1], 10),
+        lambda: pairwise_distance_correlation(_UNIT[:1], _UNIT[:1], 10),
         ShapeMismatch, "need at least two rows"),
     "correlation-one-pair": (
-        lambda tmp: pairwise_distance_correlation(_UNIT, _UNIT, 1),
+        lambda: pairwise_distance_correlation(_UNIT, _UNIT, 1),
         ValueError, "n_pairs must be >= 2"),
-    "embeddings-no-header": (
-        lambda tmp: load_embeddings(_text_without_header(tmp)),
-        ValueError, "expected 'N d' header line"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
-def test_input_check_raises(case, tmp_path):
+def test_input_check_raises(case):
     call, error, message = INPUT_CHECKS[case]
     with pytest.raises(error, match=message):
-        call(tmp_path)
+        call()
 
 
 def test_unit_rows_pass_check_normalized():
@@ -819,42 +809,3 @@ class TestRanksAndCorrelation:
         want = (spearman(da, db), pearson(da, db))
         got = pairwise_distance_correlation(a, b, n_pairs, seed=5)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
-def save_embeddings(path, matrix) -> None:
-    """Write ``matrix`` as ``load_embeddings`` reads it: ``.npy``, or text
-    with an ``N d`` header line."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    path = str(path)
-    if path.endswith(".npy"):
-        np.save(path, matrix)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-class TestEmbeddingIO:
-    def test_text_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        m = rng.normal(size=(5, 3))
-        path = tmp_path / "emb.txt"
-        save_embeddings(path, m)
-        loaded = load_embeddings(path)
-        assert np.array_equal(loaded, m)
-        header = path.read_text().splitlines()[0]
-        assert header == "5 3"
-
-    def test_npy_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        m = rng.normal(size=(4, 6))
-        path = tmp_path / "emb.npy"
-        save_embeddings(path, m)
-        assert np.array_equal(load_embeddings(path), m)
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 2\n1 2\n3 4\n")
-        with pytest.raises(ShapeMismatch):
-            load_embeddings(path)

@@ -6,6 +6,7 @@ message."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -71,10 +72,19 @@ def tier_ids(path: Path) -> dict[int, list[int]]:
 
 def assert_reads_like_json(path: Path) -> None:
     """Both readers give what json.loads of every line gives; floats are
-    compared bit for bit, so -0.0 and 0.0 differ."""
-    rows = [row for _, row in reference_records(path)]
+    compared bit for bit, so -0.0 and 0.0 differ.  A stat value that is
+    NaN or infinite is rejected, naming the first line that holds one."""
+    numbered = reference_records(path)
+    rows = [row for _, row in numbered]
     assert tier_ids(path) == {
         t: [r["id"] for r in rows if r["tier"] == tier] for t, tier in enumerate(TIERS)}
+    for n, row in numbered:
+        for key in ("mw", "bertz_ct", "n_ring"):
+            if not math.isfinite(row[key]):
+                with pytest.raises(MalformedLine) as err:
+                    read_stat_columns(path)
+                assert str(err.value) == f"{path}:{n}: {key} is not a finite number"
+                return
     columns = read_stat_columns(path)
     for key in ("mw", "bertz_ct", "n_ring"):
         want = array("d", (float(r[key]) for r in rows))
@@ -99,6 +109,11 @@ JSON_LINES = {
                           False),
     "nan": (dumps_record(record(7, mw=float("nan"))), False),
     "infinity": (dumps_record(record(7, bertz_ct=float("inf"))), False),
+    "exponent-past-float": (dumps_record(record(7)).replace("17.25", "1e999"), True),
+    "negative-exponent-past-float": (
+        dumps_record(record(7)).replace("46.069", "-1e999"), True),
+    "finite-values-summing-past-float": (
+        dumps_record(record(7, bertz_ct=1.5e308, mw=1.5e308)), True),
     "extra-field": (dumps_record({**record(7), "source": "zinc"}), False),
     "rule-trace": (dumps_record({**record(7), "rule_trace": "t1_common_groups"}), True),
     "no-groups": (dumps_record(record(7, fg_names=[])), True),
